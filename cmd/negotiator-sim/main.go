@@ -343,27 +343,28 @@ func restoreCheckpoint(fab negotiator.Fabric, path string) error {
 // epoch-count intervals, atomically replacing the rolling checkpoint file
 // after each. A restored run resumes mid-schedule: the loop only ever runs
 // the epochs still missing, so the final state matches an uninterrupted
-// run exactly.
+// run exactly. RunEpochs(k) advances the clock by exactly k epochs (k
+// cycles on the oblivious plane), so the clock is read from one Summary up
+// front and then kept locally, rather than merging and sorting every FCT
+// sample at each interval.
 func runCheckpointed(fab negotiator.Fabric, total sim.Duration, every int, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(dir, "checkpoint.negosnap")
-	for {
-		s := fab.Summary()
-		remaining := total - s.Duration
-		if remaining <= 0 {
-			return nil
-		}
-		epochs := int((remaining + s.EpochLen - 1) / s.EpochLen)
+	s := fab.Summary()
+	for now := s.Duration; now < total; {
+		epochs := int((total - now + s.EpochLen - 1) / s.EpochLen)
 		if epochs > every {
 			epochs = every
 		}
 		fab.RunEpochs(epochs)
+		now += sim.Duration(epochs) * s.EpochLen
 		if err := writeCheckpoint(fab, path); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // writeCheckpoint snapshots the fabric into path via temp + rename, so the

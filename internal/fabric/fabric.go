@@ -143,6 +143,10 @@ type Core struct {
 	// Shard.Deliver; sequential-only by the control planes' clamping).
 	OnDeliver func(dst int, at sim.Time, n int64)
 
+	// fct caches MergedFCT's view. Shard sample counts only grow, so the
+	// view is current while its count equals theirs; Restore drops it.
+	fct *metrics.FCTStats
+
 	plane    ControlPlane
 	check    RoundChecker
 	roundLen sim.Duration
@@ -587,15 +591,26 @@ func (c *Core) RequeueDetectedLosses(now sim.Time, detect sim.Duration) {
 	}
 }
 
-// MergedFCT snapshots the per-shard FCT accumulators into one fresh
-// instance (order-independent merge, so the snapshot is identical at any
-// worker count and the call is idempotent).
+// MergedFCT returns the per-shard FCT accumulators merged into one view.
+// The merge shares the shards' sample blocks instead of copying them and
+// is order-independent, so every statistic is identical at any worker
+// count. The view, with the sorted copy its first percentile or CDF query
+// builds, is kept until a shard records a sample or Restore replaces the
+// samples: Summary, MiceCDF and every Results caller share one merge and
+// one sort. A view handed out earlier keeps its samples when a newer one
+// replaces it. Callers must not record or merge into the view.
 func (c *Core) MergedFCT() *metrics.FCTStats {
-	fct := &metrics.FCTStats{}
+	n := 0
 	for _, sh := range c.Shards {
-		fct.Merge(&sh.FCT)
+		n += sh.FCT.Count()
 	}
-	return fct
+	if c.fct == nil || c.fct.Count() != n {
+		c.fct = &metrics.FCTStats{}
+		for _, sh := range c.Shards {
+			c.fct.Merge(&sh.FCT)
+		}
+	}
+	return c.fct
 }
 
 // MergedGoodput snapshots the per-shard goodput accumulators.

@@ -344,3 +344,43 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	}
 	c.CheckOccupancy()
 }
+
+// TestMergedFCTCachedView: a second MergedFCT with no new samples returns
+// the same view, sorted copy included, without allocating. A new shard
+// sample brings a new view, and the old one keeps the samples it had.
+func TestMergedFCTCachedView(t *testing.T) {
+	top, err := topo.NewParallel(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Topology: top, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shards[0].FCT.Record(1, 30)
+	c.Shards[1].FCT.Record(1, 10)
+	v := c.MergedFCT()
+	if got := v.P(100); got != 30 {
+		t.Fatalf("P(100) = %v, want 30", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if c.MergedFCT() != v {
+			t.Fatal("MergedFCT rebuilt the view with no new samples")
+		}
+		_ = c.MergedFCT().P(99) + c.MergedFCT().MiceP(50)
+	}); allocs != 0 {
+		t.Errorf("cached MergedFCT + queries allocate %.0f objects, want 0", allocs)
+	}
+
+	c.Shards[1].FCT.Record(1, 20)
+	w := c.MergedFCT()
+	if w == v {
+		t.Fatal("MergedFCT kept a stale view after a shard recorded")
+	}
+	if v.Count() != 2 || v.P(50) != 10 {
+		t.Errorf("old view changed: count %d, P(50) %v; want 2, 10", v.Count(), v.P(50))
+	}
+	if w.Count() != 3 || w.P(50) != 20 {
+		t.Errorf("new view: count %d, P(50) %v; want 3, 20", w.Count(), w.P(50))
+	}
+}

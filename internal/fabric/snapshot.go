@@ -389,17 +389,20 @@ func (c *Core) decodeTags(payload []byte) error {
 
 // encodeMetrics captures the MERGED per-shard accumulators. Restore
 // concentrates them into shard 0: shard merges are commutative sums and
-// every FCT query re-sorts, so queried results are identical at any
-// worker count on either side of the checkpoint.
+// every FCT order statistic is taken over a sorted copy of the samples,
+// so queried results are identical at any worker count on either side of
+// the checkpoint. The samples are written in recording order, shard by
+// shard, never in the sorted order an earlier query built.
 func (c *Core) encodeMetrics() []byte {
 	var e snap.Enc
-	all, mice := c.MergedFCT().Samples()
-	e.U32(uint32(len(all)))
-	for _, v := range all {
+	fct := c.MergedFCT()
+	all, mice := fct.Samples()
+	e.U32(uint32(fct.Count()))
+	for v := range all {
 		e.I64(int64(v))
 	}
-	e.U32(uint32(len(mice)))
-	for _, v := range mice {
+	e.U32(uint32(fct.MiceCount()))
+	for v := range mice {
 		e.I64(int64(v))
 	}
 	perToR := c.MergedGoodput().PerToR()
@@ -483,6 +486,7 @@ func (c *Core) decodeMetrics(payload []byte) error {
 		return err
 	}
 	c.Shards[0].FCT.RestoreSamples(all, mice)
+	c.fct = nil
 	c.Shards[0].Goodput.RestorePerToR(perToR)
 	return nil
 }

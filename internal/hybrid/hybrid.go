@@ -341,7 +341,8 @@ func (e *Engine) runEpoch()                        { e.fab.RunRound() }
 func (e *Engine) Drain(maxEpochs int) bool         { return e.fab.Drain(maxEpochs) }
 
 // Results snapshots the run's measurements (idempotent, worker-count
-// independent — see fabric.Core).
+// independent). FCT is the core's cached, read-only merged view, shared
+// with every call until a new sample arrives (see fabric.Core.MergedFCT).
 func (e *Engine) Results() Results {
 	return Results{
 		FCT:                e.fab.MergedFCT(),

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"negotiator/internal/sim"
 )
@@ -19,51 +18,50 @@ const MiceFlowBytes = 10 << 10
 // FCTStats accumulates flow completion times, classified into mice and
 // all flows. The zero value is ready to use.
 //
+// Samples are stored in fixed-size blocks (see samples), and the order
+// statistics — P, MiceP, Max, MiceCDF — share one ascending copy per
+// class, radix-sorted on the first such query after a change.
+//
 // Every derived statistic has a defined zero result on an empty sample
 // set — P, MiceP, Mean, MiceMean and Max return 0, MiceCDF returns nil —
 // so per-shard instances that happened to record nothing (a legitimate
 // state under sharded engine execution) are safe to query or merge.
 type FCTStats struct {
-	all    []sim.Duration
-	mice   []sim.Duration
-	sorted bool
+	all, mice samples
 }
 
 // Record adds one completed flow.
 func (s *FCTStats) Record(size int64, fct sim.Duration) {
-	s.sorted = false
-	s.all = append(s.all, fct)
+	s.all.add(fct)
 	if size < MiceFlowBytes {
-		s.mice = append(s.mice, fct)
+		s.mice.add(fct)
 	}
 }
 
-// Merge folds another accumulator's samples into s. Every derived
-// statistic sorts first, so the merge is order-independent: merging
-// per-shard accumulators in any order yields the same percentiles, means
-// and CDFs as recording all samples into one instance. o is not modified.
+// Merge folds another accumulator's samples into s by reference: o's
+// sample blocks are shared, not copied, and o may keep recording without
+// changing what s holds. Every derived statistic sorts first, so the
+// merge is order-independent: merging per-shard accumulators in any
+// order yields the same percentiles, means and CDFs as recording all
+// samples into one instance. o is not modified.
 func (s *FCTStats) Merge(o *FCTStats) {
-	if o == nil || len(o.all) == 0 {
+	if o == nil {
 		return
 	}
-	s.sorted = false
-	s.all = append(s.all, o.all...)
-	s.mice = append(s.mice, o.mice...)
+	s.all.merge(&o.all)
+	s.mice.merge(&o.mice)
 }
 
 // Count returns the number of completed flows (all classes).
-func (s *FCTStats) Count() int { return len(s.all) }
+func (s *FCTStats) Count() int { return s.all.n }
 
 // MiceCount returns the number of completed mice flows.
-func (s *FCTStats) MiceCount() int { return len(s.mice) }
+func (s *FCTStats) MiceCount() int { return s.mice.n }
 
-func (s *FCTStats) sort() {
-	if s.sorted {
-		return
-	}
-	sort.Slice(s.all, func(i, j int) bool { return s.all[i] < s.all[j] })
-	sort.Slice(s.mice, func(i, j int) bool { return s.mice[i] < s.mice[j] })
-	s.sorted = true
+// sort brings both ascending copies up to date, sharing one sort buffer.
+func (s *FCTStats) sort() (all, mice []sim.Duration) {
+	var scratch []sim.Duration
+	return s.all.ascending(&scratch), s.mice.ascending(&scratch)
 }
 
 func percentile(xs []sim.Duration, p float64) sim.Duration {
@@ -80,31 +78,26 @@ func percentile(xs []sim.Duration, p float64) sim.Duration {
 	return xs[idx]
 }
 
-func mean(xs []sim.Duration) sim.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += int64(x)
-	}
-	return sim.Duration(sum / int64(len(xs)))
+// P returns the p-th percentile FCT over all flows.
+func (s *FCTStats) P(p float64) sim.Duration {
+	all, _ := s.sort()
+	return percentile(all, p)
 }
 
-// P returns the p-th percentile FCT over all flows.
-func (s *FCTStats) P(p float64) sim.Duration { s.sort(); return percentile(s.all, p) }
-
 // MiceP returns the p-th percentile FCT over mice flows.
-func (s *FCTStats) MiceP(p float64) sim.Duration { s.sort(); return percentile(s.mice, p) }
+func (s *FCTStats) MiceP(p float64) sim.Duration {
+	_, mice := s.sort()
+	return percentile(mice, p)
+}
 
 // Mean returns the mean FCT over all flows.
-func (s *FCTStats) Mean() sim.Duration { return mean(s.all) }
+func (s *FCTStats) Mean() sim.Duration { return s.all.mean() }
 
 // MiceMean returns the mean FCT over mice flows.
-func (s *FCTStats) MiceMean() sim.Duration { return mean(s.mice) }
+func (s *FCTStats) MiceMean() sim.Duration { return s.mice.mean() }
 
 // Max returns the largest recorded FCT.
-func (s *FCTStats) Max() sim.Duration { s.sort(); return percentile(s.all, 100) }
+func (s *FCTStats) Max() sim.Duration { return s.P(100) }
 
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
@@ -115,8 +108,8 @@ type CDFPoint struct {
 // MiceCDF returns an empirical CDF of mice-flow FCTs sampled at up to
 // points evenly spaced quantiles (paper Figure 6).
 func (s *FCTStats) MiceCDF(points int) []CDFPoint {
-	s.sort()
-	return cdf(s.mice, points)
+	_, mice := s.sort()
+	return cdf(mice, points)
 }
 
 func cdf(xs []sim.Duration, points int) []CDFPoint {

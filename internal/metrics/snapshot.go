@@ -6,18 +6,31 @@
 // samples into a single shard without changing any queried result.
 package metrics
 
-import "negotiator/internal/sim"
+import (
+	"iter"
 
-// Samples exposes the raw recorded FCT samples in recording order.
-func (s *FCTStats) Samples() (all, mice []sim.Duration) { return s.all, s.mice }
+	"negotiator/internal/sim"
+)
 
-// RestoreSamples replaces the recorded samples. The sort cache resets, so
-// percentile and CDF queries re-sort — restored sample order is
-// irrelevant to every derived statistic.
+// Samples yields the raw recorded FCT samples of each class in recording
+// order; a merged accumulator yields each merged-in accumulator's samples
+// in merge order. The sorted copies the order statistics use never show
+// here, so what a checkpoint writes does not depend on earlier queries.
+func (s *FCTStats) Samples() (all, mice iter.Seq[sim.Duration]) {
+	return s.all.values, s.mice.values
+}
+
+// RestoreSamples replaces the recorded samples with copies in fresh
+// blocks, so accumulators merged from s earlier keep what they held.
+// Restored sample order is irrelevant to every derived statistic.
 func (s *FCTStats) RestoreSamples(all, mice []sim.Duration) {
-	s.all = append(s.all[:0], all...)
-	s.mice = append(s.mice[:0], mice...)
-	s.sorted = false
+	s.all, s.mice = samples{}, samples{}
+	for _, x := range all {
+		s.all.add(x)
+	}
+	for _, x := range mice {
+		s.mice.add(x)
+	}
 }
 
 // PerToR exposes the per-destination delivered byte counts.

@@ -479,8 +479,10 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Results snapshots the run's measurements. Per-shard FCT and goodput
 // accumulators merge order-independently, so the snapshot is identical at
-// any worker count; the merge builds fresh accumulators, keeping Results
-// idempotent.
+// any worker count. FCT is the core's cached merged view (see
+// fabric.Core.MergedFCT): calls with no new samples in between share it
+// and its one sort, so it must be treated as read-only. Goodput is merged
+// afresh on every call.
 func (e *Engine) Results() Results {
 	return Results{
 		FCT:                e.fab.MergedFCT(),

@@ -449,7 +449,9 @@ func (e *Engine) RunCycles(k int) { e.fab.RunRounds(k * e.slots) }
 // Drain runs until all injected bytes are delivered or maxSlots elapse.
 func (e *Engine) Drain(maxSlots int) bool { return e.fab.Drain(maxSlots) }
 
-// Results snapshots the measurements.
+// Results snapshots the measurements (idempotent, worker-count
+// independent). FCT is the core's cached, read-only merged view, shared
+// with every call until a new sample arrives (see fabric.Core.MergedFCT).
 func (e *Engine) Results() Results {
 	return Results{
 		FCT:       e.fab.MergedFCT(),

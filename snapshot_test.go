@@ -124,6 +124,49 @@ func TestSnapshotPortGroupFailure(t *testing.T) {
 	}
 }
 
+// TestSnapshotIgnoresFCTQueries: the checkpoint writes FCT samples in
+// recording order, never in the sorted order a query builds and caches, so
+// a run that asked for Summary and MiceCDF before its snapshot writes the
+// same bytes as an identical run that never asked — sequential and
+// sharded.
+func TestSnapshotIgnoresFCTQueries(t *testing.T) {
+	var spec negotiator.Spec
+	for _, c := range fingerprintCases() {
+		if c.name == "negotiator/failures/parallel" {
+			spec = c.spec
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		snap := func(query bool) []byte {
+			spec := spec
+			spec.Workers = workers
+			fab, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6))
+			// Query mid-run as well, so the snapshot follows a cached view
+			// that later samples made stale.
+			for i := 0; i < 2; i++ {
+				fab.RunEpochs(40)
+				if query {
+					if fab.Summary().Flows == 0 || fab.MiceCDF(100) == nil {
+						t.Fatal("no mice completed; the comparison would be empty")
+					}
+				}
+			}
+			var buf bytes.Buffer
+			if err := fab.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		if !bytes.Equal(snap(true), snap(false)) {
+			t.Errorf("workers=%d: Summary/MiceCDF before the snapshot changed its bytes", workers)
+		}
+	}
+}
+
 // TestRestoreRejectsCorruption: a checkpoint damaged in transit (bit flip,
 // truncation, version bump) must fail Restore with a clear error and leave
 // the target fabric untouched — proven by restoring the intact checkpoint
