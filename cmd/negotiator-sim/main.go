@@ -75,7 +75,6 @@ func main() {
 		awgr        = flag.Int("awgr", 16, "thin-clos AWGR port count W (ToRs must equal ports*W)")
 		topology    = flag.String("topology", "parallel", "parallel | thin-clos")
 		engine      = flag.String("engine", "negotiator", "control plane: negotiator | oblivious | hybrid (see -list)")
-		oblivious   = flag.Bool("oblivious", false, "deprecated alias for -engine oblivious")
 		scheduler   = flag.String("scheduler", "matching", "NegotiaToR scheduling policy (see -list)")
 		trace       = flag.String("trace", "hadoop", "hadoop | websearch | google")
 		load        = flag.Float64("load", 0.5, "network load L = F/(R*N*tau)")
@@ -126,6 +125,12 @@ func main() {
 	if (*ckptEvery > 0 || *restoreCkpt != "") && *runs > 1 {
 		fatalUsagef("-runs %d cannot be combined with -checkpoint-every/-restore: a checkpoint captures a single run", *runs)
 	}
+	if *hostGbps <= 0 {
+		fatalUsagef("-host-gbps must be > 0, got %d: workloads scale their arrival rate by it", *hostGbps)
+	}
+	if *load < 0 {
+		fatalUsagef("-load must be >= 0, got %v", *load)
+	}
 	if *flowGroup < 1 {
 		fatalUsagef("-flow-group must be >= 1, got %d", *flowGroup)
 	}
@@ -151,22 +156,7 @@ func main() {
 		spec.Workers = *tors // auto (-workers 0) on a small fabric: one shard per ToR
 	}
 
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
-	engName := strings.ToLower(*engine)
-	if *oblivious {
-		// The deprecated alias may not silently override an explicit,
-		// conflicting -engine choice.
-		if engineSet && engName != "oblivious" {
-			fatalListf("-oblivious (deprecated) conflicts with -engine %s; drop one", engName)
-		}
-		engName = "oblivious"
-	}
-	plane, ok := negotiator.ControlPlaneByName(engName)
+	plane, ok := negotiator.ControlPlaneByName(strings.ToLower(*engine))
 	if !ok {
 		fatalListf("unknown engine %q; available engines:\n%s", *engine, engineList())
 	}

@@ -56,7 +56,7 @@ func ExampleIncastWorkload() {
 // propagation delays.
 func ExampleSpec_Build_oblivious() {
 	spec := negotiator.SmallSpec()
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.ObliviousPlane
 	fab, _ := spec.Build()
 	fab.SetWorkload(negotiator.SinglePairWorkload(0, 9, 20<<10, 0))
 	fab.Run(200 * negotiator.Microsecond)

@@ -16,13 +16,13 @@ import (
 func main() {
 	loads := []float64{0.25, 0.5, 0.75, 1.0}
 	systems := []struct {
-		name string
-		top  negotiator.Topology
-		obl  bool
+		name  string
+		top   negotiator.Topology
+		plane negotiator.ControlPlaneKind
 	}{
-		{"negotiator/parallel", negotiator.ParallelNetwork, false},
-		{"negotiator/thin-clos", negotiator.ThinClos, false},
-		{"oblivious/thin-clos", negotiator.ThinClos, true},
+		{"negotiator/parallel", negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+		{"negotiator/thin-clos", negotiator.ThinClos, negotiator.NegotiaToRPlane},
+		{"oblivious/thin-clos", negotiator.ThinClos, negotiator.ObliviousPlane},
 	}
 
 	for _, sys := range systems {
@@ -31,7 +31,7 @@ func main() {
 		for _, load := range loads {
 			spec := negotiator.SmallSpec()
 			spec.Topology = sys.top
-			spec.Oblivious = sys.obl
+			spec.ControlPlane = sys.plane
 
 			fab, err := spec.Build()
 			if err != nil {

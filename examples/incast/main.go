@@ -26,16 +26,16 @@ func main() {
 	for _, degree := range []int{2, 5, 10, 15} {
 		var row []float64
 		for _, sys := range []struct {
-			top negotiator.Topology
-			obl bool
+			top   negotiator.Topology
+			plane negotiator.ControlPlaneKind
 		}{
-			{negotiator.ParallelNetwork, false},
-			{negotiator.ThinClos, false},
-			{negotiator.ThinClos, true},
+			{negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.ObliviousPlane},
 		} {
 			spec := negotiator.SmallSpec()
 			spec.Topology = sys.top
-			spec.Oblivious = sys.obl
+			spec.ControlPlane = sys.plane
 
 			wl, err := negotiator.IncastWorkload(spec, dst, degree, flowSize, inject, 1, 7)
 			if err != nil {

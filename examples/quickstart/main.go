@@ -39,7 +39,7 @@ func main() {
 	fmt.Printf("  match ratio:         %.3f (theory ~0.63-0.68, Appendix A.1)\n", s.MatchRatio)
 
 	// The same spec runs the traffic-oblivious baseline for comparison.
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.ObliviousPlane
 	base, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)

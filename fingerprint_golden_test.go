@@ -1,6 +1,8 @@
 package negotiator_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -199,5 +201,72 @@ func TestFingerprintWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=16 diverges from sequential\n got: %.400s\nwant: %.400s", max, seq)
 			}
 		})
+	}
+}
+
+// The snapshot-stream golden locks the checkpoint bytes themselves, not
+// just what a restore reproduces: restore equivalence only proves that
+// one binary reads back what it wrote, while a digest recorded by an
+// earlier build proves a refactor left every section byte-identical.
+// Regenerate (only for a documented checkpoint format change) with:
+//
+//	go test -run TestSnapshotStreamGolden -update-snapshots .
+var updateSnapshots = flag.Bool("update-snapshots", false, "rewrite testdata/snapshots.golden from the current engines")
+
+const snapshotGoldenPath = "testdata/snapshots.golden"
+
+// TestSnapshotStreamGolden checkpoints every golden combo after 60
+// sequential epochs of the snapshotRun workload and compares the
+// stream's SHA-256 and length against the recorded digests.
+func TestSnapshotStreamGolden(t *testing.T) {
+	cases := fingerprintCases()
+	got := make(map[string]string, len(cases))
+	var sb strings.Builder
+	for _, c := range cases {
+		spec := c.spec
+		spec.Workers = 1
+		fab, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6))
+		fab.RunEpochs(60)
+		var buf bytes.Buffer
+		if err := fab.Snapshot(&buf); err != nil {
+			t.Fatalf("%s: snapshot: %v", c.name, err)
+		}
+		got[c.name] = fmt.Sprintf("%x %d", sha256.Sum256(buf.Bytes()), buf.Len())
+		fmt.Fprintf(&sb, "%s: %s\n", c.name, got[c.name])
+	}
+	if *updateSnapshots {
+		if err := os.WriteFile(snapshotGoldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d snapshot digests to %s", len(cases), snapshotGoldenPath)
+		return
+	}
+	raw, err := os.ReadFile(snapshotGoldenPath)
+	if err != nil {
+		t.Fatalf("missing snapshot digests (run with -update-snapshots to record): %v", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		name, digest, ok := strings.Cut(line, ": ")
+		if !ok {
+			t.Fatalf("malformed snapshot golden line %q", line)
+		}
+		want[name] = digest
+	}
+	for _, c := range cases {
+		if w, ok := want[c.name]; !ok {
+			t.Errorf("%s: no recorded snapshot digest (new combo? run -update-snapshots)", c.name)
+		} else if got[c.name] != w {
+			t.Errorf("%s: checkpoint stream diverged from golden\n got: %s\nwant: %s", c.name, got[c.name], w)
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: snapshot digest recorded but combo no longer enumerated", name)
+		}
 	}
 }

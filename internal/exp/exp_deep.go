@@ -100,7 +100,7 @@ func runFig13a(o Options, w io.Writer) error {
 			r.Cell(func(w io.Writer) error {
 				spec := o.baseSpec()
 				spec.Topology = sys.top
-				spec.Oblivious = sys.obl
+				spec.ControlPlane = sys.plane
 				spec.PriorityQueues = sys.pq
 				degree := 20
 				if degree > spec.ToRs-1 {

@@ -19,20 +19,20 @@ func init() {
 // both topologies and the traffic-oblivious baseline on thin-clos, each
 // with and without priority queues.
 type system struct {
-	name string
-	top  negotiator.Topology
-	obl  bool
-	pq   bool
+	name  string
+	top   negotiator.Topology
+	plane negotiator.ControlPlaneKind
+	pq    bool
 }
 
 func mainResultSystems() []system {
 	return []system{
-		{"negotiator/parallel", negotiator.ParallelNetwork, false, true},
-		{"negotiator/parallel w/o PQ", negotiator.ParallelNetwork, false, false},
-		{"negotiator/thin-clos", negotiator.ThinClos, false, true},
-		{"negotiator/thin-clos w/o PQ", negotiator.ThinClos, false, false},
-		{"oblivious/thin-clos", negotiator.ThinClos, true, true},
-		{"oblivious/thin-clos w/o PQ", negotiator.ThinClos, true, false},
+		{"negotiator/parallel", negotiator.ParallelNetwork, negotiator.NegotiaToRPlane, true},
+		{"negotiator/parallel w/o PQ", negotiator.ParallelNetwork, negotiator.NegotiaToRPlane, false},
+		{"negotiator/thin-clos", negotiator.ThinClos, negotiator.NegotiaToRPlane, true},
+		{"negotiator/thin-clos w/o PQ", negotiator.ThinClos, negotiator.NegotiaToRPlane, false},
+		{"oblivious/thin-clos", negotiator.ThinClos, negotiator.ObliviousPlane, true},
+		{"oblivious/thin-clos w/o PQ", negotiator.ThinClos, negotiator.ObliviousPlane, false},
 	}
 }
 
@@ -52,7 +52,7 @@ func runLoadSweep(o Options, w io.Writer, trace negotiator.Trace, mutate func(*n
 			r.Cell(func(w io.Writer) error {
 				spec := o.baseSpec()
 				spec.Topology = sys.top
-				spec.Oblivious = sys.obl
+				spec.ControlPlane = sys.plane
 				spec.PriorityQueues = sys.pq
 				if mutate != nil {
 					mutate(&spec)

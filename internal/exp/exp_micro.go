@@ -115,17 +115,17 @@ func runFig7a(o Options, w io.Writer) error {
 	for _, deg := range degrees {
 		r.Textf("%-7d", deg)
 		for _, sys := range []struct {
-			top negotiator.Topology
-			obl bool
+			top   negotiator.Topology
+			plane negotiator.ControlPlaneKind
 		}{
-			{negotiator.ParallelNetwork, false},
-			{negotiator.ThinClos, false},
-			{negotiator.ThinClos, true},
+			{negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.ObliviousPlane},
 		} {
 			r.Cell(func(w io.Writer) error {
 				spec := o.baseSpec()
 				spec.Topology = sys.top
-				spec.Oblivious = sys.obl
+				spec.ControlPlane = sys.plane
 				if deg > spec.ToRs-1 {
 					fmt.Fprintf(w, " | %16s", "      n/a")
 					return nil
@@ -169,17 +169,17 @@ func runFig7b(o Options, w io.Writer) error {
 	for _, kb := range sizesKB {
 		r.Textf("%-9d", kb)
 		for _, sys := range []struct {
-			top negotiator.Topology
-			obl bool
+			top   negotiator.Topology
+			plane negotiator.ControlPlaneKind
 		}{
-			{negotiator.ParallelNetwork, false},
-			{negotiator.ThinClos, false},
-			{negotiator.ThinClos, true},
+			{negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.NegotiaToRPlane},
+			{negotiator.ThinClos, negotiator.ObliviousPlane},
 		} {
 			r.Cell(func(w io.Writer) error {
 				spec := o.baseSpec()
 				spec.Topology = sys.top
-				spec.Oblivious = sys.obl
+				spec.ControlPlane = sys.plane
 				var last sim.Time
 				spec.OnDeliver = func(dst int, at sim.Time, n int64) {
 					if at > last {

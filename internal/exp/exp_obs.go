@@ -71,13 +71,13 @@ func runFig17(o Options, w io.Writer) error {
 	bucket := sim.Duration(2 * sim.Microsecond)
 	dur := 60 * sim.Microsecond
 	systems := []struct {
-		name string
-		top  negotiator.Topology
-		obl  bool
+		name  string
+		top   negotiator.Topology
+		plane negotiator.ControlPlaneKind
 	}{
-		{"negotiator/parallel", negotiator.ParallelNetwork, false},
-		{"negotiator/thin-clos", negotiator.ThinClos, false},
-		{"oblivious/thin-clos", negotiator.ThinClos, true},
+		{"negotiator/parallel", negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+		{"negotiator/thin-clos", negotiator.ThinClos, negotiator.NegotiaToRPlane},
+		{"oblivious/thin-clos", negotiator.ThinClos, negotiator.ObliviousPlane},
 	}
 	all := make([][]float64, len(systems))
 	r := o.runner()
@@ -85,7 +85,7 @@ func runFig17(o Options, w io.Writer) error {
 		r.Cell(func(io.Writer) error {
 			spec := o.baseSpec()
 			spec.Topology = sys.top
-			spec.Oblivious = sys.obl
+			spec.ControlPlane = sys.plane
 			deg := 15
 			if deg > spec.ToRs-1 {
 				deg = spec.ToRs - 1
@@ -120,12 +120,12 @@ func runFig18(o Options, w io.Writer) error {
 	bucket := sim.Duration(4 * sim.Microsecond)
 	dur := 200 * sim.Microsecond
 	systems := []struct {
-		top negotiator.Topology
-		obl bool
+		top   negotiator.Topology
+		plane negotiator.ControlPlaneKind
 	}{
-		{negotiator.ParallelNetwork, false},
-		{negotiator.ThinClos, false},
-		{negotiator.ThinClos, true},
+		{negotiator.ParallelNetwork, negotiator.NegotiaToRPlane},
+		{negotiator.ThinClos, negotiator.NegotiaToRPlane},
+		{negotiator.ThinClos, negotiator.ObliviousPlane},
 	}
 	// Column order: recv per system, plus the oblivious transit series.
 	all := make([][]float64, len(systems)+1)
@@ -134,14 +134,14 @@ func runFig18(o Options, w io.Writer) error {
 		r.Cell(func(io.Writer) error {
 			spec := o.baseSpec()
 			spec.Topology = sys.top
-			spec.Oblivious = sys.obl
+			spec.ControlPlane = sys.plane
 			recv, transit, err := observeReceiver(spec, dst,
 				negotiator.AllToAllWorkload(spec, 30<<10, inject), dur, bucket)
 			if err != nil {
 				return err
 			}
 			all[idx] = recv
-			if sys.obl {
+			if sys.plane == negotiator.ObliviousPlane {
 				all[len(systems)] = transit // the dedicated extra last column
 			}
 			return nil

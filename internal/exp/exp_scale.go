@@ -52,17 +52,17 @@ func runScaleSweep(o Options, w io.Writer) error {
 		"system", "flows", "99p FCT (ms)", "goodput", "epochs", "epochs/s")
 	for _, size := range sizes {
 		for _, sys := range []struct {
-			name string
-			obl  bool
+			name  string
+			plane negotiator.ControlPlaneKind
 		}{
-			{"negotiator/parallel", false},
-			{"oblivious/thin-clos", true},
+			{"negotiator/parallel", negotiator.NegotiaToRPlane},
+			{"oblivious/thin-clos", negotiator.ObliviousPlane},
 		} {
 			r.Cell(func(w io.Writer) error {
 				spec := o.sizedSpec(size)
 				spec.Workers = workers
-				spec.Oblivious = sys.obl
-				if sys.obl {
+				spec.ControlPlane = sys.plane
+				if sys.plane == negotiator.ObliviousPlane {
 					spec.Topology = negotiator.ThinClos
 				}
 				fab, err := spec.Build()

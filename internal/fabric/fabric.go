@@ -54,10 +54,38 @@ type ControlPlane interface {
 }
 
 // RoundChecker is optionally implemented by control planes with
-// per-round invariants (byte conservation, match conflict-freedom); the
-// core calls it after each round's serial merge.
+// per-round invariants of their own (match conflict-freedom, relay
+// counters). Under Config.CheckInvariants the core calls it after each
+// round's serial merge and its own conservation and occupancy checks.
 type RoundChecker interface {
 	CheckRound()
+}
+
+// EpochPlane is optionally implemented by control planes whose epoch —
+// the unit RunEpochs steps and Results reports — spans several rounds
+// (the oblivious plane's round-robin cycle of timeslots). Planes without
+// it have one round per epoch.
+type EpochPlane interface {
+	EpochRounds() int
+}
+
+// Results summarises a run in the control plane's epoch units.
+type Results struct {
+	FCT     *metrics.FCTStats
+	Goodput *metrics.Goodput
+	// MatchRatio is the per-epoch accept/grant series the negotiating
+	// planes observe; it stays empty on the oblivious plane.
+	MatchRatio *metrics.Ratio
+	Tags       map[int]*TagStat
+	Duration   sim.Duration
+	EpochLen   sim.Duration
+	Epochs     int64
+	Injected   int64
+	Delivered  int64
+	LostBytes  int64 // bytes destroyed by failures (before requeue), cumulative
+	// PeakReceiverBuffer is the largest receiver-side ToR-to-host backlog
+	// across all ToRs; zero unless TrackReceiverBuffers is set.
+	PeakReceiverBuffer int64
 }
 
 // TagStat tracks one tagged application event (e.g. an incast): its
@@ -75,17 +103,15 @@ type TagStat struct {
 type Config struct {
 	// Topology is the optical fabric layout (required).
 	Topology topo.Topology
-	// HostRate is the per-ToR host aggregate bandwidth, for goodput
-	// normalisation and receiver-buffer drain modelling.
+	// HostRate is the per-ToR host aggregate bandwidth, the drain rate of
+	// the receiver buffers; zero means 400 Gbps.
 	HostRate sim.Rate
 	// Workers is the effective shard count (clamped to the ToR count;
 	// values < 1 mean sequential).
 	Workers int
-	// Seed seeds the core RNG (ignored when RNG is set).
-	Seed int64
-	// RNG optionally supplies the randomness stream directly, for control
-	// planes that must interleave their own draws with the core's (the
-	// stream is shared, so ownership passes to the core).
+	// RNG is the randomness stream, shared with the control plane that
+	// built it so its own draws interleave with the core's (ownership
+	// passes to the core); nil means a zero-seeded stream.
 	RNG *sim.RNG
 	// PriorityQueues enables PIAS-style multi-level queues in every
 	// DestQueue the core allocates.
@@ -115,6 +141,9 @@ type Config struct {
 	// the fabric is provably idle and the plane implements IdlePlane —
 	// the cross-check knob skip-on == skip-off equality tests flip.
 	DisableEventSkip bool
+	// CheckInvariants runs CheckConservation, CheckOccupancy and the
+	// plane's RoundChecker after every round (tests; O(N²) per round).
+	CheckInvariants bool
 }
 
 // Core is the shared fabric substrate. Exported fields are the stable
@@ -142,17 +171,23 @@ type Core struct {
 	// OnDeliver is the optional delivery observer (applied by
 	// Shard.Deliver; sequential-only by the control planes' clamping).
 	OnDeliver func(dst int, at sim.Time, n int64)
+	// MatchRatio is the per-epoch accept/grant series. The negotiating
+	// planes observe into it once per epoch and carry it in their
+	// PlaneState, where checkpoints have always stored it.
+	MatchRatio metrics.Ratio
 
 	// fct caches MergedFCT's view. Shard sample counts only grow, so the
 	// view is current while its count equals theirs; Restore drops it.
 	fct *metrics.FCTStats
 
-	plane    ControlPlane
-	check    RoundChecker
-	roundLen sim.Duration
-	gang     *par.Gang
-	now      sim.Time
-	rounds   int64
+	plane       ControlPlane
+	check       RoundChecker
+	checkInv    bool
+	roundLen    sim.Duration
+	epochRounds int
+	gang        *par.Gang
+	now         sim.Time
+	rounds      int64
 
 	// Event-skip state: the plane's optional idle capability, the
 	// configuration override, and the fast-forwarded round count (see
@@ -216,7 +251,7 @@ func New(cfg Config) (*Core, error) {
 		OnDeliver: cfg.OnDeliver,
 	}
 	if c.RNG == nil {
-		c.RNG = sim.NewRNG(cfg.Seed)
+		c.RNG = sim.NewRNG(0)
 	}
 	// Nodes are lazy: construction allocates only the node headers and
 	// the shared slab spec; queue slabs, shadows and occupancy indexes
@@ -262,6 +297,7 @@ func New(cfg Config) (*Core, error) {
 		}
 	}
 	c.skipOff = cfg.DisableEventSkip
+	c.checkInv = cfg.CheckInvariants
 	if c.Workers > 1 {
 		c.gang = par.NewGang(c.Workers)
 		// Cores have no Close; release the gang's background workers when
@@ -321,14 +357,19 @@ func (c *Core) advanceFailures(t sim.Time) {
 }
 
 // Bind attaches the control plane and its arrival-admission hook (which
-// places an injected flow into the source node's queues). RoundLen is
-// captured once: a plane's round duration is fixed for the run.
+// places an injected flow into the source node's queues). RoundLen and
+// EpochRounds are captured once: a plane's round and epoch durations are
+// fixed for the run.
 func (c *Core) Bind(plane ControlPlane, admit func(f *flows.Flow, at sim.Time)) {
 	c.plane = plane
 	c.roundLen = plane.RoundLen()
 	c.admit = admit
 	c.check, _ = plane.(RoundChecker)
 	c.idle, _ = plane.(IdlePlane)
+	c.epochRounds = 1
+	if ep, ok := plane.(EpochPlane); ok {
+		c.epochRounds = ep.EpochRounds()
+	}
 }
 
 // SetWorkload attaches (or replaces) the arrival stream; replacing one
@@ -365,15 +406,19 @@ func (c *Core) ParDo(fn func(k int)) {
 // RunRound executes one scheduling round: failure-state advance and
 // detected-loss requeue (when a plan is configured), the control plane's
 // phases, then the deterministic serial merge of per-shard deltas, the
-// optional invariant check, and the time/round-counter advance.
+// optional invariant checks, and the time/round-counter advance.
 func (c *Core) RunRound() {
 	if c.failPlan != nil {
 		c.advanceFailures(c.now)
 	}
 	c.plane.Round()
 	c.mergeRound()
-	if c.check != nil {
-		c.check.CheckRound()
+	if c.checkInv {
+		c.CheckConservation()
+		c.CheckOccupancy()
+		if c.check != nil {
+			c.check.CheckRound()
+		}
 	}
 	c.rounds++
 	c.now = c.now.Add(c.roundLen)
@@ -405,6 +450,9 @@ func (c *Core) RunRounds(k int) {
 		done++
 	}
 }
+
+// RunEpochs advances exactly k plane epochs (see EpochPlane).
+func (c *Core) RunEpochs(k int) { c.RunRounds(k * c.epochRounds) }
 
 // Drain keeps running until all injected traffic is delivered or
 // maxRounds pass, returning true if fully drained. The workload must be
@@ -613,6 +661,25 @@ func (c *Core) MergedFCT() *metrics.FCTStats {
 	return c.fct
 }
 
+// Results snapshots the run's measurements, identical at any worker
+// count. FCT is the cached, read-only MergedFCT view; goodput is merged
+// afresh on every call.
+func (c *Core) Results() Results {
+	return Results{
+		FCT:                c.MergedFCT(),
+		Goodput:            c.MergedGoodput(),
+		MatchRatio:         &c.MatchRatio,
+		Tags:               c.Tags,
+		Duration:           sim.Duration(c.now),
+		EpochLen:           c.roundLen * sim.Duration(c.epochRounds),
+		Epochs:             c.rounds / int64(c.epochRounds),
+		Injected:           c.Ledger.Injected,
+		Delivered:          c.Ledger.Delivered,
+		LostBytes:          c.Lost,
+		PeakReceiverBuffer: c.PeakReceiverBuffer(),
+	}
+}
+
 // MergedGoodput snapshots the per-shard goodput accumulators.
 func (c *Core) MergedGoodput() *metrics.Goodput {
 	g := metrics.NewGoodput(c.N)
@@ -712,14 +779,14 @@ func (c *Core) CheckOccupancy() {
 	}
 }
 
-// CheckConservation asserts byte conservation under failures, beyond the
-// plain ledger identity (injected == delivered + queued + Lost): the
-// outstanding loss records must sum to Ledger.Lost and match the
-// pending-loss counter, and cumulative destroyed bytes must equal the
-// ledger's live losses plus everything requeued — so injected ==
-// delivered + queued + Lost − requeued holds with Lost read as the
-// cumulative destruction figure (Core.Lost). Failure tests of every
-// control plane run it per round.
+// CheckConservation asserts byte conservation: the plain ledger identity
+// (injected == delivered + queued + Lost) and, beyond it, the failure
+// identities — the outstanding loss records must sum to Ledger.Lost and
+// match the pending-loss counter, and cumulative destroyed bytes must
+// equal the ledger's live losses plus everything requeued — so injected
+// == delivered + queued + Lost − requeued holds with Lost read as the
+// cumulative destruction figure (Core.Lost). Without a failure plan every
+// loss term is zero. RunRound runs it under CheckInvariants.
 func (c *Core) CheckConservation() {
 	if err := c.Ledger.Check(c.QueuedInNodes()); err != nil {
 		panic(err)

@@ -384,3 +384,80 @@ func TestMergedFCTCachedView(t *testing.T) {
 		t.Errorf("new view: count %d, P(50) %v; want 3, 20", w.Count(), w.P(50))
 	}
 }
+
+// epochPlane is testPlane with three rounds per epoch.
+type epochPlane struct{ testPlane }
+
+func (p *epochPlane) EpochRounds() int { return 3 }
+
+// TestResultsEpochUnits: RunEpochs steps whole plane epochs, Results
+// reports EpochLen and Epochs in them, and an unobserved match ratio
+// has no series.
+func TestResultsEpochUnits(t *testing.T) {
+	top, err := topo.NewParallel(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Topology: top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &epochPlane{testPlane{c: c, serve: 1 << 20}}
+	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.RunEpochs(4)
+	r := c.Results()
+	if c.Rounds() != 12 || r.Epochs != 4 || r.EpochLen != 300 || r.Duration != 1200 {
+		t.Errorf("rounds %d, epochs %d, epoch %v, duration %v; want 12, 4, 300, 1200", c.Rounds(), r.Epochs, r.EpochLen, r.Duration)
+	}
+	if r.MatchRatio.Series() != nil {
+		t.Errorf("unobserved match ratio has series %v", r.MatchRatio.Series())
+	}
+}
+
+// TestCheckInvariantsRunsCoreChecks: under CheckInvariants the core
+// itself asserts conservation after every round, whatever the plane.
+func TestCheckInvariantsRunsCoreChecks(t *testing.T) {
+	top, err := topo.NewParallel(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Topology: top, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Bind(&testPlane{c: c, serve: 1 << 20}, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.RunRound()
+	c.Ledger.Injected++ // a byte the nodes do not hold
+	defer func() {
+		if recover() == nil {
+			t.Error("broken ledger survived a checked round")
+		}
+	}()
+	c.RunRound()
+}
+
+// TestCoreDefinesNoPlaneHooks: every engine embeds *Core, so a Core method
+// named like an optional plane hook would make every plane implement that
+// hook through promotion.
+func TestCoreDefinesNoPlaneHooks(t *testing.T) {
+	var c any = &Core{}
+	for _, hook := range []struct {
+		name string
+		ok   bool
+	}{
+		{"RoundChecker", is[RoundChecker](c)},
+		{"IdlePlane", is[IdlePlane](c)},
+		{"EpochPlane", is[EpochPlane](c)},
+		{"PlaneState", is[interface{ PlaneState() ([]byte, error) }](c)},
+		{"RestorePlaneState", is[interface{ RestorePlaneState([]byte) error }](c)},
+	} {
+		if hook.ok {
+			t.Errorf("Core implements the plane hook %s", hook.name)
+		}
+	}
+}
+
+func is[T any](v any) bool {
+	_, ok := v.(T)
+	return ok
+}

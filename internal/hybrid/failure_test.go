@@ -17,8 +17,8 @@ func hybridFailurePlan(detect sim.Duration, seed int64) *failure.Plan {
 }
 
 // TestFailureConservation runs the hybrid plane under mid-run link
-// failures with per-round invariant checking on (CheckRound calls
-// fabric.Core.CheckConservation when failures are configured). Both
+// failures with per-round invariant checking on (the core runs
+// fabric.Core.CheckConservation after every round). Both
 // halves lose bytes — mice on the predefined sweep, elephants on their
 // negotiated matches — and after recovery everything requeues and drains.
 // Run in CI under -race at -cpu 1,2,4.
@@ -44,14 +44,14 @@ func TestFailureConservation(t *testing.T) {
 				if r.LostBytes <= 0 {
 					t.Error("no bytes destroyed despite 20% links down mid-run")
 				}
-				if e.fab.Ledger.Lost != 0 {
-					t.Errorf("%d bytes still lost after recovery + drain", e.fab.Ledger.Lost)
+				if e.Ledger.Lost != 0 {
+					t.Errorf("%d bytes still lost after recovery + drain", e.Ledger.Lost)
 				}
 				if r.Delivered != r.Injected {
 					t.Errorf("delivered %d of %d injected", r.Delivered, r.Injected)
 				}
-				if e.fab.Requeued() != r.LostBytes {
-					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.LostBytes)
+				if e.Requeued() != r.LostBytes {
+					t.Errorf("requeued %d != destroyed %d after full drain", e.Requeued(), r.LostBytes)
 				}
 			})
 		}

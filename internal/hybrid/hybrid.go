@@ -30,83 +30,14 @@ import (
 	"negotiator/internal/negotiator"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
-// Config assembles the hybrid fabric. The epoch geometry reuses
-// negotiator.Timing (predefined round-robin phase + scheduled phase).
-type Config struct {
-	Topology topo.Topology
-	// Timing is the epoch structure; zero value means
-	// negotiator.DefaultTiming.
-	Timing negotiator.Timing
-	// HostRate is the per-ToR host aggregate, for goodput normalisation.
-	HostRate sim.Rate
-	// PriorityQueues enables PIAS levels inside both VOQ sets (mice
-	// queues still benefit: a 1 KB flow's first bytes overtake a 9 KB
-	// one's tail).
-	PriorityQueues bool
-	// MiceBytes is the mice/elephant split threshold; zero means the
-	// paper's 10 KB mice bound.
-	MiceBytes int64
-	// Seed drives the matcher's ring randomness.
-	Seed int64
-	// Failures optionally injects link failures (owned and advanced by the
-	// fabric core). Both traffic classes are exposed: mice riding a
-	// known-down predefined pair are held for a later rotation, elephants
-	// lose the match's port; links down but not yet detected destroy the
-	// bytes sent across them, requeued on detection (mice back into their
-	// mice queue, elephants into their VOQ). The idealised same-epoch
-	// request/grant/accept exchange itself is assumed reliable — only the
-	// data plane degrades, an upper bound matching the engine's
-	// instant-control-plane idealisation.
-	Failures *failure.Plan
-	// CheckInvariants enables per-epoch byte-conservation assertions.
-	CheckInvariants bool
-	// DisableEventSkip forces the run loop to tick every epoch even when
-	// the fabric is provably idle. Results are byte-identical either way;
-	// the knob exists for A/B benchmarks and equivalence tests.
-	DisableEventSkip bool
-	// DisableIncremental forces a from-scratch elephant REQUEST sweep
-	// every epoch instead of replaying the demand-versioned request cache
-	// of sources whose elephant VOQs did not change. Byte-identical either
-	// way; for A/B benchmarks and cache-equivalence tests.
-	DisableIncremental bool
-	// OnDeliver, when set, observes every payload delivery at its
-	// destination (forces sequential execution, like the NegotiaToR
-	// engine).
-	OnDeliver func(dst int, at sim.Time, n int64)
-	// TrackReceiverBuffers models the receiver-side ToR-to-host buffers
-	// and reports their peak occupancy (forces sequential execution).
-	TrackReceiverBuffers bool
-	// Workers is the intra-run shard parallelism (results identical at
-	// any value; capped at the ToR count, clamped to 1 when OnDeliver or
-	// TrackReceiverBuffers needs globally ordered delivery).
-	Workers int
-}
-
-// Results mirrors the other engines' summaries.
-type Results struct {
-	FCT        *metrics.FCTStats
-	Goodput    *metrics.Goodput
-	MatchRatio *metrics.Ratio
-	Tags       map[int]*fabric.TagStat
-	Duration   sim.Duration
-	EpochLen   sim.Duration
-	Epochs     int64
-	Injected   int64
-	Delivered  int64
-	LostBytes  int64 // bytes destroyed by failures (before requeue), cumulative
-	// PeakReceiverBuffer is the largest receiver-side backlog; zero
-	// unless TrackReceiverBuffers is set.
-	PeakReceiverBuffer int64
-}
-
-// Engine is the hybrid control plane: mice on the oblivious round-robin
-// schedule, elephants on on-demand negotiation.
+// Engine is the hybrid control plane over the embedded fabric core: mice
+// on the oblivious round-robin schedule, elephants on on-demand
+// negotiation.
 type Engine struct {
-	cfg         Config
-	fab         *fabric.Core
+	*fabric.Core
+	cfg         negotiator.Config
 	top         topo.Topology
 	timing      negotiator.Timing
 	n, s        int
@@ -114,10 +45,8 @@ type Engine struct {
 	epochLn     sim.Duration
 	payload     int64 // scheduled-phase payload per slot
 	piggyBytes  int64 // predefined-phase payload per pair
-	miceBytes   int64
 
 	matcher    match.Matcher
-	matchRatio metrics.Ratio
 	tors       []*torCtl
 	views      []torView
 	shards     []*hyShard
@@ -173,17 +102,17 @@ type torView struct {
 	i int
 }
 
-func (v *torView) QueuedBytes(dst int) int64 { return v.e.fab.Nodes[v.i].DirectQueuedBytes(dst) }
+func (v *torView) QueuedBytes(dst int) int64 { return v.e.Nodes[v.i].DirectQueuedBytes(dst) }
 func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
-	nd := v.e.fab.Nodes[v.i]
-	return nd.DirectWeightedHoL(dst, v.e.fab.Now(), alpha)
+	nd := v.e.Nodes[v.i]
+	return nd.DirectWeightedHoL(dst, v.e.Now(), alpha)
 }
 func (v *torView) CumInjected(dst int) int64 { return 0 }
 
 // NextDemand iterates the elephant-VOQ occupancy index: the matcher's
 // request sweep is O(active destinations).
 func (v *torView) NextDemand(after int) int {
-	return v.e.fab.Nodes[v.i].DirectOcc.Next(after)
+	return v.e.Nodes[v.i].DirectOcc.Next(after)
 }
 
 // hyShard is one contiguous ToR range's execution context: the matcher
@@ -219,19 +148,35 @@ type hyShard struct {
 	verifyTee func(match.Request)
 }
 
-// New builds the hybrid engine.
-func New(cfg Config) (*Engine, error) {
+// New builds the hybrid engine from a NegotiaToR Config. The epoch
+// geometry reuses its Timing (predefined round-robin phase + scheduled
+// phase), and mice are the paper's flows under metrics.MiceFlowBytes.
+// Elephants always negotiate with the base NegotiaToR Matching, so a
+// custom NewMatcher and the selective relay are rejected; Piggyback and
+// RequestThresholdPkts are ignored, since mice always ride the
+// round-robin and elephants always request.
+//
+// Failures expose both traffic classes: mice riding a known-down
+// predefined pair are held for a later rotation, elephants lose the
+// match's port; links down but not yet detected destroy the bytes sent
+// across them, requeued on detection (mice back into their mice queue,
+// elephants into their VOQ). The idealised same-epoch
+// request/grant/accept exchange itself is assumed reliable — only the
+// data plane degrades, an upper bound matching the engine's
+// instant-control-plane idealisation. OnDeliver and TrackReceiverBuffers
+// force sequential execution, as on the NegotiaToR plane.
+func New(cfg negotiator.Config) (*Engine, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("hybrid: nil topology")
 	}
+	if cfg.NewMatcher != nil {
+		return nil, fmt.Errorf("hybrid: the hybrid engine uses NegotiaToR Matching; scheduler variants apply to the NegotiaToR fabric")
+	}
+	if cfg.Relay != nil {
+		return nil, fmt.Errorf("hybrid: selective relay is a NegotiaToR thin-clos extension")
+	}
 	if cfg.Timing == (negotiator.Timing{}) {
 		cfg.Timing = negotiator.DefaultTiming()
-	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
-	}
-	if cfg.MiceBytes == 0 {
-		cfg.MiceBytes = metrics.MiceFlowBytes
 	}
 	if err := cfg.Timing.Validate(cfg.Topology); err != nil {
 		return nil, err
@@ -243,7 +188,6 @@ func New(cfg Config) (*Engine, error) {
 		n:           cfg.Topology.N(),
 		s:           cfg.Topology.Ports(),
 		predefSlots: cfg.Topology.PredefinedSlots(),
-		miceBytes:   cfg.MiceBytes,
 	}
 	e.epochLn = e.timing.EpochLen(e.predefSlots)
 	e.payload = e.timing.DataPayloadBytes()
@@ -269,11 +213,12 @@ func New(cfg Config) (*Engine, error) {
 		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
 		Failures:             cfg.Failures,
 		DisableEventSkip:     cfg.DisableEventSkip,
+		CheckInvariants:      cfg.CheckInvariants,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.fab = fab
+	e.Core = fab
 	fab.Bind(e, e.admit)
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
@@ -321,61 +266,34 @@ func New(cfg Config) (*Engine, error) {
 // admit routes an arrival by class: mice to the round-robin queues,
 // elephants to the negotiated queues.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.fab.Nodes[f.Src]
-	if f.Size < e.miceBytes {
+	nd := e.Nodes[f.Src]
+	if f.Size < metrics.MiceFlowBytes {
 		nd.PushLane(f.Dst, f, at)
 		return
 	}
 	nd.PushDirect(f.Dst, f, at)
 }
 
-func (e *Engine) Name() string                     { return "hybrid" }
-func (e *Engine) RoundLen() sim.Duration           { return e.epochLn }
-func (e *Engine) EpochLen() sim.Duration           { return e.epochLn }
-func (e *Engine) Now() sim.Time                    { return e.fab.Now() }
-func (e *Engine) Workers() int                     { return e.fab.Workers }
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
-func (e *Engine) Run(d sim.Duration)               { e.fab.Run(d) }
-func (e *Engine) RunEpochs(k int)                  { e.fab.RunRounds(k) }
-func (e *Engine) runEpoch()                        { e.fab.RunRound() }
-func (e *Engine) Drain(maxEpochs int) bool         { return e.fab.Drain(maxEpochs) }
-
-// Results snapshots the run's measurements (idempotent, worker-count
-// independent). FCT is the core's cached, read-only merged view, shared
-// with every call until a new sample arrives (see fabric.Core.MergedFCT).
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:                e.fab.MergedFCT(),
-		Goodput:            e.fab.MergedGoodput(),
-		MatchRatio:         &e.matchRatio,
-		Tags:               e.fab.Tags,
-		Duration:           sim.Duration(e.fab.Now()),
-		EpochLen:           e.epochLn,
-		Epochs:             e.fab.Rounds(),
-		Injected:           e.fab.Ledger.Injected,
-		Delivered:          e.fab.Ledger.Delivered,
-		LostBytes:          e.fab.Lost,
-		PeakReceiverBuffer: e.fab.PeakReceiverBuffer(),
-	}
-}
+func (e *Engine) Name() string           { return "hybrid" }
+func (e *Engine) RoundLen() sim.Duration { return e.epochLn }
 
 // Round implements fabric.ControlPlane: one epoch as three barrier
 // phases — REQUEST emission, GRANT over merged requests, ACCEPT over
 // merged grants followed by transmission (mice on the predefined
 // round-robin, elephants on the matched scheduled connections).
 func (e *Engine) Round() {
-	e.epochStart = e.fab.Now()
-	e.fab.Inject(e.epochStart)
-	e.fab.ParDo(e.stepRequest)
-	e.fab.ParDo(e.stepGrant)
-	e.fab.ParDo(e.stepTransmit)
+	e.epochStart = e.Now()
+	e.Inject(e.epochStart)
+	e.ParDo(e.stepRequest)
+	e.ParDo(e.stepGrant)
+	e.ParDo(e.stepTransmit)
 	var accepts, grants int64
 	for _, sh := range e.shards {
 		accepts += sh.accepts
 		grants += sh.grants
 		sh.accepts, sh.grants = 0, 0
 	}
-	e.matchRatio.Observe(accepts, grants)
+	e.MatchRatio.Observe(accepts, grants)
 }
 
 // IdleHorizon implements fabric.IdlePlane: the idealised negotiation
@@ -387,25 +305,12 @@ func (e *Engine) Round() {
 // arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 
-// CheckRound implements fabric.RoundChecker when invariant checking is on.
-func (e *Engine) CheckRound() {
-	if !e.cfg.CheckInvariants {
-		return
-	}
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
-}
-
 // initEmitters prebuilds the per-shard closures so the steady-state epoch
 // performs no heap allocation.
 func (sh *hyShard) initEmitters() {
 	e := sh.e
 	sh.reqEmit = func(r match.Request) {
-		d := e.fab.ShardOf[r.Dst]
+		d := e.ShardOf[r.Dst]
 		sh.reqOut[d] = append(sh.reqOut[d], r)
 	}
 	sh.teeEmit = func(r match.Request) {
@@ -415,7 +320,7 @@ func (sh *hyShard) initEmitters() {
 	sh.verifyTee = func(r match.Request) { sh.verifyBuf = append(sh.verifyBuf, r) }
 	sh.grantEmit = func(g match.Grant) {
 		sh.grants++
-		r := e.fab.ShardOf[g.Src]
+		r := e.ShardOf[g.Src]
 		sh.grantOut[r] = append(sh.grantOut[r], g)
 	}
 	// Scheduled-phase (elephant) delivery: slot-timed like NegotiaToR.
@@ -484,7 +389,7 @@ func (sh *hyShard) sourceRequests(i int) {
 		return
 	}
 	c := &e.caches[i]
-	ver := e.fab.Nodes[i].DemandVer()
+	ver := e.Nodes[i].DemandVer()
 	if !c.seen || c.ver != ver {
 		c.ver, c.seen, c.valid = ver, true, false
 		sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.reqEmit)
@@ -557,7 +462,7 @@ func (sh *hyShard) transmitStep() {
 		}
 		src.grantOut[sh.k] = out[:0]
 	}
-	rot := int(e.fab.Rounds() % (1 << 30))
+	rot := int(e.Rounds() % (1 << 30))
 	slotDur := e.timing.PredefinedSlot
 	phaseStart := e.epochStart.Add(e.timing.PredefinedLen(e.predefSlots))
 	capacity := e.payload * int64(e.timing.ScheduledSlots)
@@ -580,7 +485,7 @@ func (sh *hyShard) transmitStep() {
 			}
 			t.hasMatches = false
 		}
-		nd := e.fab.Nodes[i]
+		nd := e.Nodes[i]
 		// Mice ride the round-robin: one piggyback payload per connected
 		// pair, delivery fixed by the pair's predefined slot. The sweep
 		// iterates the mice-queue occupancy index (ascending, exactly the
@@ -629,6 +534,5 @@ func (sh *hyShard) transmitStep() {
 // Compile-time interface checks.
 var (
 	_ fabric.ControlPlane = (*Engine)(nil)
-	_ fabric.RoundChecker = (*Engine)(nil)
 	_ fabric.IdlePlane    = (*Engine)(nil)
 )

@@ -3,18 +3,19 @@ package hybrid
 import (
 	"testing"
 
+	"negotiator/internal/negotiator"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
 )
 
-func testConfig(t testing.TB, tors, ports int) Config {
+func testConfig(t testing.TB, tors, ports int) negotiator.Config {
 	t.Helper()
 	top, err := topo.NewParallel(tors, ports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
+	return negotiator.Config{
 		Topology:        top,
 		HostRate:        sim.Gbps(200),
 		PriorityQueues:  true,
@@ -90,7 +91,7 @@ func TestMiceFCTBoundedUnderElephantLoad(t *testing.T) {
 	}
 	// One epoch's predefined slot plus propagation, rounded up to the
 	// epoch the mouse is injected into: comfortably under three epochs.
-	if limit := 3 * e.EpochLen(); r.FCT.MiceP(100) > limit {
+	if limit := 3 * e.epochLn; r.FCT.MiceP(100) > limit {
 		t.Errorf("mouse FCT %v exceeds %v under elephant saturation", r.FCT.MiceP(100), limit)
 	}
 }
@@ -104,13 +105,13 @@ func steadyEngine(tb testing.TB, warmupEpochs int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := New(Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1})
+	e, err := New(negotiator.Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	e.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
 	e.RunEpochs(warmupEpochs)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
 	return e
@@ -123,7 +124,7 @@ func TestEpochSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("paper-scale engine in -short mode")
 	}
 	e := steadyEngine(t, 700)
-	allocs := testing.AllocsPerRun(100, func() { e.runEpoch() })
+	allocs := testing.AllocsPerRun(100, func() { e.RunRound() })
 	if allocs != 0 {
 		t.Errorf("steady-state hybrid epoch allocates %.1f objects/epoch, want 0", allocs)
 	}
@@ -136,6 +137,6 @@ func BenchmarkEpochSteadyStateHybrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"negotiator/internal/negotiator"
 	"negotiator/internal/queue"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
@@ -23,7 +24,7 @@ func TestOccupancyInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := New(Config{
+				e, err := New(negotiator.Config{
 					Topology:        top,
 					PriorityQueues:  pq,
 					Seed:            1,
@@ -48,7 +49,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Topology: top, Seed: 1, CheckInvariants: true})
+		e, err := New(negotiator.Config{Topology: top, Seed: 1, CheckInvariants: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 16; i < 64; i++ {
-			if e.fab.Nodes[i].Direct.Materialized() || e.fab.Nodes[i].Lanes.Materialized() {
+			if e.Nodes[i].Direct.Materialized() || e.Nodes[i].Lanes.Materialized() {
 				t.Fatalf("idle node %d materialized", i)
 			}
 		}
@@ -78,7 +79,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Topology: top, Seed: 1, CheckInvariants: true})
+		e, err := New(negotiator.Config{Topology: top, Seed: 1, CheckInvariants: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		lastDst := 2*queue.PageSize - 1
-		for i, nd := range e.fab.Nodes {
+		for i, nd := range e.Nodes {
 			if nd.Direct.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}

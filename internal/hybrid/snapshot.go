@@ -2,20 +2,10 @@ package hybrid
 
 import (
 	"fmt"
-	"io"
 
 	"negotiator/internal/match"
 	"negotiator/internal/snap"
 )
-
-// Snapshot serializes the engine's complete state (fabric core plus this
-// control plane's PlaneState payload) at an epoch boundary.
-func (e *Engine) Snapshot(w io.Writer) error { return e.fab.Snapshot(w) }
-
-// Restore applies a snapshot to a freshly constructed engine of the same
-// configuration. SetWorkload (with an identically constructed generator)
-// must be called first; see fabric.Core.Restore.
-func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 
 // PlaneState implements fabric.StatefulPlane. The hybrid plane's
 // idealised negotiation produces and consumes its single-generation
@@ -25,7 +15,7 @@ func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 // replay-equals-fresh invariant makes that invisible).
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
-	num, den := e.matchRatio.Counts()
+	num, den := e.MatchRatio.Counts()
 	enc.U32(uint32(len(num)))
 	for _, v := range num {
 		enc.I64(v)
@@ -71,7 +61,7 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	e.matchRatio.RestoreCounts(num, den)
+	e.MatchRatio.RestoreCounts(num, den)
 	cnt := int(d.U32())
 	for k := 0; k < cnt; k++ {
 		i := int(d.U32())

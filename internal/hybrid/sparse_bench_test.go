@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"negotiator/internal/negotiator"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -21,7 +22,7 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := New(Config{
+	e, err := New(negotiator.Config{
 		Topology: top,
 		HostRate: sim.Gbps(400),
 		Seed:     1,
@@ -35,7 +36,7 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 	}
 	e.SetWorkload(perm)
 	e.RunEpochs(4)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
 	}
 	return e
@@ -48,7 +49,7 @@ func BenchmarkEpochSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -59,7 +60,7 @@ func BenchmarkEpochSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -80,7 +81,7 @@ func BenchmarkEpochSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")

@@ -308,8 +308,11 @@ func (r *Ratio) Mean() float64 {
 }
 
 // Series returns the per-epoch ratios (NaN-free: zero-denominator epochs
-// are reported as 0).
+// are reported as 0), or nil when nothing was observed.
 func (r *Ratio) Series() []float64 {
+	if len(r.num) == 0 {
+		return nil
+	}
 	out := make([]float64, len(r.num))
 	for i := range r.num {
 		if r.den[i] != 0 {

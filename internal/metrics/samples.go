@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/bits"
-	"slices"
 
 	"negotiator/internal/sim"
 )
@@ -15,10 +14,6 @@ const (
 	radixBits = 11
 	radixSize = 1 << radixBits
 	radixMask = radixSize - 1
-	// smallCount is where the radix sort's per-pass cost of 2048 buckets
-	// stops outweighing slices.Sort's comparisons (about 1000 samples on
-	// x86-64); smaller inputs use slices.Sort.
-	smallCount = 1 << 10
 )
 
 // samples is an append-only sample array held in fixed-size blocks. A
@@ -98,9 +93,9 @@ func (s *samples) ascending(scratch *[]sim.Duration) []sim.Duration {
 // sortBlocks writes the samples held in blocks to dst, which has room for
 // exactly all of them, in ascending order. It is an LSD radix sort on the
 // key uint64(x-min), which orders any int64 samples correctly, with
-// radixBits-wide digits and as many passes as the key span needs. Fewer
-// than smallCount samples are sorted with slices.Sort. scratch is grown
-// to len(dst) when two or more passes are needed.
+// radixBits-wide digits and as many passes as the key span needs; equal
+// samples are copied as they are. scratch is grown to len(dst) when two
+// or more passes are needed.
 func sortBlocks(dst []sim.Duration, blocks [][]sim.Duration, scratch *[]sim.Duration) {
 	if len(dst) == 0 {
 		return
@@ -111,12 +106,11 @@ func sortBlocks(dst []sim.Duration, blocks [][]sim.Duration, scratch *[]sim.Dura
 			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
-	if len(dst) < smallCount || lo == hi {
+	if lo == hi {
 		k := 0
 		for _, b := range blocks {
 			k += copy(dst[k:], b)
 		}
-		slices.Sort(dst)
 		return
 	}
 	base := uint64(lo)

@@ -117,7 +117,7 @@ func collect(s *FCTStats) []sim.Duration {
 // values, and raw sample bits for mode 4.
 func FuzzFCTStats(f *testing.F) {
 	for mode := uint8(0); mode < 5; mode++ {
-		for _, n := range []uint16{0, 1, smallCount - 1, smallCount, smallCount + 1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 3} {
+		for _, n := range []uint16{0, 1, 2, 3, 1023, 1024, 1025, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 3} {
 			f.Add(int64(mode)*7919+int64(n), n, mode, uint8(1), []byte{0x80, 1, 2, 3, 4, 5, 6, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 		}
 		f.Add(int64(mode), uint16(3*blockLen), mode, uint8(64), []byte{})

@@ -45,7 +45,7 @@ func BenchmarkEpochParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkEpochThinClos(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -65,7 +65,7 @@ func BenchmarkEpochLightLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 

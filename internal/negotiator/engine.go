@@ -8,20 +8,20 @@ import (
 	"negotiator/internal/failure"
 	"negotiator/internal/flows"
 	"negotiator/internal/match"
-	"negotiator/internal/metrics"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
-// Config assembles a NegotiaToR fabric.
+// Config assembles a NegotiaToR fabric. The hybrid plane builds from the
+// same Config (see hybrid.New for the fields it rejects or ignores).
 type Config struct {
 	// Topology is the optical fabric layout (required).
 	Topology topo.Topology
 	// Timing is the epoch structure; zero value means DefaultTiming.
 	Timing Timing
 	// HostRate is the aggregate host bandwidth under one ToR (400 Gbps in
-	// the paper), used for goodput normalisation.
+	// the paper; zero means that default), the receiver buffers' drain
+	// rate.
 	HostRate sim.Rate
 	// Piggyback enables unscheduled data transmission in the predefined
 	// phase (paper §3.4.1). On by default in the paper's evaluation.
@@ -73,26 +73,9 @@ type Config struct {
 	// count and silently reduced to 1 when a feature that requires global
 	// sequential state is enabled (selective relay, receiver-buffer
 	// tracking, OnDeliver observation, or a custom matcher that does not
-	// implement match.Sharded) — see Engine.Workers for the effective
+	// implement match.Sharded) — see the core's Workers for the effective
 	// value.
 	Workers int
-}
-
-// Results summarises a run.
-type Results struct {
-	FCT        *metrics.FCTStats
-	Goodput    *metrics.Goodput
-	MatchRatio *metrics.Ratio
-	Tags       map[int]*fabric.TagStat
-	Duration   sim.Duration
-	EpochLen   sim.Duration
-	Epochs     int64
-	Injected   int64
-	Delivered  int64
-	LostBytes  int64 // bytes destroyed by failures (before requeue), cumulative
-	// PeakReceiverBuffer is the largest receiver-side ToR-to-host backlog
-	// across all ToRs (§3.6.5); zero unless TrackReceiverBuffers is set.
-	PeakReceiverBuffer int64
 }
 
 // tor holds one ToR's control-plane state: scheduling mailboxes, this
@@ -157,11 +140,12 @@ type reqSeg struct {
 // Engine is the NegotiaToR control plane over the shared fabric core: it
 // decides, per epoch, which pairs connect (ACCEPT → GRANT/REQUEST over
 // the pipelined in-band mailboxes) and drives the predefined and
-// scheduled transmission phases, while the core owns queues, workload,
-// metrics, failure-loss bookkeeping and the round loop.
+// scheduled transmission phases, while the embedded core owns queues,
+// workload, metrics, failure-loss bookkeeping, the round loop and the
+// run's Results.
 type Engine struct {
+	*fabric.Core
 	cfg     Config
-	fab     *fabric.Core
 	top     topo.Topology
 	timing  Timing
 	n, s    int
@@ -197,8 +181,6 @@ type Engine struct {
 	// copies and resets only these rows.
 	futureTouched [][]int32
 
-	matchRatio metrics.Ratio
-
 	actual, known *failure.State
 	relay         *relayState
 
@@ -211,7 +193,6 @@ type Engine struct {
 	// outboxes, emitters). Cross-shard scheduling messages travel through
 	// per-shard outboxes merged in shard order, which reproduces the exact
 	// ToR-ascending mailbox order of a sequential epoch.
-	workers       int
 	shards        []*engineShard
 	curEpochStart sim.Time // set serially each epoch, read by phase steps
 
@@ -230,17 +211,13 @@ type Engine struct {
 	curGen int // mailbox generation filled this epoch
 }
 
-// New builds an engine. The zero Timing is replaced by DefaultTiming and a
-// zero HostRate by 400 Gbps.
+// New builds an engine. The zero Timing is replaced by DefaultTiming.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("negotiator: nil topology")
 	}
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
-	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
 	}
 	if cfg.RequestThresholdPkts == 0 {
 		cfg.RequestThresholdPkts = 3
@@ -312,11 +289,12 @@ func New(cfg Config) (*Engine, error) {
 		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
 		Failures:             cfg.Failures,
 		DisableEventSkip:     cfg.DisableEventSkip,
+		CheckInvariants:      cfg.CheckInvariants,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.fab = fab
+	e.Core = fab
 	fab.Bind(e, e.admit)
 
 	e.tors = make([]*tor, e.n)
@@ -352,7 +330,7 @@ func New(cfg Config) (*Engine, error) {
 // the source's per-destination VOQ, and the cumulative-injected table
 // (stateful matcher view) advances.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.fab.Nodes[f.Src]
+	nd := e.Nodes[f.Src]
 	nd.PushDirect(f.Dst, f, at)
 	nd.CumInjected[f.Dst] += f.Total()
 }
@@ -394,8 +372,7 @@ func (e *Engine) initHotPath() {
 	for i := range e.views {
 		e.views[i] = torView{e: e, i: i}
 	}
-	e.workers = e.fab.Workers
-	e.shards = make([]*engineShard, e.workers)
+	e.shards = make([]*engineShard, e.Workers)
 
 	// Matcher handles: the sequential engine uses the matcher directly;
 	// parallel shards get scratch-private forks sharing the per-ToR ring
@@ -404,19 +381,19 @@ func (e *Engine) initHotPath() {
 	// built-in batch matchers inherit both Fork and Requests unchanged
 	// from the base Negotiator.
 	var handles []match.Matcher
-	if e.workers > 1 {
-		handles = e.matcher.(match.Sharded).Fork(e.workers)
+	if e.Workers > 1 {
+		handles = e.matcher.(match.Sharded).Fork(e.Workers)
 	}
-	for k := 0; k < e.workers; k++ {
-		fs := e.fab.Shards[k]
+	for k := 0; k < e.Workers; k++ {
+		fs := e.Shards[k]
 		sh := &engineShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs}
 		if handles != nil {
 			sh.matcher = handles[k]
 		} else {
 			sh.matcher = e.matcher
 		}
-		sh.reqOut = make([][]match.Request, e.workers)
-		sh.grantOut = make([][]match.Grant, e.workers)
+		sh.reqOut = make([][]match.Request, e.Workers)
+		sh.grantOut = make([][]match.Grant, e.Workers)
 		for r := range sh.reqOut {
 			sh.reqOut[r] = make([]match.Request, 0, (fs.Hi-fs.Lo)+1)
 			sh.grantOut[r] = make([]match.Grant, 0, (fs.Hi-fs.Lo)+1)
@@ -441,63 +418,11 @@ func (e *Engine) initHotPath() {
 	e.stepBatchPrep = func(k int) { e.shards[k].batchPrepStep() }
 }
 
-// parDo runs one barrier phase over all shards (via the core's gang).
-func (e *Engine) parDo(fn func(k int)) { e.fab.ParDo(fn) }
-
-// SetWorkload attaches the arrival stream. Must be called before Run.
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
-
 // Name identifies the control plane.
 func (e *Engine) Name() string { return "negotiator" }
 
-// EpochLen returns the epoch duration.
-func (e *Engine) EpochLen() sim.Duration { return e.epochLn }
-
 // RoundLen implements fabric.ControlPlane: one round is one epoch.
 func (e *Engine) RoundLen() sim.Duration { return e.epochLn }
-
-// Now returns the current simulated time (start of the next epoch).
-func (e *Engine) Now() sim.Time { return e.fab.Now() }
-
-// Run advances the simulation until at least d of simulated time has
-// elapsed (whole epochs).
-func (e *Engine) Run(d sim.Duration) { e.fab.Run(d) }
-
-// RunEpochs advances exactly k epochs.
-func (e *Engine) RunEpochs(k int) { e.fab.RunRounds(k) }
-
-// runEpoch advances one epoch (test and benchmark hook).
-func (e *Engine) runEpoch() { e.fab.RunRound() }
-
-// Drain keeps running until all injected flows complete or maxEpochs pass,
-// returning true if fully drained. The workload must be exhausted first.
-func (e *Engine) Drain(maxEpochs int) bool { return e.fab.Drain(maxEpochs) }
-
-// Workers reports the effective shard parallelism after clamping (see
-// Config.Workers).
-func (e *Engine) Workers() int { return e.workers }
-
-// Results snapshots the run's measurements. Per-shard FCT and goodput
-// accumulators merge order-independently, so the snapshot is identical at
-// any worker count. FCT is the core's cached merged view (see
-// fabric.Core.MergedFCT): calls with no new samples in between share it
-// and its one sort, so it must be treated as read-only. Goodput is merged
-// afresh on every call.
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:                e.fab.MergedFCT(),
-		Goodput:            e.fab.MergedGoodput(),
-		MatchRatio:         &e.matchRatio,
-		Tags:               e.fab.Tags,
-		Duration:           sim.Duration(e.fab.Now()),
-		EpochLen:           e.epochLn,
-		Epochs:             e.fab.Rounds(),
-		Injected:           e.fab.Ledger.Injected,
-		Delivered:          e.fab.Ledger.Delivered,
-		LostBytes:          e.fab.Lost,
-		PeakReceiverBuffer: e.fab.PeakReceiverBuffer(),
-	}
-}
 
 // Round implements fabric.ControlPlane: one epoch through the
 // barrier-synchronized shard phases (paper Figure 4 per shard):
@@ -510,21 +435,21 @@ func (e *Engine) Results() Results {
 //	         predefined and scheduled transmission phases shard-locally
 //
 // The core follows with the deterministic serial merge (ledger deltas,
-// tag completions) and the optional invariant check. The batch
+// tag completions) and the optional invariant checks. The batch
 // (iterative) matchers replace A and B with one request-snapshot phase
 // and a serial whole-fabric Match.
 func (e *Engine) Round() {
 	// Failure bookkeeping (snapshot advance, detected-loss requeue) has
 	// already run: the core owns it, before any plane's Round.
-	epochStart := e.fab.Now()
+	epochStart := e.Now()
 	e.curEpochStart = epochStart
-	e.fab.Inject(epochStart)
+	e.Inject(epochStart)
 
 	// Mailbox generation g is consumed exactly stageLag epochs after it
 	// was filled; with a ring of stageLag slots that is the same slot the
 	// current epoch refills, so consumption (phases A/B) precedes
 	// production (phase C).
-	e.curGen = int(e.fab.Rounds()) % e.stageLag
+	e.curGen = int(e.Rounds()) % e.stageLag
 
 	if e.relay != nil {
 		e.planRelay() // sequential-only feature (workers == 1)
@@ -532,7 +457,7 @@ func (e *Engine) Round() {
 
 	if e.batch != nil {
 		e.batchControl()
-		e.parDo(e.stepMergeTransmit) // outboxes empty: pure transmission
+		e.ParDo(e.stepMergeTransmit) // outboxes empty: pure transmission
 	} else {
 		e.controlPhases(e.stepMergeTransmit)
 	}
@@ -547,46 +472,38 @@ func (e *Engine) Round() {
 // new bytes arrive — report no self-scheduled work at all.
 func (e *Engine) IdleHorizon() sim.Time {
 	if e.relay != nil || !e.matcherIdleSafe {
-		return e.fab.Now()
+		return e.Now()
 	}
 	for _, sh := range e.shards {
 		if sh.inflight != 0 {
-			return e.fab.Now()
+			return e.Now()
 		}
 	}
 	for _, touched := range e.futureTouched {
 		if len(touched) != 0 {
-			return e.fab.Now()
+			return e.Now()
 		}
 	}
 	return fabric.HorizonInfinite
-}
-
-// CheckRound implements fabric.RoundChecker (invoked after each round's
-// serial merge) when invariant checking is on.
-func (e *Engine) CheckRound() {
-	if e.cfg.CheckInvariants {
-		e.checkInvariants()
-	}
 }
 
 // batchControl runs the batch-matcher control plane: the per-shard
 // request snapshot, the shard-order stitch, and the serial whole-fabric
 // Match into the future ring.
 func (e *Engine) batchControl() {
-	e.parDo(e.stepBatchPrep)
+	e.ParDo(e.stepBatchPrep)
 	// The slot batchPrepStep just consumed is spent: its rows are all -1
 	// again, so its touched list must read empty — both for the idle
 	// horizon below (a stale non-empty list would block event-skip
 	// forever) and for the slot's next read, should the ring not be
 	// rewritten first.
-	spent := int(e.fab.Rounds()) % len(e.future)
+	spent := int(e.Rounds()) % len(e.future)
 	e.futureTouched[spent] = e.futureTouched[spent][:0]
 	e.reqScratch = e.reqScratch[:0]
 	for _, sh := range e.shards {
 		e.reqScratch = append(e.reqScratch, sh.reqScratch...)
 	}
-	target := (int(e.fab.Rounds()) + e.batch.MatchDelay()) % len(e.future)
+	target := (int(e.Rounds()) + e.batch.MatchDelay()) % len(e.future)
 	var stats match.BatchStats
 	touched := e.batch.Match(e.reqScratch, e.future[target], &stats)
 	// Keep a sorted private copy: the matcher's list is scratch reused by
@@ -594,7 +511,7 @@ func (e *Engine) batchControl() {
 	// their ascending ToR ranges MatchDelay epochs from now.
 	e.futureTouched[target] = append(e.futureTouched[target][:0], touched...)
 	slices.Sort(e.futureTouched[target])
-	e.matchRatio.Observe(stats.Accepts, stats.Grants)
+	e.MatchRatio.Observe(stats.Accepts, stats.Grants)
 }
 
 // controlPhases runs the non-batch control plane — phases A (ACCEPT) and
@@ -602,16 +519,16 @@ func (e *Engine) batchControl() {
 // with or without transmission) — then folds the per-shard accept/grant
 // counters into the match ratio.
 func (e *Engine) controlPhases(phaseC func(k int)) {
-	e.parDo(e.stepAccept)
-	e.parDo(e.stepEmit)
-	e.parDo(phaseC)
+	e.ParDo(e.stepAccept)
+	e.ParDo(e.stepEmit)
+	e.ParDo(phaseC)
 	var accepts, grants int64
 	for _, sh := range e.shards {
 		accepts += sh.accepts
 		grants += sh.grants
 		sh.accepts, sh.grants = 0, 0
 	}
-	e.matchRatio.Observe(accepts, grants)
+	e.MatchRatio.Observe(accepts, grants)
 }
 
 // controlStep runs one epoch's scheduling phases in isolation — ACCEPT,
@@ -621,7 +538,7 @@ func (e *Engine) controlPhases(phaseC func(k int)) {
 // scheduling computation alone.
 func (e *Engine) controlStep(epochStart sim.Time) {
 	e.curEpochStart = epochStart
-	e.curGen = int(e.fab.Rounds()) % e.stageLag
+	e.curGen = int(e.Rounds()) % e.stageLag
 	if e.batch != nil {
 		e.batchControl()
 		return
@@ -629,15 +546,11 @@ func (e *Engine) controlStep(epochStart sim.Time) {
 	e.controlPhases(e.stepMergeOnly)
 }
 
-// checkInvariants asserts byte conservation, occupancy-index/shadow
-// exactness and match conflict-freedom.
-func (e *Engine) checkInvariants() {
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
+// CheckRound implements fabric.RoundChecker, invoked under
+// CheckInvariants after the core's conservation and occupancy checks: the
+// epoch's matches must be conflict-free and reachable, and the shard
+// occupancy indexes must mirror their shadow state exactly.
+func (e *Engine) CheckRound() {
 	rx := make(map[[2]int32]int32)
 	for i, t := range e.tors {
 		for p, dj := range t.matches {

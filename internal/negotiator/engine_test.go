@@ -64,14 +64,14 @@ func TestSingleFlowPiggybackOnly(t *testing.T) {
 			}
 			// 1000 B < threshold 3*595: never requested, sent as 595+405.
 			e.SetWorkload(workload.NewSinglePair(2, 9, 1000, 0))
-			e.Run(10 * e.EpochLen())
+			e.Run(10 * e.epochLn)
 			r := e.Results()
 			if r.FCT.Count() != 1 {
 				t.Fatalf("completed flows = %d, want 1", r.FCT.Count())
 			}
 			fct := r.FCT.MiceP(100)
 			// Two piggyback opportunities: done within 2 epochs + prop.
-			max := 2*e.EpochLen() + 2*sim.Microsecond
+			max := 2*e.epochLn + 2*sim.Microsecond
 			if fct > max {
 				t.Errorf("piggyback-only FCT = %v, want <= %v", fct, max)
 			}
@@ -336,15 +336,15 @@ func TestFailureLosesAndRecovers(t *testing.T) {
 	epoch := DefaultTiming().EpochLen(4) // 16 ToRs, 4 ports: 4 predefined slots... computed below
 	_ = epoch
 	e0, _ := New(cfg)
-	failAt := sim.Time(20 * e0.EpochLen())
-	recoverAt := sim.Time(60 * e0.EpochLen())
-	cfg.Failures = failure.Random(16, 4, 0.15, failAt, recoverAt, 3*e0.EpochLen(), 9)
+	failAt := sim.Time(20 * e0.epochLn)
+	recoverAt := sim.Time(60 * e0.epochLn)
+	cfg.Failures = failure.Random(16, 4, 0.15, failAt, recoverAt, 3*e0.epochLn, 9)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 31))
-	e.Run(120 * e0.EpochLen())
+	e.Run(120 * e0.epochLn)
 	r := e.Results()
 	if r.LostBytes == 0 {
 		t.Error("no bytes lost despite 15% link failures")
@@ -360,7 +360,7 @@ func TestFailureBandwidthDrop(t *testing.T) {
 	// returns (paper Fig. 10).
 	cfg := testConfig(t, "parallel")
 	e0, _ := New(cfg)
-	ep := e0.EpochLen()
+	ep := e0.epochLn
 	series := metrics.NewTimeSeries(10 * ep)
 	cfg.OnDeliver = func(dst int, at sim.Time, n int64) { series.Add(at, n) }
 	cfg.Failures = failure.Random(16, 4, 0.25, sim.Time(100*ep), sim.Time(200*ep), 3*ep, 10)

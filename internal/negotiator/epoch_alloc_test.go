@@ -41,7 +41,7 @@ func steadyEngine(tb testing.TB, kind string, warmupEpochs int) *Engine {
 	// every queue stays deep enough to request every epoch.
 	e.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
 	e.RunEpochs(warmupEpochs)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
 	return e
@@ -61,7 +61,7 @@ func TestEpochSteadyStateZeroAlloc(t *testing.T) {
 			// 700 warm-up epochs leave the Ratio series at capacity 1024;
 			// the 101 measured epochs stay under it.
 			e := steadyEngine(t, kind, 700)
-			allocs := testing.AllocsPerRun(100, func() { e.runEpoch() })
+			allocs := testing.AllocsPerRun(100, func() { e.RunRound() })
 			if allocs != 0 {
 				t.Errorf("%s: steady-state epoch allocates %.1f objects/epoch, want 0", kind, allocs)
 			}
@@ -78,7 +78,7 @@ func BenchmarkEpochSteadyStateParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -88,6 +88,6 @@ func BenchmarkEpochSteadyStateThinClos(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -67,11 +68,11 @@ func TestLazyEagerFingerprint4096(t *testing.T) {
 	if raceEnabled {
 		t.Skip("eager 4096-ToR slabs under the race detector's shadow memory")
 	}
-	fpOf := func(r Results) string {
+	fpOf := func(r fabric.Results) string {
 		return fmt.Sprintf("count=%d mean=%v p50=%v p99=%v max=%v epochs=%d",
 			r.FCT.Count(), r.FCT.Mean(), r.FCT.P(50), r.FCT.P(99), r.FCT.Max(), r.Epochs)
 	}
-	run := func(eager bool) (string, Results) {
+	run := func(eager bool) (string, fabric.Results) {
 		top, err := topo.NewParallel(4096, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +82,7 @@ func TestLazyEagerFingerprint4096(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eager {
-			e.fab.MaterializeAll()
+			e.MaterializeAll()
 		}
 		perm, err := workload.NewPermutation(4096, 256, 1<<24, 0)
 		if err != nil {

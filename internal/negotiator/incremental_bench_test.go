@@ -45,7 +45,7 @@ func incastEngine(tb testing.TB, incremental bool) *Engine {
 	}
 	e.SetWorkload(workload.NewMerge(gens...))
 	e.RunEpochs(8)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("incast steady state not reached: workload not exhausted")
 	}
 	return e
@@ -61,7 +61,7 @@ func BenchmarkIncrementalMatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.runEpoch()
+				e.RunRound()
 			}
 		})
 	}

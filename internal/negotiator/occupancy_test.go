@@ -109,7 +109,7 @@ func TestOccupancyInvariant(t *testing.T) {
 				t.Fatal("sparse permutation did not drain")
 			}
 			for i := 16; i < 64; i++ {
-				if e.fab.Nodes[i].Direct.Materialized() {
+				if e.Nodes[i].Direct.Materialized() {
 					t.Fatalf("idle node %d materialized", i)
 				}
 			}
@@ -146,7 +146,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		if !e.Drain(8000) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
-		for i, nd := range e.fab.Nodes {
+		for i, nd := range e.Nodes {
 			if i >= 16 && nd.Direct.Materialized() {
 				t.Fatalf("idle node %d materialized", i)
 			}

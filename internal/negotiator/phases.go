@@ -18,7 +18,7 @@ type torView struct {
 }
 
 func (v *torView) QueuedBytes(dst int) int64 {
-	nd := v.e.fab.Nodes[v.i]
+	nd := v.e.Nodes[v.i]
 	b := nd.DirectQueuedBytes(dst)
 	if v.e.cfg.Relay != nil {
 		b += nd.RelayQueuedBytes(dst)
@@ -43,16 +43,16 @@ func (v *torView) NextDemand(after int) int {
 		}
 		return -1
 	}
-	return v.e.fab.Nodes[v.i].DirectOcc.Next(after)
+	return v.e.Nodes[v.i].DirectOcc.Next(after)
 }
 
 func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
-	nd := v.e.fab.Nodes[v.i]
-	return nd.DirectWeightedHoL(dst, v.e.fab.Now(), alpha)
+	nd := v.e.Nodes[v.i]
+	return nd.DirectWeightedHoL(dst, v.e.Now(), alpha)
 }
 
 func (v *torView) CumInjected(dst int) int64 {
-	nd := v.e.fab.Nodes[v.i]
+	nd := v.e.Nodes[v.i]
 	if nd.CumInjected == nil {
 		return 0
 	}

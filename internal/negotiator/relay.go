@@ -79,7 +79,7 @@ func (e *Engine) initRelay() {
 func (e *Engine) planRelay() {
 	r := e.relay
 	for i, t := range e.tors {
-		nd := e.fab.Nodes[i]
+		nd := e.Nodes[i]
 		for _, k := range t.planned {
 			t.relayPlan[k] = relayPlan{finalDst: -1}
 		}
@@ -122,7 +122,7 @@ func (e *Engine) planRelay() {
 				if t.relayPlan[k].quota > 0 {
 					continue
 				}
-				inter := e.fab.Nodes[k]
+				inter := e.Nodes[k]
 				headroom := inter.RelayHeadroom(r.cfg.BufferCap)
 				if headroom <= 0 {
 					continue
@@ -167,7 +167,7 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 		return
 	}
 	j := int(plan.finalDst)
-	inter := e.fab.Nodes[k]
+	inter := e.Nodes[k]
 	headroom := inter.RelayHeadroom(e.relay.cfg.BufferCap)
 	max := budget
 	if max > plan.quota {
@@ -181,6 +181,6 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	}
 	sh.txDst = j
 	sh.txInter = inter
-	e.fab.Nodes[i].TakeDirectLowest(j, max, sh.relayEmit)
+	e.Nodes[i].TakeDirectLowest(j, max, sh.relayEmit)
 	t.relayPlan[k] = relayPlan{finalDst: -1}
 }

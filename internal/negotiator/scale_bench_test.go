@@ -33,7 +33,7 @@ func steadyEngineAt(tb testing.TB, tors, ports, workers, warmupEpochs int) *Engi
 	}
 	e.SetWorkload(workload.NewAllToAll(tors, 1<<30, 0))
 	e.RunEpochs(warmupEpochs)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
 	return e
@@ -57,7 +57,7 @@ func BenchmarkEpochSteadyStateWorkers(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.runEpoch()
+					e.RunRound()
 				}
 			})
 		}

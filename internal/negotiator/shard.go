@@ -127,18 +127,18 @@ func (sh *engineShard) initEmitters() {
 		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(g.Src, g.Dst, g.Port) {
 			return
 		}
-		if !e.msgPathOK(g.Dst, g.Src, e.fab.Rounds()) {
+		if !e.msgPathOK(g.Dst, g.Src, e.Rounds()) {
 			return
 		}
-		r := e.fab.ShardOf[g.Src]
+		r := e.ShardOf[g.Src]
 		sh.grantOut[r] = append(sh.grantOut[r], g)
 	}
 	// REQUEST transport: the request message travels r.Src -> r.Dst.
 	sh.reqEmit = func(r match.Request) {
-		if !e.msgPathOK(r.Src, r.Dst, e.fab.Rounds()) {
+		if !e.msgPathOK(r.Src, r.Dst, e.Rounds()) {
 			return
 		}
-		d := e.fab.ShardOf[r.Dst]
+		d := e.ShardOf[r.Dst]
 		sh.reqOut[d] = append(sh.reqOut[d], r)
 	}
 	sh.batchEmit = func(r match.Request) { sh.reqScratch = append(sh.reqScratch, r) }
@@ -336,7 +336,7 @@ func (sh *engineShard) sourceRequests(i int, emit func(match.Request), bulk int)
 		return
 	}
 	c := &e.caches[i]
-	ver := e.fab.Nodes[i].DemandVer()
+	ver := e.Nodes[i].DemandVer()
 	if !c.seen || c.ver != ver {
 		// Demand moved since the last sweep (or first visit): plain sweep,
 		// no capture — replay next epoch is not yet possible anyway.
@@ -373,7 +373,7 @@ func (sh *engineShard) sourceRequests(i int, emit func(match.Request), bulk int)
 	sh.curCache, sh.curEmit = nil, nil
 	c.segs = c.segs[:0]
 	for k, r := range c.reqs {
-		s := e.fab.ShardOf[r.Dst]
+		s := e.ShardOf[r.Dst]
 		if n := len(c.segs); n == 0 || c.segs[n-1].shard != s {
 			c.segs = append(c.segs, reqSeg{shard: s})
 		}
@@ -452,7 +452,7 @@ func (sh *engineShard) mergeTransmitStep() {
 func (sh *engineShard) batchPrepStep() {
 	e := sh.e
 	depth := len(e.future)
-	slot := int(e.fab.Rounds()) % depth
+	slot := int(e.Rounds()) % depth
 	for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 		t := e.tors[sh.lo+bit]
 		for p := range t.matches {
@@ -508,7 +508,7 @@ func (sh *engineShard) predefinedPhase(epochStart sim.Time) {
 	if e.piggyBytes <= 0 {
 		return
 	}
-	rot := e.rotation(e.fab.Rounds())
+	rot := e.rotation(e.Rounds())
 	slotDur := e.timing.PredefinedSlot
 	// A source transmits here only if it holds direct or relay bytes, so
 	// the walk follows the fabric shard's node-level active sets — the
@@ -517,7 +517,7 @@ func (sh *engineShard) predefinedPhase(epochStart sim.Time) {
 	ad, ar := &sh.fs.ActiveDirect, &sh.fs.ActiveRelay
 	for bit := ad.NextUnion(ar, -1); bit >= 0; bit = ad.NextUnion(ar, bit) {
 		i := sh.lo + bit
-		nd := e.fab.Nodes[i]
+		nd := e.Nodes[i]
 		for j := nd.NextDirectOrRelay(-1); j >= 0; j = nd.NextDirectOrRelay(j) {
 			if j == i {
 				continue
@@ -561,7 +561,7 @@ func (sh *engineShard) scheduledPhase(epochStart sim.Time) {
 	for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 		i := sh.lo + bit
 		t := e.tors[i]
-		nd := e.fab.Nodes[i]
+		nd := e.Nodes[i]
 		for p, dj := range t.matches {
 			if dj < 0 {
 				continue

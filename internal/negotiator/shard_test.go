@@ -123,27 +123,27 @@ func TestWorkersClampedForSequentialFeatures(t *testing.T) {
 
 	cfg := base
 	cfg.Relay = &RelayConfig{}
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("relay: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.Workers != 1 {
+		t.Errorf("relay: workers = %d, want 1", e.Workers)
 	}
 	cfg = base
 	cfg.TrackReceiverBuffers = true
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("rx buffers: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.Workers != 1 {
+		t.Errorf("rx buffers: workers = %d, want 1", e.Workers)
 	}
 	cfg = base
 	cfg.OnDeliver = func(int, sim.Time, int64) {}
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("OnDeliver: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.Workers != 1 {
+		t.Errorf("OnDeliver: workers = %d, want 1", e.Workers)
 	}
 	cfg = base
-	if e, _ := New(cfg); e.Workers() != 4 {
-		t.Errorf("plain: workers = %d, want 4", e.Workers())
+	if e, _ := New(cfg); e.Workers != 4 {
+		t.Errorf("plain: workers = %d, want 4", e.Workers)
 	}
 	cfg = base
 	cfg.Workers = 1000 // capped at ToR count
-	if e, _ := New(cfg); e.Workers() != 16 {
-		t.Errorf("cap: workers = %d, want 16", e.Workers())
+	if e, _ := New(cfg); e.Workers != 16 {
+		t.Errorf("cap: workers = %d, want 16", e.Workers)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestWorkersClampedForUnshardedMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 1 {
-		t.Errorf("custom non-Sharded matcher: workers = %d, want 1", e.Workers())
+	if e.Workers != 1 {
+		t.Errorf("custom non-Sharded matcher: workers = %d, want 1", e.Workers)
 	}
 }

@@ -2,20 +2,10 @@ package negotiator
 
 import (
 	"fmt"
-	"io"
 
 	"negotiator/internal/match"
 	"negotiator/internal/snap"
 )
-
-// Snapshot serializes the engine's complete state (fabric core plus this
-// control plane's PlaneState payload) at an epoch boundary.
-func (e *Engine) Snapshot(w io.Writer) error { return e.fab.Snapshot(w) }
-
-// Restore applies a snapshot to a freshly constructed engine of the same
-// configuration. SetWorkload (with an identically constructed generator)
-// must be called first; see fabric.Core.Restore.
-func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 
 // PlaneState implements fabric.StatefulPlane. The NegotiaToR plane's
 // persistent cross-epoch state is: the match-ratio series, the selective
@@ -27,7 +17,7 @@ func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 // restarts cold, which the replay-equals-fresh invariant makes invisible.
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
-	num, den := e.matchRatio.Counts()
+	num, den := e.MatchRatio.Counts()
 	enc.U32(uint32(len(num)))
 	for _, v := range num {
 		enc.I64(v)
@@ -93,7 +83,7 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // PlaneState, applied to a freshly constructed engine. After decoding it
 // rebuilds the per-shard derived mirrors (matched/pending occupancy bits
 // and in-flight message counts) that a live run maintains incrementally —
-// the same invariants checkInvariants asserts.
+// the same invariants CheckRound asserts.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
 	rn := int(d.U32())
@@ -108,7 +98,7 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	e.matchRatio.RestoreCounts(num, den)
+	e.MatchRatio.RestoreCounts(num, den)
 
 	hasRelay := d.Bool()
 	if hasRelay != (e.relay != nil) {

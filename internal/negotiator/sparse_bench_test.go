@@ -45,7 +45,7 @@ func sparseEngine(tb testing.TB, n, active, workers int) *Engine {
 	}
 	e.SetWorkload(perm)
 	e.RunEpochs(8)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
 	}
 	return e
@@ -60,7 +60,7 @@ func BenchmarkEpochSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -74,7 +74,7 @@ func BenchmarkEpochSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 }
 
@@ -96,7 +96,7 @@ func BenchmarkEpochSparse8192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/8192, "setup-bytes/ToR")
@@ -121,7 +121,7 @@ func BenchmarkEpochSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")

@@ -12,7 +12,7 @@ import (
 func measureSparseEpoch(tb testing.TB, n int) time.Duration {
 	e := sparseEngine(tb, n, 256, 1)
 	for i := 0; i < 4; i++ {
-		e.runEpoch() // settle caches and the incremental request path
+		e.RunRound() // settle caches and the incremental request path
 	}
 	runtime.GC()
 	const epochs = 20
@@ -20,7 +20,7 @@ func measureSparseEpoch(tb testing.TB, n int) time.Duration {
 	for rep := 0; rep < 5; rep++ {
 		start := time.Now()
 		for i := 0; i < epochs; i++ {
-			e.runEpoch()
+			e.RunRound()
 		}
 		if d := time.Since(start) / epochs; d < best {
 			best = d

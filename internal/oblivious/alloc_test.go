@@ -33,9 +33,9 @@ func steadySlotEngine(tb testing.TB, warmupSlots int) *Engine {
 	}
 	e.SetWorkload(workload.NewAllToAll(128, 4<<20, 0))
 	for i := 0; i < warmupSlots; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
 	if r := e.Results(); r.FCT.Count() != 0 {
@@ -54,7 +54,7 @@ func TestSlotSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("paper-scale engine in -short mode")
 	}
 	e := steadySlotEngine(t, 2000)
-	allocs := testing.AllocsPerRun(100, func() { e.runSlot() })
+	allocs := testing.AllocsPerRun(100, func() { e.RunRound() })
 	if allocs != 0 {
 		t.Errorf("steady-state slot allocates %.1f objects/slot, want 0", allocs)
 	}
@@ -68,6 +68,6 @@ func BenchmarkSlotSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkSlotSaturated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 }
 
@@ -45,6 +45,6 @@ func BenchmarkSlotLight(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 }

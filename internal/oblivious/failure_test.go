@@ -17,10 +17,10 @@ func failurePlan(detect sim.Duration, seed int64) *failure.Plan {
 }
 
 // TestFailureConservation runs every service discipline under mid-run
-// link failures with per-round invariant checking on (CheckRound calls
-// fabric.Core.CheckConservation when failures are configured: destroyed
-// bytes reconcile against ledger, outstanding records and the cumulative
-// requeue counter after every slot). After recovery and drain, every
+// link failures with per-round invariant checking on (the core runs
+// fabric.Core.CheckConservation after every slot: destroyed bytes
+// reconcile against ledger, outstanding records and the cumulative
+// requeue counter). After recovery and drain, every
 // injected byte must be delivered — losses requeue, nothing leaks. Run in
 // CI under -race at -cpu 1,2,4.
 func TestFailureConservation(t *testing.T) {
@@ -53,14 +53,14 @@ func TestFailureConservation(t *testing.T) {
 				if r.LostBytes <= 0 {
 					t.Error("no bytes destroyed despite 20% links down mid-run")
 				}
-				if e.fab.Ledger.Lost != 0 {
-					t.Errorf("%d bytes still lost after recovery + drain", e.fab.Ledger.Lost)
+				if e.Ledger.Lost != 0 {
+					t.Errorf("%d bytes still lost after recovery + drain", e.Ledger.Lost)
 				}
 				if r.Delivered != r.Injected {
 					t.Errorf("delivered %d of %d injected", r.Delivered, r.Injected)
 				}
-				if e.fab.Requeued() != r.LostBytes {
-					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.LostBytes)
+				if e.Requeued() != r.LostBytes {
+					t.Errorf("requeued %d != destroyed %d after full drain", e.Requeued(), r.LostBytes)
 				}
 			})
 		}
@@ -84,7 +84,7 @@ func TestFailureDeterminism(t *testing.T) {
 		e.Run(60 * sim.Microsecond)
 		r := e.Results()
 		return fmt.Sprintf("inj=%d del=%d lost=%d relayed=%d fct99=%v mice=%v cdf=%v",
-			r.Injected, r.Delivered, r.LostBytes, r.Relayed, r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
+			r.Injected, r.Delivered, r.LostBytes, e.relayed, r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
 	}
 	want := fingerprint(1)
 	for _, workers := range []int{2, 4, 8, 16} {

@@ -15,11 +15,11 @@ import (
 func TestSprayUniformity(t *testing.T) {
 	cfg := testConfig(t)
 	e, _ := New(cfg)
-	e.inject(0) // no workload: establishes genDone
-	src := e.fab.Nodes[2]
+	e.Inject(0) // no workload: establishes genDone
+	src := e.Nodes[2]
 	// Inject a large flow directly through the generator path.
 	e.SetWorkload(workload.NewSinglePair(2, 9, 4<<20, 0))
-	e.inject(0)
+	e.Inject(0)
 	var total int64
 	counts := make([]int64, e.n)
 	for k := 0; k < e.n; k++ {
@@ -55,8 +55,8 @@ func TestLaneStallWastesSlot(t *testing.T) {
 	r := e.Results()
 	// A 1-byte VOQ admits one byte per drain cycle: relay throughput is
 	// throttled to a trickle.
-	if float64(r.Relayed) > 0.01*float64(r.Injected) {
-		t.Errorf("relayed %d of %d bytes despite 1-byte VOQs", r.Relayed, r.Injected)
+	if float64(e.relayed) > 0.01*float64(r.Injected) {
+		t.Errorf("relayed %d of %d bytes despite 1-byte VOQs", e.relayed, r.Injected)
 	}
 	if r.Delivered == 0 {
 		t.Error("the direct-luck lane should still deliver")
@@ -134,10 +134,10 @@ func TestChunkGranularityConfigurable(t *testing.T) {
 	}
 	// Finer chunks spread a mid-size flow over more lanes.
 	e.SetWorkload(workload.NewSinglePair(2, 9, 10*615*4, 0))
-	e.inject(0)
+	e.Inject(0)
 	lanes1 := 0
 	for k := 0; k < e.n; k++ {
-		if e.fab.Nodes[2].Lanes.Bytes(k) > 0 {
+		if e.Nodes[2].Lanes.Bytes(k) > 0 {
 			lanes1++
 		}
 	}

@@ -32,11 +32,9 @@ import (
 	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
 	"negotiator/internal/flows"
-	"negotiator/internal/metrics"
 	"negotiator/internal/queue"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
 // Timing describes the baseline's slot structure: every slot pays a
@@ -94,8 +92,8 @@ type Config struct {
 	Topology topo.Topology
 	// Timing is the slot structure; zero means DefaultTiming.
 	Timing Timing
-	// HostRate is the per-ToR host aggregate (400 Gbps), for goodput
-	// normalisation.
+	// HostRate is the per-ToR host aggregate (400 Gbps; zero means that
+	// default).
 	HostRate sim.Rate
 	// PriorityQueues enables source-side PIAS prioritisation.
 	PriorityQueues bool
@@ -161,27 +159,16 @@ type Config struct {
 	Workers int
 }
 
-// Results summarises a run.
-type Results struct {
-	FCT       *metrics.FCTStats
-	Goodput   *metrics.Goodput
-	Tags      map[int]*fabric.TagStat
-	Duration  sim.Duration
-	Slots     int64 // timeslots executed
-	Injected  int64
-	Delivered int64
-	Relayed   int64 // bytes that took a first hop (transit volume)
-	LostBytes int64 // bytes destroyed by failures (before requeue), cumulative
-}
-
-// Engine is the traffic-oblivious control plane over the shared fabric
+// Engine is the traffic-oblivious control plane over the embedded fabric
 // core. Per-ToR data-plane state maps onto fabric.Node: Direct holds
 // fresh data per final destination (the slot-time-spray disciplines),
 // Lanes holds fresh data per pre-assigned intermediate (the default
-// Sirius discipline), Relay holds the bounded second-hop VOQs.
+// Sirius discipline), Relay holds the bounded second-hop VOQs. A core
+// round is one timeslot; the epoch the core reports and RunEpochs steps
+// is one full round-robin cycle (EpochRounds).
 type Engine struct {
+	*fabric.Core
 	cfg    Config
-	fab    *fabric.Core
 	top    topo.Topology
 	timing Timing
 	n, s   int
@@ -194,13 +181,13 @@ type Engine struct {
 	// actual state destroys bits.
 	actual, known *failure.State
 
+	// relayed counts bytes that took a first hop (transit volume).
 	relayed int64
 
 	// Sharded slot execution (see Config.Workers): per-slot context set
 	// serially, phase steps run over the shards via the core's gang, and
 	// the shards' deferred effect records are applied in shard order by
 	// the serial merge.
-	workers    int
 	shards     []*obShard
 	stepDrain  func(k int)
 	stepServe  func(k int)
@@ -292,9 +279,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
 	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
-	}
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
@@ -318,18 +302,19 @@ func New(cfg Config) (*Engine, error) {
 		Topology:         cfg.Topology,
 		HostRate:         cfg.HostRate,
 		Workers:          cfg.Workers,
-		Seed:             cfg.Seed,
+		RNG:              sim.NewRNG(cfg.Seed),
 		PriorityQueues:   cfg.PriorityQueues,
 		Lanes:            e.lanes,
 		Relay:            true,
 		OnDeliver:        cfg.OnDeliver,
 		Failures:         cfg.Failures,
 		DisableEventSkip: cfg.DisableEventSkip,
+		CheckInvariants:  cfg.CheckInvariants,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.fab = fab
+	e.Core = fab
 	fab.Bind(e, e.admit)
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
@@ -344,7 +329,7 @@ func New(cfg Config) (*Engine, error) {
 // across sources and melts hot intermediates. The slot-time-spray
 // ablations enqueue per final destination instead.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.fab.Nodes[f.Src]
+	nd := e.Nodes[f.Src]
 	if e.lanes {
 		chunk := int64(e.cfg.SprayChunkCells) * e.cell
 		total := f.Total()
@@ -353,7 +338,7 @@ func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 			if n > chunk {
 				n = chunk
 			}
-			k := e.fab.RNG.Intn(e.n - 1)
+			k := e.RNG.Intn(e.n - 1)
 			if k >= f.Src {
 				k++
 			}
@@ -366,10 +351,9 @@ func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 
 // initShards builds the shard contexts and their prebuilt emitters.
 func (e *Engine) initShards() {
-	e.workers = e.fab.Workers
-	e.shards = make([]*obShard, e.workers)
-	for k := 0; k < e.workers; k++ {
-		fs := e.fab.Shards[k]
+	e.shards = make([]*obShard, e.Workers)
+	for k := 0; k < e.Workers; k++ {
+		fs := e.Shards[k]
 		sh := &obShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs, usedStamp: make([]int64, (fs.Hi-fs.Lo)*e.s), txVia: -1}
 		// Losses requeue into the queue set the discipline actually
 		// serves: lanes under Sirius spray, direct under the ablations.
@@ -410,61 +394,16 @@ func (e *Engine) initShards() {
 	e.stepServe = func(k int) { e.shards[k].serveStep() }
 }
 
-// inject pumps pending arrivals (test hook; the run loop pumps per slot).
-func (e *Engine) inject(t sim.Time) { e.fab.Inject(t) }
-
-// Workers reports the effective shard parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
-// SetWorkload attaches the arrival stream.
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
-
 // Name identifies the control plane.
 func (e *Engine) Name() string { return "oblivious" }
 
 // RoundLen implements fabric.ControlPlane: one round is one timeslot.
 func (e *Engine) RoundLen() sim.Duration { return e.timing.Slot }
 
-// CycleLen returns the all-to-all round-robin cycle duration.
-func (e *Engine) CycleLen() sim.Duration {
-	return sim.Duration(e.slots) * e.timing.Slot
-}
-
-// SlotsPerCycle returns the number of timeslots in one round-robin cycle.
-func (e *Engine) SlotsPerCycle() int { return e.slots }
-
-// Now returns the current simulated time.
-func (e *Engine) Now() sim.Time { return e.fab.Now() }
-
-// Run advances until at least d has elapsed.
-func (e *Engine) Run(d sim.Duration) { e.fab.Run(d) }
-
-// runSlot advances one timeslot (test and benchmark hook).
-func (e *Engine) runSlot() { e.fab.RunRound() }
-
-// RunCycles advances exactly k full round-robin cycles (the baseline's
-// epoch analogue: one all-to-all sweep of the predefined schedule).
-func (e *Engine) RunCycles(k int) { e.fab.RunRounds(k * e.slots) }
-
-// Drain runs until all injected bytes are delivered or maxSlots elapse.
-func (e *Engine) Drain(maxSlots int) bool { return e.fab.Drain(maxSlots) }
-
-// Results snapshots the measurements (idempotent, worker-count
-// independent). FCT is the core's cached, read-only merged view, shared
-// with every call until a new sample arrives (see fabric.Core.MergedFCT).
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:       e.fab.MergedFCT(),
-		Goodput:   e.fab.MergedGoodput(),
-		Tags:      e.fab.Tags,
-		Duration:  sim.Duration(e.fab.Now()),
-		Slots:     e.fab.Rounds(),
-		Injected:  e.fab.Ledger.Injected,
-		Delivered: e.fab.Ledger.Delivered,
-		Relayed:   e.relayed,
-		LostBytes: e.fab.Lost,
-	}
-}
+// EpochRounds implements fabric.EpochPlane: the baseline's epoch analogue
+// is one all-to-all sweep of the predefined schedule, a full round-robin
+// cycle of timeslots.
+func (e *Engine) EpochRounds() int { return e.slots }
 
 // Round implements fabric.ControlPlane: one timeslot through the
 // barrier-synchronized shard phases:
@@ -483,16 +422,16 @@ func (e *Engine) Results() Results {
 //	         completions and observer callbacks are identical at any
 //	         worker count
 func (e *Engine) Round() {
-	slotStart := e.fab.Now()
-	e.fab.Inject(slotStart)
-	slotNo := e.fab.Rounds()
+	slotStart := e.Now()
+	e.Inject(slotStart)
+	slotNo := e.Rounds()
 	e.slotT = int(slotNo) % e.slots
 	e.slotRot = int(slotNo) / e.slots // rotate the rule every full cycle
 	e.slotStart = slotStart
 	e.slotArrive = slotStart.Add(e.timing.Slot).Add(e.timing.PropDelay)
 
-	e.fab.ParDo(e.stepDrain)
-	e.fab.ParDo(e.stepServe)
+	e.ParDo(e.stepDrain)
+	e.ParDo(e.stepServe)
 
 	// Separate sweeps per record class (drain deliveries, pushes, serve
 	// deliveries), each in shard order: the apply order — and with it the
@@ -501,13 +440,13 @@ func (e *Engine) Round() {
 	// exactly this order: all drains in ToR order, then all serves.
 	for _, sh := range e.shards {
 		for _, d := range sh.drainDelivs {
-			e.fab.Deliver(d.f, d.dst, d.n, d.at)
+			e.Deliver(d.f, d.dst, d.n, d.at)
 		}
 		sh.drainDelivs = sh.drainDelivs[:0]
 	}
 	for _, sh := range e.shards {
 		for _, p := range sh.pushes {
-			e.fab.Nodes[p.inter].PushRelay(p.dst, queue.Segment{Flow: p.f, Bytes: p.n, Enqueued: p.at})
+			e.Nodes[p.inter].PushRelay(p.dst, queue.Segment{Flow: p.f, Bytes: p.n, Enqueued: p.at})
 			e.relayed += p.n
 		}
 		sh.pushes = sh.pushes[:0]
@@ -518,7 +457,7 @@ func (e *Engine) Round() {
 	}
 	for _, sh := range e.shards {
 		for _, d := range sh.serveDelivs {
-			e.fab.Deliver(d.f, d.dst, d.n, d.at)
+			e.Deliver(d.f, d.dst, d.n, d.at)
 		}
 		sh.serveDelivs = sh.serveDelivs[:0]
 	}
@@ -532,20 +471,12 @@ func (e *Engine) Round() {
 // until new bytes arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 
-// CheckRound implements fabric.RoundChecker when invariant checking is on.
+// CheckRound implements fabric.RoundChecker: every node's relay byte
+// counter must match its relay FIFOs.
 func (e *Engine) CheckRound() {
-	if !e.cfg.CheckInvariants {
-		return
-	}
-	for _, nd := range e.fab.Nodes {
+	for _, nd := range e.Nodes {
 		nd.CheckRelayCounter()
 	}
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
 }
 
 // drainStep is phase A for one shard: second-hop relay traffic destined to
@@ -553,7 +484,7 @@ func (e *Engine) CheckRound() {
 // accumulate, so a connection carrying it is consumed for the slot.
 func (sh *obShard) drainStep() {
 	e := sh.e
-	slotNo := e.fab.Rounds()
+	slotNo := e.Rounds()
 	// The shard's relay occupancy set walks straight to the nodes holding
 	// relay backlog, so the drain phase is O(relay-active nodes · S) with
 	// no dense scan at all; draining a node empty clears its own bit,
@@ -572,7 +503,7 @@ func (sh *obShard) drainStep() {
 	}
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
-		src := e.fab.Nodes[i]
+		src := e.Nodes[i]
 		for s := 0; s < e.s; s++ {
 			j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot)
 			if j < 0 {
@@ -626,7 +557,7 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 		i := int(c >> 40)
 		s := int(c>>20) & (1<<20 - 1)
 		j := int(c & (1<<20 - 1))
-		src := e.fab.Nodes[i]
+		src := e.Nodes[i]
 		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
 			continue
 		}
@@ -645,7 +576,7 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 // connections phase A left free.
 func (sh *obShard) serveStep() {
 	e := sh.e
-	slotNo := e.fab.Rounds()
+	slotNo := e.Rounds()
 	// The occupancy set of the class this discipline serves walks straight
 	// to the nodes holding fresh data — the O(active)-nodes counterpart of
 	// the drain-phase walk. Connections phase A consumed need no masking
@@ -657,7 +588,7 @@ func (sh *obShard) serveStep() {
 	}
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
-		src := e.fab.Nodes[i]
+		src := e.Nodes[i]
 		for s := 0; s < e.s; s++ {
 			if sh.usedStamp[(i-sh.lo)*e.s+s] == slotNo+1 {
 				continue
@@ -703,7 +634,7 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 		src.TakeLaneHeadCell(j, e.cell, sh.sentEmit)
 		return
 	}
-	headroom := e.cfg.RelayCap - e.fab.Nodes[j].RelayQueuedBytes(d)
+	headroom := e.cfg.RelayCap - e.Nodes[j].RelayQueuedBytes(d)
 	if headroom <= 0 {
 		return // VOQ full: the lane head stalls and the slot is wasted
 	}
@@ -746,7 +677,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	// pointer lands one past the served destination — or stays put after a
 	// fruitless full scan — exactly where the dense walk left it, so the
 	// spray sequence is byte-identical at O(active) cost.
-	inter := e.fab.Nodes[j]
+	inter := e.Nodes[j]
 	start := src.SprayPtr
 	d := src.DirectOcc.Next(start - 1)
 	wrapped := false
@@ -810,4 +741,5 @@ var (
 	_ fabric.ControlPlane = (*Engine)(nil)
 	_ fabric.RoundChecker = (*Engine)(nil)
 	_ fabric.IdlePlane    = (*Engine)(nil)
+	_ fabric.EpochPlane   = (*Engine)(nil)
 )

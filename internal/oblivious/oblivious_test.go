@@ -48,7 +48,7 @@ func TestCycleLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 16 ToRs, 4 ports thin-clos: 4 slots of 60ns.
-	if got := e.CycleLen(); got != 240 {
+	if got := e.Results().EpochLen; got != 240 {
 		t.Errorf("cycle = %v, want 240ns", got)
 	}
 }
@@ -63,12 +63,12 @@ func TestVLBTakesTwoHops(t *testing.T) {
 	if r.Delivered != 20<<10 {
 		t.Fatalf("delivered %d of %d", r.Delivered, 20<<10)
 	}
-	if r.Relayed == 0 {
+	if e.relayed == 0 {
 		t.Fatal("no bytes relayed under VLB")
 	}
 	// Most traffic took the two-hop path (1/16 lands direct by luck).
-	if float64(r.Relayed) < 0.7*float64(r.Delivered) {
-		t.Errorf("relayed only %d of %d delivered bytes", r.Relayed, r.Delivered)
+	if float64(e.relayed) < 0.7*float64(r.Delivered) {
+		t.Errorf("relayed only %d of %d delivered bytes", e.relayed, r.Delivered)
 	}
 	if r.FCT.Count() != 1 {
 		t.Fatalf("flow count = %d", r.FCT.Count())
@@ -86,8 +86,8 @@ func TestDirectOnlyNeverRelays(t *testing.T) {
 	e.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
 	e.Run(100 * sim.Microsecond)
 	r := e.Results()
-	if r.Relayed != 0 {
-		t.Errorf("DirectOnly relayed %d bytes", r.Relayed)
+	if e.relayed != 0 {
+		t.Errorf("DirectOnly relayed %d bytes", e.relayed)
 	}
 	if r.Delivered != 20<<10 {
 		t.Errorf("delivered %d", r.Delivered)
@@ -106,7 +106,7 @@ func TestOpportunisticDirectRelaysLess(t *testing.T) {
 			t.Fatal("drain failed")
 		}
 		r := e.Results()
-		return r.Relayed, r.Delivered
+		return e.relayed, r.Delivered
 	}
 	oppRelay, oppDel := run(true)
 	vlbRelay, vlbDel := run(false)
@@ -127,7 +127,7 @@ func TestRelayDoublesTrafficVolume(t *testing.T) {
 		t.Fatal("failed to drain")
 	}
 	r := e.Results()
-	ratio := float64(r.Relayed) / float64(r.Delivered)
+	ratio := float64(e.relayed) / float64(r.Delivered)
 	if ratio < 0.8 {
 		t.Errorf("relay ratio = %.2f, want ~0.94 (15/16 two-hop)", ratio)
 	}
@@ -147,7 +147,7 @@ func TestRelayCapBackpressure(t *testing.T) {
 	// one cell against the same headroom, so a VOQ can briefly overshoot
 	// by up to one cell per port.
 	slack := int64(e.s) * e.cell
-	for i, nd := range e.fab.Nodes {
+	for i, nd := range e.Nodes {
 		for d := 0; d < e.n; d++ {
 			if b := nd.Relay.Bytes(d); b > cfg.RelayCap+slack {
 				t.Fatalf("tor %d VOQ[%d] backlog %d exceeds cap %d", i, d, b, cfg.RelayCap)
@@ -218,8 +218,8 @@ func TestTransitObserver(t *testing.T) {
 	if delivered != 10<<10 {
 		t.Errorf("observer saw %d delivered", delivered)
 	}
-	if transit != e.Results().Relayed {
-		t.Errorf("transit observer %d != relayed %d", transit, e.Results().Relayed)
+	if transit != e.relayed {
+		t.Errorf("transit observer %d != relayed %d", transit, e.relayed)
 	}
 }
 

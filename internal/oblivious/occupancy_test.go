@@ -64,7 +64,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 4; i < 16; i++ {
-			if e.fab.Nodes[i].Direct.Materialized() {
+			if e.Nodes[i].Direct.Materialized() {
 				t.Fatalf("idle source %d materialized a direct slab", i)
 			}
 		}
@@ -104,7 +104,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		lastDst := 2*queue.PageSize - 1
-		for i, nd := range e.fab.Nodes {
+		for i, nd := range e.Nodes {
 			if nd.Direct.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}

@@ -29,7 +29,7 @@ func obFingerprint(t *testing.T, cfg Config, d sim.Duration, load float64) strin
 	r := e.Results()
 	return fmt.Sprintf("flows=%d mice=%d p99=%v mp99=%v mean=%v goodput=%d slots=%d inj=%d del=%d rel=%d tags=%v cdf=%v obslen=%d obs=%s",
 		r.FCT.Count(), r.FCT.MiceCount(), r.FCT.P(99), r.FCT.MiceP(99), r.FCT.Mean(),
-		r.Goodput.TotalBytes(), r.Slots, r.Injected, r.Delivered, r.Relayed,
+		r.Goodput.TotalBytes(), e.Rounds(), r.Injected, r.Delivered, e.relayed,
 		r.Tags, r.FCT.MiceCDF(16), obs.Len(), obs.String())
 }
 
@@ -74,14 +74,15 @@ func TestShardDeterminismOblivious(t *testing.T) {
 	}
 }
 
-// TestRunCycles: k cycles advance exactly k*slots timeslots.
+// TestRunCycles: RunEpochs(k) advances exactly k round-robin cycles of
+// slots timeslots each.
 func TestRunCycles(t *testing.T) {
 	e, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCycles(3)
-	if got := e.Results().Slots; got != int64(3*e.slots) {
+	e.RunEpochs(3)
+	if got := e.Rounds(); got != int64(3*e.slots) {
 		t.Errorf("slots = %d, want %d", got, 3*e.slots)
 	}
 	if got, want := e.Now(), sim.Time(3*e.slots)*sim.Time(e.timing.Slot); got != want {
@@ -97,7 +98,7 @@ func TestWorkersCappedAtToRs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 16 {
-		t.Errorf("workers = %d, want 16", e.Workers())
+	if e.Workers != 16 {
+		t.Errorf("workers = %d, want 16", e.Workers)
 	}
 }

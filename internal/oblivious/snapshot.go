@@ -1,19 +1,6 @@
 package oblivious
 
-import (
-	"io"
-
-	"negotiator/internal/snap"
-)
-
-// Snapshot serializes the engine's complete state (fabric core plus this
-// control plane's PlaneState payload) at a timeslot boundary.
-func (e *Engine) Snapshot(w io.Writer) error { return e.fab.Snapshot(w) }
-
-// Restore applies a snapshot to a freshly constructed engine of the same
-// configuration. SetWorkload (with an identically constructed generator)
-// must be called first; see fabric.Core.Restore.
-func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
+import "negotiator/internal/snap"
 
 // PlaneState implements fabric.StatefulPlane. The round-robin schedule
 // keeps almost no cross-slot control state outside the node queues: the

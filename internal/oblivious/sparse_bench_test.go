@@ -39,9 +39,9 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 	}
 	e.SetWorkload(perm)
 	for i := 0; i < 2*e.slots; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
 	}
 	return e
@@ -55,7 +55,7 @@ func BenchmarkSlotSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 }
 
@@ -67,7 +67,7 @@ func BenchmarkSlotSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 }
 
@@ -91,7 +91,7 @@ func BenchmarkSlotSparse8192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/8192, "setup-bytes/ToR")
@@ -118,7 +118,7 @@ func BenchmarkSlotSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")
@@ -145,7 +145,7 @@ func BenchmarkSlotSparse131072(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/131072, "setup-bytes/ToR")
@@ -206,9 +206,9 @@ func millionFlowInject(tb testing.TB, grouped bool) (*Engine, uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	e.runSlot() // every arrival is at t=0: one slot pumps them all
+	e.RunRound() // every arrival is at t=0: one slot pumps them all
 	runtime.ReadMemStats(&after)
-	if !e.fab.WorkloadDone() {
+	if !e.WorkloadDone() {
 		tb.Fatal("first slot did not drain the workload")
 	}
 	return e, after.TotalAlloc - before.TotalAlloc
@@ -251,7 +251,7 @@ func BenchmarkMillionFlowGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(perFlowG, "grouped-bytes/flow")

@@ -13,7 +13,7 @@ import (
 func measureSparseSlot(tb testing.TB, n int) time.Duration {
 	e := sparseEngine(tb, n, 256)
 	for i := 0; i < 2*e.slots; i++ {
-		e.runSlot() // settle the steady-state occupancy
+		e.RunRound() // settle the steady-state occupancy
 	}
 	runtime.GC()
 	const slots = 64
@@ -21,7 +21,7 @@ func measureSparseSlot(tb testing.TB, n int) time.Duration {
 	for rep := 0; rep < 5; rep++ {
 		start := time.Now()
 		for i := 0; i < slots; i++ {
-			e.runSlot()
+			e.RunRound()
 		}
 		if d := time.Since(start) / slots; d < best {
 			best = d

@@ -103,7 +103,7 @@ func TestFIFOSlabPageBoundaries(t *testing.T) {
 			t.Fatalf("Bytes(%d) = %d, want %d", d, got, 10+d)
 		}
 	}
-	if s.Probe(PageSize-2) == nil || !s.Probe(PageSize - 2).Empty() {
+	if s.Probe(PageSize-2) == nil || !s.Probe(PageSize-2).Empty() {
 		t.Fatal("untouched dst on materialized page must probe empty")
 	}
 	covered := 0

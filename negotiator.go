@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
 	"negotiator/internal/hybrid"
 	"negotiator/internal/match"
@@ -191,19 +192,14 @@ type Spec struct {
 	Topology Topology
 	// ControlPlane picks the scheduling engine (NegotiaToR by default).
 	ControlPlane ControlPlaneKind
-	// Oblivious builds the traffic-oblivious Sirius-like baseline instead
-	// of NegotiaToR.
-	//
-	// Deprecated: set ControlPlane: ObliviousPlane. Kept for
-	// compatibility; true overrides a NegotiaToRPlane ControlPlane.
-	Oblivious bool
 	// Scheduler picks the NegotiaToR scheduling policy (ignored for the
 	// baseline).
 	Scheduler Scheduler
 	// LinkRate is the per-uplink-port rate (100 Gbps: the paper's 2x
 	// speedup over 400 Gbps hosts on 8 ports).
 	LinkRate sim.Rate
-	// HostRate is the aggregate host bandwidth per ToR (400 Gbps).
+	// HostRate is the aggregate host bandwidth per ToR (400 Gbps); it
+	// must be positive.
 	HostRate sim.Rate
 	// ReconfigDelay is the guardband / end-to-end reconfiguration delay
 	// (10 ns).
@@ -253,7 +249,8 @@ type Spec struct {
 	OnTransit func(intermediate int, at Time, n int64)
 	// TrackReceiverBuffers models the receiver-side ToR-to-host buffers of
 	// §3.6.5 (the optical fabric delivers at up to 2x the host drain rate)
-	// and reports their peak occupancy in Summary (NegotiaToR fabric only).
+	// and reports their peak occupancy in Summary (ignored by the oblivious
+	// baseline).
 	TrackReceiverBuffers bool
 	// Workers is the intra-run shard parallelism: the fabric's ToRs split
 	// into Workers contiguous shards that execute each epoch (or timeslot)
@@ -359,13 +356,30 @@ func (s Spec) matcherFactory() func(topo.Topology, negotiator.Timing, *sim.RNG) 
 	}
 }
 
-// plane resolves the effective control plane (the deprecated Oblivious
-// flag maps onto ObliviousPlane).
-func (s Spec) plane() ControlPlaneKind {
-	if s.Oblivious && s.ControlPlane == NegotiaToRPlane {
-		return ObliviousPlane
+// engineConfig assembles the NegotiaToR Config both negotiating planes
+// build from (hybrid.New rejects the scheduler variants and the relay).
+func (s Spec) engineConfig(top topo.Topology, plan *failure.Plan) negotiator.Config {
+	cfg := negotiator.Config{
+		Topology:             top,
+		Timing:               s.timing(),
+		HostRate:             s.HostRate,
+		Piggyback:            s.Piggyback,
+		RequestThresholdPkts: s.RequestThresholdPkts,
+		PriorityQueues:       s.PriorityQueues,
+		NewMatcher:           s.matcherFactory(),
+		Failures:             plan,
+		Seed:                 s.Seed,
+		CheckInvariants:      s.CheckInvariants,
+		OnDeliver:            s.OnDeliver,
+		TrackReceiverBuffers: s.TrackReceiverBuffers,
+		Workers:              s.Workers,
+		DisableEventSkip:     s.DisableEventSkip,
+		DisableIncremental:   s.DisableIncremental,
 	}
-	return s.ControlPlane
+	if s.SelectiveRelay {
+		cfg.Relay = &negotiator.RelayConfig{}
+	}
+	return cfg
 }
 
 // Build constructs the fabric described by the spec.
@@ -376,6 +390,11 @@ func (s Spec) Build() (Fabric, error) {
 		// chose both numbers, instead of silently clamping or letting an
 		// empty shard surface mid-run.
 		return nil, fmt.Errorf("negotiator: Spec.Workers (%d) exceeds ToRs (%d): each worker shards a non-empty contiguous ToR range; lower Workers (or pass 0 for sequential)", s.Workers, s.ToRs)
+	}
+	if s.HostRate <= 0 {
+		// Workloads scale arrival rates and goodput normalises by it: zero
+		// would make a Poisson generator's gaps vanish.
+		return nil, fmt.Errorf("negotiator: Spec.HostRate (%d Gbps) must be positive", s.HostRate)
 	}
 	top, err := s.buildTopology()
 	if err != nil {
@@ -388,33 +407,9 @@ func (s Spec) Build() (Fabric, error) {
 			return nil, err
 		}
 	}
-	if s.plane() == HybridPlane {
-		if s.Scheduler != Matching {
-			return nil, fmt.Errorf("negotiator: the hybrid engine uses NegotiaToR Matching; scheduler variants apply to the NegotiaToR fabric")
-		}
-		if s.SelectiveRelay {
-			return nil, fmt.Errorf("negotiator: selective relay is a NegotiaToR thin-clos extension")
-		}
-		e, err := hybrid.New(hybrid.Config{
-			Topology:             top,
-			Timing:               s.timing(),
-			HostRate:             s.HostRate,
-			PriorityQueues:       s.PriorityQueues,
-			Seed:                 s.Seed,
-			Failures:             plan,
-			CheckInvariants:      s.CheckInvariants,
-			OnDeliver:            s.OnDeliver,
-			TrackReceiverBuffers: s.TrackReceiverBuffers,
-			Workers:              s.Workers,
-			DisableEventSkip:     s.DisableEventSkip,
-			DisableIncremental:   s.DisableIncremental,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &hybridFabric{e: e, spec: s}, nil
-	}
-	if s.plane() == ObliviousPlane {
+	var core *fabric.Core
+	switch s.ControlPlane {
+	case ObliviousPlane:
 		ot := oblivious.DefaultTiming()
 		ot.LinkRate = s.LinkRate
 		ot.PropDelay = s.PropDelay
@@ -438,33 +433,21 @@ func (s Spec) Build() (Fabric, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &obliviousFabric{e: e, spec: s}, nil
+		core = e.Core
+	case HybridPlane:
+		e, err := hybrid.New(s.engineConfig(top, plan))
+		if err != nil {
+			return nil, err
+		}
+		core = e.Core
+	default:
+		e, err := negotiator.New(s.engineConfig(top, plan))
+		if err != nil {
+			return nil, err
+		}
+		core = e.Core
 	}
-	cfg := negotiator.Config{
-		Topology:             top,
-		Timing:               s.timing(),
-		HostRate:             s.HostRate,
-		Piggyback:            s.Piggyback,
-		RequestThresholdPkts: s.RequestThresholdPkts,
-		PriorityQueues:       s.PriorityQueues,
-		NewMatcher:           s.matcherFactory(),
-		Failures:             plan,
-		Seed:                 s.Seed,
-		CheckInvariants:      s.CheckInvariants,
-		OnDeliver:            s.OnDeliver,
-		TrackReceiverBuffers: s.TrackReceiverBuffers,
-		Workers:              s.Workers,
-		DisableEventSkip:     s.DisableEventSkip,
-		DisableIncremental:   s.DisableIncremental,
-	}
-	if s.SelectiveRelay {
-		cfg.Relay = &negotiator.RelayConfig{}
-	}
-	e, err := negotiator.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &negotiatorFabric{e: e, spec: s}, nil
+	return &coreFabric{Core: core, spec: s}, nil
 }
 
 // FailureScenario selects the shape of a failure plan. The vocabulary
@@ -649,8 +632,8 @@ func (e EventStat) FinishTime() Duration {
 	return e.End.Sub(e.Start)
 }
 
-// Fabric is a runnable network simulation: NegotiaToR or the
-// traffic-oblivious baseline.
+// Fabric is a runnable network simulation under any of the three control
+// planes.
 type Fabric interface {
 	// SetWorkload attaches the arrival stream; call before Run.
 	SetWorkload(Workload)
@@ -669,8 +652,8 @@ type Fabric interface {
 	MiceCDF(points int) []metrics.CDFPoint
 	// Events returns tagged application events (incasts) by tag.
 	Events() map[int]EventStat
-	// MatchRatioSeries returns the per-epoch accept/grant ratios
-	// (NegotiaToR only; nil for the baseline).
+	// MatchRatioSeries returns the per-epoch accept/grant ratios (nil for
+	// the oblivious baseline, which negotiates nothing).
 	MatchRatioSeries() []float64
 	// Spec returns the spec the fabric was built from.
 	Spec() Spec
@@ -691,21 +674,19 @@ type Fabric interface {
 // Workload is an arrival stream (re-exported).
 type Workload = workload.Generator
 
-type negotiatorFabric struct {
-	e    *negotiator.Engine
+// coreFabric is the one Fabric implementation. Every control plane runs
+// over, and reports through, the embedded fabric core: it supplies
+// SetWorkload, Run, RunEpochs, Drain, Snapshot and Restore, and the
+// methods below only translate its Results into the paper's units.
+type coreFabric struct {
+	*fabric.Core
 	spec Spec
 }
 
-func (f *negotiatorFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *negotiatorFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *negotiatorFabric) RunEpochs(k int)            { f.e.RunEpochs(k) }
-func (f *negotiatorFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *negotiatorFabric) Spec() Spec                 { return f.spec }
-func (f *negotiatorFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *negotiatorFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
+func (f *coreFabric) Spec() Spec { return f.spec }
 
-func (f *negotiatorFabric) Summary() Summary {
-	r := f.e.Results()
+func (f *coreFabric) Summary() Summary {
+	r := f.Results()
 	return Summary{
 		Flows:              r.FCT.Count(),
 		MiceFlows:          r.FCT.MiceCount(),
@@ -724,112 +705,16 @@ func (f *negotiatorFabric) Summary() Summary {
 	}
 }
 
-func (f *negotiatorFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
+func (f *coreFabric) MiceCDF(points int) []metrics.CDFPoint {
+	return f.MergedFCT().MiceCDF(points)
 }
 
-func (f *negotiatorFabric) Events() map[int]EventStat {
+func (f *coreFabric) Events() map[int]EventStat {
 	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
+	for tag, ts := range f.Tags {
 		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
 	}
 	return out
 }
 
-func (f *negotiatorFabric) MatchRatioSeries() []float64 {
-	return f.e.Results().MatchRatio.Series()
-}
-
-type obliviousFabric struct {
-	e    *oblivious.Engine
-	spec Spec
-}
-
-func (f *obliviousFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *obliviousFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *obliviousFabric) RunEpochs(k int)            { f.e.RunCycles(k) }
-func (f *obliviousFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *obliviousFabric) Spec() Spec                 { return f.spec }
-func (f *obliviousFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *obliviousFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
-
-func (f *obliviousFabric) Summary() Summary {
-	r := f.e.Results()
-	return Summary{
-		Flows:             r.FCT.Count(),
-		MiceFlows:         r.FCT.MiceCount(),
-		Mice99p:           r.FCT.MiceP(99),
-		MiceMean:          r.FCT.MiceMean(),
-		All99p:            r.FCT.P(99),
-		GoodputNormalized: r.Goodput.Normalized(r.Duration, f.spec.HostRate),
-		EpochLen:          f.e.CycleLen(),
-		Epochs:            r.Slots / int64(f.e.SlotsPerCycle()),
-		Injected:          r.Injected,
-		Delivered:         r.Delivered,
-		LostBytes:         r.LostBytes,
-		Duration:          r.Duration,
-	}
-}
-
-func (f *obliviousFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
-}
-
-func (f *obliviousFabric) Events() map[int]EventStat {
-	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
-		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
-	}
-	return out
-}
-
-func (f *obliviousFabric) MatchRatioSeries() []float64 { return nil }
-
-type hybridFabric struct {
-	e    *hybrid.Engine
-	spec Spec
-}
-
-func (f *hybridFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *hybridFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *hybridFabric) RunEpochs(k int)            { f.e.RunEpochs(k) }
-func (f *hybridFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *hybridFabric) Spec() Spec                 { return f.spec }
-func (f *hybridFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *hybridFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
-
-func (f *hybridFabric) Summary() Summary {
-	r := f.e.Results()
-	return Summary{
-		Flows:              r.FCT.Count(),
-		MiceFlows:          r.FCT.MiceCount(),
-		Mice99p:            r.FCT.MiceP(99),
-		MiceMean:           r.FCT.MiceMean(),
-		All99p:             r.FCT.P(99),
-		GoodputNormalized:  r.Goodput.Normalized(r.Duration, f.spec.HostRate),
-		MatchRatio:         r.MatchRatio.Mean(),
-		EpochLen:           r.EpochLen,
-		Epochs:             r.Epochs,
-		Injected:           r.Injected,
-		Delivered:          r.Delivered,
-		LostBytes:          r.LostBytes,
-		Duration:           r.Duration,
-		PeakReceiverBuffer: r.PeakReceiverBuffer,
-	}
-}
-
-func (f *hybridFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
-}
-
-func (f *hybridFabric) Events() map[int]EventStat {
-	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
-		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
-	}
-	return out
-}
-
-func (f *hybridFabric) MatchRatioSeries() []float64 {
-	return f.e.Results().MatchRatio.Series()
-}
+func (f *coreFabric) MatchRatioSeries() []float64 { return f.MatchRatio.Series() }

@@ -1,6 +1,7 @@
 package negotiator_test
 
 import (
+	"strings"
 	"testing"
 
 	negotiator "negotiator"
@@ -24,18 +25,18 @@ func TestDefaultSpecMatchesPaper(t *testing.T) {
 
 func TestBuildAllTopologySystemCombos(t *testing.T) {
 	for _, top := range []negotiator.Topology{negotiator.ParallelNetwork, negotiator.ThinClos} {
-		for _, obl := range []bool{false, true} {
+		for _, plane := range negotiator.ControlPlanes() {
 			spec := negotiator.SmallSpec()
 			spec.Topology = top
-			spec.Oblivious = obl
+			spec.ControlPlane = plane
 			fab, err := spec.Build()
 			if err != nil {
-				t.Fatalf("%v oblivious=%v: %v", top, obl, err)
+				t.Fatalf("%v %v: %v", top, plane, err)
 			}
 			fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.5, 1))
 			fab.Run(200 * negotiator.Microsecond)
 			if fab.Summary().Flows == 0 {
-				t.Errorf("%v oblivious=%v: no flows completed", top, obl)
+				t.Errorf("%v %v: no flows completed", top, plane)
 			}
 		}
 	}
@@ -53,8 +54,31 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := spec.Build(); err == nil {
 		t.Error("selective relay on parallel accepted")
 	}
+	for _, gbps := range []int64{0, -100} {
+		for _, plane := range negotiator.ControlPlanes() {
+			spec = negotiator.SmallSpec()
+			spec.ControlPlane = plane
+			spec.HostRate = negotiator.Gbps(gbps)
+			if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "HostRate") {
+				t.Errorf("%v: HostRate %d Gbps accepted (err %v)", plane, gbps, err)
+			}
+		}
+	}
 	spec = negotiator.SmallSpec()
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.HybridPlane
+	spec.Scheduler = negotiator.Iterative3
+	if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "NegotiaToR Matching") {
+		t.Errorf("hybrid with a scheduler variant accepted (err %v)", err)
+	}
+	spec = negotiator.SmallSpec()
+	spec.ControlPlane = negotiator.HybridPlane
+	spec.Topology = negotiator.ThinClos
+	spec.SelectiveRelay = true
+	if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "selective relay") {
+		t.Errorf("hybrid with selective relay accepted (err %v)", err)
+	}
+	spec = negotiator.SmallSpec()
+	spec.ControlPlane = negotiator.ObliviousPlane
 	spec.Failures = &negotiator.FailurePlan{Fraction: 0.1}
 	if _, err := spec.Build(); err != nil {
 		t.Errorf("failure plan on oblivious baseline rejected: %v", err)
@@ -126,10 +150,10 @@ func TestHeadlineResultShape(t *testing.T) {
 	// The paper's central claim at small scale: under heavy load,
 	// NegotiaToR's mice 99p FCT beats the traffic-oblivious baseline by a
 	// large factor, and goodput is at least comparable.
-	runSys := func(obl bool) negotiator.Summary {
+	runSys := func(plane negotiator.ControlPlaneKind) negotiator.Summary {
 		spec := negotiator.SmallSpec()
 		spec.Topology = negotiator.ThinClos
-		spec.Oblivious = obl
+		spec.ControlPlane = plane
 		fab, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +162,7 @@ func TestHeadlineResultShape(t *testing.T) {
 		fab.Run(3 * negotiator.Millisecond)
 		return fab.Summary()
 	}
-	neg, obl := runSys(false), runSys(true)
+	neg, obl := runSys(negotiator.NegotiaToRPlane), runSys(negotiator.ObliviousPlane)
 	if neg.Mice99p*5 > obl.Mice99p {
 		t.Errorf("NegotiaToR mice 99p %v should be >5x better than baseline %v",
 			neg.Mice99p, obl.Mice99p)
@@ -306,7 +330,7 @@ func TestSpecTimingKnobs(t *testing.T) {
 
 func TestObliviousSummaryCycle(t *testing.T) {
 	spec := negotiator.SmallSpec()
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.ObliviousPlane
 	fab, _ := spec.Build()
 	// 16 ToRs / 4 ports thin-... parallel: ceil(15/4)=4 slots x 60ns.
 	if got := fab.Summary().EpochLen; got != 240 {

@@ -56,7 +56,7 @@ func TestShardDeterminism(t *testing.T) {
 		}
 	}
 	obl := negotiator.SmallSpec()
-	obl.Oblivious = true
+	obl.ControlPlane = negotiator.ObliviousPlane
 	obl.Topology = negotiator.ThinClos
 	variants = append(variants, variant{"oblivious/thin-clos", obl})
 	for _, top := range []negotiator.Topology{negotiator.ParallelNetwork, negotiator.ThinClos} {
@@ -105,7 +105,7 @@ func TestShardDeterminismLargeFabric(t *testing.T) {
 	}
 	t.Run("oblivious", func(t *testing.T) {
 		spec := base
-		spec.Oblivious = true
+		spec.ControlPlane = negotiator.ObliviousPlane
 		spec.Topology = negotiator.ThinClos
 		want := shardRun(t, spec, 1, 12, 0.6)
 		for _, workers := range []int{2, 4, 8} {
@@ -117,11 +117,11 @@ func TestShardDeterminismLargeFabric(t *testing.T) {
 }
 
 // TestSummaryEpochsAndRunEpochs: the facade surfaces the scheduling-round
-// count, and RunEpochs steps exactly whole rounds on both fabrics.
+// count, and RunEpochs steps exactly whole rounds on every plane.
 func TestSummaryEpochsAndRunEpochs(t *testing.T) {
-	for _, obl := range []bool{false, true} {
+	for _, plane := range negotiator.ControlPlanes() {
 		spec := negotiator.SmallSpec()
-		spec.Oblivious = obl
+		spec.ControlPlane = plane
 		fab, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -129,10 +129,10 @@ func TestSummaryEpochsAndRunEpochs(t *testing.T) {
 		fab.RunEpochs(37)
 		sum := fab.Summary()
 		if sum.Epochs != 37 {
-			t.Errorf("oblivious=%v: Epochs = %d after RunEpochs(37)", obl, sum.Epochs)
+			t.Errorf("%v: Epochs = %d after RunEpochs(37)", plane, sum.Epochs)
 		}
 		if want := 37 * int64(sum.EpochLen); int64(sum.Duration) != want {
-			t.Errorf("oblivious=%v: duration %v, want %d epoch lengths", obl, sum.Duration, want)
+			t.Errorf("%v: duration %v, want %d epoch lengths", plane, sum.Duration, want)
 		}
 	}
 }
