@@ -47,31 +47,22 @@ import (
 
 func main() {
 	var (
-		id        = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		list      = flag.Bool("list", false, "list experiments")
-		quick     = flag.Bool("quick", false, "trim sweep points and duration for a smoke run")
-		duration  = flag.Duration("duration", 0, "simulated duration per run (e.g. 30ms; default 6ms, paper uses 30ms)")
-		tors      = flag.Int("tors", 0, "override network size (default 128 ToRs)")
-		seed      = flag.Int64("seed", 0, "seed offset")
-		parallel  = flag.Int("parallel", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = sequential)")
-		workers   = flag.Int("workers", 0, "ToR shards per simulation (intra-run parallelism; 0 = auto: sequential for paper experiments, GOMAXPROCS for scale-sweep). Results are identical at any value")
-		stateDir  = flag.String("state-dir", "", "persist completed cells here so a crashed sweep can be resumed with -resume")
-		resume    = flag.Bool("resume", false, "skip cells already completed by a previous -state-dir run; output stays byte-identical to an uninterrupted run")
-		cellTime  = flag.Duration("cell-timeout", 0, "wall-clock budget per simulation cell; a cell exceeding it is retried once, then quarantined (0 = no limit)")
-		flowGroup = flag.Int("flow-group", 1, "flow-group factor k (paper experiments replay trace-driven arrivals, which never coalesce, so only 1 is valid here)")
+		id       = flag.String("exp", "", "experiment id (see -list), or 'all'")
+		list     = flag.Bool("list", false, "list experiments")
+		quick    = flag.Bool("quick", false, "trim sweep points and duration for a smoke run")
+		duration = flag.Duration("duration", 0, "simulated duration per run (e.g. 30ms; default 6ms, paper uses 30ms)")
+		tors     = flag.Int("tors", 0, "override network size (default 128 ToRs)")
+		seed     = flag.Int64("seed", 0, "seed offset")
+		parallel = flag.Int("parallel", 0, "max concurrent simulation cells (0 = GOMAXPROCS, 1 = sequential)")
+		workers  = flag.Int("workers", 0, "ToR shards per simulation (intra-run parallelism; 0 = auto: sequential for paper experiments, GOMAXPROCS for scale-sweep). Results are identical at any value")
+		stateDir = flag.String("state-dir", "", "persist completed cells here so a crashed sweep can be resumed with -resume")
+		resume   = flag.Bool("resume", false, "skip cells already completed by a previous -state-dir run; output stays byte-identical to an uninterrupted run")
+		cellTime = flag.Duration("cell-timeout", 0, "wall-clock budget per simulation cell; a cell exceeding it is retried once, then quarantined (0 = no limit)")
 	)
 	flag.Parse()
 
 	if *resume && *stateDir == "" {
 		fmt.Fprintln(os.Stderr, "negotiator-exp: -resume requires -state-dir (there is nothing to resume from)")
-		os.Exit(2)
-	}
-	if *flowGroup < 1 {
-		fmt.Fprintf(os.Stderr, "negotiator-exp: -flow-group must be >= 1, got %d\n", *flowGroup)
-		os.Exit(2)
-	}
-	if *flowGroup > 1 {
-		fmt.Fprintf(os.Stderr, "negotiator-exp: -flow-group %d needs a coalescible workload: every experiment cell replays trace-driven arrivals, which are pairwise distinct, so grouping would multiply the offered load instead of aggregating identical flows\n", *flowGroup)
 		os.Exit(2)
 	}
 	if *cellTime < 0 {

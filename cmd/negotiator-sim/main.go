@@ -96,7 +96,6 @@ func main() {
 		failCycles  = flag.Int("fail-cycles", 0, "flapping cycle count (0 = 8)")
 		failPort    = flag.Int("fail-port", 0, "AWGR port index to kill on every ToR (port-group)")
 		failToR     = flag.Int("fail-tor", 0, "ToR index to power down (tor-down)")
-		flowGroup   = flag.Int("flow-group", 1, "flow-group factor k: each arrival stands for k identical host flows behind one record (trace-driven arrivals never coalesce, so only 1 is valid here)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "write a checkpoint every N epochs (requires -checkpoint-dir; 0 = off)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for the rolling checkpoint file (atomically replaced after every interval)")
@@ -130,12 +129,6 @@ func main() {
 	}
 	if *load < 0 {
 		fatalUsagef("-load must be >= 0, got %v", *load)
-	}
-	if *flowGroup < 1 {
-		fatalUsagef("-flow-group must be >= 1, got %d", *flowGroup)
-	}
-	if *flowGroup > 1 {
-		fatalUsagef("-flow-group %d needs a coalescible workload: this command's trace-driven Poisson arrivals are pairwise distinct, so grouping would multiply the offered load instead of aggregating identical flows; use the library's GroupWorkload with a permutation, hotspot or diurnal generator", *flowGroup)
 	}
 
 	spec := negotiator.DefaultSpec()
@@ -250,13 +243,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		// k == 1 is a strict no-op on the arrival stream; the wrapper still
-		// runs so the grouped code path is exercised on every invocation.
-		work, err := negotiator.GroupWorkload(negotiator.PoissonWorkload(sp, tr, *load, runSeed+6), *flowGroup)
-		if err != nil {
-			return err
-		}
-		fab.SetWorkload(work)
+		fab.SetWorkload(negotiator.PoissonWorkload(sp, tr, *load, runSeed+6))
 		start := time.Now()
 		if *restoreCkpt != "" {
 			if err := restoreCheckpoint(fab, *restoreCkpt); err != nil {

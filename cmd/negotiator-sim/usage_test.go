@@ -48,27 +48,6 @@ func checkUsageErrors(t *testing.T, bin string, cases []usageCase) {
 	}
 }
 
-// TestFlowGroupUsage pins the -flow-group validation contract through the
-// real binary: a factor below 1 is always malformed, and a factor above 1
-// is rejected here because this command's only workload is trace-driven
-// (pairwise-distinct arrivals cannot coalesce into groups). Both are usage
-// errors and must exit 2 with a diagnostic, matching the fatalUsagef
-// convention; a factor of exactly 1 must be accepted.
-func TestFlowGroupUsage(t *testing.T) {
-	bin := buildSim(t)
-	checkUsageErrors(t, bin, []usageCase{
-		{"below-one", []string{"-flow-group", "0"}, "-flow-group must be >= 1"},
-		{"trace-driven", []string{"-flow-group", "4"}, "coalescible"},
-	})
-
-	// The identity factor must run: a 4-ToR, short simulation.
-	out, err := exec.Command(bin, "-flow-group", "1", "-tors", "4", "-ports", "2",
-		"-duration", "100us").CombinedOutput()
-	if err != nil {
-		t.Fatalf("-flow-group 1 should be accepted: %v\n%s", err, out)
-	}
-}
-
 // TestRateUsage pins the host-rate and load validation: a host rate of
 // zero or below would hand the Poisson generator a zero rate, whose first
 // round injects an unbounded burst, and a negative load would silently

@@ -102,13 +102,6 @@ func OpenSweepState(dir, signature string, resume bool) (*SweepState, error) {
 	return s, nil
 }
 
-// Finished reports how many cells the manifest records as complete.
-func (s *SweepState) Finished() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.done)
-}
-
 func (s *SweepState) cellPath(key int) string {
 	return filepath.Join(s.dir, "cells", fmt.Sprintf("%06d.out", key))
 }

@@ -6,6 +6,43 @@ import (
 	"negotiator/internal/sim"
 )
 
+// Fill sets the snapshot to the plan's state at time t and returns it:
+// the dense O(N·S + events) rebuild the Cursor replaces, kept as its
+// test reference.
+func (p *Plan) Fill(st *State, t sim.Time) *State {
+	for i := range st.Egress {
+		for s := range st.Egress[i] {
+			st.Egress[i][s] = false
+			st.Ingress[i][s] = false
+		}
+	}
+	st.Count = 0
+	if p == nil {
+		return st
+	}
+	for _, e := range p.Events {
+		if !e.ActiveAt(t) {
+			continue
+		}
+		l := e.Link
+		if l.ToR < 0 || l.ToR >= len(st.Egress) || l.Port < 0 || l.Port >= len(st.Egress[l.ToR]) {
+			continue
+		}
+		if l.Ingress {
+			if !st.Ingress[l.ToR][l.Port] {
+				st.Ingress[l.ToR][l.Port] = true
+				st.Count++
+			}
+		} else {
+			if !st.Egress[l.ToR][l.Port] {
+				st.Egress[l.ToR][l.Port] = true
+				st.Count++
+			}
+		}
+	}
+	return st
+}
+
 // statesEqual compares a cursor snapshot against a Fill reference.
 func statesEqual(a, b *State) bool {
 	if a.Count != b.Count {

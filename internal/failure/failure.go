@@ -76,41 +76,6 @@ func NewState(n, s int) *State {
 	return st
 }
 
-// Fill sets the snapshot to the plan's state at time t and returns it.
-func (p *Plan) Fill(st *State, t sim.Time) *State {
-	for i := range st.Egress {
-		for s := range st.Egress[i] {
-			st.Egress[i][s] = false
-			st.Ingress[i][s] = false
-		}
-	}
-	st.Count = 0
-	if p == nil {
-		return st
-	}
-	for _, e := range p.Events {
-		if !e.ActiveAt(t) {
-			continue
-		}
-		l := e.Link
-		if l.ToR < 0 || l.ToR >= len(st.Egress) || l.Port < 0 || l.Port >= len(st.Egress[l.ToR]) {
-			continue
-		}
-		if l.Ingress {
-			if !st.Ingress[l.ToR][l.Port] {
-				st.Ingress[l.ToR][l.Port] = true
-				st.Count++
-			}
-		} else {
-			if !st.Egress[l.ToR][l.Port] {
-				st.Egress[l.ToR][l.Port] = true
-				st.Count++
-			}
-		}
-	}
-	return st
-}
-
 // PathOK reports whether the directed path src.port -> dst.port is healthy
 // in this snapshot.
 func (st *State) PathOK(src, dst, port int) bool {

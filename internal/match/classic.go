@@ -46,11 +46,12 @@ type grantRec struct {
 	pos int
 }
 
-// Classic is an iterative matcher with a selectable arbitration discipline,
-// implementing the crossbar schedulers the paper cites transplanted to the
-// ToR-matching setting. Classic{RRM, iters:1} is exactly the paper's
-// iterative variant baseline; ISLIP adds the accepted-grant pointer rule;
-// PIM replaces rings with random choice.
+// Classic is the iterated request/grant/accept matcher with a selectable
+// arbitration discipline: the crossbar schedulers the paper cites (§5)
+// transplanted to the ToR-matching setting. Classic{RRM} is the paper's
+// iterative variant of NegotiaToR Matching (Appendix A.2.1; the facade's
+// Iterative1/3/5); ISLIP adds the accepted-grant pointer rule; PIM
+// replaces rings with random choice.
 type Classic struct {
 	*Negotiator
 	kind  ArbiterKind
@@ -58,8 +59,11 @@ type Classic struct {
 	rng   *sim.RNG
 
 	b batchScratch
-	// Persistent Match scratch (see Iterative.Match): sorted distinct-ToR
-	// indexes so the grant/accept sweeps visit only active ToRs.
+	// Persistent Match scratch: per-dst requester lists plus the sorted
+	// distinct-dst index, and per-src grant lists plus the sorted
+	// distinct-src index, so the grant/accept sweeps visit only active
+	// ToRs (ascending, identical order to dense 0..N-1 scans) and the
+	// per-call slice allocations are gone.
 	reqBy     [][]int32
 	reqDsts   []int32
 	grants    [][]grantRec
@@ -135,11 +139,11 @@ func (m *Classic) pickAccept(src, port int, cands []int32) int {
 }
 
 // Match implements BatchMatcher: iterated request/grant/accept over one
-// request snapshot. Like Iterative.Match, the sweeps visit only requested
-// destinations and granted sources via sorted distinct-ToR indexes, port
-// busyness is epoch-stamped (no O(N·S) clear per call), ring picks are
-// word-scans over the candidates' domain positions, and only touched
-// sources' match rows are written (see BatchMatcher.Match).
+// request snapshot. The sweeps visit only requested destinations and
+// granted sources via sorted distinct-ToR indexes, port busyness is
+// epoch-stamped (no O(N·S) clear per call), ring picks are word-scans
+// over the candidates' domain positions, and only touched sources' match
+// rows are written (see BatchMatcher.Match).
 func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []int32 {
 	s := m.topo.Ports()
 	b := &m.b

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"negotiator/internal/sim"
+	"negotiator/internal/snap"
 )
 
 func runClassic(t *testing.T, kind ArbiterKind, iters, n, s int, epochs int) (matched float64) {
@@ -153,5 +154,43 @@ func TestClassicStatsConsistency(t *testing.T) {
 	}
 	if stats.Grants < stats.Accepts {
 		t.Errorf("grants %d < accepts %d", stats.Grants, stats.Accepts)
+	}
+}
+
+// TestClassicSnapshotTags pins the checkpoint compatibility rule: an RRM
+// Classic never draws from its RNG, so it writes the "iterative" tag and
+// the ring pointers only (the stream of the paper's iterative variant),
+// while PIM and iSLIP write "classic", the rings and four RNG words. A
+// stream restores, consuming every byte, exactly into the kinds that share
+// its tag.
+func TestClassicSnapshotTags(t *testing.T) {
+	top := parallel(t, 8, 2)
+	kinds := []struct {
+		kind     ArbiterKind
+		tag      string
+		rngWords int
+	}{{RRM, "iterative", 0}, {PIM, "classic", 4}, {ISLIP, "classic", 4}}
+	for _, tc := range kinds {
+		m := NewClassic(top, sim.NewRNG(3), 3, tc.kind)
+		var e snap.Enc
+		if err := SnapshotState(m, &e); err != nil {
+			t.Fatal(err)
+		}
+		var ref snap.Enc
+		ref.Str(tc.tag)
+		snapshotRings(m.Negotiator, &ref)
+		if got, want := len(e.Bytes()), len(ref.Bytes())+8*tc.rngWords; got != want {
+			t.Errorf("%s: %d bytes, want %d (tag %q, rings, %d RNG words)", tc.kind, got, want, tc.tag, tc.rngWords)
+		}
+		for _, into := range kinds {
+			d := snap.NewDec(e.Bytes())
+			err := RestoreState(NewClassic(top, sim.NewRNG(4), 3, into.kind), d)
+			if err == nil {
+				err = d.Finish()
+			}
+			if (err == nil) != (into.tag == tc.tag) {
+				t.Errorf("%s stream restored into %s: err = %v", tc.kind, into.kind, err)
+			}
+		}
 	}
 }

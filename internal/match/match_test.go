@@ -561,7 +561,7 @@ func TestIterativeImprovesMatching(t *testing.T) {
 	top := parallel(t, 32, 4)
 	view := fullBacklogView(32)
 	countMatched := func(iters int) int {
-		m := NewIterative(top, sim.NewRNG(18), iters)
+		m := NewClassic(top, sim.NewRNG(18), iters, RRM)
 		var reqs []Request
 		for src := 0; src < 32; src++ {
 			m.Requests(src, view, 0, 0, func(r Request) { reqs = append(reqs, r) })
@@ -599,7 +599,7 @@ func TestIterativeImprovesMatching(t *testing.T) {
 
 func TestIterativeConflictFreedom(t *testing.T) {
 	top := thinclos(t, 16, 4, 4)
-	m := NewIterative(top, sim.NewRNG(19), 3)
+	m := NewClassic(top, sim.NewRNG(19), 3, RRM)
 	view := fullBacklogView(16)
 	var reqs []Request
 	for src := 0; src < 16; src++ {
@@ -633,13 +633,13 @@ func TestMatchDelays(t *testing.T) {
 	if d := NewNegotiator(tp, sim.NewRNG(1)).MatchDelay(); d != 2 {
 		t.Errorf("base delay = %d, want 2", d)
 	}
-	if d := NewIterative(tp, sim.NewRNG(1), 1).MatchDelay(); d != 2 {
+	if d := NewClassic(tp, sim.NewRNG(1), 1, RRM).MatchDelay(); d != 2 {
 		t.Errorf("iter-1 delay = %d, want 2", d)
 	}
-	if d := NewIterative(tp, sim.NewRNG(1), 3).MatchDelay(); d != 8 {
+	if d := NewClassic(tp, sim.NewRNG(1), 3, RRM).MatchDelay(); d != 8 {
 		t.Errorf("iter-3 delay = %d, want 8", d)
 	}
-	if d := NewIterative(tp, sim.NewRNG(1), 5).MatchDelay(); d != 14 {
+	if d := NewClassic(tp, sim.NewRNG(1), 5, RRM).MatchDelay(); d != 14 {
 		t.Errorf("iter-5 delay = %d, want 14", d)
 	}
 }
@@ -656,7 +656,6 @@ func TestNames(t *testing.T) {
 		{NewHoLDelay(tp, rng), "hol-delay"},
 		{NewStateful(tp, rng, 1000), "stateful"},
 		{NewProjecToR(tp, rng), "projector"},
-		{NewIterative(tp, rng, 3), "iterative-3"},
 	} {
 		if got := tc.m.Name(); got != tc.want {
 			t.Errorf("Name = %q, want %q", got, tc.want)
@@ -745,13 +744,14 @@ func BenchmarkFullMatchStep(b *testing.B) {
 	}
 }
 
-// BenchmarkIterative3MatchStep is the batch path at paper scale.
+// BenchmarkIterative3MatchStep is the batch path at paper scale: the
+// paper's iterative variant, Classic{RRM} with 3 iterations.
 func BenchmarkIterative3MatchStep(b *testing.B) {
 	top, err := topo.NewParallel(128, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewIterative(top, sim.NewRNG(1), 3)
+	m := NewClassic(top, sim.NewRNG(1), 3, RRM)
 	view := fullBacklogView(128)
 	var reqs []Request
 	for src := 0; src < 128; src++ {

@@ -61,9 +61,10 @@ func (r *Ring) Pick(want func(pos int) bool) int {
 
 // PickMask returns the first position at or after the pointer (cyclically)
 // whose bit is set in mask, or -1 when mask is empty — Ring.Pick with an
-// is-set predicate, executed as a word-scan priority encoder (the
-// BitArbiter structure). Bits at or above Size must not be set. Like Pick
-// it does not move the pointer.
+// is-set predicate, executed as a word-scan programmable priority encoder
+// (the hardware round-robin arbiter of paper §3.6.2: find-first-set over
+// 64-bit words from a thermometer-masked pointer). Bits at or above Size
+// must not be set. Like Pick it does not move the pointer.
 func (r *Ring) PickMask(mask []uint64) int {
 	if r.n == 0 {
 		return -1

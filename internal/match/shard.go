@@ -24,7 +24,7 @@ package match
 //     (e.g. after a worker-count change) and the handles of the previous
 //     fork must no longer be used.
 //
-// Batch matchers (Iterative, Classic) satisfy Sharded through their
+// Batch matchers (Classic) satisfy Sharded through their
 // embedded Negotiator: the engine runs their Match serially on the
 // original instance and drives only the per-ToR Requests step on the
 // forked handles — which is exactly the promoted base Requests for the

@@ -1,6 +1,6 @@
 // Checkpoint support: the only state a matcher carries across epochs is
 // its round-robin ring pointers plus, per variant, the stateful demand
-// matrices, the ProjecToR rotation counters, and the classic PIM
+// matrices, the ProjecToR rotation counters, and the PIM/iSLIP
 // tie-break RNG. Everything else (candidate masks, per-epoch request
 // buffers, batch scratch) is rebuilt from scratch every epoch and is
 // deliberately not serialized.
@@ -29,7 +29,7 @@ func (r *Ring) SetPointer(p int) error {
 // the wrong scheduler configuration fails loudly instead of scrambling
 // ring state.
 func matcherKind(m Matcher) (string, bool) {
-	switch m.(type) {
+	switch v := m.(type) {
 	case *Negotiator:
 		return "matching", true
 	case *Informative:
@@ -38,9 +38,13 @@ func matcherKind(m Matcher) (string, bool) {
 		return "stateful", true
 	case *ProjecToR:
 		return "projector", true
-	case *Iterative:
-		return "iterative", true
 	case *Classic:
+		// An RRM Classic never draws from its RNG; it keeps the tag and
+		// the rings-only payload of the paper's iterative variant, so
+		// its checkpoints carry no RNG words.
+		if v.kind == RRM {
+			return "iterative", true
+		}
 		return "classic", true
 	}
 	return "", false
@@ -68,10 +72,11 @@ func SnapshotState(m Matcher, e *snap.Enc) error {
 		for _, r := range v.rotate {
 			e.Int(r)
 		}
-	case *Iterative:
-		snapshotRings(v.Negotiator, e)
 	case *Classic:
 		snapshotRings(v.Negotiator, e)
+		if v.kind == RRM {
+			break
+		}
 		st := v.rng.State()
 		for _, w := range st {
 			e.U64(w)
@@ -114,10 +119,8 @@ func RestoreState(m Matcher, d *snap.Dec) error {
 			v.rotate[i] = d.Int()
 		}
 		return d.Err()
-	case *Iterative:
-		return restoreRings(v.Negotiator, d)
 	case *Classic:
-		if err := restoreRings(v.Negotiator, d); err != nil {
+		if err := restoreRings(v.Negotiator, d); err != nil || v.kind == RRM {
 			return err
 		}
 		var st [4]uint64

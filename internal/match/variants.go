@@ -1,9 +1,6 @@
 package match
 
 import (
-	"fmt"
-	"slices"
-
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 )
@@ -536,150 +533,4 @@ func (m *Negotiator) pickPositions(ring *Ring, port int, cands []int32) int {
 		mask[p>>6] &^= 1 << (uint(p) & 63)
 	}
 	return pos
-}
-
-// Iterative is the iterative variant of NegotiaToR Matching
-// (Appendix A.2.1): after the base request/grant/accept round, unmatched
-// ports re-request for further rounds. Each extra iteration costs three
-// more epochs of scheduling delay.
-type Iterative struct {
-	*Negotiator
-	iters int
-
-	b batchScratch
-	// Persistent Match scratch: per-dst requester lists plus the sorted
-	// distinct-dst index, and per-src grant lists plus the sorted
-	// distinct-src index, so the grant/accept sweeps visit only active
-	// ToRs (ascending, identical order to the dense 0..N-1 scans) and
-	// the per-call slice allocations are gone.
-	reqBy     [][]int32
-	reqDsts   []int32
-	grants    [][]Grant
-	grantSrcs []int32
-}
-
-// NewIterative returns the iterative matcher with the given iteration
-// count (the paper evaluates 1, 3 and 5).
-func NewIterative(t topo.Topology, rng *sim.RNG, iters int) *Iterative {
-	if iters < 1 {
-		iters = 1
-	}
-	n, s := t.N(), t.Ports()
-	m := &Iterative{Negotiator: NewNegotiator(t, rng), iters: iters}
-	m.b = newBatchScratch(n, s)
-	m.reqBy = make([][]int32, n)
-	m.grants = make([][]Grant, n)
-	return m
-}
-
-func (m *Iterative) Name() string { return fmt.Sprintf("iterative-%d", m.iters) }
-
-// MatchDelay: 2 epochs for the first round plus 3 per extra iteration
-// (Appendix A.2.1: "For one more iteration, the scheduling delay is
-// enlarged by three epochs").
-func (m *Iterative) MatchDelay() int { return 2 + 3*(m.iters-1) }
-
-// Match runs the iterations over the request snapshot. The grant sweep
-// visits only requested destinations and the accept sweep only sources
-// holding grants, both through sorted distinct-ToR indexes that reproduce
-// the dense ascending scans exactly; port busyness is epoch-stamped (no
-// O(N·S) clear per call), every ring pick is a Ring.PickMask word-scan
-// over the candidates' domain positions, and only touched sources' match
-// rows are written (see BatchMatcher.Match).
-func (m *Iterative) Match(reqs []Request, matches [][]int32, stats *BatchStats) []int32 {
-	s := m.topo.Ports()
-	b := &m.b
-	b.begin()
-	for _, dst := range m.reqDsts {
-		m.reqBy[dst] = m.reqBy[dst][:0]
-	}
-	m.reqDsts = m.reqDsts[:0]
-	for _, r := range reqs {
-		if len(m.reqBy[r.Dst]) == 0 {
-			m.reqDsts = append(m.reqDsts, int32(r.Dst))
-		}
-		m.reqBy[r.Dst] = append(m.reqBy[r.Dst], int32(r.Src))
-	}
-	slices.Sort(m.reqDsts)
-	for iter := 0; iter < m.iters; iter++ {
-		// GRANT at each requested dst over its free ports.
-		granted := false
-		for _, dst32 := range m.reqDsts {
-			dst := int(dst32)
-			rings := m.grantRings[dst]
-			for port := 0; port < s; port++ {
-				if b.dstBusy[dst*s+port] == b.stamp {
-					continue
-				}
-				ring := rings[0]
-				if len(rings) > 1 {
-					ring = rings[port]
-				}
-				b.candPos = b.candPos[:0]
-				for _, src32 := range m.reqBy[dst] {
-					src := int(src32)
-					if src == dst || b.srcBusy[src*s+port] == b.stamp {
-						continue
-					}
-					if pos := m.domainPos(dst, port, src); pos >= 0 {
-						b.candPos = append(b.candPos, int32(pos))
-					}
-				}
-				pos := m.pickPositions(ring, port, b.candPos)
-				if pos < 0 {
-					continue
-				}
-				ring.Advance(pos)
-				src := m.topo.PortDomain(dst, port)[pos]
-				b.touch(src, matches)
-				if len(m.grants[src]) == 0 {
-					m.grantSrcs = append(m.grantSrcs, int32(src))
-				}
-				m.grants[src] = append(m.grants[src], Grant{Dst: dst, Port: port, Src: src})
-				if stats != nil {
-					stats.Grants++
-				}
-				granted = true
-			}
-		}
-		if !granted {
-			break
-		}
-		// ACCEPT at each granted src over its free ports.
-		slices.Sort(m.grantSrcs)
-		for _, src32 := range m.grantSrcs {
-			src := int(src32)
-			gs := m.grants[src]
-			for port := 0; port < s; port++ {
-				if b.srcBusy[src*s+port] == b.stamp {
-					continue
-				}
-				b.candPos = b.candPos[:0]
-				for _, g := range gs {
-					if g.Port != port {
-						continue
-					}
-					if pos := m.domainPos(src, port, g.Dst); pos >= 0 {
-						b.candPos = append(b.candPos, int32(pos))
-					}
-				}
-				ring := m.acceptRings[src][port]
-				pos := m.pickPositions(ring, port, b.candPos)
-				if pos < 0 {
-					continue
-				}
-				ring.Advance(pos)
-				dst := m.topo.PortDomain(src, port)[pos]
-				matches[src][port] = int32(dst)
-				b.srcBusy[src*s+port] = b.stamp
-				b.dstBusy[dst*s+port] = b.stamp
-				if stats != nil {
-					stats.Accepts++
-				}
-			}
-			m.grants[src] = m.grants[src][:0]
-		}
-		m.grantSrcs = m.grantSrcs[:0]
-	}
-	return b.touched
 }

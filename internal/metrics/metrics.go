@@ -210,9 +210,6 @@ func (ts *TimeSeries) Add(t sim.Time, n int64) {
 	ts.buckets[idx] += n
 }
 
-// BucketWidth returns the bucket duration.
-func (ts *TimeSeries) BucketWidth() sim.Duration { return ts.bucket }
-
 // Gbps returns the series as bandwidth per bucket in Gbps.
 func (ts *TimeSeries) Gbps() []float64 {
 	out := make([]float64, len(ts.buckets))
@@ -324,10 +321,6 @@ func (r *Ratio) Series() []float64 {
 
 // Len returns the number of observations.
 func (r *Ratio) Len() int { return len(r.num) }
-
-// FormatDuration renders a duration for experiment tables, choosing the
-// same units the paper uses (µs for FCT tables, ms for FCT figures).
-func FormatDuration(d sim.Duration) string { return d.String() }
 
 // EpochsOf expresses a duration in units of the given epoch length, the
 // unit used by the paper's Table 2.

@@ -69,14 +69,29 @@ func BenchmarkEpochLightLoad(b *testing.B) {
 	}
 }
 
+// controlStep runs one epoch's scheduling phases in isolation — ACCEPT,
+// GRANT and REQUEST plus the mailbox exchange (merge, one call per
+// shard), without data transmission and without Round's relay planning,
+// a sequential-only feature outside the control plane.
+func (e *Engine) controlStep(epochStart sim.Time, merge func(k int)) {
+	e.curEpochStart = epochStart
+	e.curGen = int(e.Rounds()) % e.stageLag
+	if e.batch != nil {
+		e.batchControl()
+		return
+	}
+	e.controlPhases(merge)
+}
+
 // BenchmarkControlStep isolates the distributed scheduling computation
 // (REQUEST + GRANT + ACCEPT for 128 ToRs).
 func BenchmarkControlStep(b *testing.B) {
 	e := benchEngine(b, "parallel", 1.0)
+	merge := func(k int) { e.shards[k].mergeStep() }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.controlStep(e.Now())
+		e.controlStep(e.Now(), merge)
 	}
 }
 

@@ -201,7 +201,6 @@ type Engine struct {
 	// count.
 	stepAccept        func(k int)
 	stepEmit          func(k int)
-	stepMergeOnly     func(k int)
 	stepMergeTransmit func(k int)
 	stepBatchPrep     func(k int)
 
@@ -413,7 +412,6 @@ func (e *Engine) initHotPath() {
 	// never constructs a closure per epoch.
 	e.stepAccept = func(k int) { e.shards[k].acceptStep() }
 	e.stepEmit = func(k int) { e.shards[k].emitStep() }
-	e.stepMergeOnly = func(k int) { e.shards[k].mergeStep() }
 	e.stepMergeTransmit = func(k int) { e.shards[k].mergeTransmitStep() }
 	e.stepBatchPrep = func(k int) { e.shards[k].batchPrepStep() }
 }
@@ -529,21 +527,6 @@ func (e *Engine) controlPhases(phaseC func(k int)) {
 		sh.accepts, sh.grants = 0, 0
 	}
 	e.MatchRatio.Observe(accepts, grants)
-}
-
-// controlStep runs one epoch's scheduling phases in isolation — ACCEPT,
-// GRANT and REQUEST plus the mailbox exchange, without data transmission
-// (and without Round's relay planning, a sequential-only feature outside
-// the control plane). Benchmarks use it to measure the distributed
-// scheduling computation alone.
-func (e *Engine) controlStep(epochStart sim.Time) {
-	e.curEpochStart = epochStart
-	e.curGen = int(e.Rounds()) % e.stageLag
-	if e.batch != nil {
-		e.batchControl()
-		return
-	}
-	e.controlPhases(e.stepMergeOnly)
 }
 
 // CheckRound implements fabric.RoundChecker, invoked under

@@ -287,7 +287,7 @@ func TestMatcherVariantsRun(t *testing.T) {
 			return match.NewProjecToR(tp, rng)
 		},
 		"iterative3": func(tp topo.Topology, tm Timing, rng *sim.RNG) match.Matcher {
-			return match.NewIterative(tp, rng, 3)
+			return match.NewClassic(tp, rng, 3, match.RRM)
 		},
 	}
 	for name, f := range factories {
@@ -317,7 +317,7 @@ func TestIterativeDelaysHurtFCT(t *testing.T) {
 		cfg.Piggyback = false
 		if iters > 0 {
 			cfg.NewMatcher = func(tp topo.Topology, tm Timing, rng *sim.RNG) match.Matcher {
-				return match.NewIterative(tp, rng, iters)
+				return match.NewClassic(tp, rng, iters, match.RRM)
 			}
 		}
 		e, _ := New(cfg)

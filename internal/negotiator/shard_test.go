@@ -43,7 +43,7 @@ func TestShardDeterminismEngine(t *testing.T) {
 		"hol-delay": func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewHoLDelay(tp, r) },
 		"stateful":  func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewStateful(tp, r, 20000) },
 		"projector": func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewProjecToR(tp, r) },
-		"iter3":     func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewIterative(tp, r, 3) },
+		"iter3":     func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewClassic(tp, r, 3, match.RRM) },
 		"islip":     func(tp topo.Topology, r *sim.RNG) match.Matcher { return match.NewClassic(tp, r, 3, match.ISLIP) },
 	}
 	for _, topoKind := range []string{"parallel", "thinclos"} {

@@ -144,28 +144,3 @@ func (t Timing) StageLag(predefinedSlots int) int {
 	}
 	return lag
 }
-
-// ForReconfigDelay derives a timing with a different guardband
-// (reconfiguration delay), keeping the message transmission time per
-// predefined slot and stretching the scheduled phase so the guardband share
-// of the epoch stays constant, as the paper does for Figure 8
-// ("the length of the scheduled phase is accordingly adjusted to control
-// the reconfiguration overhead"). predefinedSlots is the topology's
-// round-robin slot count.
-func (t Timing) ForReconfigDelay(guard sim.Duration, predefinedSlots int) Timing {
-	nt := t
-	nt.Guardband = guard
-	nt.PredefinedSlot = t.PredefinedSlot - t.Guardband + guard
-	share := t.GuardbandShare(predefinedSlots)
-	if share > 0 && guard > 0 {
-		// Solve slots' from: P*guard / (P*slot' + slots''*ScheduledSlot) = share.
-		guardTotal := float64(int64(guard) * int64(predefinedSlots))
-		predefLen := float64(int64(nt.PredefinedSlot) * int64(predefinedSlots))
-		slots := int((guardTotal/share - predefLen) / float64(t.ScheduledSlot))
-		if slots < 1 {
-			slots = 1
-		}
-		nt.ScheduledSlots = slots
-	}
-	return nt
-}

@@ -47,28 +47,6 @@ func TestStageLag(t *testing.T) {
 	}
 }
 
-func TestForReconfigDelayKeepsGuardbandShare(t *testing.T) {
-	tm := DefaultTiming()
-	base := tm.GuardbandShare(16)
-	for _, g := range []sim.Duration{20, 50, 100} {
-		nt := tm.ForReconfigDelay(g, 16)
-		if nt.Guardband != g {
-			t.Fatalf("guardband not applied: %v", nt.Guardband)
-		}
-		// Transmission time per predefined slot is preserved.
-		if got := nt.PredefinedSlot - nt.Guardband; got != 50 {
-			t.Errorf("g=%v: message time = %v, want 50ns", g, got)
-		}
-		share := nt.GuardbandShare(16)
-		if math.Abs(share-base) > 0.005 {
-			t.Errorf("g=%v: guardband share %.4f, want ~%.4f", g, share, base)
-		}
-		if g == 100 && nt.ScheduledSlots < 300 {
-			t.Errorf("g=100: scheduled slots = %d, want ~380 (stretched)", nt.ScheduledSlots)
-		}
-	}
-}
-
 func TestTimingValidate(t *testing.T) {
 	top, _ := topo.NewParallel(8, 2)
 	good := DefaultTiming()

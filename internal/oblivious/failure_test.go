@@ -30,7 +30,6 @@ func TestFailureConservation(t *testing.T) {
 	}{
 		{"sirius-lanes", func(c *Config) {}},
 		{"opportunistic", func(c *Config) { c.OpportunisticDirect = true }},
-		{"direct-only", func(c *Config) { c.DirectOnly = true }},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {

@@ -108,9 +108,6 @@ type Config struct {
 	// 4). Sirius sprays per cell; chunking trades a little spray
 	// uniformity for segment-bookkeeping memory.
 	SprayChunkCells int
-	// DirectOnly disables VLB relaying (degenerating into pure round-robin
-	// direct transmission); used by ablation tests.
-	DirectOnly bool
 	// OpportunisticDirect switches the service discipline from Sirius's
 	// uniform VLB spray (default: every byte takes two hops unless its
 	// random intermediate happens to be its destination) to the
@@ -297,7 +294,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.SprayChunkCells <= 0 {
 		e.cfg.SprayChunkCells = 4
 	}
-	e.lanes = !e.cfg.OpportunisticDirect && !e.cfg.DirectOnly
+	e.lanes = !e.cfg.OpportunisticDirect
 	fab, err := fabric.New(fabric.Config{
 		Topology:         cfg.Topology,
 		HostRate:         cfg.HostRate,
@@ -650,23 +647,18 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 	}
 }
 
-// serve fills the slot for the slot-time-spray disciplines
-// (OpportunisticDirect and DirectOnly ablations): one cell per slot chosen
+// serve fills the slot for the slot-time-spray discipline
+// (the OpportunisticDirect ablation): one cell per slot chosen
 // as [direct-to-j] > spray-from-any-queue, with the spray target decided
 // at slot time rather than pre-assigned (relay service already ran in
 // phase A).
 func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	e := sh.e
-	if e.cfg.OpportunisticDirect || e.cfg.DirectOnly {
+	if e.cfg.OpportunisticDirect && src.DirectQueuedBytes(j) > 0 {
 		// Direct traffic to j (source-side priority queues apply).
-		if src.DirectQueuedBytes(j) > 0 {
-			sh.txDst = j
-			src.TakeDirect(j, e.cell, sh.sentEmit)
-			return
-		}
-		if e.cfg.DirectOnly {
-			return
-		}
+		sh.txDst = j
+		src.TakeDirect(j, e.cell, sh.sentEmit)
+		return
 	}
 	// First hop: spray one fresh cell via j, bounded by j's relay headroom
 	// (idealised backpressure standing in for Sirius's congestion

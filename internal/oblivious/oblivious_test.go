@@ -79,21 +79,6 @@ func TestVLBTakesTwoHops(t *testing.T) {
 	}
 }
 
-func TestDirectOnlyNeverRelays(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.DirectOnly = true
-	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
-	e.Run(100 * sim.Microsecond)
-	r := e.Results()
-	if e.relayed != 0 {
-		t.Errorf("DirectOnly relayed %d bytes", e.relayed)
-	}
-	if r.Delivered != 20<<10 {
-		t.Errorf("delivered %d", r.Delivered)
-	}
-}
-
 func TestOpportunisticDirectRelaysLess(t *testing.T) {
 	// The RotorLB-style variant serves the connected peer's direct queue
 	// before spraying, so it relays strictly fewer bytes than pure VLB.

@@ -21,7 +21,6 @@ func TestOccupancyInvariant(t *testing.T) {
 	}{
 		{"sirius-lanes", func(c *Config) {}},
 		{"opportunistic", func(c *Config) { c.OpportunisticDirect = true }},
-		{"direct-only", func(c *Config) { c.DirectOnly = true }},
 		{"no-priority", func(c *Config) { c.PriorityQueues = false }},
 	}
 	for _, c := range cases {

@@ -35,7 +35,7 @@ func obFingerprint(t *testing.T, cfg Config, d sim.Duration, load float64) strin
 
 // TestShardDeterminismOblivious: the baseline must produce identical
 // results — including observer callback order — at every worker count,
-// for all three service disciplines.
+// for both service disciplines.
 func TestShardDeterminismOblivious(t *testing.T) {
 	for _, disc := range []struct {
 		name string
@@ -43,7 +43,6 @@ func TestShardDeterminismOblivious(t *testing.T) {
 	}{
 		{"vlb-lanes", func(*Config) {}},
 		{"opportunistic", func(c *Config) { c.OpportunisticDirect = true }},
-		{"direct-only", func(c *Config) { c.DirectOnly = true }},
 	} {
 		t.Run(disc.name, func(t *testing.T) {
 			d := 120 * sim.Microsecond

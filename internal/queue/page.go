@@ -173,9 +173,6 @@ func NewDestSlab(n int, priority bool) DestSlab {
 // pushed into at least once).
 func (s *DestSlab) Materialized() bool { return s.pages != nil }
 
-// Width returns the destination count the slab covers.
-func (s *DestSlab) Width() int { return s.n }
-
 // NumPages returns the page-table length.
 func (s *DestSlab) NumPages() int { return len(s.pages) }
 
@@ -306,9 +303,6 @@ func NewFIFOSlab(n int) FIFOSlab {
 
 // Materialized reports whether the slab itself exists.
 func (s *FIFOSlab) Materialized() bool { return s.pages != nil }
-
-// Width returns the destination count the slab covers.
-func (s *FIFOSlab) Width() int { return s.n }
 
 // NumPages returns the page-table length.
 func (s *FIFOSlab) NumPages() int { return len(s.pages) }

@@ -23,9 +23,6 @@ func (d *DestQueue) ForEachSegment(fn func(prio int, s Segment)) {
 	}
 }
 
-// NumPrios reports the number of priority levels (1 without PIAS).
-func (d *DestQueue) NumPrios() int { return len(d.prios) }
-
 // RestoreSegment pushes a checkpointed segment verbatim into the given
 // priority level, maintaining the aggregate byte counter exactly as the
 // normal push paths do.

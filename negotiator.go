@@ -27,6 +27,7 @@ package negotiator
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
@@ -323,15 +324,15 @@ func (s Spec) matcherFactory() func(topo.Topology, negotiator.Timing, *sim.RNG) 
 	switch s.Scheduler {
 	case Iterative1:
 		return func(t topo.Topology, tm negotiator.Timing, r *sim.RNG) match.Matcher {
-			return match.NewIterative(t, r, 1)
+			return match.NewClassic(t, r, 1, match.RRM)
 		}
 	case Iterative3:
 		return func(t topo.Topology, tm negotiator.Timing, r *sim.RNG) match.Matcher {
-			return match.NewIterative(t, r, 3)
+			return match.NewClassic(t, r, 3, match.RRM)
 		}
 	case Iterative5:
 		return func(t topo.Topology, tm negotiator.Timing, r *sim.RNG) match.Matcher {
-			return match.NewIterative(t, r, 5)
+			return match.NewClassic(t, r, 5, match.RRM)
 		}
 	case DataSizePriority:
 		return func(t topo.Topology, tm negotiator.Timing, r *sim.RNG) match.Matcher { return match.NewDataSize(t, r) }
@@ -395,6 +396,16 @@ func (s Spec) Build() (Fabric, error) {
 		// Workloads scale arrival rates and goodput normalises by it: zero
 		// would make a Poisson generator's gaps vanish.
 		return nil, fmt.Errorf("negotiator: Spec.HostRate (%d Gbps) must be positive", s.HostRate)
+	}
+	// A value outside an enum would fall through every switch to its
+	// default and run silently as something else.
+	switch {
+	case s.Topology != ParallelNetwork && s.Topology != ThinClos:
+		return nil, fmt.Errorf("negotiator: unknown Spec.Topology %d", s.Topology)
+	case !slices.Contains(ControlPlanes(), s.ControlPlane):
+		return nil, fmt.Errorf("negotiator: unknown Spec.ControlPlane %d", s.ControlPlane)
+	case s.Scheduler < Matching || s.Scheduler > ISLIPStyle:
+		return nil, fmt.Errorf("negotiator: unknown Spec.Scheduler %d", s.Scheduler)
 	}
 	top, err := s.buildTopology()
 	if err != nil {
@@ -539,6 +550,18 @@ type FailedLink struct {
 }
 
 func (p *FailurePlan) compile(s Spec) (*failure.Plan, error) {
+	// The failure constructors skip out-of-range links and clamp odd
+	// shapes, so anything they would quietly ignore is an error here.
+	if !slices.Contains(FailureScenarios(), p.Scenario) {
+		return nil, fmt.Errorf("negotiator: FailurePlan: unknown Scenario %d", p.Scenario)
+	}
+	if !(p.Fraction >= 0 && p.Fraction <= 1) {
+		return nil, fmt.Errorf("negotiator: FailurePlan: Fraction %v outside [0, 1]", p.Fraction)
+	}
+	if p.DetectDelay < 0 || p.Period < 0 || p.DownFor < 0 || p.Cycles < 0 {
+		return nil, fmt.Errorf("negotiator: FailurePlan: negative DetectDelay (%v), Period (%v), DownFor (%v) or Cycles (%d)",
+			p.DetectDelay, p.Period, p.DownFor, p.Cycles)
+	}
 	detect := p.DetectDelay
 	if detect == 0 {
 		detect = 3 * negotiator.DefaultTiming().EpochLen(16)
@@ -579,6 +602,9 @@ func (p *FailurePlan) compile(s Spec) (*failure.Plan, error) {
 	}
 	links := make([]failure.Link, len(p.Links))
 	for i, l := range p.Links {
+		if l.ToR < 0 || l.ToR >= s.ToRs || l.Port < 0 || l.Port >= s.Ports {
+			return nil, fmt.Errorf("negotiator: FailurePlan: link (tor %d, port %d) out of range [0, %d) x [0, %d)", l.ToR, l.Port, s.ToRs, s.Ports)
+		}
 		links[i] = failure.Link{ToR: l.ToR, Port: l.Port, Ingress: l.Ingress}
 	}
 	return failure.Single(links, p.FailAt, p.RecoverAt, detect), nil

@@ -124,6 +124,50 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := spec.Build(); err != nil {
 		t.Errorf("Workers == ToRs rejected: %v", err)
 	}
+	// Values that used to run exactly like a default, or like no failure
+	// plan at all, are rejected.
+	flap := func(edit func(*negotiator.FailurePlan)) func(*negotiator.Spec) {
+		return func(s *negotiator.Spec) {
+			s.Failures = &negotiator.FailurePlan{Scenario: negotiator.FlappingLinks, Fraction: 0.1, Period: negotiator.Millisecond}
+			edit(s.Failures)
+		}
+	}
+	links := func(l negotiator.FailedLink) func(*negotiator.Spec) {
+		return func(s *negotiator.Spec) { s.Failures = &negotiator.FailurePlan{Links: []negotiator.FailedLink{l}} }
+	}
+	fraction := func(f float64) func(*negotiator.Spec) {
+		return func(s *negotiator.Spec) { s.Failures = &negotiator.FailurePlan{Fraction: f} }
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*negotiator.Spec)
+	}{
+		{"link on tor 99", "out of range", links(negotiator.FailedLink{ToR: 99})},
+		{"link on port 99", "out of range", links(negotiator.FailedLink{Port: 99})},
+		{"link on tor -1", "out of range", links(negotiator.FailedLink{ToR: -1, Ingress: true})},
+		{"fraction 1.5", "Fraction", fraction(1.5)},
+		{"fraction -0.5", "Fraction", fraction(-0.5)},
+		{"negative DetectDelay", "negative", func(s *negotiator.Spec) {
+			s.Failures = &negotiator.FailurePlan{Fraction: 0.1, DetectDelay: -negotiator.Microsecond}
+		}},
+		{"negative Cycles", "negative", flap(func(p *negotiator.FailurePlan) { p.Cycles = -1 })},
+		{"negative DownFor", "negative", flap(func(p *negotiator.FailurePlan) { p.DownFor = -negotiator.Microsecond })},
+		{"negative Period on random links", "negative", func(s *negotiator.Spec) {
+			s.Failures = &negotiator.FailurePlan{Fraction: 0.1, Period: -negotiator.Microsecond}
+		}},
+		{"FailureScenario 42", "Scenario", func(s *negotiator.Spec) {
+			s.Failures = &negotiator.FailurePlan{Scenario: 42, Fraction: 0.1}
+		}},
+		{"Scheduler 99", "Scheduler", func(s *negotiator.Spec) { s.Scheduler = 99 }},
+		{"ControlPlaneKind 99", "ControlPlane", func(s *negotiator.Spec) { s.ControlPlane = 99 }},
+		{"Topology 99", "Topology", func(s *negotiator.Spec) { s.Topology = 99 }},
+	} {
+		spec := negotiator.SmallSpec()
+		tc.edit(&spec)
+		if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a rejection mentioning %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 func TestAllSchedulersBuildAndRun(t *testing.T) {
