@@ -113,11 +113,15 @@ func (c *Core) Snapshot(w io.Writer) error {
 // Restore applies a snapshot to a freshly built core. The caller must
 // have Bound the same control plane configuration and attached an
 // identically constructed workload generator (SetWorkload) first; Restore
-// replays the generator to the checkpointed position. The stream is fully
-// validated before any state mutates, so a corrupt or truncated
-// checkpoint leaves the core untouched. After applying state, Restore
-// re-verifies the rebuilt derived indexes (CheckOccupancy, and
-// CheckConservation under a failure plan).
+// replays the generator to the checkpointed position. The stream and
+// every section but NODE and FAIL decode and validate before any core
+// state mutates, and the plane state applies before the core's own, so
+// only a bad NODE or FAIL payload is caught after the core has changed;
+// any other corrupt, truncated or mismatched checkpoint leaves the core
+// untouched. A failure past the workload replay has drawn the attached
+// generator, which must be attached afresh before a retry. After applying
+// state, Restore re-verifies the rebuilt derived indexes (CheckOccupancy,
+// and CheckConservation under a failure plan).
 func (c *Core) Restore(r io.Reader) error {
 	sp, ok := c.plane.(StatefulPlane)
 	if !ok {
@@ -170,6 +174,18 @@ func (c *Core) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	var tags map[int]*TagStat
+	if sec, ok := s.Section(secTags); ok {
+		if tags, err = decodeTags(sec); err != nil {
+			return err
+		}
+	}
+	applyMetrics := func() {}
+	if sec, ok := s.Section(secMetr); ok {
+		if applyMetrics, err = c.decodeMetrics(sec); err != nil {
+			return err
+		}
+	}
 	planeSec, ok := s.Section(secPlane)
 	if !ok {
 		return fmt.Errorf("fabric: checkpoint missing %s section", secPlane)
@@ -179,6 +195,12 @@ func (c *Core) Restore(r io.Reader) error {
 	// anything else: a replay mismatch (wrong generator attached) must not
 	// leave a half-restored core.
 	if err := c.replayWorkload(core); err != nil {
+		return err
+	}
+	// The plane's state is its own (no core field feeds it), so it applies
+	// before the core's: a plane payload that fails to decode leaves the
+	// core untouched.
+	if err := sp.RestorePlaneState(planeSec); err != nil {
 		return err
 	}
 
@@ -194,16 +216,10 @@ func (c *Core) Restore(r io.Reader) error {
 	c.pendingLosses = core.pendingLosses
 	c.RNG.SetState(core.rng)
 
-	if tags, ok := s.Section(secTags); ok {
-		if err := c.decodeTags(tags); err != nil {
-			return err
-		}
+	for k, ts := range tags {
+		c.Tags[k] = ts
 	}
-	if metr, ok := s.Section(secMetr); ok {
-		if err := c.decodeMetrics(metr); err != nil {
-			return err
-		}
-	}
+	applyMetrics()
 	for _, payload := range s.Sections(secNode) {
 		if err := c.decodeNode(payload, byID); err != nil {
 			return err
@@ -225,9 +241,6 @@ func (c *Core) Restore(r io.Reader) error {
 		if kNow != failure.NeverAdvanced {
 			c.knownCur.AdvanceTo(kNow)
 		}
-	}
-	if err := sp.RestorePlaneState(planeSec); err != nil {
-		return err
 	}
 
 	// The rebuilt derived state must satisfy the same invariants a live run
@@ -369,9 +382,12 @@ func (c *Core) encodeTags() []byte {
 	return e.Bytes()
 }
 
-func (c *Core) decodeTags(payload []byte) error {
+// decodeTags decodes the tagged-event table; Restore installs it only once
+// every read-only check has passed.
+func decodeTags(payload []byte) (map[int]*TagStat, error) {
 	d := snap.NewDec(payload)
-	n := int(d.U32())
+	n := d.Count(40) // key + start + end + flows + done
+	tags := make(map[int]*TagStat, n)
 	for i := 0; i < n; i++ {
 		k := d.Int()
 		ts := &TagStat{
@@ -380,11 +396,9 @@ func (c *Core) decodeTags(payload []byte) error {
 			Flows: d.Int(),
 			Done:  d.Int(),
 		}
-		if d.Err() == nil {
-			c.Tags[k] = ts
-		}
+		tags[k] = ts
 	}
-	return d.Finish()
+	return tags, d.Finish()
 }
 
 // encodeMetrics captures the MERGED per-shard accumulators. Restore
@@ -440,13 +454,16 @@ func (c *Core) encodeMetrics() []byte {
 	return e.Bytes()
 }
 
-func (c *Core) decodeMetrics(payload []byte) error {
+// decodeMetrics decodes and validates the merged metrics and returns the
+// step that installs them, which Restore runs only once every read-only
+// check has passed.
+func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 	d := snap.NewDec(payload)
-	all := make([]sim.Duration, int(d.U32()))
+	all := make([]sim.Duration, d.Count(8))
 	for i := range all {
 		all[i] = sim.Duration(d.I64())
 	}
-	mice := make([]sim.Duration, int(d.U32()))
+	mice := make([]sim.Duration, d.Count(8))
 	for i := range mice {
 		mice[i] = sim.Duration(d.I64())
 	}
@@ -459,15 +476,21 @@ func (c *Core) decodeMetrics(payload []byte) error {
 			break
 		}
 		if dst < 0 || dst >= c.N {
-			return fmt.Errorf("fabric: checkpoint goodput destination %d out of range", dst)
+			return nil, fmt.Errorf("fabric: checkpoint goodput destination %d out of range", dst)
 		}
 		perToR[dst] = v
 	}
 	haveRx := d.Bool()
 	if haveRx != (c.RxBuffers != nil) {
-		return fmt.Errorf("fabric: checkpoint receiver-buffer presence (%v) does not match core configuration (%v)",
+		return nil, fmt.Errorf("fabric: checkpoint receiver-buffer presence (%v) does not match core configuration (%v)",
 			haveRx, c.RxBuffers != nil)
 	}
+	type rxState struct {
+		dst           int
+		last          sim.Time
+		backlog, peak int64
+	}
+	var rx []rxState
 	if haveRx {
 		rn := int(d.U32())
 		for i := 0; i < rn; i++ {
@@ -477,18 +500,22 @@ func (c *Core) decodeMetrics(payload []byte) error {
 				break
 			}
 			if dst < 0 || dst >= c.N {
-				return fmt.Errorf("fabric: checkpoint receiver buffer %d out of range", dst)
+				return nil, fmt.Errorf("fabric: checkpoint receiver buffer %d out of range", dst)
 			}
-			c.RxBuffers[dst].RestoreState(last, backlog, peak)
+			rx = append(rx, rxState{dst, last, backlog, peak})
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return err
+		return nil, err
 	}
-	c.Shards[0].FCT.RestoreSamples(all, mice)
-	c.fct = nil
-	c.Shards[0].Goodput.RestorePerToR(perToR)
-	return nil
+	return func() {
+		for _, r := range rx {
+			c.RxBuffers[r.dst].RestoreState(r.last, r.backlog, r.peak)
+		}
+		c.Shards[0].FCT.RestoreSamples(all, mice)
+		c.fct = nil
+		c.Shards[0].Goodput.RestorePerToR(perToR)
+	}, nil
 }
 
 // liveFlows collects every flow still referenced by the fabric — queued
@@ -547,7 +574,7 @@ func encodeFlows(live []*flows.Flow) []byte {
 
 func decodeFlows(payload []byte, flowSeq int64, groups map[int64]int32) (map[int64]*flows.Flow, error) {
 	d := snap.NewDec(payload)
-	n := int(d.U32())
+	n := d.Count(64) // eight 8-byte fields per flow record
 	byID := make(map[int64]*flows.Flow, n)
 	for i := 0; i < n; i++ {
 		f := &flows.Flow{
@@ -621,7 +648,7 @@ func encodeGroups(live []*flows.Flow, pending workload.Arrival, havePending bool
 func decodeGroups(payload []byte) (map[int64]int32, int32, error) {
 	d := snap.NewDec(payload)
 	pendCount := int32(d.U32())
-	n := int(d.U32())
+	n := d.Count(12) // flow ID + member count
 	counts := make(map[int64]int32, n)
 	for i := 0; i < n; i++ {
 		id := d.I64()

@@ -49,7 +49,7 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // PlaneState, applied to a freshly constructed engine.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
-	rn := int(d.U32())
+	rn := d.Count(16) // one numerator and one denominator per entry
 	num := make([]int64, rn)
 	den := make([]int64, rn)
 	for i := range num {

@@ -86,7 +86,7 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // the same invariants CheckRound asserts.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
-	rn := int(d.U32())
+	rn := d.Count(16) // one numerator and one denominator per entry
 	num := make([]int64, rn)
 	den := make([]int64, rn)
 	for i := range num {

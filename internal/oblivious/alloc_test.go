@@ -15,12 +15,8 @@ import (
 // arrays at steady capacity, workload exhausted. Each further slot
 // exercises the full service path — relay drains, lane heads, VOQ
 // admission — with no flow completing inside the measured window.
-func steadySlotEngine(tb testing.TB, warmupSlots int) *Engine {
+func steadySlotEngine(tb testing.TB, top topo.Topology, warmupSlots int) *Engine {
 	tb.Helper()
-	top, err := topo.NewThinClos(128, 8, 16)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	e, err := New(Config{
 		Topology:        top,
 		HostRate:        sim.Gbps(400),
@@ -53,10 +49,12 @@ func TestSlotSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale engine in -short mode")
 	}
-	e := steadySlotEngine(t, 2000)
-	allocs := testing.AllocsPerRun(100, func() { e.RunRound() })
-	if allocs != 0 {
-		t.Errorf("steady-state slot allocates %.1f objects/slot, want 0", allocs)
+	for _, top := range slotBenchTopologies(t) {
+		e := steadySlotEngine(t, top, 2000)
+		allocs := testing.AllocsPerRun(100, func() { e.RunRound() })
+		if allocs != 0 {
+			t.Errorf("%s: steady-state slot allocates %.1f objects/slot, want 0", top.Name(), allocs)
+		}
 	}
 }
 
@@ -64,10 +62,5 @@ func TestSlotSteadyStateZeroAlloc(t *testing.T) {
 // slot (companion to BenchmarkSlotSaturated, which includes Poisson flow
 // churn).
 func BenchmarkSlotSteadyState(b *testing.B) {
-	e := steadySlotEngine(b, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRound()
-	}
+	benchSlots(b, func(b *testing.B, top topo.Topology) *Engine { return steadySlotEngine(b, top, 2000) })
 }

@@ -8,12 +8,23 @@ import (
 	"negotiator/internal/workload"
 )
 
-func benchEngine(b *testing.B, load float64) *Engine {
-	b.Helper()
-	top, err := topo.NewThinClos(128, 8, 16)
+// slotBenchTopologies are the 128-ToR, 8-port fabrics the dense-regime
+// slot benchmarks run on: thin-clos, and the parallel network the
+// oblivious-incast benchmark workload uses.
+func slotBenchTopologies(tb testing.TB) []topo.Topology {
+	tc, err := topo.NewThinClos(128, 8, 16)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	par, err := topo.NewParallel(128, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []topo.Topology{tc, par}
+}
+
+func benchEngine(b *testing.B, top topo.Topology, load float64) *Engine {
+	b.Helper()
 	e, err := New(Config{
 		Topology:       top,
 		HostRate:       sim.Gbps(400),
@@ -28,23 +39,27 @@ func benchEngine(b *testing.B, load float64) *Engine {
 	return e
 }
 
+// benchSlots times one RunRound per iteration of an engine per topology.
+func benchSlots(b *testing.B, build func(b *testing.B, top topo.Topology) *Engine) {
+	for _, top := range slotBenchTopologies(b) {
+		b.Run(top.Name(), func(b *testing.B) {
+			e := build(b, top)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.RunRound()
+			}
+		})
+	}
+}
+
 // BenchmarkSlotSaturated measures one round-robin timeslot (1024 port
 // decisions: relay, spray-lane head, VOQ admission) at full load.
 func BenchmarkSlotSaturated(b *testing.B) {
-	e := benchEngine(b, 1.0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRound()
-	}
+	benchSlots(b, func(b *testing.B, top topo.Topology) *Engine { return benchEngine(b, top, 1.0) })
 }
 
 // BenchmarkSlotLight is the near-idle slot cost.
 func BenchmarkSlotLight(b *testing.B) {
-	e := benchEngine(b, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunRound()
-	}
+	benchSlots(b, func(b *testing.B, top topo.Topology) *Engine { return benchEngine(b, top, 0.05) })
 }

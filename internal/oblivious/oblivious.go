@@ -27,7 +27,6 @@ package oblivious
 
 import (
 	"fmt"
-	"slices"
 
 	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
@@ -222,11 +221,12 @@ type obShard struct {
 	pushes      []obPush
 	transits    []obTransit
 
-	// drainCands is drainSparse's reusable candidate scratch: packed
-	// (source<<40 | port<<20 | dst) triples, sorted to restore the dense
-	// walk's service order. Kept on the shard so steady-state slots stay
-	// allocation-free.
-	drainCands []uint64
+	// drainMarks is drainSparse's candidate set over the shard's
+	// connections, indexed like usedStamp ((tor-lo)*s + port): ascending
+	// iteration yields the holder walk's (source, port) service order
+	// without a sort, and the walk clears every bit it visits, so the set
+	// is empty again between slots.
+	drainMarks fabric.OccSet
 
 	// Emitter context + prebuilt closures (no per-take closure allocs).
 	// txLost marks the current connection's actual link state down
@@ -351,7 +351,8 @@ func (e *Engine) initShards() {
 	e.shards = make([]*obShard, e.Workers)
 	for k := 0; k < e.Workers; k++ {
 		fs := e.Shards[k]
-		sh := &obShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs, usedStamp: make([]int64, (fs.Hi-fs.Lo)*e.s), txVia: -1}
+		conns := (fs.Hi - fs.Lo) * e.s
+		sh := &obShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs, usedStamp: make([]int64, conns), drainMarks: fabric.NewOccSet(conns), txVia: -1}
 		// Losses requeue into the queue set the discipline actually
 		// serves: lanes under Sirius spray, direct under the ablations.
 		sh.lossClass = fabric.RequeueDirect
@@ -479,47 +480,43 @@ func (e *Engine) CheckRound() {
 // drainStep is phase A for one shard: second-hop relay traffic destined to
 // each connected peer, for this shard's ToRs. Relay traffic must not
 // accumulate, so a connection carrying it is consumed for the slot.
+//
+// Two walks find the connections to drain, with byte-identical results.
+// The holder walk visits every node with relay backlog and probes each of
+// its S connections once. VLB spraying makes nearly every node a relay
+// holder even when only a handful of flows are live — 256 flows sprayed
+// across 65,536 intermediates leave backlog everywhere — so that walk is
+// O(width) in exactly the sparse regime that must not pay it. The number
+// of relay DESTINATIONS tracks live flows, not width, and drainSparse
+// walks those instead; it touches each candidate connection twice (mark,
+// then visit) where the holder walk touches it once. So the inverted walk
+// runs only when it is the cheaper one: with fewer than half as many relay
+// destinations as relay holders. Under dense spray at 128 ToRs both sets
+// hold about N members and the holder walk runs; at 256 active ToRs of
+// 4096 and more, a few hundred destinations face thousands of holders.
 func (sh *obShard) drainStep() {
-	e := sh.e
-	slotNo := e.Rounds()
-	// The shard's relay occupancy set walks straight to the nodes holding
-	// relay backlog, so the drain phase is O(relay-active nodes · S) with
-	// no dense scan at all; draining a node empty clears its own bit,
-	// which is safe mid-iteration (Next only looks ahead).
-	//
-	// VLB spraying makes nearly every node a relay HOLDER even when only a
-	// handful of flows are live — 256 flows sprayed across 65,536
-	// intermediates leave backlog everywhere — so the holder walk is still
-	// O(width) in exactly the sparse regime that must not pay it. The
-	// number of relay DESTINATIONS tracks live flows, not width; when it is
-	// the smaller side, invert the walk over destinations instead.
-	occ := &sh.fs.ActiveRelay
-	if dsts, nd := sh.fs.RelayDsts(); nd > 0 && nd < occ.Count() {
+	slotNo := sh.e.Rounds()
+	if dsts, nd := sh.fs.RelayDsts(); 2*nd < sh.fs.ActiveRelay.Count() {
 		sh.drainSparse(dsts, slotNo)
 		return
 	}
+	sh.drainHolders(slotNo)
+}
+
+// drainHolders is drainStep's holder walk: the shard's relay occupancy set
+// leads straight to the nodes holding relay backlog, so the walk is
+// O(relay-active nodes · S) with no dense scan at all; draining a node
+// empty clears its own bit, which is safe mid-iteration (Next only looks
+// ahead).
+func (sh *obShard) drainHolders(slotNo int64) {
+	e := sh.e
+	occ := &sh.fs.ActiveRelay
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
-		src := e.Nodes[i]
 		for s := 0; s < e.s; s++ {
-			j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot)
-			if j < 0 {
-				continue
+			if j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot); j >= 0 {
+				sh.drainConn(i, s, j, slotNo)
 			}
-			// A link the fabric knows is down is excluded from service
-			// (the slot is not scheduled, so serve keeps it gated too); a
-			// link that is down but undetected transmits into the void.
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
-				continue
-			}
-			if !src.RelayHeadReady(j, e.slotStart) {
-				continue
-			}
-			sh.txDst = j
-			sh.txNode = src
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
-			src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
-			sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
 		}
 	}
 }
@@ -527,46 +524,54 @@ func (sh *obShard) drainStep() {
 // drainSparse is drainStep's destination-inverted walk. Within one slot the
 // predefined schedule is a permutation per port, so for every backlogged
 // destination j and port s there is at most one source i with
-// PredefinedPeer(i, s) == j — PredefinedSource names it directly. Collecting
-// this shard's (i, s, j) candidates and sorting the packed triples restores
-// the dense walk's (i ascending, s ascending) service order, so the drains,
-// the deferred records and the usedStamp marks are byte-identical to the
-// dense path; a candidate whose source holds no ready backlog for j fails
-// the same RelayHeadReady gate that skips it there. Candidates are fixed
-// before any drain runs, so destination bits clearing as VOQs empty cannot
-// perturb the walk. Cost: O(relay-destinations · S) per shard plus the sort,
-// independent of fabric width.
+// PredefinedPeer(i, s) == j — PredefinedSource names it directly. Marking
+// each in-shard candidate's connection bit ((i-lo)*S + s, the usedStamp
+// index) and then iterating the marks in ascending order visits the
+// candidates in the holder walk's (i ascending, s ascending) service
+// order, with j recomputed by PredefinedPeer, so the drains, the deferred
+// records and the usedStamp marks are byte-identical to that walk; a
+// candidate whose source holds no ready backlog for j fails the same
+// RelayHeadReady gate that skips it there. Every mark is placed before any
+// drain runs, so destination bits clearing as VOQs empty cannot perturb
+// the walk, and the visit clears each mark, so no per-slot reset is
+// needed. Cost: O(relay-destinations · S) per shard, independent of fabric
+// width.
 func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 	e := sh.e
-	cands := sh.drainCands[:0]
+	marks := &sh.drainMarks
 	for j := dsts.Next(-1); j >= 0; j = dsts.Next(j) {
 		for s := 0; s < e.s; s++ {
-			i := e.top.PredefinedSource(j, s, e.slotT, e.slotRot)
-			if i < sh.lo || i >= sh.hi {
-				continue
+			if i := e.top.PredefinedSource(j, s, e.slotT, e.slotRot); i >= sh.lo && i < sh.hi {
+				marks.Set((i-sh.lo)*e.s + s)
 			}
-			cands = append(cands, uint64(i)<<40|uint64(s)<<20|uint64(j))
 		}
 	}
-	slices.Sort(cands)
-	sh.drainCands = cands
-	for _, c := range cands {
-		i := int(c >> 40)
-		s := int(c>>20) & (1<<20 - 1)
-		j := int(c & (1<<20 - 1))
-		src := e.Nodes[i]
-		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
-			continue
-		}
-		if !src.RelayHeadReady(j, e.slotStart) {
-			continue
-		}
-		sh.txDst = j
-		sh.txNode = src
-		sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
-		src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
-		sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
+	for c := marks.Next(-1); c >= 0; c = marks.Next(c) {
+		marks.Clear(c)
+		di := c / e.s
+		i, s := sh.lo+di, c-di*e.s
+		sh.drainConn(i, s, e.top.PredefinedPeer(i, s, e.slotT, e.slotRot), slotNo)
 	}
+}
+
+// drainConn drains one cell of source i's relay VOQ for j over its port s
+// and marks the connection consumed. A link the fabric knows is down is
+// excluded from service (the slot is not scheduled, so serve keeps it
+// gated too); a link that is down but undetected transmits into the void.
+func (sh *obShard) drainConn(i, s, j int, slotNo int64) {
+	e := sh.e
+	if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+		return
+	}
+	src := e.Nodes[i]
+	if !src.RelayHeadReady(j, e.slotStart) {
+		return
+	}
+	sh.txDst = j
+	sh.txNode = src
+	sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
+	src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
+	sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
 }
 
 // serveStep is phase B for one shard: fresh-data service on the
@@ -596,7 +601,7 @@ func (sh *obShard) serveStep() {
 			}
 			// Every transmission of slot (i, s) rides the same fibre pair,
 			// so the known-failure gate and the actual-loss flag apply to
-			// the connection as a whole (see drainStep).
+			// the connection as a whole (see drainConn).
 			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
 				continue
 			}

@@ -277,6 +277,23 @@ func (d *Dec) Bool() bool {
 	}
 }
 
+// Count reads a U32 element count that the decoder is about to allocate or
+// loop for, each element taking at least minElemBytes of the payload. A
+// count the remaining payload cannot hold sets the sticky error and
+// returns 0, so a corrupt count (a CRC guards bytes, not meaning) never
+// sizes an allocation or a loop beyond the payload it came with.
+func (d *Dec) Count(minElemBytes int) int {
+	n := d.U32()
+	if d.err != nil {
+		return 0
+	}
+	if rem := len(d.b) - d.off; int64(n) > int64(rem/minElemBytes) {
+		d.err = fmt.Errorf("snap: count %d at offset %d needs at least %d bytes per element, %d remain", n, d.off-4, minElemBytes, rem)
+		return 0
+	}
+	return int(n)
+}
+
 // Str reads a length-prefixed string.
 func (d *Dec) Str() string {
 	n := d.U32()

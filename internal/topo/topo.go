@@ -96,6 +96,7 @@ type Topology interface {
 // wavelength crossbar. Any source can reach any destination on any port.
 type Parallel struct {
 	n, s    int
+	span    int     // PredefinedSlots()*s: the schedule's offset period
 	domains [][]int // one shared domain: all ToRs
 }
 
@@ -108,7 +109,9 @@ func NewParallel(n, s int) (*Parallel, error) {
 	for i := range all {
 		all[i] = i
 	}
-	return &Parallel{n: n, s: s, domains: [][]int{all}}, nil
+	p := &Parallel{n: n, s: s, domains: [][]int{all}}
+	p.span = p.PredefinedSlots() * s
+	return p, nil
 }
 
 func (p *Parallel) N() int     { return p.n }
@@ -140,27 +143,37 @@ func (p *Parallel) PredefinedSlots() int { return (p.n - 2 + p.s) / p.s } // cei
 // is conflict-free, and over one phase every ordered pair meets exactly
 // once. Incrementing the rotation r each epoch shifts which port serves a
 // given pair, cycling through all S ports over S epochs.
+//
+// The slot loops call this once per (ToR, port) per timeslot, so it costs
+// one integer division: offsets k >= N-1 (padding when S doesn't divide
+// N-1, and the wrap onto self) are idle, and every other k keeps
+// i + 1 + k below 2N, where one conditional subtract replaces the mod.
 func (p *Parallel) PredefinedPeer(i, s, t, r int) int {
-	span := p.PredefinedSlots() * p.s
-	k := (t*p.s + s + r) % span
-	j := (i + 1 + k) % p.n
-	if j == i || k >= p.n-1 {
-		// Offsets beyond n-2 (padding when S doesn't divide N-1) and the
-		// wrap onto self are idle.
+	k := (t*p.s + s + r) % p.span
+	if k >= p.n-1 {
 		return -1
+	}
+	j := i + 1 + k
+	if j >= p.n {
+		j -= p.n
 	}
 	return j
 }
 
 // PredefinedSource inverts the rotating schedule within one slot: the
-// same offset k that takes i forward to j takes j back to i.
+// same offset k that takes i forward to j takes j back to i. As in
+// PredefinedPeer, k < N-1 keeps j - 1 - k above -N, so one conditional
+// add replaces the mod.
 func (p *Parallel) PredefinedSource(j, s, t, r int) int {
-	span := p.PredefinedSlots() * p.s
-	k := (t*p.s + s + r) % span
+	k := (t*p.s + s + r) % p.span
 	if k >= p.n-1 {
 		return -1 // schedule padding: no source transmits on this offset
 	}
-	return ((j-1-k)%p.n + p.n) % p.n
+	i := j - 1 - k
+	if i < 0 {
+		i += p.n
+	}
+	return i
 }
 
 func (p *Parallel) PathPort(src, dst int) int {
@@ -176,9 +189,8 @@ func (p *Parallel) PredefinedSlotPort(i, j, r int) (slot, port int) {
 	if i == j {
 		return -1, -1
 	}
-	span := p.PredefinedSlots() * p.s
 	k := (j - i - 1 + p.n) % p.n
-	ts := ((k-r)%span + span) % span
+	ts := ((k-r)%p.span + p.span) % p.span
 	return ts / p.s, ts % p.s
 }
 

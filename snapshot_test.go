@@ -2,11 +2,14 @@ package negotiator_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	negotiator "negotiator"
+	"negotiator/internal/snap"
 	"negotiator/internal/workload"
 )
 
@@ -223,6 +226,129 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			fab2.RunEpochs(60)
 			got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24))
 			if got != want {
+				t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
+			}
+		})
+	}
+}
+
+// reframe rewrites the first section with the tag through mutate and
+// re-frames the whole stream with valid CRCs: the shape of a writer bug
+// or a hand-edited checkpoint, which the container checks cannot catch.
+func reframe(t *testing.T, stream []byte, tag string, mutate func([]byte)) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	w := snap.NewWriter(&out)
+	found := false
+	for off := 12; ; {
+		sec := string(stream[off : off+4])
+		n := int(binary.LittleEndian.Uint64(stream[off+4 : off+12]))
+		payload := bytes.Clone(stream[off+12 : off+12+n])
+		off += 12 + n + 4
+		if sec == "END." {
+			break
+		}
+		if sec == tag && !found {
+			mutate(payload)
+			found = true
+		}
+		w.Section(sec, payload)
+	}
+	if !found {
+		t.Fatalf("checkpoint has no %s section", tag)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestRestoreRejectsOversizedCounts: every decoder that allocates or loops
+// on an element count must bound the count by the payload it came with
+// before acting on it. Each case rewrites one count in an otherwise intact
+// checkpoint (CRCs recomputed); Restore must fail, allocate well under the
+// size the count asks for, and leave the fabric untouched — proven, as in
+// TestRestoreRejectsCorruption, by restoring the intact checkpoint into the
+// same fabric and finishing the run byte-identically. The TAGS count is the
+// one a fuzzer found (a 4-byte payload claiming 402,653,184 tags); the other
+// counts ask for 128-256 MB, well past the 64 MB bound. A failure past the
+// workload replay (the plane sections) has drawn the attached generator, so
+// every case attaches a fresh one before the intact restore.
+func TestRestoreRejectsOversizedCounts(t *testing.T) {
+	poisson := func(spec negotiator.Spec) func() negotiator.Workload {
+		return func() negotiator.Workload {
+			return negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6)
+		}
+	}
+	small := negotiator.SmallSpec()
+	hybrid := negotiator.SmallSpec()
+	hybrid.ControlPlane = negotiator.HybridPlane
+	put := func(at func([]byte) int, count uint32) func([]byte) {
+		return func(p []byte) { binary.LittleEndian.PutUint32(p[at(p):], count) }
+	}
+	first := func([]byte) int { return 0 }
+	cases := []struct {
+		name           string
+		spec           negotiator.Spec
+		work           func() negotiator.Workload
+		snapAt, epochs int
+		tag            string
+		mutate         func([]byte)
+	}{
+		{"tags", small, poisson(small), 60, 120, "TAGS", put(first, 402_653_184)},
+		{"fct-samples", small, poisson(small), 60, 120, "METR", put(first, 1<<24)},
+		{"mice-samples", small, poisson(small), 60, 120, "METR",
+			put(func(p []byte) int { return 4 + 8*int(binary.LittleEndian.Uint32(p)) }, 1<<24)},
+		{"flows", small, poisson(small), 60, 120, "FLOW", put(first, 1<<22)},
+		{"flow-groups", small, groupedSlice, 10, 150, "GRPS", put(func([]byte) int { return 4 }, 1<<22)},
+		{"negotiator-match-ratio", small, poisson(small), 60, 120, "PLNE", put(first, 1<<23)},
+		{"hybrid-match-ratio", hybrid, poisson(hybrid), 60, 120, "PLNE", put(first, 1<<23)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.spec.Workers = 1
+			build := func() negotiator.Fabric {
+				fab, err := c.spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab.SetWorkload(c.work())
+				return fab
+			}
+			fab := build()
+			fab.RunEpochs(c.epochs)
+			want := fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
+
+			fab = build()
+			fab.RunEpochs(c.snapAt)
+			var buf bytes.Buffer
+			if err := fab.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			good := buf.Bytes()
+			bad := reframe(t, good, c.tag, c.mutate)
+
+			fab2 := build()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := fab2.Restore(bytes.NewReader(bad))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("checkpoint with an oversized count restored without error")
+			}
+			if !strings.Contains(err.Error(), "snap: count") {
+				t.Errorf("error %q is not the count bound", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+				t.Errorf("rejecting the oversized count allocated %d MB, want < 64 MB", alloc>>20)
+			}
+			fab2.SetWorkload(c.work())
+			if err := fab2.Restore(bytes.NewReader(good)); err != nil {
+				t.Fatalf("intact checkpoint rejected after failed restore: %v", err)
+			}
+			fab2.RunEpochs(c.epochs - c.snapAt)
+			if got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24)); got != want {
 				t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
 			}
 		})
