@@ -136,16 +136,20 @@ func fingerprint(t *testing.T, spec negotiator.Spec) string {
 }
 
 // TestFingerprintGolden compares every combination's sequential run
-// against the recorded goldens. Worker-count equivalence (workers=16
-// reproducing these fingerprints byte for byte) is pinned by the
-// separate TestFingerprintWorkerInvariance, which is skipped in -short
-// mode.
+// against the recorded goldens. Each run has CheckInvariants on: the
+// per-round conservation, occupancy and conflict checks only read state,
+// so they must leave every fingerprint unchanged. Worker-count
+// equivalence (workers=16 reproducing these fingerprints byte for byte)
+// is pinned by the separate TestFingerprintWorkerInvariance, which is
+// skipped in -short mode.
 func TestFingerprintGolden(t *testing.T) {
 	cases := fingerprintCases()
 	got := make(map[string]string, len(cases))
 	var sb strings.Builder
 	for _, c := range cases {
-		fp := fingerprint(t, c.spec)
+		spec := c.spec
+		spec.CheckInvariants = true
+		fp := fingerprint(t, spec)
 		got[c.name] = fp
 		fmt.Fprintf(&sb, "%s: %s\n", c.name, fp)
 	}

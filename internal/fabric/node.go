@@ -75,13 +75,6 @@ type Node struct {
 	// source requeue.
 	Losses []Loss
 
-	// demandVer counts mutations of the node's direct demand (every push
-	// into or take from the Direct set). Matcher request caches compare it
-	// to decide whether a source's cached emissions can be replayed; a
-	// round that neither pushes nor takes leaves it untouched, so the
-	// comparison alone proves the demand row unchanged.
-	demandVer int64
-
 	// actDirect/actLanes/actRelay point at the owning shard's active-node
 	// sets, with actBit the node's shard-local bit. The choke points flip
 	// the bit exactly on the per-class aggregate's 0<->nonzero transitions.
@@ -274,7 +267,6 @@ func (nd *Node) PushDirectBytes(dst int, f *flows.Flow, n, off int64, at sim.Tim
 	}
 	nd.DirectBytes += n
 	nd.DirectOcc.Set(dst)
-	nd.demandVer++
 }
 
 // TakeDirect removes up to max bytes from the dst VOQ (priorities in
@@ -307,8 +299,8 @@ func (nd *Node) TakeDirectLowest(dst int, max int64, emit func(f *flows.Flow, n 
 }
 
 // afterTakeDirect folds a direct take into the aggregates, the page
-// counter, the occupancy indexes and the demand version, and records an
-// empty-page candidate when the page's counter hits zero.
+// counter and the occupancy indexes, and records an empty-page candidate
+// when the page's counter hits zero.
 func (nd *Node) afterTakeDirect(dst int, taken int64) {
 	if pb, ver := nd.Direct.Add(dst, -taken); pb == 0 {
 		nd.noteEmptyPage(classDirect, queue.PageOf(dst), ver)
@@ -319,7 +311,6 @@ func (nd *Node) afterTakeDirect(dst int, taken int64) {
 	if nd.Direct.Bytes(dst) == 0 {
 		nd.DirectOcc.Clear(dst)
 	}
-	nd.demandVer++
 }
 
 // PushLane enqueues all bytes of flow f (all members, for a group) into
@@ -499,12 +490,6 @@ func (nd *Node) LaneHeadDst(dst int) int {
 	}
 	return q.HeadDst()
 }
-
-// DemandVer returns the node's direct-demand mutation counter. Two equal
-// readings bracket a span with no push into and no take from the Direct
-// set — the condition under which a matcher's cached request emissions
-// for this source are still exact.
-func (nd *Node) DemandVer() int64 { return nd.demandVer }
 
 // CheckRelayCounter asserts the aggregate counter matches the FIFO
 // contents (per-round invariant of relay-carrying control planes).

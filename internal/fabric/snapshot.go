@@ -868,7 +868,7 @@ func (c *Core) decodeDestSlabSegs(d *snap.Dec, nd *Node, byID map[int64]*flows.F
 
 // restoreDirectSegment re-enqueues one checkpointed segment verbatim,
 // mirroring PushDirectBytes' bookkeeping exactly (aggregates, page
-// counter, occupancy index, shard active bit, demand version) but
+// counter, occupancy index, shard active bit) but
 // bypassing the PIAS offset split — the segment's priority placement was
 // decided at original push time and must be reproduced, not recomputed.
 func (nd *Node) restoreDirectSegment(dst, prio int, s queue.Segment) error {
@@ -884,7 +884,6 @@ func (nd *Node) restoreDirectSegment(dst, prio int, s queue.Segment) error {
 	}
 	nd.DirectBytes += s.Bytes
 	nd.DirectOcc.Set(dst)
-	nd.demandVer++
 	return nil
 }
 

@@ -52,13 +52,6 @@ type Engine struct {
 	shards     []*hyShard
 	epochStart sim.Time
 
-	// incremental: replay each source's cached elephant request emissions
-	// while its direct-demand version is unchanged (the engine's matcher
-	// is always the base binary-request policy, whose Requests is a pure
-	// function of the demand row).
-	incremental bool
-	caches      []reqCache
-
 	// Core-owned failure snapshots (stable pointers, advanced by the core
 	// before each Round; nil without a plan).
 	actual, known *failure.State
@@ -66,21 +59,6 @@ type Engine struct {
 	stepRequest  func(k int)
 	stepGrant    func(k int)
 	stepTransmit func(k int)
-}
-
-// reqCache holds one source's elephant REQUEST emissions from its last
-// fresh sweep, stamped with the node's direct-demand version at capture
-// time (mice pushes do not touch the version — the matcher's view reads
-// elephant VOQs only). While the version is unchanged the sweep would
-// re-emit exactly this list, so the epoch replays it instead. Capture is
-// lazy, as in the NegotiaToR engine: a sweep tees into reqs only after
-// the version has held stable across an epoch, so rows that drain every
-// epoch never pay the tee.
-type reqCache struct {
-	reqs  []match.Request
-	ver   int64
-	seen  bool
-	valid bool
 }
 
 // torCtl is one ToR's control state: single-generation mailboxes (the
@@ -138,14 +116,6 @@ type hyShard struct {
 	miceEmit  func(*flows.Flow, int64)
 	grantEmit func(match.Grant)
 	reqEmit   func(match.Request)
-
-	// Incremental request-cache plumbing (see reqCache): the tee captures
-	// a fresh sweep's emissions into the source's cache while forwarding
-	// them; the verify tee feeds the replay-equals-fresh invariant.
-	curCache  *reqCache
-	teeEmit   func(match.Request)
-	verifyBuf []match.Request
-	verifyTee func(match.Request)
 }
 
 // New builds the hybrid engine from a NegotiaToR Config. The epoch
@@ -172,7 +142,7 @@ func New(cfg negotiator.Config) (*Engine, error) {
 	if cfg.NewMatcher != nil {
 		return nil, fmt.Errorf("hybrid: the hybrid engine uses NegotiaToR Matching; scheduler variants apply to the NegotiaToR fabric")
 	}
-	if cfg.Relay != nil {
+	if cfg.Relay {
 		return nil, fmt.Errorf("hybrid: selective relay is a NegotiaToR thin-clos extension")
 	}
 	if cfg.Timing == (negotiator.Timing{}) {
@@ -194,10 +164,6 @@ func New(cfg negotiator.Config) (*Engine, error) {
 	e.piggyBytes = e.timing.PiggybackBytes()
 	rng := sim.NewRNG(cfg.Seed)
 	e.matcher = match.NewNegotiator(e.top, rng.Split(1))
-	e.incremental = !cfg.DisableIncremental
-	if e.incremental {
-		e.caches = make([]reqCache, e.n)
-	}
 	workers := cfg.Workers
 	if cfg.OnDeliver != nil || cfg.TrackReceiverBuffers {
 		workers = 1 // globally ordered delivery observation
@@ -313,11 +279,6 @@ func (sh *hyShard) initEmitters() {
 		d := e.ShardOf[r.Dst]
 		sh.reqOut[d] = append(sh.reqOut[d], r)
 	}
-	sh.teeEmit = func(r match.Request) {
-		sh.curCache.reqs = append(sh.curCache.reqs, r)
-		sh.reqEmit(r)
-	}
-	sh.verifyTee = func(r match.Request) { sh.verifyBuf = append(sh.verifyBuf, r) }
 	sh.grantEmit = func(g match.Grant) {
 		sh.grants++
 		r := e.ShardOf[g.Src]
@@ -370,60 +331,11 @@ func (sh *hyShard) initEmitters() {
 // so the phase is O(active sources), in the same ascending order as a
 // dense walk.
 func (sh *hyShard) requestStep() {
+	e := sh.e
 	occ := &sh.fs.ActiveDirect
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
-		sh.sourceRequests(sh.lo + bit)
-	}
-}
-
-// sourceRequests emits one source's requests: a cached replay when the
-// source's direct-demand version is unchanged since the last fresh sweep,
-// a fresh sweep otherwise. A fresh sweep tees into the cache only once
-// the version has been observed stable across an epoch (see reqCache).
-// Under CheckInvariants every replay is shadowed by a fresh sweep and
-// compared element-wise.
-func (sh *hyShard) sourceRequests(i int) {
-	e := sh.e
-	if !e.incremental {
+		i := sh.lo + bit
 		sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.reqEmit)
-		return
-	}
-	c := &e.caches[i]
-	ver := e.Nodes[i].DemandVer()
-	if !c.seen || c.ver != ver {
-		c.ver, c.seen, c.valid = ver, true, false
-		sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.reqEmit)
-		return
-	}
-	if c.valid {
-		if e.cfg.CheckInvariants {
-			sh.verifyReplay(i, c)
-		}
-		for _, r := range c.reqs {
-			sh.reqEmit(r)
-		}
-		return
-	}
-	c.reqs = c.reqs[:0]
-	sh.curCache = c
-	sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.teeEmit)
-	sh.curCache = nil
-	c.valid = true
-}
-
-// verifyReplay asserts a source's cached request list matches a fresh
-// sweep (sound to run twice: the base matcher's Requests is pure).
-func (sh *hyShard) verifyReplay(i int, c *reqCache) {
-	e := sh.e
-	sh.verifyBuf = sh.verifyBuf[:0]
-	sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.verifyTee)
-	if len(sh.verifyBuf) != len(c.reqs) {
-		panic(fmt.Sprintf("hybrid: request cache diverged at ToR %d: %d cached vs %d fresh", i, len(c.reqs), len(sh.verifyBuf)))
-	}
-	for k := range sh.verifyBuf {
-		if sh.verifyBuf[k] != c.reqs[k] {
-			panic(fmt.Sprintf("hybrid: request cache diverged at ToR %d request %d: cached %+v fresh %+v", i, k, c.reqs[k], sh.verifyBuf[k]))
-		}
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // idealised negotiation produces and consumes its single-generation
 // mailboxes within one Round, so the only cross-epoch state is the
 // match-ratio series, the lazily-cleared per-ToR match rows, and the
-// matcher's ring pointers. Request caches restart cold on restore (the
-// replay-equals-fresh invariant makes that invisible).
+// matcher's ring pointers.
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
 	num, den := e.MatchRatio.Counts()

@@ -68,9 +68,9 @@ type Matcher interface {
 }
 
 // RequestTraits declares what an engine may assume about a matcher's
-// Requests step. Both properties gate request-side fast paths; a matcher
-// that does not implement the interface gets the conservative (false,
-// false) reading from TraitsOf and keeps the dense from-scratch scan.
+// Requests step. Idle-safety gates the engines' request-side fast paths;
+// a matcher that does not implement the interface gets the conservative
+// (false, false) reading from TraitsOf and keeps the dense scan.
 type RequestTraits interface {
 	// RequestsIdleSafe reports that Requests on a source with no queued
 	// demand emits nothing and mutates no matcher state — so an engine may
@@ -80,9 +80,10 @@ type RequestTraits interface {
 	RequestsIdleSafe() bool
 	// RequestsPure reports that Requests is a pure function of the view's
 	// queued-bytes state and the threshold: it reads no clock-dependent
-	// signal (WeightedHoL) and mutates no matcher state. An engine may
-	// then cache a source's emissions and replay them byte-for-byte while
-	// the source's demand row is unchanged. Pure implies idle-safe.
+	// signal (WeightedHoL) and mutates no matcher state, so a source's
+	// emissions could be replayed while its demand row is unchanged. No
+	// engine replays them: every epoch runs a fresh sweep. Pure implies
+	// idle-safe.
 	RequestsPure() bool
 }
 

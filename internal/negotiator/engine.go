@@ -38,8 +38,9 @@ type Config struct {
 	// NegotiaToR Matching.
 	NewMatcher func(t topo.Topology, timing Timing, rng *sim.RNG) match.Matcher
 	// Relay enables the traffic-aware selective relay extension
-	// (Appendix A.2.2, thin-clos only); nil disables.
-	Relay *RelayConfig
+	// (Appendix A.2.2, thin-clos only), which lets elephant-flow data take
+	// a two-hop path when spare links exist.
+	Relay bool
 	// Failures optionally injects link failures (§4.3).
 	Failures *failure.Plan
 	// Seed drives all randomness (ring init, relay candidate rotation).
@@ -52,10 +53,8 @@ type Config struct {
 	// (pinned by the golden fingerprints); the knob exists for A/B
 	// benchmarks and the skip-equivalence tests.
 	DisableEventSkip bool
-	// DisableIncremental forces a from-scratch REQUEST sweep every epoch
-	// instead of replaying the demand-versioned request cache of sources
-	// whose queues did not change. Results are byte-identical either way;
-	// the knob exists for A/B benchmarks and the cache-equivalence tests.
+	// DisableIncremental has no effect: every epoch runs a fresh REQUEST
+	// sweep. The field remains only for callers that still set it.
 	DisableIncremental bool
 	// OnDeliver, when set, observes every payload delivery at its
 	// destination (receiver-bandwidth micro-observations).
@@ -105,38 +104,6 @@ type relayPlan struct {
 	quota    int64
 }
 
-// reqCache holds one source's REQUEST emissions from its last fresh sweep,
-// stamped with the node's demand version at capture time. While the
-// version is unchanged no push or take touched any of the source's VOQs,
-// so a pure matcher's sweep would re-emit exactly this list — the epoch
-// replays it instead of re-walking the occupancy index and re-reading
-// queue depths. Capture is lazy: the first sweep at a new version only
-// records the version (seen), the next sweep at the same version tees its
-// emissions into reqs (valid), and only then do epochs replay. Rows whose
-// demand changes every epoch — the dense saturated regime — therefore
-// never pay the tee, only a version read and a branch. Cached requests
-// are pre-transport: replay feeds them through the same emit path as a
-// fresh sweep, so the per-epoch failure filtering (msgPathOK) still
-// applies at current-epoch rotation.
-type reqCache struct {
-	reqs  []match.Request
-	segs  []reqSeg
-	ver   int64
-	seen  bool
-	valid bool
-}
-
-// reqSeg marks the end (exclusive, into reqCache.reqs) of a run of
-// consecutive requests whose destinations live on one shard. Emissions
-// are ascending by destination and shards are contiguous ToR ranges, so
-// a cached row splits into at most one segment per shard — replay with
-// no failures active appends each segment to its outbox wholesale
-// instead of re-running the per-request emit closure (whose only
-// epoch-dependent work, msgPathOK, is the identity without failures).
-type reqSeg struct {
-	shard, end int32
-}
-
 // Engine is the NegotiaToR control plane over the shared fabric core: it
 // decides, per epoch, which pairs connect (ACCEPT → GRANT/REQUEST over
 // the pipelined in-band mailboxes) and drives the predefined and
@@ -159,23 +126,16 @@ type Engine struct {
 
 	tors    []*tor
 	matcher match.Matcher
-	// Matcher capability traits (see match.RequestTraits), resolved once:
-	// idle-safety gates both the event-skip horizon and the O(active)
-	// request sweep; purity gates the incremental request cache.
+	// matcherIdleSafe (see match.RequestTraits), resolved once, gates both
+	// the event-skip horizon and the O(active) request sweep.
 	matcherIdleSafe bool
-	matcherPure     bool
 	// sparseReq: the per-shard REQUEST sweep may iterate the non-empty
 	// direct-VOQ occupancy set instead of every source — sound only when
 	// skipping a zero-demand source is a matcher no-op and no relay demand
 	// hides outside the direct queues.
 	sparseReq bool
-	// incremental: replay each source's cached request emissions while its
-	// demand version is unchanged (see reqCache); requires a pure Requests
-	// and no relay demand.
-	incremental bool
-	caches      []reqCache
-	batch       match.BatchMatcher // non-nil for batch (iterative) matchers
-	future      [][][]int32        // batch path: future[d][src][port], ring by epoch
+	batch     match.BatchMatcher // non-nil for batch (iterative) matchers
+	future    [][][]int32        // batch path: future[d][src][port], ring by epoch
 	// futureTouched[d] lists, ascending, the sources whose future[d] rows
 	// the batch Match wrote; all other rows are all -1. batchPrepStep
 	// copies and resets only these rows.
@@ -224,7 +184,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Timing.Validate(cfg.Topology); err != nil {
 		return nil, err
 	}
-	if cfg.Relay != nil {
+	if cfg.Relay {
 		if _, ok := cfg.Topology.(*topo.ThinClos); !ok {
 			return nil, fmt.Errorf("negotiator: selective relay is a thin-clos extension (Appendix A.2.2)")
 		}
@@ -253,12 +213,8 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		e.matcher = match.NewNegotiator(e.top, rng.Split(1))
 	}
-	e.matcherIdleSafe, e.matcherPure = match.TraitsOf(e.matcher)
-	e.sparseReq = e.matcherIdleSafe && cfg.Relay == nil
-	e.incremental = e.matcherPure && cfg.Relay == nil && !cfg.DisableIncremental
-	if e.incremental {
-		e.caches = make([]reqCache, e.n)
-	}
+	e.matcherIdleSafe, _ = match.TraitsOf(e.matcher)
+	e.sparseReq = e.matcherIdleSafe && !cfg.Relay
 	if b, ok := e.matcher.(match.BatchMatcher); ok {
 		e.batch = b
 		depth := b.MatchDelay() + 1
@@ -282,7 +238,7 @@ func New(cfg Config) (*Engine, error) {
 		Workers:              e.resolveWorkers(),
 		RNG:                  rng,
 		PriorityQueues:       cfg.PriorityQueues,
-		Relay:                cfg.Relay != nil,
+		Relay:                cfg.Relay,
 		CumInjected:          true,
 		OnDeliver:            cfg.OnDeliver,
 		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
@@ -319,7 +275,7 @@ func New(cfg Config) (*Engine, error) {
 	// the engine caches the stable snapshot pointers for its hot paths.
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
-	if cfg.Relay != nil {
+	if cfg.Relay {
 		e.initRelay()
 	}
 	return e, nil
@@ -349,7 +305,7 @@ func (e *Engine) resolveWorkers() int {
 	if w > e.n {
 		w = e.n
 	}
-	if e.cfg.Relay != nil || e.cfg.TrackReceiverBuffers || e.cfg.OnDeliver != nil {
+	if e.cfg.Relay || e.cfg.TrackReceiverBuffers || e.cfg.OnDeliver != nil {
 		w = 1
 	}
 	if w > 1 {

@@ -49,7 +49,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Topology: tc, Piggyback: true, PriorityQueues: true, Seed: 1, Relay: &RelayConfig{}}
+			return Config{Topology: tc, Piggyback: true, PriorityQueues: true, Seed: 1, Relay: true}
 		}},
 		{"plain-thinclos", func(t *testing.T) Config {
 			tc, err := topo.NewThinClos(16, 4, 4)

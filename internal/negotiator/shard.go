@@ -1,7 +1,6 @@
 package negotiator
 
 import (
-	"fmt"
 	"slices"
 
 	"negotiator/internal/fabric"
@@ -95,17 +94,6 @@ type engineShard struct {
 	schedEmit  func(*flows.Flow, int64)
 	pbEmit     func(*flows.Flow, int64)
 	relayEmit  func(*flows.Flow, int64)
-
-	// Incremental request-cache plumbing (see reqCache): a fresh sweep
-	// tees every emission into the source's cache before forwarding it to
-	// the real emitter; the verify tee captures a shadow sweep for the
-	// replay-equals-fresh invariant. Valid only during one sourceRequests
-	// call.
-	curCache  *reqCache
-	curEmit   func(match.Request)
-	teeEmit   func(match.Request)
-	verifyBuf []match.Request
-	verifyTee func(match.Request)
 }
 
 // initEmitters builds the closures the per-epoch path reuses. All per-call
@@ -142,11 +130,6 @@ func (sh *engineShard) initEmitters() {
 		sh.reqOut[d] = append(sh.reqOut[d], r)
 	}
 	sh.batchEmit = func(r match.Request) { sh.reqScratch = append(sh.reqScratch, r) }
-	sh.teeEmit = func(r match.Request) {
-		sh.curCache.reqs = append(sh.curCache.reqs, r)
-		sh.curEmit(r)
-	}
-	sh.verifyTee = func(r match.Request) { sh.verifyBuf = append(sh.verifyBuf, r) }
 	// Scheduled-phase delivery: bytes land slot by slot after the
 	// predefined phase.
 	sh.schedEmit = func(f *flows.Flow, n int64) {
@@ -284,17 +267,8 @@ func (sh *engineShard) emitStep() {
 		sh.inflight -= int64(len(in))
 		t.reqIn[prev] = in[:0]
 	}
-	sh.requestSweep(sh.reqEmit, bulkOut)
+	sh.requestSweep(sh.reqEmit)
 }
-
-// Bulk-replay targets for a cached row (see sourceRequests): where the
-// emit closure's output would land, so replay can append the cached list
-// wholesale when no failures are active and skip the per-request call.
-const (
-	bulkNone    = iota // unknown emitter — always replay per emission
-	bulkOut            // reqEmit: per-destination-shard outbox buckets
-	bulkScratch        // batchEmit: the flat reqScratch list
-)
 
 // requestSweep runs the REQUEST step over this shard's sources into emit.
 // When the matcher tolerates skipping zero-demand sources (and no relay
@@ -303,99 +277,18 @@ const (
 // range; the occupancy bit is exactly "some direct VOQ holds bytes", a
 // superset of "some VOQ exceeds the request threshold", so emissions are
 // identical to the dense walk, in the same ascending order.
-func (sh *engineShard) requestSweep(emit func(match.Request), bulk int) {
+func (sh *engineShard) requestSweep(emit func(match.Request)) {
 	e := sh.e
 	if e.sparseReq {
 		occ := &sh.fs.ActiveDirect
 		for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
-			sh.sourceRequests(sh.lo+bit, emit, bulk)
+			i := sh.lo + bit
+			sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, emit)
 		}
 		return
 	}
 	for i := sh.lo; i < sh.hi; i++ {
-		sh.sourceRequests(i, emit, bulk)
-	}
-}
-
-// sourceRequests emits one source's requests: a cached replay when the
-// incremental path is on and the source's demand version is unchanged
-// since the last fresh sweep, a fresh sweep otherwise. A fresh sweep tees
-// its emissions into the cache only once the version has already been
-// observed stable across an epoch (see reqCache) — a row that changes
-// every epoch emits straight through the real emitter. With no failures
-// active the emit closures are epoch-independent (msgPathOK is the
-// identity), so replay bypasses them and appends the cached list to the
-// target wholesale — per pre-computed shard segment for the outbox
-// buckets, in one append for the batch scratch list. Under
-// CheckInvariants every replay is shadowed by a fresh sweep and compared
-// element-wise — the incremental path must be invisible.
-func (sh *engineShard) sourceRequests(i int, emit func(match.Request), bulk int) {
-	e := sh.e
-	if !e.incremental {
 		sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, emit)
-		return
-	}
-	c := &e.caches[i]
-	ver := e.Nodes[i].DemandVer()
-	if !c.seen || c.ver != ver {
-		// Demand moved since the last sweep (or first visit): plain sweep,
-		// no capture — replay next epoch is not yet possible anyway.
-		c.ver, c.seen, c.valid = ver, true, false
-		sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, emit)
-		return
-	}
-	if c.valid {
-		if e.cfg.CheckInvariants {
-			sh.verifyReplay(i, c)
-		}
-		if bulk != bulkNone && (e.actual == nil || e.actual.Count == 0) {
-			if bulk == bulkScratch {
-				sh.reqScratch = append(sh.reqScratch, c.reqs...)
-				return
-			}
-			a := int32(0)
-			for _, s := range c.segs {
-				sh.reqOut[s.shard] = append(sh.reqOut[s.shard], c.reqs[a:s.end]...)
-				a = s.end
-			}
-			return
-		}
-		for _, r := range c.reqs {
-			emit(r)
-		}
-		return
-	}
-	// Version held stable for a full epoch: capture this sweep so the
-	// next one can replay it.
-	c.reqs = c.reqs[:0]
-	sh.curCache, sh.curEmit = c, emit
-	sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, sh.teeEmit)
-	sh.curCache, sh.curEmit = nil, nil
-	c.segs = c.segs[:0]
-	for k, r := range c.reqs {
-		s := e.ShardOf[r.Dst]
-		if n := len(c.segs); n == 0 || c.segs[n-1].shard != s {
-			c.segs = append(c.segs, reqSeg{shard: s})
-		}
-		c.segs[len(c.segs)-1].end = int32(k + 1)
-	}
-	c.valid = true
-}
-
-// verifyReplay asserts that a source's cached request list matches what a
-// fresh sweep would emit right now (sound to run twice: the incremental
-// path requires a pure Requests).
-func (sh *engineShard) verifyReplay(i int, c *reqCache) {
-	e := sh.e
-	sh.verifyBuf = sh.verifyBuf[:0]
-	sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, sh.verifyTee)
-	if len(sh.verifyBuf) != len(c.reqs) {
-		panic(fmt.Sprintf("negotiator: request cache diverged at ToR %d: %d cached vs %d fresh", i, len(c.reqs), len(sh.verifyBuf)))
-	}
-	for k := range sh.verifyBuf {
-		if sh.verifyBuf[k] != c.reqs[k] {
-			panic(fmt.Sprintf("negotiator: request cache diverged at ToR %d request %d: cached %+v fresh %+v", i, k, c.reqs[k], sh.verifyBuf[k]))
-		}
 	}
 }
 
@@ -495,7 +388,7 @@ func (sh *engineShard) batchPrepStep() {
 		}
 	}
 	sh.reqScratch = sh.reqScratch[:0]
-	sh.requestSweep(sh.batchEmit, bulkScratch)
+	sh.requestSweep(sh.batchEmit)
 }
 
 // predefinedPhase transmits piggybacked data over the round-robin

@@ -122,7 +122,7 @@ func TestWorkersClampedForSequentialFeatures(t *testing.T) {
 	base := Config{Topology: tc, Workers: 4}
 
 	cfg := base
-	cfg.Relay = &RelayConfig{}
+	cfg.Relay = true
 	if e, _ := New(cfg); e.Workers != 1 {
 		t.Errorf("relay: workers = %d, want 1", e.Workers)
 	}

@@ -12,9 +12,8 @@ import (
 // relay's candidate rotation, every ToR's pipelined mailboxes and live
 // match row, the batch matchers' future-match ring, and the matcher's own
 // state (ring pointers, demand matrices, tie-break RNG). Everything else
-// — request caches, outboxes, shard scratch — is rebuilt or re-derived
-// within an epoch and is deliberately not serialized: a restored cache
-// restarts cold, which the replay-equals-fresh invariant makes invisible.
+// — outboxes, shard scratch — is rebuilt or re-derived within an epoch
+// and is deliberately not serialized.
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
 	num, den := e.MatchRatio.Counts()

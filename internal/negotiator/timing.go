@@ -94,16 +94,6 @@ func (t Timing) EpochLen(predefinedSlots int) sim.Duration {
 	return t.PredefinedLen(predefinedSlots) + t.ScheduledLen()
 }
 
-// GuardbandShare is the fraction of the epoch spent in guardbands (the
-// paper keeps it under 10%, 4.37% at defaults).
-func (t Timing) GuardbandShare(predefinedSlots int) float64 {
-	e := t.EpochLen(predefinedSlots)
-	if e == 0 {
-		return 0
-	}
-	return float64(sim.Duration(predefinedSlots)*t.Guardband) / float64(e)
-}
-
 // EpochPortBytes is the data one matched port can move in one scheduled
 // phase, used as the stateful variant's matrix decrement.
 func (t Timing) EpochPortBytes() int64 {

@@ -12,7 +12,7 @@ import (
 func measureSparseEpoch(tb testing.TB, n int) time.Duration {
 	e := sparseEngine(tb, n, 256, 1)
 	for i := 0; i < 4; i++ {
-		e.RunRound() // settle caches and the incremental request path
+		e.RunRound() // settle mailbox and slab capacity
 	}
 	runtime.GC()
 	const epochs = 20

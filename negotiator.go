@@ -203,11 +203,12 @@ type Spec struct {
 	// must be positive.
 	HostRate sim.Rate
 	// ReconfigDelay is the guardband / end-to-end reconfiguration delay
-	// (10 ns).
+	// (10 ns); zero keeps the plane's default.
 	ReconfigDelay Duration
 	// PropDelay is the one-way inter-ToR propagation delay (2 µs).
 	PropDelay Duration
-	// ScheduledSlots is the scheduled-phase length in 90 ns timeslots (30).
+	// ScheduledSlots is the scheduled-phase length in 90 ns timeslots;
+	// zero means the paper's 30.
 	ScheduledSlots int
 	// PredefinedSlotTime overrides the predefined-phase timeslot duration
 	// (guardband included); zero keeps the default 60 ns. Sweeping it
@@ -238,11 +239,9 @@ type Spec struct {
 	// golden fingerprints); the knob exists for A/B benchmarks and the
 	// skip-equivalence tests.
 	DisableEventSkip bool
-	// DisableIncremental forces a from-scratch REQUEST sweep every epoch
-	// instead of replaying the cached emissions of sources whose demand
-	// did not change. Byte-identical either way; for A/B benchmarks and
-	// cache-equivalence tests. Ignored by the oblivious baseline, which
-	// has no request step.
+	// DisableIncremental has no effect: every plane runs a fresh REQUEST
+	// sweep each epoch. The field remains only for callers that still set
+	// it.
 	DisableIncremental bool
 	// OnDeliver and OnTransit observe deliveries (and, for the baseline,
 	// first-hop transit arrivals).
@@ -360,7 +359,7 @@ func (s Spec) matcherFactory() func(topo.Topology, negotiator.Timing, *sim.RNG) 
 // engineConfig assembles the NegotiaToR Config both negotiating planes
 // build from (hybrid.New rejects the scheduler variants and the relay).
 func (s Spec) engineConfig(top topo.Topology, plan *failure.Plan) negotiator.Config {
-	cfg := negotiator.Config{
+	return negotiator.Config{
 		Topology:             top,
 		Timing:               s.timing(),
 		HostRate:             s.HostRate,
@@ -375,22 +374,28 @@ func (s Spec) engineConfig(top topo.Topology, plan *failure.Plan) negotiator.Con
 		TrackReceiverBuffers: s.TrackReceiverBuffers,
 		Workers:              s.Workers,
 		DisableEventSkip:     s.DisableEventSkip,
-		DisableIncremental:   s.DisableIncremental,
+		Relay:                s.SelectiveRelay,
 	}
-	if s.SelectiveRelay {
-		cfg.Relay = &negotiator.RelayConfig{}
-	}
-	return cfg
 }
 
-// Build constructs the fabric described by the spec.
+// Build constructs the fabric described by the spec. It rejects a
+// negative value in any knob whose zero means "use the default".
 func (s Spec) Build() (Fabric, error) {
-	if s.Workers > s.ToRs {
-		// Shards are contiguous ToR ranges and every worker must own at
-		// least one: reject the oversubscription here, where the caller
-		// chose both numbers, instead of silently clamping or letting an
-		// empty shard surface mid-run.
-		return nil, fmt.Errorf("negotiator: Spec.Workers (%d) exceeds ToRs (%d): each worker shards a non-empty contiguous ToR range; lower Workers (or pass 0 for sequential)", s.Workers, s.ToRs)
+	// Zero selects each knob's default; a negative value would otherwise
+	// run silently as that default (or, for the threshold, as itself).
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{
+		{"ScheduledSlots", int64(s.ScheduledSlots)},
+		{"PredefinedSlotTime", int64(s.PredefinedSlotTime)},
+		{"ReconfigDelay", int64(s.ReconfigDelay)},
+		{"RequestThresholdPkts", int64(s.RequestThresholdPkts)},
+		{"Workers", int64(s.Workers)},
+	} {
+		if k.v < 0 {
+			return nil, fmt.Errorf("negotiator: Spec.%s (%d) is negative; zero selects the default", k.name, k.v)
+		}
 	}
 	if s.HostRate <= 0 {
 		// Workloads scale arrival rates and goodput normalises by it: zero
@@ -410,6 +415,13 @@ func (s Spec) Build() (Fabric, error) {
 	top, err := s.buildTopology()
 	if err != nil {
 		return nil, err
+	}
+	if s.Workers > s.ToRs {
+		// Shards are contiguous ToR ranges and every worker must own at
+		// least one: reject the oversubscription here, where the caller
+		// chose both numbers, instead of silently clamping or letting an
+		// empty shard surface mid-run.
+		return nil, fmt.Errorf("negotiator: Spec.Workers (%d) exceeds ToRs (%d): each worker shards a non-empty contiguous ToR range; lower Workers (or pass 0 for sequential)", s.Workers, s.ToRs)
 	}
 	var plan *failure.Plan
 	if s.Failures != nil {

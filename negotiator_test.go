@@ -124,6 +124,25 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := spec.Build(); err != nil {
 		t.Errorf("Workers == ToRs rejected: %v", err)
 	}
+	// Every plane rejects a negative knob whose zero means "the default",
+	// naming the field, and fails negative ToRs in the topology rather
+	// than on Workers.
+	for _, plane := range negotiator.ControlPlanes() {
+		for _, tc := range negativeKnobs {
+			spec := negotiator.SmallSpec()
+			spec.ControlPlane = plane
+			tc.edit(&spec)
+			if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "Spec."+tc.field) {
+				t.Errorf("%v: negative %s: err = %v, want a rejection naming Spec.%s", plane, tc.field, err, tc.field)
+			}
+		}
+		spec := negotiator.SmallSpec()
+		spec.ControlPlane = plane
+		spec.ToRs = -4
+		if _, err := spec.Build(); err == nil || strings.Contains(err.Error(), "Workers") || !strings.Contains(err.Error(), "n=-4") {
+			t.Errorf("%v: ToRs -4: err = %v, want a topology rejection that does not blame Workers", plane, err)
+		}
+	}
 	// Values that used to run exactly like a default, or like no failure
 	// plan at all, are rejected.
 	flap := func(edit func(*negotiator.FailurePlan)) func(*negotiator.Spec) {
@@ -168,6 +187,19 @@ func TestBuildValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want a rejection mentioning %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// negativeKnobs sets, one at a time, a negative value in each Spec knob
+// whose zero means "use the default".
+var negativeKnobs = []struct {
+	field string
+	edit  func(*negotiator.Spec)
+}{
+	{"ScheduledSlots", func(s *negotiator.Spec) { s.ScheduledSlots = -1 }},
+	{"PredefinedSlotTime", func(s *negotiator.Spec) { s.PredefinedSlotTime = -10 }},
+	{"ReconfigDelay", func(s *negotiator.Spec) { s.ReconfigDelay = -5 }},
+	{"RequestThresholdPkts", func(s *negotiator.Spec) { s.RequestThresholdPkts = -2 }},
+	{"Workers", func(s *negotiator.Spec) { s.Workers = -3 }},
 }
 
 func TestAllSchedulersBuildAndRun(t *testing.T) {
