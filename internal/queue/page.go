@@ -11,7 +11,8 @@ import "fmt"
 // PageSize contiguous destinations on first touch, so per-node memory
 // follows the destinations traffic actually reaches while sweeps inside
 // a page still walk consecutive cache lines, exactly as the monolithic
-// slab's did.
+// slab's did. A page is one allocation: its queues are an inline array,
+// and each queue's priority levels and front segments are inline in it.
 //
 // Pages carry two small bookkeeping fields the fabric's deferred release
 // relies on:
@@ -33,7 +34,9 @@ import "fmt"
 // indistinguishable from a fresh one).
 const (
 	// PageShift sets the page width: PageSize = 128 destinations keeps a
-	// plain page at ~5 KB (one-priority) and means the sparse tiers'
+	// destination page at ~26 KB (128 queues of 208 bytes, three inline
+	// priority levels whether PIAS is on or off) and a relay page at
+	// 8 KB (128 FIFOs of 64 bytes), and means the sparse tiers'
 	// contiguous active sets (e.g. 256 destinations) occupy two pages.
 	PageShift = 7
 	PageSize  = 1 << PageShift
@@ -43,38 +46,31 @@ const (
 // numPages returns the page-table length covering n destinations.
 func numPages(n int) int { return (n + PageSize - 1) >> PageShift }
 
-// destPage is one materialized chunk of PageSize destination queues with
-// their priority FIFOs in a shared backing array (the monolithic slab's
-// layout, at page granularity).
+// destPage is one materialized chunk of PageSize destination queues (the
+// monolithic slab's layout, at page granularity).
 type destPage struct {
-	qs    []DestQueue // len PageSize
-	fifos []FIFO      // len PageSize * numPriorities, backing qs' prios
 	bytes int64
 	ver   uint32
+	qs    [PageSize]DestQueue
 }
 
 func newDestPage(priority bool) *destPage {
-	np := 1
-	if priority {
-		np = NumPriorities
+	pg := new(destPage)
+	for j := range pg.qs {
+		pg.qs[j].levels = numLevels(priority)
 	}
-	fifos := make([]FIFO, PageSize*np)
-	qs := make([]DestQueue, PageSize)
-	for j := range qs {
-		qs[j] = DestQueue{prios: fifos[j*np : (j+1)*np : (j+1)*np], priority: priority}
-	}
-	return &destPage{qs: qs, fifos: fifos}
+	return pg
 }
 
 // fifoPage is one materialized chunk of PageSize plain FIFOs (relay
 // queues).
 type fifoPage struct {
-	fifos []FIFO // len PageSize
 	bytes int64
 	ver   uint32
+	fifos [PageSize]FIFO
 }
 
-func newFIFOPage() *fifoPage { return &fifoPage{fifos: make([]FIFO, PageSize)} }
+func newFIFOPage() *fifoPage { return new(fifoPage) }
 
 // recycle clears a FIFO for reuse, dropping flow references but KEEPING
 // the backing segment array (a recycled page must push without
@@ -82,12 +78,8 @@ func newFIFOPage() *fifoPage { return &fifoPage{fifos: make([]FIFO, PageSize)} }
 // segment copies beyond len.
 func (q *FIFO) recycle() {
 	segs := q.segs[:cap(q.segs)]
-	for i := range segs {
-		segs[i] = Segment{}
-	}
-	q.segs = q.segs[:0]
-	q.head = 0
-	q.bytes = 0
+	clear(segs)
+	*q = FIFO{segs: segs[:0]}
 }
 
 // PagePool recycles released pages, keyed by page kind (plain FIFO pages
@@ -117,11 +109,12 @@ func (p *PagePool) getDest(priority bool) *destPage {
 }
 
 func (p *PagePool) putDest(pg *destPage, priority bool) {
-	for i := range pg.fifos {
-		pg.fifos[i].recycle()
-	}
 	for i := range pg.qs {
-		pg.qs[i].bytes = 0
+		q := &pg.qs[i]
+		for l := range q.prios {
+			q.prios[l].recycle()
+		}
+		q.bytes = 0
 	}
 	pg.bytes, pg.ver = 0, 0
 	k := 0
@@ -253,7 +246,7 @@ func (s *DestSlab) ForEachPage(fn func(page, base int, qs []DestQueue, bytes int
 			continue
 		}
 		base := i << PageShift
-		qs := pg.qs
+		qs := pg.qs[:]
 		if rem := s.n - base; rem < PageSize {
 			qs = qs[:rem]
 		}
@@ -373,7 +366,7 @@ func (s *FIFOSlab) ForEachPage(fn func(page, base int, fs []FIFO, bytes int64)) 
 			continue
 		}
 		base := i << PageShift
-		fs := pg.fifos
+		fs := pg.fifos[:]
 		if rem := s.n - base; rem < PageSize {
 			fs = fs[:rem]
 		}

@@ -86,10 +86,20 @@ func (p *SegPool) put(arr []Segment) {
 
 // FIFO is a segment queue with O(1) amortised push/pop and no steady-state
 // allocation. The zero value is an empty queue ready for use.
+//
+// The front segment lives in the header (front); segs[head:] holds only
+// the segments queued behind it. Every queued segment holds bytes, so a
+// FIFO is non-empty exactly when its front is. Head reads and any take
+// that ends inside the front touch nothing but the header, which fits one
+// 64-byte cache line. When segs drains it rewinds to the start of its
+// array, so a queue that empties and refills every epoch reuses the same
+// few slots; the head > 64 compaction in PushPool covers queues that never
+// drain.
 type FIFO struct {
+	bytes int64
+	front Segment
 	segs  []Segment
 	head  int
-	bytes int64
 }
 
 // Push appends a segment. Zero-byte segments are dropped.
@@ -102,14 +112,19 @@ func (q *FIFO) PushPool(pool *SegPool, s Segment) {
 	if s.Bytes <= 0 {
 		return
 	}
+	if q.bytes == 0 {
+		q.front = s
+		q.bytes = s.Bytes
+		return
+	}
 	if q.head > 64 && q.head*2 >= len(q.segs) {
 		n := copy(q.segs, q.segs[q.head:])
 		q.segs = q.segs[:n]
 		q.head = 0
 	}
-	// Recycle only on genuine growth (cap 0 means the first push: plain
-	// append keeps the tiny-queue footprint identical to the unpooled
-	// path), doubling like append would.
+	// Recycle only on genuine growth (cap 0 means the first queued
+	// segment: plain append keeps the tiny-queue footprint identical to
+	// the unpooled path), doubling like append would.
 	if pool != nil && len(q.segs) == cap(q.segs) && cap(q.segs) > 0 {
 		grown := pool.get(2 * cap(q.segs))
 		grown = grown[:copy(grown[:cap(grown)], q.segs[q.head:])]
@@ -121,6 +136,22 @@ func (q *FIFO) PushPool(pool *SegPool, s Segment) {
 	q.bytes += s.Bytes
 }
 
+// advance refills the exhausted front from segs, rewinding segs to the
+// start of its array once it drains; with nothing queued behind, the
+// front is cleared (the queue is empty).
+func (q *FIFO) advance() {
+	if q.head == len(q.segs) {
+		q.front = Segment{}
+		return
+	}
+	q.front = q.segs[q.head]
+	q.segs[q.head].Flow = nil // allow GC of completed flows
+	if q.head++; q.head == len(q.segs) {
+		q.segs = q.segs[:0]
+		q.head = 0
+	}
+}
+
 // Bytes reports the queued byte total.
 func (q *FIFO) Bytes() int64 { return q.bytes }
 
@@ -128,33 +159,39 @@ func (q *FIFO) Bytes() int64 { return q.bytes }
 func (q *FIFO) Empty() bool { return q.bytes == 0 }
 
 // Len reports the number of queued segments.
-func (q *FIFO) Len() int { return len(q.segs) - q.head }
+func (q *FIFO) Len() int {
+	if q.bytes == 0 {
+		return 0
+	}
+	return 1 + len(q.segs) - q.head
+}
 
 // Head returns the front segment without removing it. It panics when empty.
 func (q *FIFO) Head() *Segment {
 	if q.Empty() {
 		panic("queue: Head of empty FIFO")
 	}
-	return &q.segs[q.head]
+	return &q.front
 }
 
 // Take removes up to max bytes from the front of the queue in FIFO order,
 // invoking emit once per (flow, byte-run) taken. It returns the bytes taken.
+// The exhausted-front check re-reads q.front after emit: should emit push
+// into this queue after its last byte was taken, the new segment lands in
+// the header's front, and advancing past it would drop it.
 func (q *FIFO) Take(max int64, emit func(f *flows.Flow, n int64)) int64 {
 	var taken int64
-	for taken < max && !q.Empty() {
-		s := &q.segs[q.head]
-		n := s.Bytes
+	for taken < max && q.bytes > 0 {
+		n := q.front.Bytes
 		if rem := max - taken; n > rem {
 			n = rem
 		}
-		s.Bytes -= n
+		q.front.Bytes -= n
 		q.bytes -= n
 		taken += n
-		emit(s.Flow, n)
-		if s.Bytes == 0 {
-			s.Flow = nil // allow GC of completed flows
-			q.head++
+		emit(q.front.Flow, n)
+		if q.front.Bytes == 0 {
+			q.advance()
 		}
 	}
 	return taken
@@ -167,22 +204,17 @@ func (q *FIFO) Take(max int64, emit func(f *flows.Flow, n int64)) int64 {
 // so the scan stops at the first not-yet-arrived segment.
 func (q *FIFO) TakeReady(max int64, now sim.Time, emit func(f *flows.Flow, n int64)) int64 {
 	var taken int64
-	for taken < max && !q.Empty() {
-		s := &q.segs[q.head]
-		if s.Enqueued > now {
-			break
-		}
-		n := s.Bytes
+	for taken < max && q.bytes > 0 && q.front.Enqueued <= now {
+		n := q.front.Bytes
 		if rem := max - taken; n > rem {
 			n = rem
 		}
-		s.Bytes -= n
+		q.front.Bytes -= n
 		q.bytes -= n
 		taken += n
-		emit(s.Flow, n)
-		if s.Bytes == 0 {
-			s.Flow = nil
-			q.head++
+		emit(q.front.Flow, n)
+		if q.front.Bytes == 0 {
+			q.advance()
 		}
 	}
 	return taken
@@ -193,23 +225,21 @@ func (q *FIFO) TakeReady(max int64, now sim.Time, emit func(f *flows.Flow, n int
 // It models a network cell, which carries exactly one destination header.
 // It returns the destination served and the bytes taken (dst -1 if empty).
 func (q *FIFO) TakeCell(max int64, emit func(f *flows.Flow, n int64)) (dst int, taken int64) {
-	if q.Empty() {
+	if q.bytes == 0 {
 		return -1, 0
 	}
-	dst = q.Head().Flow.Dst
-	for taken < max && !q.Empty() && q.Head().Flow.Dst == dst {
-		s := &q.segs[q.head]
-		n := s.Bytes
+	dst = q.front.Flow.Dst
+	for taken < max && q.bytes > 0 && q.front.Flow.Dst == dst {
+		n := q.front.Bytes
 		if rem := max - taken; n > rem {
 			n = rem
 		}
-		s.Bytes -= n
+		q.front.Bytes -= n
 		q.bytes -= n
 		taken += n
-		emit(s.Flow, n)
-		if s.Bytes == 0 {
-			s.Flow = nil
-			q.head++
+		emit(q.front.Flow, n)
+		if q.front.Bytes == 0 {
+			q.advance()
 		}
 	}
 	return dst, taken
@@ -219,56 +249,45 @@ func (q *FIFO) TakeCell(max int64, emit func(f *flows.Flow, n int64)) (dst int, 
 // O(1) guard for relay service decisions (segments are queued in
 // non-decreasing arrival order, so a late head implies nothing is ready).
 func (q *FIFO) HeadReady(now sim.Time) bool {
-	return !q.Empty() && q.segs[q.head].Enqueued <= now
-}
-
-// ReadyBytes reports how many queued bytes have arrived by now.
-func (q *FIFO) ReadyBytes(now sim.Time) int64 {
-	var b int64
-	for i := q.head; i < len(q.segs); i++ {
-		if q.segs[i].Enqueued > now {
-			break
-		}
-		b += q.segs[i].Bytes
-	}
-	return b
+	return q.bytes > 0 && q.front.Enqueued <= now
 }
 
 // DestQueue is the per-destination queue of one ToR: either a single FIFO
 // (priority queues disabled) or a PIAS multi-level feedback queue. The
+// priority levels are inline, so a queue's aggregate counter and its
+// level-0 front share the header the caller already loaded; with priority
+// queues off only prios[0] is used and the other levels stay empty. The
 // aggregate byte counter is maintained by every push/take, so Bytes() and
 // Empty() are O(1) field reads — the per-round demand sweeps of the
 // engines read them N² times per epoch. DestQueue is embeddable by value:
 // NewSlab lays a whole VOQ set out contiguously.
 type DestQueue struct {
-	prios    []FIFO
-	priority bool
-	bytes    int64
+	bytes  int64
+	levels int // levels in use: 1, or NumPriorities with PIAS on
+	prios  [NumPriorities]FIFO
+}
+
+// numLevels returns the priority levels a queue uses.
+func numLevels(priority bool) int {
+	if priority {
+		return NumPriorities
+	}
+	return 1
 }
 
 // NewDestQueue returns a per-destination queue; priority selects the PIAS
 // multi-level variant.
 func NewDestQueue(priority bool) *DestQueue {
-	n := 1
-	if priority {
-		n = NumPriorities
-	}
-	return &DestQueue{prios: make([]FIFO, n), priority: priority}
+	return &DestQueue{levels: numLevels(priority)}
 }
 
-// NewSlab returns n per-destination queues laid out contiguously, with all
-// their priority FIFOs in one shared backing array: a node's whole VOQ set
-// is two allocations, and a dense sweep of Bytes()/Empty() walks
-// consecutive cache lines instead of chasing n heap pointers.
+// NewSlab returns n per-destination queues laid out contiguously in one
+// allocation, priority levels inline: a dense sweep of Bytes()/Empty()
+// walks consecutive cache lines instead of chasing n heap pointers.
 func NewSlab(n int, priority bool) []DestQueue {
-	np := 1
-	if priority {
-		np = NumPriorities
-	}
-	fifos := make([]FIFO, n*np)
 	qs := make([]DestQueue, n)
 	for j := range qs {
-		qs[j] = DestQueue{prios: fifos[j*np : (j+1)*np : (j+1)*np], priority: priority}
+		qs[j].levels = numLevels(priority)
 	}
 	return qs
 }
@@ -295,7 +314,7 @@ func (d *DestQueue) PushBytesPool(pool *SegPool, f *flows.Flow, n, off int64, no
 		return
 	}
 	d.bytes += n
-	if !d.priority {
+	if d.levels == 1 {
 		d.prios[0].PushPool(pool, Segment{Flow: f, Bytes: n, Enqueued: now})
 		return
 	}
@@ -345,7 +364,8 @@ func (d *DestQueue) pushPrios(pool *SegPool, f *flows.Flow, n, off int64, now si
 func (d *DestQueue) Bytes() int64 { return d.bytes }
 
 // Recount sums the per-priority FIFO byte counters — the figure the
-// aggregate must match, for invariant checks.
+// aggregate must match, for invariant checks. It covers the unused levels
+// too, so a byte pushed past the queue's level count shows up as drift.
 func (d *DestQueue) Recount() int64 {
 	var total int64
 	for i := range d.prios {
@@ -358,14 +378,18 @@ func (d *DestQueue) Recount() int64 {
 func (d *DestQueue) Empty() bool { return d.bytes == 0 }
 
 // Take removes up to max bytes, serving priorities in order and FIFO within
-// each priority. It returns the bytes taken.
+// each priority. It returns the bytes taken. Empty levels are skipped on
+// their counter, without a call.
 func (d *DestQueue) Take(max int64, emit func(f *flows.Flow, n int64)) int64 {
 	var taken int64
-	for p := range d.prios {
+	lv := d.prios[:d.levels]
+	for p := range lv {
 		if taken >= max {
 			break
 		}
-		taken += d.prios[p].Take(max-taken, emit)
+		if lv[p].bytes > 0 {
+			taken += lv[p].Take(max-taken, emit)
+		}
 	}
 	d.bytes -= taken
 	return taken
@@ -375,9 +399,10 @@ func (d *DestQueue) Take(max int64, emit func(f *flows.Flow, n int64)) int64 {
 // flow of the highest-priority non-empty queue), or -1 when empty. Used by
 // spray lanes, whose segments mix final destinations.
 func (d *DestQueue) HeadDst() int {
-	for p := range d.prios {
-		if !d.prios[p].Empty() {
-			return d.prios[p].Head().Flow.Dst
+	lv := d.prios[:d.levels]
+	for p := range lv {
+		if lv[p].bytes > 0 {
+			return lv[p].front.Flow.Dst
 		}
 	}
 	return -1
@@ -387,9 +412,10 @@ func (d *DestQueue) HeadDst() int {
 // highest-priority non-empty queue (see FIFO.TakeCell). It returns the
 // destination served and bytes taken.
 func (d *DestQueue) TakeHeadCell(max int64, emit func(f *flows.Flow, n int64)) (dst int, taken int64) {
-	for p := range d.prios {
-		if !d.prios[p].Empty() {
-			dst, taken = d.prios[p].TakeCell(max, emit)
+	lv := d.prios[:d.levels]
+	for p := range lv {
+		if lv[p].bytes > 0 {
+			dst, taken = lv[p].TakeCell(max, emit)
 			d.bytes -= taken
 			return dst, taken
 		}
@@ -401,14 +427,14 @@ func (d *DestQueue) TakeHeadCell(max int64, emit func(f *flows.Flow, n int64)) (
 // (elephant) queue, used by the traffic-aware selective relay variant
 // (App. A.2.2), which relays only elephant-class data.
 func (d *DestQueue) TakeLowestOnly(max int64, emit func(f *flows.Flow, n int64)) int64 {
-	taken := d.prios[len(d.prios)-1].Take(max, emit)
+	taken := d.prios[d.levels-1].Take(max, emit)
 	d.bytes -= taken
 	return taken
 }
 
 // LowestPriorityBytes reports the bytes queued at the lowest priority.
 func (d *DestQueue) LowestPriorityBytes() int64 {
-	return d.prios[len(d.prios)-1].bytes
+	return d.prios[d.levels-1].bytes
 }
 
 // HoLWait returns the per-priority head-of-line waiting times at now,
@@ -416,9 +442,10 @@ func (d *DestQueue) LowestPriorityBytes() int64 {
 // request variant (App. A.2.3).
 func (d *DestQueue) HoLWait(now sim.Time) [NumPriorities]sim.Duration {
 	var w [NumPriorities]sim.Duration
-	for p := range d.prios {
-		if !d.prios[p].Empty() {
-			w[p] = now.Sub(d.prios[p].Head().Enqueued)
+	lv := d.prios[:d.levels]
+	for p := range lv {
+		if lv[p].bytes > 0 {
+			w[p] = now.Sub(lv[p].front.Enqueued)
 		}
 	}
 	return w

@@ -267,8 +267,8 @@ func TestTakeReadyRespectsArrivalTime(t *testing.T) {
 	f1, f2 := newFlow(1, 100), newFlow(2, 100)
 	q.Push(Segment{Flow: f1, Bytes: 100, Enqueued: 50})
 	q.Push(Segment{Flow: f2, Bytes: 100, Enqueued: 500})
-	if got := q.ReadyBytes(100); got != 100 {
-		t.Errorf("ReadyBytes(100) = %d, want 100", got)
+	if !q.HeadReady(100) || q.HeadReady(49) {
+		t.Error("HeadReady must follow the front segment's arrival time")
 	}
 	n := q.TakeReady(1000, 100, func(*flows.Flow, int64) {})
 	if n != 100 {
@@ -281,8 +281,8 @@ func TestTakeReadyRespectsArrivalTime(t *testing.T) {
 	if n != 100 {
 		t.Errorf("second TakeReady took %d, want 100", n)
 	}
-	if got := q.ReadyBytes(1 << 40); got != 0 {
-		t.Errorf("ReadyBytes after drain = %d", got)
+	if q.HeadReady(1<<40) || !q.Empty() {
+		t.Errorf("queue not drained: %d bytes left", q.Bytes())
 	}
 }
 

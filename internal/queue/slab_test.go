@@ -6,8 +6,8 @@ import (
 	"negotiator/internal/flows"
 )
 
-// TestNewSlabIndependence: slab entries are independent queues over one
-// shared FIFO backing array.
+// TestNewSlabIndependence: slab entries laid out in one array are
+// independent queues, each with its own inline priority levels.
 func TestNewSlabIndependence(t *testing.T) {
 	for _, priority := range []bool{false, true} {
 		qs := NewSlab(4, priority)

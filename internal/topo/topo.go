@@ -185,12 +185,24 @@ func (p *Parallel) PathPort(src, dst int) int {
 
 // PredefinedSlotPort inverts the rotating schedule: the offset of j from i
 // is k = (j-i-1) mod N, reached when (t*S + s + r) mod span == k.
+//
+// The predefined phase calls this once per backlogged pair per epoch, so
+// it costs one reduction of r plus one fused slot/port division: for
+// i != j, j-i-1 lies in [-N, N-2], so one conditional add gives k in
+// [0, N-2], and with r >= 0 (a rotation counts elapsed cycles) k - r mod
+// span lies in (-span, N-2], where one conditional add replaces the mod.
 func (p *Parallel) PredefinedSlotPort(i, j, r int) (slot, port int) {
 	if i == j {
 		return -1, -1
 	}
-	k := (j - i - 1 + p.n) % p.n
-	ts := ((k-r)%p.span + p.span) % p.span
+	k := j - i - 1
+	if k < 0 {
+		k += p.n
+	}
+	ts := k - r%p.span
+	if ts < 0 {
+		ts += p.span
+	}
 	return ts / p.s, ts % p.s
 }
 

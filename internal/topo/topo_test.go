@@ -307,7 +307,26 @@ func TestNames(t *testing.T) {
 }
 
 func TestPredefinedSlotPortInverse(t *testing.T) {
-	// PredefinedSlotPort must invert PredefinedPeer for every pair.
+	// PredefinedSlotPort must invert PredefinedPeer for every pair, at
+	// small rotations and at the large ones a long run reaches (the
+	// negotiator engine passes rotations up to 2^30-1).
+	t.Run("parallel-quick", func(t *testing.T) {
+		inverse := func(q parallelPoint) bool {
+			p, err := NewParallel(q.n, q.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot, port := p.PredefinedSlotPort(q.i, q.j, q.r)
+			if q.i == q.j {
+				return slot == -1 && port == -1
+			}
+			return slot >= 0 && slot < p.PredefinedSlots() && port >= 0 && port < q.s &&
+				p.PredefinedPeer(q.i, port, slot, q.r) == q.j
+		}
+		if err := quick.Check(inverse, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
+		}
+	})
 	tops := []Topology{
 		mustParallel(t, 16, 4),
 		mustParallel(t, 10, 4),
@@ -316,7 +335,7 @@ func TestPredefinedSlotPortInverse(t *testing.T) {
 		mustThinClos(t, 128, 8, 16),
 	}
 	for _, top := range tops {
-		for _, r := range []int{0, 1, 5, 13} {
+		for _, r := range []int{0, 1, 5, 13, 123456789, 1<<30 - 2, 1<<30 - 1} {
 			n := top.N()
 			step := 1
 			if n > 32 {
