@@ -105,11 +105,13 @@ func TraitsOf(m Matcher) (idleSafe, pure bool) {
 type Negotiator struct {
 	topo topo.Topology
 	// identityDom marks topologies whose port domains are the identity
-	// (parallel network: domain position == ToR id). Grants and Accepts
-	// then run their ring arbitration as word-scan priority encoding over
-	// a candidate bitmask (Ring.PickMask) instead of an O(N) predicate
-	// scan — the structure a switch ASIC builds, and the O(active +
-	// N/64) software path the 1024-ToR sparse regime needs.
+	// (parallel network: domain position == ToR id). Multi-requester
+	// Grants then run their ring arbitration as word-scan priority
+	// encoding over a candidate bitmask (Ring.PickMaskSum) instead of an
+	// O(N) predicate scan — the structure a switch ASIC builds, and the
+	// O(active + N/4096) software path the sparse regime needs. Accepts,
+	// one pick per port, scans its candidates for the nearest position
+	// instead (nearestGranter).
 	identityDom bool
 
 	// grantRings[dst]: length 1 (parallel, shared) or S (thin-clos,
@@ -121,28 +123,31 @@ type Negotiator struct {
 
 	// scratch, reused across calls.
 	grantable [][]int32 // grantable[port] = dsts granting that port (scratch)
-	// candMask is the identityDom candidate bitmask scratch; every use
-	// sets exactly the candidate bits and clears them again after
-	// arbitration, so the mask is all-zero between calls. candSum is its
-	// summary level (one bit per mask word), letting PickMaskSum skip
-	// empty words 64 at a time — without it the word-scan itself was an
-	// O(N/64) per-arbitration term at 65,536 ToRs. The base matcher's
-	// identity-domain paths maintain both; variants that arbitrate with
-	// plain PickMask may ignore candSum as long as they restore the mask
-	// to all-zero.
+	// candMask is the identityDom candidate bitmask scratch of
+	// multi-requester Grants and the variants; every use sets exactly the
+	// candidate bits and clears them again after arbitration, so the mask
+	// is all-zero between calls. candSum is its summary level (one bit
+	// per mask word), letting PickMaskSum skip empty words 64 at a time —
+	// without it the word-scan itself was an O(N/64) per-arbitration term
+	// at 65,536 ToRs. The base matcher's multi-requester Grants maintains
+	// both; variants that arbitrate with plain PickMask may ignore candSum
+	// as long as they restore the mask to all-zero. A lone requester and
+	// every Accepts pick need no mask.
 	candMask []uint64
 	candSum  []uint64
 	// domMask is the non-identity counterpart: one candidate bitmask per
 	// port, in that port's DOMAIN-POSITION space (topo.DomainPos), so the
-	// thin-clos grant/accept rings arbitrate by the same Ring.PickMask
-	// word-scan the parallel network uses instead of an O(domain)
-	// predicate walk. Like candMask, every use clears the bits it set.
+	// thin-clos grant rings of multi-requester Grants and the variants
+	// arbitrate by the same Ring.PickMask word-scan the parallel network
+	// uses instead of an O(domain) predicate walk. Like candMask, every
+	// use clears the bits it set.
 	domMask [][]uint64
 	// grp/pos are the thin-clos group and local-index tables (nil on
 	// other topologies): port(src→dst) = (grp[src]+grp[dst]) mod S and
-	// domain position = pos[src], turning the mask-building request
-	// sweeps into table lookups — no divisions, no interface calls — so
-	// the dense regime pays no more than the old stamp stores did.
+	// domain position = pos[src], turning the port and position lookups
+	// of Grants and Accepts into table reads — no divisions, no interface
+	// calls — so the dense regime pays no more than the old stamp stores
+	// did.
 	grp, pos []int32
 	// domWords is the total word count across domMask — the wholesale
 	// zeroing cost, against which clearDomMasks weighs an exact-bits
@@ -256,7 +261,11 @@ func (m *Negotiator) Requests(src int, view QueueView, now sim.Time, threshold i
 
 // Grants implements the GRANT step at dst.
 func (m *Negotiator) Grants(dst int, reqs []Request, emit func(Grant)) {
-	if len(reqs) == 0 {
+	switch len(reqs) {
+	case 0:
+		return
+	case 1:
+		m.grantLone(dst, reqs[0].Src, emit)
 		return
 	}
 	if m.identityDom {
@@ -314,6 +323,25 @@ func (m *Negotiator) Grants(dst int, reqs []Request, emit func(Grant)) {
 	m.clearDomMasks(dst, reqs)
 }
 
+// grantLone is the GRANT step for a lone requester, which wins every port
+// that reaches it: all S ports of the shared ring on the parallel network,
+// its single path port on thin-clos. No candidate mask is needed.
+func (m *Negotiator) grantLone(dst, src int, emit func(Grant)) {
+	if m.identityDom {
+		m.grantRings[dst][0].Advance(src)
+		for port := 0; port < m.topo.Ports(); port++ {
+			emit(Grant{Dst: dst, Port: port, Src: src})
+		}
+		return
+	}
+	p, pos := m.portAndPos(dst, src)
+	if p < 0 {
+		return
+	}
+	m.grantRings[dst][p].Advance(int(pos))
+	emit(Grant{Dst: dst, Port: int(p), Src: src})
+}
+
 // zeroDomMasks restores the all-zero between-calls state of the per-port
 // candidate masks.
 func (m *Negotiator) zeroDomMasks() {
@@ -353,78 +381,46 @@ func (m *Negotiator) Accepts(src int, view QueueView, grants []Grant, matches []
 		m.grantable[g.Port] = append(m.grantable[g.Port], int32(g.Dst))
 	}
 	for port := range matches {
-		cand := m.grantable[port]
-		if len(cand) == 0 {
-			continue
-		}
-		ring := m.acceptRings[src][port]
-		if m.identityDom {
-			// Word-scan path: granting dsts as a bitmask, one
-			// find-first-set from the per-port ring's pointer.
-			for _, c := range cand {
-				m.candMask[c>>6] |= 1 << (uint(c) & 63)
-				m.candSum[c>>12] |= 1 << (uint(c>>6) & 63)
-			}
-			pos := ring.PickMaskSum(m.candMask, m.candSum)
-			for _, c := range cand {
-				m.candMask[c>>6] &^= 1 << (uint(c) & 63)
-				m.candSum[c>>12] &^= 1 << (uint(c>>6) & 63)
-			}
-			if pos < 0 {
-				continue
-			}
-			ring.Advance(pos)
-			matches[port] = int32(pos)
-			continue
-		}
-		// Word-scan path in the port's domain-position space: granting
-		// dsts as a bitmask, one find-first-set from the ring's pointer.
-		mask := m.domMask[port]
-		if m.pos != nil {
-			// Grants arrive on the pair's unique port, so membership in
-			// this port's domain is implied and the position is a table
-			// read.
-			for _, c := range cand {
-				pos := m.pos[c]
-				mask[pos>>6] |= 1 << (uint(pos) & 63)
-			}
-		} else {
-			for _, c := range cand {
-				if pos := m.topo.DomainPos(src, port, int(c)); pos >= 0 {
-					mask[pos>>6] |= 1 << (uint(pos) & 63)
-				}
+		if cand := m.grantable[port]; len(cand) > 0 {
+			ring := m.acceptRings[src][port]
+			if dst, pos := m.nearestGranter(src, port, ring, cand); dst >= 0 {
+				ring.Advance(pos)
+				matches[port] = dst
 			}
 		}
-		pos := ring.PickMask(mask)
-		// Restore the all-zero mask: exact-bits clear for sparse grant
-		// sets, wholesale memclr when dense (see clearDomMasks).
-		if 4*len(cand) >= len(mask) {
-			for i := range mask {
-				mask[i] = 0
-			}
-		} else if m.pos != nil {
-			for _, c := range cand {
-				p := m.pos[c]
-				mask[p>>6] &^= 1 << (uint(p) & 63)
-			}
-		} else {
-			for _, c := range cand {
-				if p := m.topo.DomainPos(src, port, int(c)); p >= 0 {
-					mask[p>>6] &^= 1 << (uint(p) & 63)
-				}
-			}
-		}
-		if pos < 0 {
-			continue
-		}
-		ring.Advance(pos)
-		matches[port] = int32(m.topo.PortDomain(src, port)[pos])
 	}
 	if feedback != nil {
 		for _, g := range grants {
 			feedback(g, matches[g.Port] == int32(g.Dst))
 		}
 	}
+}
+
+// nearestGranter returns the granting destination a port's accept ring
+// picks, and its ring position: the candidate at the smallest cyclic
+// distance from the pointer, which is what PickMask over the candidates'
+// bits returns, found in O(candidates) with no mask to set or clear. It
+// returns (-1, -1) when no candidate lies in the port's domain.
+func (m *Negotiator) nearestGranter(src, port int, ring *Ring, cand []int32) (dst int32, pos int) {
+	dst, pos = -1, -1
+	best := ring.Size()
+	for _, c := range cand {
+		p := int(c) // the parallel network's positions are ToR ids
+		if m.pos != nil {
+			// Grants arrive on the pair's unique port, so membership in
+			// this port's domain is implied and the position is a table
+			// read.
+			p = int(m.pos[c])
+		} else if !m.identityDom {
+			if p = m.topo.DomainPos(src, port, int(c)); p < 0 {
+				continue
+			}
+		}
+		if d := ring.Dist(p); d < best {
+			dst, pos, best = c, p, d
+		}
+	}
+	return dst, pos
 }
 
 // Feedback is a no-op for the stateless base algorithm.

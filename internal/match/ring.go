@@ -43,6 +43,17 @@ func (r *Ring) Size() int { return r.n }
 // Pointer returns the current highest-priority position.
 func (r *Ring) Pointer() int { return r.ptr }
 
+// Dist returns pos's cyclic distance from the pointer, (pos - ptr) mod n.
+// Of a candidate set, Pick, PickMask and PickMaskSum return the member at
+// the smallest distance.
+func (r *Ring) Dist(pos int) int {
+	d := pos - r.ptr
+	if d < 0 {
+		d += r.n
+	}
+	return d
+}
+
 // Pick returns the first position at or after the pointer (cyclically) for
 // which want returns true, or -1 if none does. Pick does not move the
 // pointer; call Advance with the winner.

@@ -94,15 +94,10 @@ func (m *Informative) Grants(dst int, reqs []Request, emit func(Grant)) {
 		// One shared domain: position == ToR id, every requester is a
 		// candidate on every port.
 		ring := rings[0]
-		n := ring.Size()
 		for port := 0; port < s; port++ {
-			start := ring.Pointer()
 			best, bestPos, bestDist := -1.0, -1, 0
 			for _, r := range reqs {
-				dist := r.Src - start
-				if dist < 0 {
-					dist += n
-				}
+				dist := ring.Dist(r.Src)
 				if p := m.prioOf(r); p > best || (p == best && dist < bestDist) {
 					best, bestPos, bestDist = p, r.Src, dist
 				}
@@ -131,8 +126,6 @@ func (m *Informative) Grants(dst int, reqs []Request, emit func(Grant)) {
 		if len(rings) > 1 {
 			ring = rings[port]
 		}
-		w := ring.Size()
-		start := ring.Pointer()
 		best, bestPos, bestDist := -1.0, -1, 0
 		for _, ri := range cand {
 			r := reqs[ri]
@@ -140,10 +133,7 @@ func (m *Informative) Grants(dst int, reqs []Request, emit func(Grant)) {
 			if pos < 0 {
 				continue
 			}
-			dist := pos - start
-			if dist < 0 {
-				dist += w
-			}
+			dist := ring.Dist(pos)
 			if p := m.prioOf(r); p > best || (p == best && dist < bestDist) {
 				best, bestPos, bestDist = p, pos, dist
 			}

@@ -18,6 +18,20 @@ func BenchmarkPushTake(b *testing.B) {
 	}
 }
 
+// BenchmarkPushGroupPIAS measures one flow group's push under PIAS, then
+// the take that drains it: 8,192 members of 100 KB, the group size of the
+// million-flow tier. Each level takes the group's share as one segment, so
+// the cost does not grow with the member count.
+func BenchmarkPushGroupPIAS(b *testing.B) {
+	d := NewDestQueue(true)
+	g := &flows.Flow{ID: 1, Size: 100_000, Count: 8192}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Push(g, 0)
+		d.Take(g.Total(), func(*flows.Flow, int64) {})
+	}
+}
+
 // BenchmarkTakeCell measures the spray-lane cell extraction used by the
 // oblivious baseline's hot path.
 func BenchmarkTakeCell(b *testing.B) {

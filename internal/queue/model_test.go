@@ -145,13 +145,14 @@ func sameRuns(got, want []run) error {
 
 // modelFlows returns a small flow set: singles and groups spread over
 // three destinations, so cells pack runs of one destination and PIAS
-// splits land on member boundaries.
+// splits land on member boundaries. One group's members (2,950 B) end in
+// the second PIAS level, the other's (12,950 B) reach the third.
 func modelFlows() []*flows.Flow {
 	fs := make([]*flows.Flow, 9)
 	for i := range fs {
 		fs[i] = &flows.Flow{ID: int64(i), Dst: i % 3, Size: 1 << 20}
 		if i%4 == 3 {
-			fs[i].Size, fs[i].Count = 700+int64(i)*300, 5
+			fs[i].Size, fs[i].Count = 700+int64(i*i)*250, 5
 		}
 	}
 	return fs
@@ -256,12 +257,14 @@ func TestFIFOModel(t *testing.T) {
 type modelDest struct{ levels []modelFIFO }
 
 // push splits n bytes of f, first byte at offset off, at member
-// boundaries and at the PIAS thresholds, one segment per piece.
+// boundaries and at the PIAS thresholds, and sums each level's pieces
+// into one segment for the push.
 func (m *modelDest) push(f *flows.Flow, n, off int64, now sim.Time) {
 	if len(m.levels) == 1 {
 		m.levels[0].push(Segment{Flow: f, Bytes: n, Enqueued: now})
 		return
 	}
+	var perLevel [NumPriorities]int64
 	for n > 0 {
 		mOff, memberLeft := off, n
 		if f.Count > 1 {
@@ -276,9 +279,12 @@ func (m *modelDest) push(f *flows.Flow, n, off int64, now sim.Time) {
 			level, levelLeft = 1, DefaultPrio1Bytes-mOff
 		}
 		piece := min(n, memberLeft, levelLeft)
-		m.levels[level].push(Segment{Flow: f, Bytes: piece, Enqueued: now})
+		perLevel[level] += piece
 		off += piece
 		n -= piece
+	}
+	for level, b := range perLevel {
+		m.levels[level].push(Segment{Flow: f, Bytes: b, Enqueued: now})
 	}
 }
 

@@ -18,7 +18,6 @@
 package queue
 
 import (
-	"fmt"
 	"math/bits"
 
 	"negotiator/internal/flows"
@@ -308,7 +307,10 @@ func (d *DestQueue) PushBytes(f *flows.Flow, n, off int64, now sim.Time) {
 }
 
 // PushBytesPool is PushBytes with segment-array recycling (see
-// FIFO.PushPool).
+// FIFO.PushPool). With PIAS on, each level takes the run's share as one
+// segment, so a push costs O(1) whatever the group's member count: the
+// pieces a run places in one level share a flow and an enqueue time, and
+// Take yields their bytes in the same order either way.
 func (d *DestQueue) PushBytesPool(pool *SegPool, f *flows.Flow, n, off int64, now sim.Time) {
 	if n <= 0 {
 		return
@@ -319,43 +321,24 @@ func (d *DestQueue) PushBytesPool(pool *SegPool, f *flows.Flow, n, off int64, no
 		return
 	}
 	// PIAS demotion is per HOST flow. For a flow group, off is a position
-	// in the concatenated member stream, so split the run at member
-	// boundaries and demote each piece by its member-relative offset —
-	// byte-for-byte the placement Count separate flows would get.
+	// in the concatenated member stream: the run covers whole members
+	// between its two ends, and each end is demoted by its member-relative
+	// offset — byte-for-byte the placement Count separate flows would get.
+	// A single flow's run lies inside its one member.
+	end := off + n
+	var whole, m0, m01 int64
 	if f.Count > 1 {
-		for n > 0 {
-			mOff := off % f.Size
-			take := f.Size - mOff
-			if take > n {
-				take = n
-			}
-			d.pushPrios(pool, f, take, mOff, now)
-			off += take
-			n -= take
-		}
-		return
+		whole = end/f.Size - off/f.Size
+		off, end = off%f.Size, end%f.Size
+		m0, m01 = min(f.Size, DefaultPrio0Bytes), min(f.Size, DefaultPrio1Bytes)
 	}
-	d.pushPrios(pool, f, n, off, now)
-}
-
-// pushPrios splits one member-contained byte run across the PIAS priority
-// levels. The caller has already added n to the aggregate byte counter.
-func (d *DestQueue) pushPrios(pool *SegPool, f *flows.Flow, n, off int64, now sim.Time) {
-	bounds := [...]int64{DefaultPrio0Bytes, DefaultPrio1Bytes, 1 << 62}
-	for p := 0; p < NumPriorities && n > 0; p++ {
-		if off >= bounds[p] {
-			continue
+	// b0 and b01 are the run's bytes in level 0 and in levels 0 and 1.
+	b0 := whole*m0 + min(end, DefaultPrio0Bytes) - min(off, DefaultPrio0Bytes)
+	b01 := whole*m01 + min(end, DefaultPrio1Bytes) - min(off, DefaultPrio1Bytes)
+	for p, b := range [NumPriorities]int64{b0, b01 - b0, n - b01} {
+		if b > 0 {
+			d.prios[p].PushPool(pool, Segment{Flow: f, Bytes: b, Enqueued: now})
 		}
-		take := bounds[p] - off
-		if take > n {
-			take = n
-		}
-		d.prios[p].PushPool(pool, Segment{Flow: f, Bytes: take, Enqueued: now})
-		off += take
-		n -= take
-	}
-	if n > 0 {
-		panic(fmt.Sprintf("queue: %d bytes beyond final priority bound", n))
 	}
 }
 

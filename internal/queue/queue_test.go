@@ -109,6 +109,32 @@ func TestPIASOffsetPreserved(t *testing.T) {
 	}
 }
 
+// TestGroupPushOneSegmentPerLevel: a flow group's push costs the same as
+// a single flow's under PIAS. Each level takes the group's share of the
+// run as one segment, and the push allocates no more for 8,192 members
+// than for one.
+func TestGroupPushOneSegmentPerLevel(t *testing.T) {
+	const k, size = 8192, 100_000
+	d := NewDestQueue(true)
+	d.Push(&flows.Flow{ID: 1, Size: size, Count: k}, 0)
+	want := [NumPriorities]int64{k * 1024, k * 9216, k * 89_760}
+	for p := range want {
+		if l, b := d.prios[p].Len(), d.prios[p].Bytes(); l != 1 || b != want[p] {
+			t.Errorf("level %d holds %d segments of %d bytes, want 1 of %d", p, l, b, want[p])
+		}
+	}
+	allocs := func(count int32) float64 {
+		f := &flows.Flow{ID: 1, Size: size, Count: count}
+		return testing.AllocsPerRun(20, func() {
+			d := DestQueue{levels: NumPriorities}
+			d.Push(f, 0)
+		})
+	}
+	if one, group := allocs(1), allocs(k); group != one {
+		t.Errorf("group push allocates %v per run, a single flow's %v", group, one)
+	}
+}
+
 func TestMicePreemptElephants(t *testing.T) {
 	// An elephant is queued first; a mouse arriving later is served first.
 	d := NewDestQueue(true)
