@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"testing"
 
 	"negotiator/internal/sim"
@@ -21,13 +22,38 @@ func (v *benchView) NextDemand(after int) int {
 	return -1
 }
 
+// BenchmarkGrantsParallel measures the GRANT step at one destination of an
+// 8-port parallel network with k requesters spread over the fabric, at 128
+// and 65,536 ToRs: one pass keeps the S nearest requesters, so the cost
+// follows k and S, not the width.
+func BenchmarkGrantsParallel(b *testing.B) {
+	for _, n := range []int{128, 65536} {
+		top, err := topo.NewParallel(n, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := NewNegotiator(top, sim.NewRNG(1))
+		for _, k := range []int{1, 2, 8, 32} {
+			var reqs []Request
+			for i := 0; i < k; i++ {
+				reqs = append(reqs, Request{Src: 1 + i*(n/k), Dst: 0, Port: -1})
+			}
+			emit := func(Grant) {}
+			b.Run(fmt.Sprintf("n%d/k%d", n, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.Grants(0, reqs, emit)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGrantsThinClos measures the GRANT step at one destination of a
 // 1024-ToR thin-clos fabric (64 ports, 16-wide domains) with one requester
-// in every fourth port domain — the sparse regime where the per-port
-// arbitration cost dominates. Before PR 5 each port ran an O(domain)
-// ring.Pick predicate walk; after, a per-domain candidate mask drives
-// Ring.PickMask word-scan arbitration (BENCH_pr5.json records the
-// trajectory).
+// in every fourth port domain, the sparse regime where the per-port cost
+// dominates: the requesters are bucketed by path port and each port's
+// ring takes the nearest in its bucket.
 func BenchmarkGrantsThinClos(b *testing.B) {
 	tc, err := topo.NewThinClos(1024, 64, 16)
 	if err != nil {
@@ -49,7 +75,8 @@ func BenchmarkGrantsThinClos(b *testing.B) {
 }
 
 // BenchmarkAcceptsThinClos measures the ACCEPT step at one source of the
-// same fabric holding one grant on every fourth port.
+// same fabric holding one grant on every fourth port; each port's ring
+// takes the granter nearest its pointer.
 func BenchmarkAcceptsThinClos(b *testing.B) {
 	tc, err := topo.NewThinClos(1024, 64, 16)
 	if err != nil {

@@ -10,14 +10,14 @@ import (
 )
 
 // TestArbitrationMatchesPickReference pins the base matcher's GRANT and
-// ACCEPT steps to the ring semantics of paper §3.2: each port's pick is
-// Ring.Pick over the port's domain with a membership predicate, and the
-// winner advances the ring. Seeded request and grant sets of 0 to 12
-// candidates, weighted toward the lone and paired candidates most picks
-// see, run from random ring pointers on both topologies and at widths up
-// to 65,536 ToRs. The emitted grants, the match row, the accept feedback
-// and every ring the call touches must equal the reference's, and the
-// candidate masks must be all-zero again after every call.
+// ACCEPT steps, and the Stateful variant's GRANT, to the ring semantics of
+// paper §3.2: each port's pick is Ring.Pick over the port's domain with a
+// membership predicate, and the winner advances the ring. Seeded request
+// and grant sets of 0 to 12 candidates, weighted toward the lone and
+// paired candidates most picks see, run from random ring pointers on both
+// topologies and at widths up to 65,536 ToRs. The emitted grants, the
+// match row, the accept feedback, the Stateful matrix row and every ring
+// the call touches must equal the reference's.
 func TestArbitrationMatchesPickReference(t *testing.T) {
 	for _, c := range []struct {
 		top    topo.Topology
@@ -34,6 +34,12 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			member := make([]bool, n)
 			matches := make([]int32, s)
+			// The Stateful matcher shares m and holds one matrix row,
+			// lent to each trial's destination: a full n×n matrix does
+			// not fit at 65,536 ToRs.
+			const epochBytes = 1000
+			st := &Stateful{Negotiator: m, epochBytes: epochBytes, matrix: make([][]int64, n)}
+			row, refRow := make([]int64, n), make([]int64, n)
 			for trial := 0; trial < c.trials; trial++ {
 				fail := func(format string, args ...any) {
 					t.Helper()
@@ -74,9 +80,6 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 				}
 				if err := samePointers(rings, ref); err != nil {
 					fail("Grants(%d, %v): %v", dst, reqs, err)
-				}
-				if err := masksClear(m); err != nil {
-					fail("after Grants(%d, %v): %v", dst, reqs, err)
 				}
 
 				// ACCEPT at a random source: per port, distinct granters
@@ -122,8 +125,59 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 				if err := samePointers(rings, ref); err != nil {
 					fail("Accepts(%d, %v): %v", src, grants, err)
 				}
-				if err := masksClear(m); err != nil {
-					fail("after Accepts(%d, %v): %v", src, grants, err)
+
+				// Stateful GRANT at a random destination: the candidates
+				// are the requesters whose entry is positive once their
+				// NewBytes is added, each winner's entry drops by
+				// epochBytes, and an entry at or below zero leaves.
+				dst = rng.Intn(n)
+				rings = m.grantRings[dst]
+				scramble(rng, rings)
+				ref = copyRings(rings)
+				reqs = reqs[:0]
+				for _, src := range drawCandidates(rng, n, rings[0].Pointer(), func(src int) bool { return src != dst }) {
+					row[src] = rng.Int63n(3*epochBytes) - epochBytes
+					refRow[src] = row[src]
+					reqs = append(reqs, Request{Src: src, Dst: dst, Port: -1, NewBytes: rng.Int63n(2 * epochBytes)})
+				}
+				st.matrix[dst] = row
+				got = got[:0]
+				st.Grants(dst, reqs, func(g Grant) { got = append(got, g) })
+				st.matrix[dst] = nil
+				for _, r := range reqs {
+					refRow[r.Src] += r.NewBytes
+					member[r.Src] = refRow[r.Src] > 0
+				}
+				want = want[:0]
+				for port := 0; port < s; port++ {
+					ring := &ref[0]
+					if len(ref) > 1 {
+						ring = &ref[port]
+					}
+					dom := c.top.PortDomain(dst, port)
+					if pos := ring.Pick(func(p int) bool { return member[dom[p]] }); pos >= 0 {
+						ring.Advance(pos)
+						refRow[dom[pos]] -= epochBytes
+						member[dom[pos]] = refRow[dom[pos]] > 0
+						want = append(want, Grant{Dst: dst, Port: port, Src: dom[pos]})
+					}
+				}
+				for _, r := range reqs {
+					member[r.Src] = false
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					fail("Stateful.Grants(%d, %v) = %v, reference %v", dst, reqs, got, want)
+				}
+				for i := range row {
+					if row[i] != refRow[i] {
+						fail("Stateful.Grants(%d, %v): matrix entry %d = %d, reference %d", dst, reqs, i, row[i], refRow[i])
+					}
+				}
+				if err := samePointers(rings, ref); err != nil {
+					fail("Stateful.Grants(%d, %v): %v", dst, reqs, err)
+				}
+				for _, r := range reqs {
+					row[r.Src], refRow[r.Src] = 0, 0
 				}
 			}
 		})
@@ -182,28 +236,6 @@ func samePointers(rings []*Ring, ref []Ring) error {
 	for i, r := range rings {
 		if r.Pointer() != ref[i].Pointer() {
 			return fmt.Errorf("ring %d pointer %d, reference %d", i, r.Pointer(), ref[i].Pointer())
-		}
-	}
-	return nil
-}
-
-// masksClear checks the between-calls state of the candidate masks.
-func masksClear(m *Negotiator) error {
-	for i, w := range m.candMask {
-		if w != 0 {
-			return fmt.Errorf("candMask word %d = %#x", i, w)
-		}
-	}
-	for i, w := range m.candSum {
-		if w != 0 {
-			return fmt.Errorf("candSum word %d = %#x", i, w)
-		}
-	}
-	for p, mask := range m.domMask {
-		for i, w := range mask {
-			if w != 0 {
-				return fmt.Errorf("domMask[%d] word %d = %#x", p, i, w)
-			}
 		}
 	}
 	return nil

@@ -39,13 +39,6 @@ func (k ArbiterKind) String() string {
 	}
 }
 
-// grantRec is one grant plus its domain position at the granting dst
-// (for iSLIP pointer feedback).
-type grantRec struct {
-	g   Grant
-	pos int
-}
-
 // Classic is the iterated request/grant/accept matcher with a selectable
 // arbitration discipline: the crossbar schedulers the paper cites (§5)
 // transplanted to the ToR-matching setting. Classic{RRM} is the paper's
@@ -66,7 +59,7 @@ type Classic struct {
 	// per-call slice allocations are gone.
 	reqBy     [][]int32
 	reqDsts   []int32
-	grants    [][]grantRec
+	grants    [][]Grant
 	grantSrcs []int32
 }
 
@@ -85,7 +78,7 @@ func NewClassic(t topo.Topology, rng *sim.RNG, iters int, kind ArbiterKind) *Cla
 	}
 	m.b = newBatchScratch(n, s)
 	m.reqBy = make([][]int32, n)
-	m.grants = make([][]grantRec, n)
+	m.grants = make([][]Grant, n)
 	return m
 }
 
@@ -95,55 +88,31 @@ func (m *Classic) Name() string { return fmt.Sprintf("%s-%d", m.kind, m.iters) }
 // extra iteration (Appendix A.2.1).
 func (m *Classic) MatchDelay() int { return 2 + 3*(m.iters-1) }
 
-// pickGrant chooses a requester for (dst, port) among the candidate
-// domain positions (ascending, as the dense domain scan collected them),
-// returning the chosen position or -1. RRM advances the ring pointer now;
-// iSLIP waits for accept feedback; PIM has no pointer and picks uniformly
-// at random. Ring picks run as Ring.PickMask word-scans (pickPositions).
-func (m *Classic) pickGrant(dst, port int, cands []int32) int {
-	switch m.kind {
-	case PIM:
-		if len(cands) == 0 {
-			return -1
-		}
-		return int(cands[m.rng.Intn(len(cands))])
-	default:
-		rings := m.grantRings[dst]
-		ring := rings[0]
-		if len(rings) > 1 {
-			ring = rings[port]
-		}
-		pos := m.pickPositions(ring, port, cands)
-		if pos >= 0 && m.kind == RRM {
-			ring.Advance(pos)
-		}
-		return pos
+// pick chooses among one port's candidate ToRs (listed in request or
+// grant order) and returns the winner, or -1 when there is none. PIM
+// draws uniformly at random and has no pointer; RRM and iSLIP take the
+// candidate nearest ring's pointer, and RRM advances it now, while iSLIP
+// waits for the accept.
+func (m *Classic) pick(ring *Ring, cand []int32) int {
+	if len(cand) == 0 {
+		return -1
 	}
-}
-
-func (m *Classic) pickAccept(src, port int, cands []int32) int {
-	switch m.kind {
-	case PIM:
-		if len(cands) == 0 {
-			return -1
-		}
-		return int(cands[m.rng.Intn(len(cands))])
-	default:
-		ring := m.acceptRings[src][port]
-		pos := m.pickPositions(ring, port, cands)
-		if pos >= 0 && m.kind == RRM {
-			ring.Advance(pos)
-		}
-		return pos
+	if m.kind == PIM {
+		return int(cand[m.rng.Intn(len(cand))])
 	}
+	i, pos := m.nearest(ring, cand)
+	if m.kind == RRM {
+		ring.Advance(pos)
+	}
+	return int(cand[i])
 }
 
 // Match implements BatchMatcher: iterated request/grant/accept over one
 // request snapshot. The sweeps visit only requested destinations and
 // granted sources via sorted distinct-ToR indexes, port busyness is
-// epoch-stamped (no O(N·S) clear per call), ring picks are word-scans
-// over the candidates' domain positions, and only touched sources' match
-// rows are written (see BatchMatcher.Match).
+// epoch-stamped (no O(N·S) clear per call), ring picks scan each port's
+// candidate list, and only touched sources' match rows are written (see
+// BatchMatcher.Match).
 func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []int32 {
 	s := m.topo.Ports()
 	b := &m.b
@@ -167,26 +136,24 @@ func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []
 				if b.dstBusy[dst*s+port] == b.stamp {
 					continue
 				}
-				b.candPos = b.candPos[:0]
+				ring, list := m.grantRing(dst, port)
+				b.cand = b.cand[:0]
 				for _, src32 := range m.reqBy[dst] {
 					src := int(src32)
-					if src == dst || b.srcBusy[src*s+port] == b.stamp {
+					if src == dst || b.srcBusy[src*s+port] == b.stamp || m.bucket(dst, src) != list {
 						continue
 					}
-					if pos := m.domainPos(dst, port, src); pos >= 0 {
-						b.candPos = append(b.candPos, int32(pos))
-					}
+					b.cand = append(b.cand, src32)
 				}
-				pos := m.pickGrant(dst, port, b.candPos)
-				if pos < 0 {
+				src := m.pick(ring, b.cand)
+				if src < 0 {
 					continue
 				}
-				src := m.topo.PortDomain(dst, port)[pos]
 				b.touch(src, matches)
 				if len(m.grants[src]) == 0 {
 					m.grantSrcs = append(m.grantSrcs, int32(src))
 				}
-				m.grants[src] = append(m.grants[src], grantRec{Grant{Dst: dst, Port: port, Src: src}, pos})
+				m.grants[src] = append(m.grants[src], Grant{Dst: dst, Port: port, Src: src})
 				if stats != nil {
 					stats.Grants++
 				}
@@ -204,20 +171,16 @@ func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []
 				if b.srcBusy[src*s+port] == b.stamp {
 					continue
 				}
-				b.candPos = b.candPos[:0]
+				b.cand = b.cand[:0]
 				for _, g := range gs {
-					if g.g.Port != port {
-						continue
-					}
-					if pos := m.domainPos(src, port, g.g.Dst); pos >= 0 {
-						b.candPos = append(b.candPos, int32(pos))
+					if g.Port == port {
+						b.cand = append(b.cand, int32(g.Dst))
 					}
 				}
-				pos := m.pickAccept(src, port, b.candPos)
-				if pos < 0 {
+				dst := m.pick(m.acceptRings[src][port], b.cand)
+				if dst < 0 {
 					continue
 				}
-				dst := m.topo.PortDomain(src, port)[pos]
 				matches[src][port] = int32(dst)
 				b.srcBusy[src*s+port] = b.stamp
 				b.dstBusy[dst*s+port] = b.stamp
@@ -227,18 +190,9 @@ func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []
 				if m.kind == ISLIP && iter == 0 {
 					// iSLIP pointer rule: advance only for accepted
 					// first-iteration grants.
-					rings := m.grantRings[dst]
-					gring := rings[0]
-					if len(rings) > 1 {
-						gring = rings[port]
-					}
-					for _, g := range gs {
-						if g.g.Port == port && g.g.Dst == dst {
-							gring.Advance(g.pos)
-							break
-						}
-					}
-					m.acceptRings[src][port].Advance(pos)
+					gring, _ := m.grantRing(dst, port)
+					gring.Advance(m.ringPos(int32(src)))
+					m.acceptRings[src][port].Advance(m.ringPos(int32(dst)))
 				}
 			}
 			m.grants[src] = m.grants[src][:0]

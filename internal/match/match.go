@@ -1,6 +1,8 @@
 package match
 
 import (
+	"fmt"
+
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 )
@@ -102,67 +104,57 @@ func TraitsOf(m Matcher) (idleSafe, pure bool) {
 // on the parallel network, one ring per destination port on thin-clos,
 // Figure 3), and port-level accepts via per-port rings. Non-iterative and
 // stateless.
+//
+// Every ring pick scans the port's candidate ToRs for the one nearest the
+// pointer (nearest), which is the first candidate at or after it. A ToR's
+// ring position is its id on the parallel network, where every port's
+// domain is the whole fabric, and its index within its group on
+// thin-clos, where a port's domain is one group.
 type Negotiator struct {
 	topo topo.Topology
-	// identityDom marks topologies whose port domains are the identity
-	// (parallel network: domain position == ToR id). Multi-requester
-	// Grants then run their ring arbitration as word-scan priority
-	// encoding over a candidate bitmask (Ring.PickMaskSum) instead of an
-	// O(N) predicate scan — the structure a switch ASIC builds, and the
-	// O(active + N/4096) software path the sparse regime needs. Accepts,
-	// one pick per port, scans its candidates for the nearest position
-	// instead (nearestGranter).
-	identityDom bool
 
 	// grantRings[dst]: length 1 (parallel, shared) or S (thin-clos,
-	// per-port). Ring positions index the port's domain.
-	grantRings [][]*Ring
-	// acceptRings[src][port], positions index ToR ids (parallel) or the
-	// port's reachable destination group (thin-clos domain size).
+	// per-port). acceptRings[src][port]: one ring per port.
+	grantRings  [][]*Ring
 	acceptRings [][]*Ring
 
-	// scratch, reused across calls.
-	grantable [][]int32 // grantable[port] = dsts granting that port (scratch)
-	// candMask is the identityDom candidate bitmask scratch of
-	// multi-requester Grants and the variants; every use sets exactly the
-	// candidate bits and clears them again after arbitration, so the mask
-	// is all-zero between calls. candSum is its summary level (one bit
-	// per mask word), letting PickMaskSum skip empty words 64 at a time —
-	// without it the word-scan itself was an O(N/64) per-arbitration term
-	// at 65,536 ToRs. The base matcher's multi-requester Grants maintains
-	// both; variants that arbitrate with plain PickMask may ignore candSum
-	// as long as they restore the mask to all-zero. A lone requester and
-	// every Accepts pick need no mask.
-	candMask []uint64
-	candSum  []uint64
-	// domMask is the non-identity counterpart: one candidate bitmask per
-	// port, in that port's DOMAIN-POSITION space (topo.DomainPos), so the
-	// thin-clos grant rings of multi-requester Grants and the variants
-	// arbitrate by the same Ring.PickMask word-scan the parallel network
-	// uses instead of an O(domain) predicate walk. Like candMask, every
-	// use clears the bits it set.
-	domMask [][]uint64
-	// grp/pos are the thin-clos group and local-index tables (nil on
-	// other topologies): port(src→dst) = (grp[src]+grp[dst]) mod S and
-	// domain position = pos[src], turning the port and position lookups
-	// of Grants and Accepts into table reads — no divisions, no interface
-	// calls — so the dense regime pays no more than the old stamp stores
-	// did.
+	// grp/pos are the thin-clos group and local-index tables, nil on the
+	// parallel network: src and dst meet on port (grp[src]+grp[dst]) mod
+	// S, where src's ring position is pos[src]. Table reads, no
+	// divisions.
 	grp, pos []int32
-	// domWords is the total word count across domMask — the wholesale
-	// zeroing cost, against which clearDomMasks weighs an exact-bits
-	// second request pass.
-	domWords int
+
+	// Scratch, reused across calls. cands[port] holds one port's
+	// candidates (requesters, granters or request indexes); every step
+	// empties the lists before filling them. near holds the sorted
+	// distances of the parallel GRANT's S nearest requesters.
+	cands [][]int32
+	near  []int
 }
 
 // NewNegotiator returns the base matcher for the given topology. rng seeds
-// the random initial ring pointers.
+// the random initial ring pointers. The topology must be a *topo.Parallel
+// or a *topo.ThinClos, the only two the package implements.
 func NewNegotiator(t topo.Topology, rng *sim.RNG) *Negotiator {
 	n, s := t.N(), t.Ports()
 	m := &Negotiator{topo: t}
+	shared := false
+	switch tt := t.(type) {
+	case *topo.Parallel:
+		shared = true
+	case *topo.ThinClos:
+		w := tt.W()
+		m.grp = make([]int32, n)
+		m.pos = make([]int32, n)
+		for i := 0; i < n; i++ {
+			m.grp[i] = int32(i / w)
+			m.pos[i] = int32(i % w)
+		}
+	default:
+		panic(fmt.Sprintf("match: unsupported topology %T", t))
+	}
 	m.grantRings = make([][]*Ring, n)
 	m.acceptRings = make([][]*Ring, n)
-	_, shared := t.(*topo.Parallel)
 	for i := 0; i < n; i++ {
 		if shared {
 			m.grantRings[i] = []*Ring{NewRing(n, rng)}
@@ -179,57 +171,76 @@ func NewNegotiator(t topo.Topology, rng *sim.RNG) *Negotiator {
 		}
 		m.acceptRings[i] = rings
 	}
-	m.identityDom = shared
-	m.grantable = make([][]int32, s)
-	for p := range m.grantable {
-		m.grantable[p] = make([]int32, 0, 8)
-	}
-	m.candMask = make([]uint64, (n+63)>>6)
-	m.candSum = make([]uint64, (len(m.candMask)+63)>>6)
-	if !shared {
-		m.domMask = newDomMask(t)
-		for _, mask := range m.domMask {
-			m.domWords += len(mask)
-		}
-		if tc, ok := t.(*topo.ThinClos); ok {
-			w := tc.W()
-			m.grp = make([]int32, n)
-			m.pos = make([]int32, n)
-			for i := 0; i < n; i++ {
-				m.grp[i] = int32(i / w)
-				m.pos[i] = int32(i % w)
-			}
-		}
-	}
+	m.initScratch()
 	return m
 }
 
-// portAndPos returns the port src reaches dst on and src's domain
-// position there: table lookups on thin-clos, the Topology interface
-// otherwise. (-1, -1) when src cannot reach dst on a unique port.
-func (m *Negotiator) portAndPos(dst, src int) (int32, int32) {
-	if m.grp != nil {
-		if src == dst {
-			return -1, -1
-		}
-		p := m.grp[src] + m.grp[dst]
-		if s := int32(len(m.domMask)); p >= s {
-			p -= s
-		}
-		return p, m.pos[src]
+// initScratch allocates the per-call scratch; a Fork handle owns its own.
+func (m *Negotiator) initScratch() {
+	s := m.topo.Ports()
+	m.cands = make([][]int32, s)
+	for p := range m.cands {
+		m.cands[p] = make([]int32, 0, 8)
 	}
-	p, pos := m.topo.PortAndDomainPos(dst, src)
-	return int32(p), int32(pos)
+	m.near = make([]int, 0, s)
 }
 
-// newDomMask allocates per-port candidate masks in domain-position space.
-func newDomMask(t topo.Topology) [][]uint64 {
-	s := t.Ports()
-	masks := make([][]uint64, s)
-	for p := 0; p < s; p++ {
-		masks[p] = make([]uint64, (len(t.PortDomain(0, p))+63)>>6)
+// ringPos returns tor's position on the rings it takes part in.
+func (m *Negotiator) ringPos(tor int32) int {
+	if m.pos != nil {
+		return int(m.pos[tor])
 	}
-	return masks
+	return int(tor)
+}
+
+// nearest returns the index in cand of the ToR ring picks, the one whose
+// ring position is at the smallest cyclic distance from the pointer, and
+// that position; (-1, -1) when cand is empty. Every candidate must lie in
+// the ring's domain. List order does not matter.
+func (m *Negotiator) nearest(ring *Ring, cand []int32) (i, pos int) {
+	i, pos = -1, -1
+	best := ring.Size()
+	for k, c := range cand {
+		p := m.ringPos(c)
+		if d := ring.Dist(p); d < best {
+			i, pos, best = k, p, d
+		}
+	}
+	return i, pos
+}
+
+// bucket returns the candidate list a request from src joins at dst: list
+// 0 on the parallel network, whose ports share one domain; the pair's
+// path port on thin-clos, or -1 for src == dst, which no port connects.
+func (m *Negotiator) bucket(dst, src int) int {
+	if m.grp == nil {
+		return 0
+	}
+	if src == dst {
+		return -1
+	}
+	p := int(m.grp[src] + m.grp[dst])
+	if s := len(m.cands); p >= s {
+		p -= s
+	}
+	return p
+}
+
+// grantRing returns dst's grant ring for port and the candidate list the
+// port picks from (see bucket).
+func (m *Negotiator) grantRing(dst, port int) (*Ring, int) {
+	rings := m.grantRings[dst]
+	if len(rings) > 1 {
+		return rings[port], port
+	}
+	return rings[0], 0
+}
+
+// resetCands empties every port's candidate list.
+func (m *Negotiator) resetCands() {
+	for p := range m.cands {
+		m.cands[p] = m.cands[p][:0]
+	}
 }
 
 func (m *Negotiator) Name() string    { return "negotiator" }
@@ -259,113 +270,69 @@ func (m *Negotiator) Requests(src int, view QueueView, now sim.Time, threshold i
 	}
 }
 
-// Grants implements the GRANT step at dst.
+// Grants implements the GRANT step at dst: each port takes the requester
+// nearest its grant ring's pointer, and the ring moves past the winner.
 func (m *Negotiator) Grants(dst int, reqs []Request, emit func(Grant)) {
-	switch len(reqs) {
-	case 0:
-		return
-	case 1:
-		m.grantLone(dst, reqs[0].Src, emit)
+	if len(reqs) == 0 {
 		return
 	}
-	if m.identityDom {
-		// Word-scan path: the requester set as a bitmask, each port's
-		// pick a find-first-set from the shared ring's pointer. Winners
-		// stay candidates for later ports, exactly as the predicate scan
-		// leaves them.
-		for _, r := range reqs {
-			m.candMask[r.Src>>6] |= 1 << (uint(r.Src) & 63)
-			m.candSum[r.Src>>12] |= 1 << (uint(r.Src>>6) & 63)
-		}
-		ring := m.grantRings[dst][0]
-		s := m.topo.Ports()
-		for port := 0; port < s; port++ {
-			pos := ring.PickMaskSum(m.candMask, m.candSum)
-			if pos < 0 {
-				break
+	if m.grp != nil {
+		m.grantsPerPort(dst, reqs, emit)
+		return
+	}
+	// Parallel network: the ports share one ring and a winner stays a
+	// candidate, so port p goes to the p-th nearest requester, wrapping
+	// when fewer than S asked, and the ring ends past port S-1's winner.
+	// One pass keeps the S smallest distances sorted in near.
+	ring := m.grantRings[dst][0]
+	s := len(m.cands) // one list per port
+	near := m.near[:0]
+	for _, r := range reqs {
+		d := ring.Dist(r.Src)
+		if len(near) == s {
+			if d >= near[s-1] {
+				continue
 			}
-			ring.Advance(pos)
-			emit(Grant{Dst: dst, Port: port, Src: pos})
+			near = near[:s-1]
 		}
-		for _, r := range reqs {
-			m.candMask[r.Src>>6] &^= 1 << (uint(r.Src) & 63)
-			m.candSum[r.Src>>12] &^= 1 << (uint(r.Src>>6) & 63)
+		i := len(near)
+		near = append(near, d)
+		for ; i > 0 && near[i-1] > d; i-- {
+			near[i] = near[i-1]
 		}
-		return
+		near[i] = d
 	}
-	// Per-port word-scan path: each requester reaches dst on exactly one
-	// port (thin-clos single paths), so one pass over the requests builds
-	// every port's candidate mask in domain-position space, and each
-	// port's pick is a Ring.PickMask find-first-set instead of an
-	// O(domain) ring.Pick predicate walk. The masks are zeroed wholesale
-	// afterwards (S·⌈W/64⌉ words — cheaper than a second request pass).
-	for _, r := range reqs {
-		p, pos := m.portAndPos(dst, r.Src)
-		if p < 0 {
-			continue
-		}
-		m.domMask[p][pos>>6] |= 1 << (uint(pos) & 63)
-	}
-	s := m.topo.Ports()
-	rings := m.grantRings[dst]
+	m.near = near
+	ptr, n := ring.Pointer(), ring.Size()
+	src, j := 0, 0
 	for port := 0; port < s; port++ {
-		ring := rings[0]
-		if len(rings) > 1 {
-			ring = rings[port]
+		if src = ptr + near[j]; src >= n {
+			src -= n
 		}
-		pos := ring.PickMask(m.domMask[port])
-		if pos < 0 {
-			continue
+		emit(Grant{Dst: dst, Port: port, Src: src})
+		if j++; j == len(near) {
+			j = 0
 		}
-		ring.Advance(pos)
-		emit(Grant{Dst: dst, Port: port, Src: m.topo.PortDomain(dst, port)[pos]})
 	}
-	m.clearDomMasks(dst, reqs)
+	ring.Advance(src)
 }
 
-// grantLone is the GRANT step for a lone requester, which wins every port
-// that reaches it: all S ports of the shared ring on the parallel network,
-// its single path port on thin-clos. No candidate mask is needed.
-func (m *Negotiator) grantLone(dst, src int, emit func(Grant)) {
-	if m.identityDom {
-		m.grantRings[dst][0].Advance(src)
-		for port := 0; port < m.topo.Ports(); port++ {
-			emit(Grant{Dst: dst, Port: port, Src: src})
-		}
-		return
-	}
-	p, pos := m.portAndPos(dst, src)
-	if p < 0 {
-		return
-	}
-	m.grantRings[dst][p].Advance(int(pos))
-	emit(Grant{Dst: dst, Port: int(p), Src: src})
-}
-
-// zeroDomMasks restores the all-zero between-calls state of the per-port
-// candidate masks.
-func (m *Negotiator) zeroDomMasks() {
-	for _, mask := range m.domMask {
-		for i := range mask {
-			mask[i] = 0
-		}
-	}
-}
-
-// clearDomMasks restores the all-zero state after a Grants arbitration.
-// When the request set is sparse relative to the masks' footprint it
-// clears exactly the bits the request pass set (one more portAndPos
-// sweep); dense request sets keep the wholesale memclr, which is 64x
-// denser per touched bit. Without the sparse path the S·⌈W/64⌉ zeroing
-// was a width-proportional per-call term on wide thin-clos fabrics.
-func (m *Negotiator) clearDomMasks(dst int, reqs []Request) {
-	if 4*len(reqs) >= m.domWords {
-		m.zeroDomMasks()
-		return
-	}
+// grantsPerPort is the thin-clos GRANT step: a requester reaches dst on
+// its path port only, so each port's ring picks among the requesters
+// bucketed to it.
+func (m *Negotiator) grantsPerPort(dst int, reqs []Request, emit func(Grant)) {
+	m.resetCands()
 	for _, r := range reqs {
-		if p, pos := m.portAndPos(dst, r.Src); p >= 0 {
-			m.domMask[p][pos>>6] &^= 1 << (uint(pos) & 63)
+		if p := m.bucket(dst, r.Src); p >= 0 {
+			m.cands[p] = append(m.cands[p], int32(r.Src))
+		}
+	}
+	rings := m.grantRings[dst]
+	for port, cand := range m.cands {
+		if len(cand) > 0 {
+			i, pos := m.nearest(rings[port], cand)
+			rings[port].Advance(pos)
+			emit(Grant{Dst: dst, Port: port, Src: int(cand[i])})
 		}
 	}
 }
@@ -373,54 +340,38 @@ func (m *Negotiator) clearDomMasks(dst int, reqs []Request) {
 // Accepts implements the ACCEPT step at src: one grant per port, chosen by
 // the per-port round-robin ring.
 func (m *Negotiator) Accepts(src int, view QueueView, grants []Grant, matches []int32, feedback func(Grant, bool)) {
-	for p := range matches {
-		matches[p] = -1
-		m.grantable[p] = m.grantable[p][:0]
-	}
-	for _, g := range grants {
-		m.grantable[g.Port] = append(m.grantable[g.Port], int32(g.Dst))
-	}
-	for port := range matches {
-		if cand := m.grantable[port]; len(cand) > 0 {
-			ring := m.acceptRings[src][port]
-			if dst, pos := m.nearestGranter(src, port, ring, cand); dst >= 0 {
-				ring.Advance(pos)
-				matches[port] = dst
-			}
+	m.granters(grants, matches)
+	rings := m.acceptRings[src]
+	for port, cand := range m.cands {
+		if len(cand) > 0 {
+			i, pos := m.nearest(rings[port], cand)
+			rings[port].Advance(pos)
+			matches[port] = cand[i]
 		}
 	}
+	report(grants, matches, feedback)
+}
+
+// granters opens an ACCEPT step: it clears the match row and lists each
+// port's granting destinations in cands. A grant arrives on a port whose
+// domain holds its destination.
+func (m *Negotiator) granters(grants []Grant, matches []int32) {
+	for p := range matches {
+		matches[p] = -1
+		m.cands[p] = m.cands[p][:0]
+	}
+	for _, g := range grants {
+		m.cands[g.Port] = append(m.cands[g.Port], int32(g.Dst))
+	}
+}
+
+// report hands every grant's accept/reject outcome to feedback, if any.
+func report(grants []Grant, matches []int32, feedback func(Grant, bool)) {
 	if feedback != nil {
 		for _, g := range grants {
 			feedback(g, matches[g.Port] == int32(g.Dst))
 		}
 	}
-}
-
-// nearestGranter returns the granting destination a port's accept ring
-// picks, and its ring position: the candidate at the smallest cyclic
-// distance from the pointer, which is what PickMask over the candidates'
-// bits returns, found in O(candidates) with no mask to set or clear. It
-// returns (-1, -1) when no candidate lies in the port's domain.
-func (m *Negotiator) nearestGranter(src, port int, ring *Ring, cand []int32) (dst int32, pos int) {
-	dst, pos = -1, -1
-	best := ring.Size()
-	for _, c := range cand {
-		p := int(c) // the parallel network's positions are ToR ids
-		if m.pos != nil {
-			// Grants arrive on the pair's unique port, so membership in
-			// this port's domain is implied and the position is a table
-			// read.
-			p = int(m.pos[c])
-		} else if !m.identityDom {
-			if p = m.topo.DomainPos(src, port, int(c)); p < 0 {
-				continue
-			}
-		}
-		if d := ring.Dist(p); d < best {
-			dst, pos, best = c, p, d
-		}
-	}
-	return dst, pos
 }
 
 // Feedback is a no-op for the stateless base algorithm.

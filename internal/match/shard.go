@@ -6,9 +6,9 @@ package match
 // only touched by Grants(dst), acceptRings[src] only by Accepts(src), so
 // ToR-sharding partitions them naturally), the stateful traffic matrix, and
 // per-source rotation counters — while each handle owns PRIVATE scratch
-// (request stamps, grantable lists, priority tables), the state that a
-// sequential matcher reuses across per-ToR calls and that concurrent calls
-// would otherwise race on.
+// (the per-port candidate lists, the nearest-requester buffer, ProjecToR's
+// per-port bests), the state that a sequential matcher reuses across
+// per-ToR calls and that concurrent calls would otherwise race on.
 //
 // The contract mirrors the engine's sequential loop:
 //
@@ -36,26 +36,16 @@ type Sharded interface {
 }
 
 // scratchClone returns a copy of m with fresh private scratch and shared
-// topology, rings and per-ToR state.
+// topology, rings, per-ToR state and read-only thin-clos tables.
 func (m *Negotiator) scratchClone() *Negotiator {
-	n, s := m.topo.N(), m.topo.Ports()
 	c := &Negotiator{
 		topo:        m.topo,
-		identityDom: m.identityDom,
 		grantRings:  m.grantRings,
 		acceptRings: m.acceptRings,
-		grantable:   make([][]int32, s),
-		candMask:    make([]uint64, (n+63)>>6),
+		grp:         m.grp,
+		pos:         m.pos,
 	}
-	c.candSum = make([]uint64, (len(c.candMask)+63)>>6)
-	for p := range c.grantable {
-		c.grantable[p] = make([]int32, 0, 8)
-	}
-	if !m.identityDom {
-		c.domMask = newDomMask(m.topo)
-		c.domWords = m.domWords
-		c.grp, c.pos = m.grp, m.pos // read-only tables, shared
-	}
+	c.initScratch()
 	return c
 }
 
@@ -76,7 +66,6 @@ func (m *Informative) Fork(p int) []Matcher {
 		out[k] = &Informative{
 			Negotiator: m.Negotiator.scratchClone(),
 			kind:       m.kind,
-			portReqs:   make([][]int32, m.topo.Ports()),
 		}
 	}
 	return out

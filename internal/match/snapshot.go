@@ -1,7 +1,7 @@
 // Checkpoint support: the only state a matcher carries across epochs is
 // its round-robin ring pointers plus, per variant, the stateful demand
 // matrices, the ProjecToR rotation counters, and the PIM/iSLIP
-// tie-break RNG. Everything else (candidate masks, per-epoch request
+// tie-break RNG. Everything else (candidate lists, per-epoch request
 // buffers, batch scratch) is rebuilt from scratch every epoch and is
 // deliberately not serialized.
 //

@@ -26,20 +26,16 @@ const (
 type Informative struct {
 	*Negotiator
 	kind priorityKind
-
-	portReqs [][]int32 // scratch: per-port request indexes (thin-clos buckets)
 }
 
 // NewDataSize returns the goodput-oriented data-size priority matcher.
 func NewDataSize(t topo.Topology, rng *sim.RNG) *Informative {
-	return &Informative{Negotiator: NewNegotiator(t, rng), kind: prioDataSize,
-		portReqs: make([][]int32, t.Ports())}
+	return &Informative{Negotiator: NewNegotiator(t, rng), kind: prioDataSize}
 }
 
 // NewHoLDelay returns the FCT-oriented weighted-HoL-delay priority matcher.
 func NewHoLDelay(t topo.Topology, rng *sim.RNG) *Informative {
-	return &Informative{Negotiator: NewNegotiator(t, rng), kind: prioHoLDelay,
-		portReqs: make([][]int32, t.Ports())}
+	return &Informative{Negotiator: NewNegotiator(t, rng), kind: prioHoLDelay}
 }
 
 func (m *Informative) Name() string {
@@ -80,88 +76,44 @@ func (m *Informative) prioOf(r Request) float64 {
 }
 
 // Grants picks, per port, the requester with the highest priority; the ring
-// is still advanced past the winner so ties rotate fairly. The scans run
-// over the REQUESTS (O(active) per port), tracking cyclic distance from the
-// ring pointer so ties resolve to exactly the candidate the dense
-// ring-order domain walk picked first.
+// is still advanced past the winner so ties rotate fairly. Each port scans
+// the indexes of the requests it can hear (see bucket), tracking cyclic
+// distance from the ring pointer so ties go to the candidate the ring
+// would pick.
 func (m *Informative) Grants(dst int, reqs []Request, emit func(Grant)) {
 	if len(reqs) == 0 {
 		return
 	}
-	s := m.topo.Ports()
-	rings := m.grantRings[dst]
-	if m.identityDom {
-		// One shared domain: position == ToR id, every requester is a
-		// candidate on every port.
-		ring := rings[0]
-		for port := 0; port < s; port++ {
-			best, bestPos, bestDist := -1.0, -1, 0
-			for _, r := range reqs {
-				dist := ring.Dist(r.Src)
-				if p := m.prioOf(r); p > best || (p == best && dist < bestDist) {
-					best, bestPos, bestDist = p, r.Src, dist
-				}
-			}
-			if bestPos < 0 {
-				continue
-			}
-			ring.Advance(bestPos)
-			emit(Grant{Dst: dst, Port: port, Src: bestPos})
-		}
-		return
-	}
-	// Thin-clos: each requester reaches dst on exactly one port; bucket
-	// the requests per port, then pick per port in domain-position space.
+	m.resetCands()
 	for i, r := range reqs {
-		if p := m.topo.PathPort(r.Src, dst); p >= 0 {
-			m.portReqs[p] = append(m.portReqs[p], int32(i))
+		if b := m.bucket(dst, r.Src); b >= 0 {
+			m.cands[b] = append(m.cands[b], int32(i))
 		}
 	}
-	for port := 0; port < s; port++ {
-		cand := m.portReqs[port]
-		if len(cand) == 0 {
-			continue
-		}
-		ring := rings[0]
-		if len(rings) > 1 {
-			ring = rings[port]
-		}
-		best, bestPos, bestDist := -1.0, -1, 0
-		for _, ri := range cand {
+	for port := range m.cands {
+		ring, b := m.grantRing(dst, port)
+		best, bestSrc, bestDist := -1.0, int32(-1), 0
+		for _, ri := range m.cands[b] {
 			r := reqs[ri]
-			pos := m.topo.DomainPos(dst, port, r.Src)
-			if pos < 0 {
-				continue
-			}
-			dist := ring.Dist(pos)
+			src := int32(r.Src)
+			dist := ring.Dist(m.ringPos(src))
 			if p := m.prioOf(r); p > best || (p == best && dist < bestDist) {
-				best, bestPos, bestDist = p, pos, dist
+				best, bestSrc, bestDist = p, src, dist
 			}
 		}
-		m.portReqs[port] = cand[:0]
-		if bestPos < 0 {
+		if bestSrc < 0 {
 			continue
 		}
-		ring.Advance(bestPos)
-		emit(Grant{Dst: dst, Port: port, Src: m.topo.PortDomain(dst, port)[bestPos]})
+		ring.Advance(m.ringPos(bestSrc))
+		emit(Grant{Dst: dst, Port: port, Src: int(bestSrc)})
 	}
 }
 
 // Accepts picks, per port, the granting destination with the highest local
 // priority (the source consults its own queues).
 func (m *Informative) Accepts(src int, view QueueView, grants []Grant, matches []int32, feedback func(Grant, bool)) {
-	for p := range matches {
-		matches[p] = -1
-		m.grantable[p] = m.grantable[p][:0]
-	}
-	for _, g := range grants {
-		m.grantable[g.Port] = append(m.grantable[g.Port], int32(g.Dst))
-	}
-	for port := range matches {
-		cand := m.grantable[port]
-		if len(cand) == 0 {
-			continue
-		}
+	m.granters(grants, matches)
+	for port, cand := range m.cands {
 		best, bestDst := -1.0, int32(-1)
 		for _, d := range cand {
 			if k := m.key(src, view, int(d)); k > best {
@@ -170,11 +122,7 @@ func (m *Informative) Accepts(src int, view QueueView, grants []Grant, matches [
 		}
 		matches[port] = bestDst
 	}
-	if feedback != nil {
-		for _, g := range grants {
-			feedback(g, matches[g.Port] == int32(g.Dst))
-		}
-	}
+	report(grants, matches, feedback)
 }
 
 // Stateful is the stateful-scheduling variant (Appendix A.2.4): each
@@ -223,73 +171,40 @@ func (m *Stateful) Requests(src int, view QueueView, now sim.Time, threshold int
 
 // Grants updates the matrix from the requests, then grants only to sources
 // with matrix-positive demand, temporarily decrementing per grant. The
-// candidate set lives in a bitmask (ToR space on the parallel network,
-// domain-position space per port on thin-clos), so every pick is a
-// Ring.PickMask word-scan and a drained source is removed by clearing its
-// bit — no O(domain) predicate walks.
+// candidates are those sources, listed per port as bucket places them. A
+// source whose entry drains leaves its list by swap-remove: picks go by
+// distance from the pointer, so list order does not matter.
 func (m *Stateful) Grants(dst int, reqs []Request, emit func(Grant)) {
 	if len(reqs) == 0 {
 		return
 	}
+	m.resetCands()
 	row := m.matrix[dst]
-	s := m.topo.Ports()
-	rings := m.grantRings[dst]
-	if m.identityDom {
-		for _, r := range reqs {
-			row[r.Src] += r.NewBytes
-			if row[r.Src] > 0 {
-				m.candMask[r.Src>>6] |= 1 << (uint(r.Src) & 63)
-			}
-		}
-		ring := rings[0]
-		for port := 0; port < s; port++ {
-			pos := ring.PickMask(m.candMask)
-			if pos < 0 {
-				continue
-			}
-			ring.Advance(pos)
-			// Temporary decrement; reverted on reject via Feedback. A
-			// drained source leaves the candidate mask.
-			row[pos] -= m.epochBytes
-			if row[pos] <= 0 {
-				m.candMask[pos>>6] &^= 1 << (uint(pos) & 63)
-			}
-			emit(Grant{Dst: dst, Port: port, Src: pos})
-		}
-		for _, r := range reqs {
-			m.candMask[r.Src>>6] &^= 1 << (uint(r.Src) & 63)
-		}
-		return
-	}
 	for _, r := range reqs {
 		row[r.Src] += r.NewBytes
 		if row[r.Src] > 0 {
-			if p, pos := m.portAndPos(dst, r.Src); p >= 0 {
-				m.domMask[p][pos>>6] |= 1 << (uint(pos) & 63)
+			if b := m.bucket(dst, r.Src); b >= 0 {
+				m.cands[b] = append(m.cands[b], int32(r.Src))
 			}
 		}
 	}
-	for port := 0; port < s; port++ {
-		ring := rings[0]
-		if len(rings) > 1 {
-			ring = rings[port]
-		}
-		pos := ring.PickMask(m.domMask[port])
-		if pos < 0 {
+	for port := range m.cands {
+		ring, b := m.grantRing(dst, port)
+		cand := m.cands[b]
+		i, pos := m.nearest(ring, cand)
+		if i < 0 {
 			continue
 		}
 		ring.Advance(pos)
-		src := m.topo.PortDomain(dst, port)[pos]
+		src := cand[i]
+		// Temporary decrement; reverted on reject via Feedback.
 		row[src] -= m.epochBytes
 		if row[src] <= 0 {
-			m.domMask[port][pos>>6] &^= 1 << (uint(pos) & 63)
+			cand[i] = cand[len(cand)-1]
+			m.cands[b] = cand[:len(cand)-1]
 		}
-		emit(Grant{Dst: dst, Port: port, Src: src})
+		emit(Grant{Dst: dst, Port: port, Src: int(src)})
 	}
-	// Exact-bits clear for sparse request sets (clearing a never-set bit
-	// is a no-op, so requests whose matrix row stayed non-positive are
-	// harmless); wholesale when dense.
-	m.clearDomMasks(dst, reqs)
 }
 
 // Feedback reverts the temporary matrix decrement of rejected grants and
@@ -393,27 +308,17 @@ func (m *ProjecToR) Grants(dst int, reqs []Request, emit func(Grant)) {
 
 // Accepts picks, per source port, the largest-delay granting destination.
 func (m *ProjecToR) Accepts(src int, view QueueView, grants []Grant, matches []int32, feedback func(Grant, bool)) {
-	for p := range matches {
-		matches[p] = -1
-		m.grantable[p] = m.grantable[p][:0]
-	}
-	for _, g := range grants {
-		m.grantable[g.Port] = append(m.grantable[g.Port], int32(g.Dst))
-	}
-	for port := range matches {
+	m.granters(grants, matches)
+	for port, cand := range m.cands {
 		best, bestDst := -1.0, int32(-1)
-		for _, d := range m.grantable[port] {
+		for _, d := range cand {
 			if k := view.WeightedHoL(int(d), 0.5); k > best {
 				best, bestDst = k, d
 			}
 		}
 		matches[port] = bestDst
 	}
-	if feedback != nil {
-		for _, g := range grants {
-			feedback(g, matches[g.Port] == int32(g.Dst))
-		}
-	}
+	report(grants, matches, feedback)
 }
 
 // BatchStats reports grant/accept counts from a batch matcher for the
@@ -450,7 +355,7 @@ type batchScratch struct {
 	srcBusy, dstBusy []uint64 // busy iff entry == stamp; index tor*S+port
 	touchStamp       []uint64 // matches row cleared this call iff == stamp
 	touched          []int32
-	candPos          []int32 // candidate domain positions of one pick
+	cand             []int32 // candidate ToRs of one pick
 }
 
 func newBatchScratch(n, s int) batchScratch {
@@ -478,49 +383,4 @@ func (b *batchScratch) touch(src int, matches [][]int32) {
 	for p := range row {
 		row[p] = -1
 	}
-}
-
-// domainPos maps a ToR to its position in PortDomain(owner, port): the id
-// itself on the shared identity domain, a table read on thin-clos (with
-// the membership check ports imply), topo.DomainPos otherwise.
-func (m *Negotiator) domainPos(owner, port, tor int) int {
-	if m.identityDom {
-		return tor
-	}
-	if m.grp != nil {
-		p := m.grp[tor] + m.grp[owner]
-		if s := int32(len(m.domMask)); p >= s {
-			p -= s
-		}
-		if int(p) != port {
-			return -1
-		}
-		return int(m.pos[tor])
-	}
-	return m.topo.DomainPos(owner, port, tor)
-}
-
-// pickPositions arbitrates among candidate domain positions with the
-// ring: the candidates become a bitmask (ToR space for the identity
-// domain, the port's domain-position space otherwise) and the pick is a
-// Ring.PickMask word-scan from the pointer — O(candidates + words)
-// instead of an O(domain) predicate walk. The mask is cleared before
-// returning. The pointer does not move; callers Advance per their
-// discipline.
-func (m *Negotiator) pickPositions(ring *Ring, port int, cands []int32) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	mask := m.candMask
-	if !m.identityDom {
-		mask = m.domMask[port]
-	}
-	for _, p := range cands {
-		mask[p>>6] |= 1 << (uint(p) & 63)
-	}
-	pos := ring.PickMask(mask)
-	for _, p := range cands {
-		mask[p>>6] &^= 1 << (uint(p) & 63)
-	}
-	return pos
 }

@@ -16,8 +16,8 @@
 // what caps this design's goodput under heavy load (paper §2). Mice-flow
 // priority queues apply at sources only (the paper notes PIAS does not
 // apply to data at intermediate nodes). The RotorLB-style opportunistic
-// discipline (relay > direct > slot-time spray) and a relay-free
-// round-robin are kept as ablations.
+// discipline (relay > direct > slot-time spray) is kept as an ablation
+// (Config.OpportunisticDirect).
 //
 // The engine is the round-robin/VLB control plane over the shared fabric
 // core (internal/fabric): the core owns queues, workload, ledger, metrics
@@ -659,7 +659,7 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 // phase A).
 func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	e := sh.e
-	if e.cfg.OpportunisticDirect && src.DirectQueuedBytes(j) > 0 {
+	if src.DirectQueuedBytes(j) > 0 {
 		// Direct traffic to j (source-side priority queues apply).
 		sh.txDst = j
 		src.TakeDirect(j, e.cell, sh.sentEmit)

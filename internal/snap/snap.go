@@ -95,8 +95,8 @@ type Snapshot struct {
 }
 
 // Load reads and validates an entire snapshot stream: magic, version,
-// every section's length bound and CRC, the end marker, and the absence of
-// trailing bytes. It returns an error — and no partial data — on any
+// every section's length bound and CRC, the end marker (empty, as Close
+// writes it), and the absence of trailing bytes. It returns an error — and no partial data — on any
 // corruption, so callers can defer all state mutation until Load succeeds.
 func Load(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
@@ -129,6 +129,9 @@ func Load(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("snap: section %q fails CRC (want %08x, computed %08x): corrupt snapshot", tag, crc, got)
 		}
 		if tag == endTag {
+			if n != 0 {
+				return nil, fmt.Errorf("snap: end marker carries %d payload bytes", n)
+			}
 			if off != len(raw) {
 				return nil, fmt.Errorf("snap: %d trailing bytes after end marker", len(raw)-off)
 			}

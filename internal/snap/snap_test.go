@@ -76,7 +76,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // stream builds a small valid snapshot for the corruption tests.
-func stream(t *testing.T) []byte {
+func stream(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -106,6 +106,11 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		{"truncated mid-section", func(b []byte) []byte { return b[:20] }, "truncated"},
 		{"missing end marker", func(b []byte) []byte { return b[:len(b)-16] }, "truncated"},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) }, "trailing"},
+		{"end marker with payload", func(b []byte) []byte {
+			var end bytes.Buffer
+			(&Writer{w: &end}).Section(endTag, []byte("extra"))
+			return append(b[:len(b)-16], end.Bytes()...)
+		}, "end marker"},
 		{"empty", func(b []byte) []byte { return nil }, "bad magic"},
 	}
 	for _, c := range cases {
@@ -120,6 +125,43 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSnapLoad feeds Load arbitrary streams, seeded with Writer streams
+// and every truncation of them. Load must never panic, and a stream it
+// accepts must be exactly what Writer emits for the sections it returned:
+// no accepted byte may go unaccounted for.
+func FuzzSnapLoad(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Section("AAAA", []byte("some payload bytes"))
+	w.Section("NODE", []byte{1})
+	w.Section("EMPT", nil)
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, good := range [][]byte{stream(f), buf.Bytes()} {
+		for n := 0; n <= len(good); n++ {
+			f.Add(good[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w := NewWriter(&out)
+		for _, sec := range s.sections {
+			w.Section(sec.Tag, sec.Payload)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), raw) {
+			t.Fatalf("Load accepted %x, which writes back as %x", raw, out.Bytes())
+		}
+	})
 }
 
 func TestDecTruncation(t *testing.T) {

@@ -15,7 +15,9 @@ package topo
 import "fmt"
 
 // Topology describes the connection capabilities of a flat optical fabric
-// interconnecting N ToRs with S uplink ports each.
+// interconnecting N ToRs with S uplink ports each. Parallel and ThinClos
+// implement it, and the matching layer accepts no other: its round-robin
+// rings index their port domains through tables of its own.
 //
 // Implementations must be stateless and safe for concurrent use.
 type Topology interface {
@@ -30,25 +32,11 @@ type Topology interface {
 
 	// PortDomain returns the set of source ToRs that can reach destination
 	// dst on its port s, i.e. the candidate set of the GRANT arbiter for
-	// that port. The returned slice must not be modified. The destination
+	// that port, in the order of that arbiter's ring positions. The
+	// returned slice must not be modified. The destination
 	// itself is included when the hardware would allow a self-loop; the
 	// matching layer never requests self traffic.
 	PortDomain(dst, s int) []int
-
-	// DomainPos returns the position of src within PortDomain(dst, s), or
-	// -1 when src is not a member: the domain-position-space index the
-	// matching layer's per-domain candidate masks (Ring.PickMask) are
-	// built in. Both topologies answer in O(1), so mask construction costs
-	// O(candidates) instead of O(domain).
-	DomainPos(dst, s, src int) int
-
-	// PortAndDomainPos returns the single port on which src reaches dst
-	// together with src's position in that port's domain — the one-call
-	// form the matching layer's mask-building request sweeps use on
-	// single-path topologies (thin-clos). It returns (-1, -1) when any
-	// port works (parallel network; those matchers use the identity-domain
-	// path instead) or when src cannot reach dst.
-	PortAndDomainPos(dst, src int) (port, pos int)
 
 	// PredefinedSlots returns the number of timeslots a predefined phase
 	// needs to connect every ordered ToR pair exactly once:
@@ -122,18 +110,6 @@ func (p *Parallel) CanReach(src, s, dst int) bool {
 }
 
 func (p *Parallel) PortDomain(dst, s int) []int { return p.domains[0] }
-
-// DomainPos: the shared domain lists every ToR in ascending order, so the
-// position of a ToR is its id.
-func (p *Parallel) DomainPos(dst, s, src int) int {
-	if src < 0 || src >= p.n {
-		return -1
-	}
-	return src
-}
-
-// PortAndDomainPos: any port works on the parallel network.
-func (p *Parallel) PortAndDomainPos(dst, src int) (int, int) { return -1, -1 }
 
 func (p *Parallel) PredefinedSlots() int { return (p.n - 2 + p.s) / p.s } // ceil((n-1)/s)
 
@@ -263,30 +239,6 @@ func (t *ThinClos) CanReach(src, s, dst int) bool {
 func (t *ThinClos) PortDomain(dst, s int) []int {
 	g := (s - t.group(dst) + t.s) % t.s
 	return t.domains[g]
-}
-
-// DomainPos: port s of dst hears group (s - g(dst)) mod G; a member's
-// position is its local index within that group.
-func (t *ThinClos) DomainPos(dst, s, src int) int {
-	if src < 0 || src >= t.n || t.group(src) != (s-t.group(dst)+t.s)%t.s {
-		return -1
-	}
-	return src % t.w
-}
-
-// PortAndDomainPos: the pair's unique port is (g(src)+g(dst)) mod G and
-// src's position is its local index — two divisions total, the form the
-// matchers' per-request mask sweeps can afford in dense epochs.
-func (t *ThinClos) PortAndDomainPos(dst, src int) (int, int) {
-	if src == dst || src < 0 || src >= t.n || dst < 0 || dst >= t.n {
-		return -1, -1
-	}
-	gs := src / t.w
-	port := gs + dst/t.w
-	if port >= t.s {
-		port -= t.s
-	}
-	return port, src - gs*t.w
 }
 
 func (t *ThinClos) PredefinedSlots() int { return t.w }

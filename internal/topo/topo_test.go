@@ -363,60 +363,3 @@ func TestPredefinedSlotPortInverse(t *testing.T) {
 		}
 	}
 }
-
-// TestDomainPos pins the domain-position mapping both topologies provide
-// for the matching layer's per-domain candidate masks: DomainPos agrees
-// with the PortDomain slice, and PortAndDomainPos agrees with
-// PathPort+DomainPos on single-path topologies.
-func TestDomainPos(t *testing.T) {
-	p, err := NewParallel(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc, err := NewThinClos(16, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, top := range []Topology{p, tc} {
-		for dst := 0; dst < top.N(); dst++ {
-			for s := 0; s < top.Ports(); s++ {
-				dom := top.PortDomain(dst, s)
-				seen := make(map[int]bool, len(dom))
-				for pos, src := range dom {
-					if got := top.DomainPos(dst, s, src); got != pos {
-						t.Fatalf("%s: DomainPos(%d,%d,%d) = %d, want %d", top.Name(), dst, s, src, got, pos)
-					}
-					seen[src] = true
-				}
-				for src := 0; src < top.N(); src++ {
-					if !seen[src] {
-						if got := top.DomainPos(dst, s, src); got != -1 && top.Name() != "parallel" {
-							t.Fatalf("%s: DomainPos(%d,%d,%d) = %d for non-member", top.Name(), dst, s, src, got)
-						}
-					}
-				}
-			}
-		}
-	}
-	// Thin-clos: PortAndDomainPos == (PathPort, DomainPos at that port).
-	for dst := 0; dst < tc.N(); dst++ {
-		for src := 0; src < tc.N(); src++ {
-			port, pos := tc.PortAndDomainPos(dst, src)
-			if src == dst {
-				if port != -1 || pos != -1 {
-					t.Fatalf("self pair gave (%d, %d)", port, pos)
-				}
-				continue
-			}
-			wantPort := tc.PathPort(src, dst)
-			if port != wantPort || pos != tc.DomainPos(dst, wantPort, src) {
-				t.Fatalf("PortAndDomainPos(%d,%d) = (%d,%d), want (%d,%d)",
-					dst, src, port, pos, wantPort, tc.DomainPos(dst, wantPort, src))
-			}
-		}
-	}
-	// Parallel: any port works, so the single-path form answers (-1, -1).
-	if port, pos := p.PortAndDomainPos(3, 5); port != -1 || pos != -1 {
-		t.Fatalf("parallel PortAndDomainPos = (%d, %d), want (-1, -1)", port, pos)
-	}
-}

@@ -257,10 +257,11 @@ type Spec struct {
 	// concurrently with barrier-synchronized phases. Results are identical
 	// at any value — use it to put multiple cores behind one large
 	// simulation, complementing the experiment runner's across-run cell
-	// parallelism. 0 or 1 means sequential; the engines cap the count at
-	// the ToR count and fall back to sequential for features that need
-	// globally ordered mutation (selective relay, receiver-buffer
-	// tracking, OnDeliver on the NegotiaToR fabric).
+	// parallelism. 0 or 1 means sequential, and Build rejects a count
+	// above the ToR count. The epoch planes fall back to sequential for
+	// features that need globally ordered mutation: OnDeliver and
+	// receiver-buffer tracking on the NegotiaToR and hybrid planes, and
+	// selective relay on the NegotiaToR plane.
 	Workers int
 }
 
