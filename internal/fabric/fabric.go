@@ -1,8 +1,10 @@
 // Package fabric is the control-plane-agnostic core shared by every
 // engine: it owns the physical substrate and the bookkeeping that is
 // identical no matter how transmissions are decided — topology, per-ToR
-// node state (VOQs, spray lanes, relay FIFOs, failure-loss records), the
-// workload pump, the flow ledger and tagged-event accounting, the
+// node state (three queue classes — direct VOQs, spray lanes, relay FIFOs
+// — each a paged queue.Slab behind one set of choke points, and
+// failure-loss records), the workload pump, the flow ledger and
+// tagged-event accounting, the
 // shard/gang scaffolding with per-shard metric accumulators and their
 // deterministic serial merge, and the round-synchronous run loop.
 //
@@ -11,9 +13,11 @@
 // plugs in through the small ControlPlane interface: it decides, per
 // round, which bytes move where, reading slot-start snapshots and writing
 // through the core's shard-local accounting (Shard.Deliver,
-// Shard.RecordLoss, Node relay bookkeeping). Everything a new baseline
-// or scenario needs beyond its decision rule already lives here, which is
-// what makes an additional engine a single-file change.
+// Shard.RecordLoss) and the node queue classes (Node.Direct, Node.Lanes,
+// Node.Relay), whose choke points keep every queue index exact.
+// Everything a new baseline or scenario needs beyond its decision rule
+// already lives here, which is what makes an additional engine a
+// single-file change.
 //
 // The determinism contract carries over from the engines the core was
 // extracted from: shards are contiguous ascending ToR ranges executed
@@ -54,8 +58,8 @@ type ControlPlane interface {
 }
 
 // RoundChecker is optionally implemented by control planes with
-// per-round invariants of their own (match conflict-freedom, relay
-// counters). Under Config.CheckInvariants the core calls it after each
+// per-round invariants of their own (match conflict-freedom, mailbox
+// indexes). Under Config.CheckInvariants the core calls it after each
 // round's serial merge and its own conservation and occupancy checks.
 type RoundChecker interface {
 	CheckRound()
@@ -227,10 +231,12 @@ type Core struct {
 	// (growth happens only in serial phases; see queue.SegPool).
 	flowPool []*flows.Flow
 	segPool  queue.SegPool
-	// pagePool recycles released queue pages (see queue.PagePool); like
-	// segPool it is unsynchronised — pages are taken at push-time
-	// materialization (serial phases) and returned by the serial merge.
-	pagePool queue.PagePool
+	// destPages and fifoPages recycle released queue pages (see
+	// queue.PagePool); like segPool they are unsynchronised — pages are
+	// taken at push-time materialization (serial phases) and returned by
+	// the serial merge.
+	destPages queue.PagePool[queue.DestQueue]
+	fifoPages queue.PagePool[queue.FIFO]
 }
 
 // New builds a core. Bind must be called with the control plane before
@@ -254,7 +260,7 @@ func New(cfg Config) (*Core, error) {
 		c.RNG = sim.NewRNG(0)
 	}
 	// Nodes are lazy: construction allocates only the node headers and
-	// the shared slab spec; queue slabs, shadows and occupancy indexes
+	// the shared slab spec; queue slabs and occupancy indexes
 	// materialize per node (per class) on first push, so a mostly-idle
 	// 4096-ToR fabric costs O(active nodes), not O(N²) FIFOs.
 	spec := &nodeSpec{
@@ -263,10 +269,13 @@ func New(cfg Config) (*Core, error) {
 		lanes:       cfg.Lanes,
 		relay:       cfg.Relay,
 		cumInjected: cfg.CumInjected,
+		segs:        &c.segPool,
+		dests:       &c.destPages,
+		fifos:       &c.fifoPages,
 	}
 	c.Nodes = make([]*Node, c.N)
 	for i := range c.Nodes {
-		c.Nodes[i] = newNode(spec, &c.segPool, &c.pagePool)
+		c.Nodes[i] = newNode(spec)
 	}
 	c.Workers = cfg.Workers
 	if c.Workers < 1 {
@@ -287,13 +296,7 @@ func New(cfg Config) (*Core, error) {
 		for i := lo; i < hi; i++ {
 			c.ShardOf[i] = int32(k)
 			nd := c.Nodes[i]
-			nd.actDirect = &sh.ActiveDirect
-			nd.actLanes = &sh.ActiveLanes
-			nd.actRelay = &sh.ActiveRelay
-			nd.actBit = i - lo
-			nd.id = int32(i)
-			nd.relq = &sh.relq
-			nd.relDst = &sh.relDst
+			nd.sh, nd.id, nd.bit = sh, int32(i), int32(i-lo)
 		}
 	}
 	c.skipOff = cfg.DisableEventSkip
@@ -512,7 +515,7 @@ const pageReleaseAge = 8
 // releasePages stamps the shard's new empty-page candidates with the
 // current round, then applies every candidate old enough: the page is
 // released only if it is still empty AND untouched since the candidate
-// was recorded (queue.DestSlab.ReleaseIfEmpty). Runs in the serial
+// was recorded (queue.Slab.ReleaseIfEmpty). Runs in the serial
 // merge, the only place pages may be taken from or returned to the
 // unsynchronised pool besides serial-phase materialization.
 func (c *Core) releasePages(sh *Shard) {
@@ -528,11 +531,11 @@ func (c *Core) releasePages(sh *Shard) {
 		nd := c.Nodes[ref.tor]
 		switch ref.class {
 		case classDirect:
-			nd.Direct.ReleaseIfEmpty(int(ref.page), ref.ver, &c.pagePool)
+			nd.Direct.Slab.ReleaseIfEmpty(int(ref.page), ref.ver, &c.destPages)
 		case classLanes:
-			nd.Lanes.ReleaseIfEmpty(int(ref.page), ref.ver, &c.pagePool)
+			nd.Lanes.Slab.ReleaseIfEmpty(int(ref.page), ref.ver, &c.destPages)
 		case classRelay:
-			nd.Relay.ReleaseIfEmpty(int(ref.page), ref.ver, &c.pagePool)
+			nd.Relay.Slab.ReleaseIfEmpty(int(ref.page), ref.ver, &c.fifoPages)
 		}
 	}
 	if q.head > 64 && q.head*2 >= len(q.refs) {
@@ -618,15 +621,15 @@ func (c *Core) RequeueDetectedLosses(now sim.Time, detect sim.Duration) {
 				switch l.Class {
 				case RequeueDirect:
 					l.F.Unsend(l.N)
-					nd.PushDirectBytes(l.Dst, l.F, l.N, l.Off, now)
+					nd.Direct.Push(l.Dst, l.F, l.N, l.Off, now)
 				case RequeueLane:
 					l.F.Unsend(l.N)
-					nd.PushLaneBytes(int(l.Via), l.F, l.N, l.Off, now)
+					nd.Lanes.Push(int(l.Via), l.F, l.N, l.Off, now)
 				case RequeueRelay:
 					// Second-hop bytes were already noted sent at their
 					// first hop and relay delivery never re-notes them, so
 					// the flow's sent cursor stays put.
-					nd.PushRelay(l.Dst, queue.Segment{Flow: l.F, Bytes: l.N, Enqueued: now})
+					nd.Relay.Push(l.Dst, queue.Segment{Flow: l.F, Bytes: l.N, Enqueued: now})
 				}
 				c.Ledger.Lost -= l.N
 				c.requeued += l.N
@@ -707,17 +710,17 @@ func (c *Core) PeakReceiverBuffer() int64 {
 func (c *Core) QueuedInNodes() int64 {
 	var total int64
 	for _, nd := range c.Nodes {
-		nd.Direct.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
+		nd.Direct.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				total += qs[j].Bytes()
 			}
 		})
-		nd.Lanes.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
+		nd.Lanes.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				total += qs[j].Bytes()
 			}
 		})
-		nd.Relay.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
+		nd.Relay.Slab.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
 			for j := range fs {
 				total += fs[j].Bytes()
 			}
@@ -726,57 +729,54 @@ func (c *Core) QueuedInNodes() int64 {
 	return total
 }
 
-// CheckOccupancy asserts every node's occupancy indexes and per-queue
-// and per-page aggregate counters exactly mirror the queue
-// contents — the invariant the choke points maintain — and that
+// CheckOccupancy asserts every node's class indexes — occupancy bits,
+// per-queue and per-page counters, class aggregates, shard active bits —
+// and every shard's relay-destination index exactly mirror the queue
+// contents, the invariant the class choke points maintain, and that
 // unmaterialized slabs report empty/zero everywhere. Engines run it per
 // round under CheckInvariants; it costs O(N²), like the ledger check.
 func (c *Core) CheckOccupancy() {
-	for i, nd := range c.Nodes {
-		nd.checkOccupancy(i)
+	if err := c.verifyOccupancy(); err != nil {
+		panic(err.Error())
 	}
-	// The per-shard active-node sets must exactly mirror the per-class
-	// aggregates the node choke points maintain.
+}
+
+// verifyOccupancy is CheckOccupancy's check, reporting the first failure.
+func (c *Core) verifyOccupancy() error {
+	for _, nd := range c.Nodes {
+		if err := nd.verify(); err != nil {
+			return err
+		}
+	}
+	// The relay-destination index must refcount exactly the relay
+	// occupancy bits of the shard's nodes.
 	for _, sh := range c.Shards {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			nd := c.Nodes[i]
-			if sh.ActiveDirect.Has(i-sh.Lo) != (nd.DirectBytes > 0) {
-				panic(fmt.Sprintf("fabric: shard %d active-direct[%d] = %v, node holds %d", sh.K, i, sh.ActiveDirect.Has(i-sh.Lo), nd.DirectBytes))
+		if sh.relDst.refs == nil {
+			continue
+		}
+		var members int
+		for d := 0; d < c.N; d++ {
+			var cnt int32
+			for i := sh.Lo; i < sh.Hi; i++ {
+				if r := &c.Nodes[i].Relay; r.Slab.Materialized() && r.Occ.Has(d) {
+					cnt++
+				}
 			}
-			if sh.ActiveLanes.Has(i-sh.Lo) != (nd.LanesBytes > 0) {
-				panic(fmt.Sprintf("fabric: shard %d active-lanes[%d] = %v, node holds %d", sh.K, i, sh.ActiveLanes.Has(i-sh.Lo), nd.LanesBytes))
+			if sh.relDst.refs[d] != cnt {
+				return fmt.Errorf("fabric: shard %d relay-dst refs[%d] = %d, %d nodes hold backlog", sh.K, d, sh.relDst.refs[d], cnt)
 			}
-			if sh.ActiveRelay.Has(i-sh.Lo) != (nd.RelayBytes > 0) {
-				panic(fmt.Sprintf("fabric: shard %d active-relay[%d] = %v, node holds %d", sh.K, i, sh.ActiveRelay.Has(i-sh.Lo), nd.RelayBytes))
+			if sh.relDst.occ.Has(d) != (cnt > 0) {
+				return fmt.Errorf("fabric: shard %d relay-dst occ[%d] = %v, refs %d", sh.K, d, sh.relDst.occ.Has(d), cnt)
+			}
+			if cnt > 0 {
+				members++
 			}
 		}
-		// The relay-destination index must refcount exactly the per-node
-		// relay occupancy bits of the shard's nodes.
-		if sh.relDst.refs != nil {
-			var members int
-			for d := 0; d < c.N; d++ {
-				var cnt int32
-				for i := sh.Lo; i < sh.Hi; i++ {
-					nd := c.Nodes[i]
-					if nd.Relay.Materialized() && nd.RelayOcc.Has(d) {
-						cnt++
-					}
-				}
-				if sh.relDst.refs[d] != cnt {
-					panic(fmt.Sprintf("fabric: shard %d relay-dst refs[%d] = %d, %d nodes hold backlog", sh.K, d, sh.relDst.refs[d], cnt))
-				}
-				if sh.relDst.occ.Has(d) != (cnt > 0) {
-					panic(fmt.Sprintf("fabric: shard %d relay-dst occ[%d] = %v, refs %d", sh.K, d, sh.relDst.occ.Has(d), cnt))
-				}
-				if cnt > 0 {
-					members++
-				}
-			}
-			if members != sh.relDst.count {
-				panic(fmt.Sprintf("fabric: shard %d relay-dst count %d, index holds %d members", sh.K, sh.relDst.count, members))
-			}
+		if members != sh.relDst.count {
+			return fmt.Errorf("fabric: shard %d relay-dst count %d, index holds %d members", sh.K, sh.relDst.count, members)
 		}
 	}
+	return nil
 }
 
 // CheckConservation asserts byte conservation: the plain ledger identity
@@ -788,8 +788,16 @@ func (c *Core) CheckOccupancy() {
 // cumulative destruction figure (Core.Lost). Without a failure plan every
 // loss term is zero. RunRound runs it under CheckInvariants.
 func (c *Core) CheckConservation() {
-	if err := c.Ledger.Check(c.QueuedInNodes()); err != nil {
+	if err := c.verifyConservation(); err != nil {
 		panic(err)
+	}
+}
+
+// verifyConservation is CheckConservation's check, reporting the first
+// failure.
+func (c *Core) verifyConservation() error {
+	if err := c.Ledger.Check(c.QueuedInNodes()); err != nil {
+		return err
 	}
 	var sum, recs int64
 	for _, nd := range c.Nodes {
@@ -799,14 +807,15 @@ func (c *Core) CheckConservation() {
 		}
 	}
 	if sum != c.Ledger.Lost {
-		panic(fmt.Sprintf("fabric: outstanding loss records hold %d bytes, ledger says %d", sum, c.Ledger.Lost))
+		return fmt.Errorf("fabric: outstanding loss records hold %d bytes, ledger says %d", sum, c.Ledger.Lost)
 	}
 	if recs != c.pendingLosses {
-		panic(fmt.Sprintf("fabric: %d outstanding loss records, counter says %d", recs, c.pendingLosses))
+		return fmt.Errorf("fabric: %d outstanding loss records, counter says %d", recs, c.pendingLosses)
 	}
 	if c.Lost != c.Ledger.Lost+c.requeued {
-		panic(fmt.Sprintf("fabric: destroyed %d != live lost %d + requeued %d", c.Lost, c.Ledger.Lost, c.requeued))
+		return fmt.Errorf("fabric: destroyed %d != live lost %d + requeued %d", c.Lost, c.Ledger.Lost, c.requeued)
 	}
+	return nil
 }
 
 // MaterializeAll eagerly allocates every node's configured slabs, exactly

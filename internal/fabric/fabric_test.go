@@ -26,9 +26,9 @@ func (p *testPlane) Round() {
 	c.Inject(now)
 	for i, nd := range c.Nodes {
 		sh := c.Shards[c.ShardOf[i]]
-		for j := nd.DirectOcc.Next(-1); j >= 0; j = nd.DirectOcc.Next(j) {
+		for j := nd.Direct.Occ.Next(-1); j >= 0; j = nd.Direct.Occ.Next(j) {
 			dst := j
-			nd.TakeDirect(dst, p.serve, func(f *flows.Flow, n int64) {
+			nd.Direct.Take(dst, p.serve, func(f *flows.Flow, n int64) {
 				f.NoteSent(n)
 				sh.Deliver(f, dst, n, now)
 			})
@@ -47,7 +47,7 @@ func testCore(t *testing.T, g workload.Generator, serve int64) (*Core, *testPlan
 		t.Fatal(err)
 	}
 	p := &testPlane{c: c, serve: serve}
-	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].Direct.Push(f.Dst, f, f.Total(), 0, at) })
 	c.SetWorkload(g)
 	return c, p
 }
@@ -95,7 +95,7 @@ func TestOutstandingLossCounter(t *testing.T) {
 	// Destroy 300 bytes in flight from ToR 0 toward dst 1.
 	nd := c.Nodes[0]
 	sh := c.Shards[0]
-	nd.TakeDirect(1, 300, func(f *flows.Flow, n int64) {
+	nd.Direct.Take(1, 300, func(f *flows.Flow, n int64) {
 		off := f.Sent()
 		f.NoteSent(n)
 		sh.RecordLoss(nd, f, 1, off, n, c.Now())
@@ -117,7 +117,7 @@ func TestOutstandingLossCounter(t *testing.T) {
 	if c.pendingLosses != 0 || len(nd.Losses) != 0 {
 		t.Fatalf("pendingLosses = %d, records = %d after requeue", c.pendingLosses, len(nd.Losses))
 	}
-	if got := nd.DirectQueuedBytes(1); got != 1000 {
+	if got := nd.Direct.Bytes(1); got != 1000 {
 		t.Fatalf("source VOQ holds %d bytes after requeue, want 1000", got)
 	}
 	c.CheckOccupancy()
@@ -172,8 +172,8 @@ func TestOccSet(t *testing.T) {
 	}
 }
 
-// TestChokePointsMaintainIndexes drives every Node mutation path and
-// asserts the shadow array and occupancy indexes track exactly.
+// TestChokePointsMaintainIndexes drives every class mutation path and
+// asserts the occupancy indexes track exactly.
 func TestChokePointsMaintainIndexes(t *testing.T) {
 	top, err := topo.NewParallel(8, 2)
 	if err != nil {
@@ -187,12 +187,12 @@ func TestChokePointsMaintainIndexes(t *testing.T) {
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 3, Size: 1 << 20}
 	discard := func(fl *flows.Flow, n int64) {}
 
-	nd.PushDirect(3, f, 0)
-	nd.PushDirectBytes(5, f, 0, 0, 0) // zero-byte push must not set the bit
-	nd.PushLaneBytes(2, f, 4096, 0, 0)
-	nd.PushRelay(6, queue.Segment{Flow: f, Bytes: 777, Enqueued: 5})
+	nd.Direct.Push(3, f, f.Total(), 0, 0)
+	nd.Direct.Push(5, f, 0, 0, 0) // zero-byte push must not set the bit
+	nd.Lanes.Push(2, f, 4096, 0, 0)
+	nd.Relay.Push(6, queue.Segment{Flow: f, Bytes: 777, Enqueued: 5})
 	c.CheckOccupancy()
-	if !nd.DirectOcc.Has(3) || nd.DirectOcc.Has(5) || !nd.LanesOcc.Has(2) || !nd.RelayOcc.Has(6) {
+	if !nd.Direct.Occ.Has(3) || nd.Direct.Occ.Has(5) || !nd.Lanes.Occ.Has(2) || !nd.Relay.Occ.Has(6) {
 		t.Fatal("occupancy bits wrong after pushes")
 	}
 	if got := nd.NextDirectOrRelay(-1); got != 3 {
@@ -203,34 +203,34 @@ func TestChokePointsMaintainIndexes(t *testing.T) {
 	}
 
 	// Partial take leaves the bit set; final take clears it.
-	nd.TakeDirect(3, 1<<19, discard)
+	nd.Direct.Take(3, 1<<19, discard)
 	c.CheckOccupancy()
-	if !nd.DirectOcc.Has(3) {
+	if !nd.Direct.Occ.Has(3) {
 		t.Fatal("partial take cleared the occupancy bit")
 	}
-	nd.TakeDirect(3, 1<<20, discard)
-	nd.TakeDirectLowest(3, 1, discard)
-	nd.TakeLane(2, 1<<20, discard)
-	nd.TakeLaneHeadCell(2, 1, discard)
+	nd.Direct.Take(3, 1<<20, discard)
+	nd.Direct.TakeLowest(3, 1, discard)
+	nd.Lanes.Take(2, 1<<20, discard)
+	nd.Lanes.TakeHeadCell(2, 1, discard)
 	c.CheckOccupancy()
-	if nd.DirectOcc.Has(3) || nd.LanesOcc.Has(2) {
+	if nd.Direct.Occ.Has(3) || nd.Lanes.Occ.Has(2) {
 		t.Fatal("occupancy bit survived a draining take")
 	}
 
 	// Relay: a not-yet-arrived head drains nothing and keeps the bit; an
 	// arrived one drains and clears it.
-	if got := nd.DrainRelay(6, 1<<20, 0, discard); got != 0 {
+	if got := nd.Relay.Drain(6, 1<<20, 0, discard); got != 0 {
 		t.Fatalf("drained %d not-yet-arrived bytes", got)
 	}
 	c.CheckOccupancy()
-	if !nd.RelayOcc.Has(6) {
+	if !nd.Relay.Occ.Has(6) {
 		t.Fatal("relay bit cleared by a zero-byte drain")
 	}
-	if got := nd.DrainRelay(6, 1<<20, 10, discard); got != 777 {
+	if got := nd.Relay.Drain(6, 1<<20, 10, discard); got != 777 {
 		t.Fatalf("drained %d, want 777", got)
 	}
 	c.CheckOccupancy()
-	if nd.RelayOcc.Has(6) || nd.RelayBytes != 0 {
+	if nd.Relay.Occ.Has(6) || nd.Relay.Total != 0 {
 		t.Fatal("relay bookkeeping wrong after full drain")
 	}
 }
@@ -276,27 +276,24 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	}
 	discard := func(fl *flows.Flow, n int64) {}
 	for i, nd := range c.Nodes {
-		if nd.Direct.Materialized() || nd.Lanes.Materialized() || nd.Relay.Materialized() || nd.CumInjected != nil {
+		if nd.Direct.Slab.Materialized() || nd.Lanes.Slab.Materialized() || nd.Relay.Slab.Materialized() || nd.CumInjected != nil {
 			t.Fatalf("node %d owns slab memory before any push", i)
 		}
-		if nd.DirectBytes != 0 || nd.LanesBytes != 0 || nd.RelayBytes != 0 {
+		if nd.Direct.Total != 0 || nd.Lanes.Total != 0 || nd.Relay.Total != 0 {
 			t.Fatalf("node %d has non-zero aggregates before any push", i)
 		}
-		if nd.DirectQueuedBytes(3) != 0 || nd.RelayQueuedBytes(3) != 0 {
+		if nd.Direct.Bytes(3) != 0 || nd.Relay.Bytes(3) != 0 {
 			t.Fatalf("node %d accessor reports phantom bytes", i)
 		}
-		if nd.NextDirectOrRelay(-1) != -1 || nd.DirectOcc.Next(-1) != -1 {
+		if nd.NextDirectOrRelay(-1) != -1 || nd.Direct.Occ.Next(-1) != -1 {
 			t.Fatalf("node %d occupancy iterates while unmaterialized", i)
 		}
-		if nd.TakeDirect(1, 100, discard) != 0 || nd.TakeLane(1, 100, discard) != 0 ||
-			nd.DrainRelay(1, 100, 1<<40, discard) != 0 {
+		if nd.Direct.Take(1, 100, discard) != 0 || nd.Lanes.Take(1, 100, discard) != 0 ||
+			nd.Relay.Drain(1, 100, 1<<40, discard) != 0 {
 			t.Fatalf("node %d take from unmaterialized slab returned bytes", i)
 		}
-		if d, n := nd.TakeLaneHeadCell(1, 100, discard); d != -1 || n != 0 {
-			t.Fatalf("node %d TakeLaneHeadCell on nil lanes = (%d, %d)", i, d, n)
-		}
-		if !nd.RelayEnabled() {
-			t.Fatalf("node %d: relay configured but RelayEnabled false", i)
+		if d, n := nd.Lanes.TakeHeadCell(1, 100, discard); d != -1 || n != 0 {
+			t.Fatalf("node %d Lanes.TakeHeadCell on nil lanes = (%d, %d)", i, d, n)
 		}
 	}
 	c.CheckOccupancy()
@@ -304,18 +301,18 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	// First direct push materializes Direct (+index, CumInjected) of node
 	// 2 only; lanes and relay stay nil until their first push.
 	f := &flows.Flow{ID: 1, Src: 2, Dst: 5, Size: 4096}
-	c.Nodes[2].PushDirect(5, f, 0)
-	if !c.Nodes[2].Direct.Materialized() || c.Nodes[2].CumInjected == nil {
+	c.Nodes[2].Direct.Push(5, f, f.Total(), 0, 0)
+	if !c.Nodes[2].Direct.Slab.Materialized() || c.Nodes[2].CumInjected == nil {
 		t.Fatal("direct push did not materialize the direct class")
 	}
-	if c.Nodes[2].Lanes.Materialized() || c.Nodes[2].Relay.Materialized() {
+	if c.Nodes[2].Lanes.Slab.Materialized() || c.Nodes[2].Relay.Slab.Materialized() {
 		t.Fatal("direct push materialized unrelated classes")
 	}
-	if c.Nodes[3].Direct.Materialized() {
+	if c.Nodes[3].Direct.Slab.Materialized() {
 		t.Fatal("push on node 2 materialized node 3")
 	}
-	c.Nodes[2].PushRelay(1, queue.Segment{Flow: f, Bytes: 100, Enqueued: 0})
-	if !c.Nodes[2].Relay.Materialized() || c.Nodes[2].Lanes.Materialized() {
+	c.Nodes[2].Relay.Push(1, queue.Segment{Flow: f, Bytes: 100, Enqueued: 0})
+	if !c.Nodes[2].Relay.Slab.Materialized() || c.Nodes[2].Lanes.Slab.Materialized() {
 		t.Fatal("relay push materialized the wrong classes")
 	}
 	c.CheckOccupancy()
@@ -323,9 +320,9 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	// Regression: a RELAY-ONLY node (relay materialized, direct not) must
 	// still surface its queued relay data through the union sweep — the
 	// predefined phase walks NextDirectOrRelay, and lazy == eager demands
-	// the relay entry is visited even with DirectOcc unmaterialized.
-	c.Nodes[4].PushRelay(5, queue.Segment{Flow: f, Bytes: 64, Enqueued: 0})
-	if c.Nodes[4].Direct.Materialized() {
+	// the relay entry is visited even with Direct.Occ unmaterialized.
+	c.Nodes[4].Relay.Push(5, queue.Segment{Flow: f, Bytes: 64, Enqueued: 0})
+	if c.Nodes[4].Direct.Slab.Materialized() {
 		t.Fatal("relay push materialized the direct class")
 	}
 	if got := c.Nodes[4].NextDirectOrRelay(-1); got != 5 {
@@ -338,7 +335,7 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	// MaterializeAll is the eager escape hatch tests compare against.
 	c.MaterializeAll()
 	for i, nd := range c.Nodes {
-		if !nd.Direct.Materialized() || !nd.Lanes.Materialized() || !nd.Relay.Materialized() {
+		if !nd.Direct.Slab.Materialized() || !nd.Lanes.Slab.Materialized() || !nd.Relay.Slab.Materialized() {
 			t.Fatalf("node %d not fully materialized by MaterializeAll", i)
 		}
 	}
@@ -403,7 +400,7 @@ func TestResultsEpochUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &epochPlane{testPlane{c: c, serve: 1 << 20}}
-	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].Direct.Push(f.Dst, f, f.Total(), 0, at) })
 	c.RunEpochs(4)
 	r := c.Results()
 	if c.Rounds() != 12 || r.Epochs != 4 || r.EpochLen != 300 || r.Duration != 1200 {
@@ -425,7 +422,7 @@ func TestCheckInvariantsRunsCoreChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Bind(&testPlane{c: c, serve: 1 << 20}, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.Bind(&testPlane{c: c, serve: 1 << 20}, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].Direct.Push(f.Dst, f, f.Total(), 0, at) })
 	c.RunRound()
 	c.Ledger.Injected++ // a byte the nodes do not hold
 	defer func() {

@@ -37,16 +37,16 @@ func TestRequeueClasses(t *testing.T) {
 	sh := c.Shards[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	c.Ledger.Injected += 1000
-	nd.PushDirect(1, f, 0)
+	nd.Direct.Push(1, f, f.Total(), 0, 0)
 
 	// Direct loss: 300 bytes destroyed leaving the source.
-	nd.TakeDirect(1, 300, func(fl *flows.Flow, n int64) {
+	nd.Direct.Take(1, 300, func(fl *flows.Flow, n int64) {
 		off := fl.Sent()
 		fl.NoteSent(n)
 		sh.RecordLossClass(nd, fl, 1, off, n, c.Now(), RequeueDirect, -1)
 	})
 	// Lane loss: 200 bytes destroyed on lane 3.
-	nd.TakeDirect(1, 200, func(fl *flows.Flow, n int64) {
+	nd.Direct.Take(1, 200, func(fl *flows.Flow, n int64) {
 		off := fl.Sent()
 		fl.NoteSent(n)
 		sh.RecordLossClass(nd, fl, 1, off, n, c.Now(), RequeueLane, 3)
@@ -64,11 +64,11 @@ func TestRequeueClasses(t *testing.T) {
 	if f.Sent() != 0 {
 		t.Fatalf("direct/lane requeue did not unsend: sent=%d", f.Sent())
 	}
-	if nd.DirectBytes != 800 {
-		t.Fatalf("direct VOQ holds %d bytes, want 800 (700 untouched + 300 requeued)", nd.DirectBytes)
+	if nd.Direct.Total != 800 {
+		t.Fatalf("direct VOQ holds %d bytes, want 800 (700 untouched + 300 requeued)", nd.Direct.Total)
 	}
-	if nd.LanesBytes != 200 || !nd.LanesOcc.Has(3) {
-		t.Fatalf("lane 3 holds %d bytes, want the 200 lane-lost bytes back in their lane", nd.LanesBytes)
+	if nd.Lanes.Total != 200 || !nd.Lanes.Occ.Has(3) {
+		t.Fatalf("lane 3 holds %d bytes, want the 200 lane-lost bytes back in their lane", nd.Lanes.Total)
 	}
 	c.CheckOccupancy()
 	c.CheckConservation()
@@ -80,8 +80,8 @@ func TestRequeueClasses(t *testing.T) {
 	g := &flows.Flow{ID: 2, Src: 3, Dst: 1, Size: 400}
 	c.Ledger.Injected += 400
 	g.NoteSent(400) // first hop already happened
-	relay.PushRelay(1, queue.Segment{Flow: g, Bytes: 400, Enqueued: 0})
-	relay.DrainRelay(1, 400, 1<<40, func(fl *flows.Flow, n int64) {
+	relay.Relay.Push(1, queue.Segment{Flow: g, Bytes: 400, Enqueued: 0})
+	relay.Relay.Drain(1, 400, 1<<40, func(fl *flows.Flow, n int64) {
 		rsh.RecordLossClass(relay, fl, 1, 0, n, c.Now(), RequeueRelay, -1)
 	})
 	c.mergeRound()
@@ -90,8 +90,8 @@ func TestRequeueClasses(t *testing.T) {
 	if g.Sent() != 400 {
 		t.Fatalf("relay requeue unsent the first hop: sent=%d", g.Sent())
 	}
-	if relay.RelayBytes != 400 || !relay.RelayOcc.Has(1) {
-		t.Fatalf("relay VOQ holds %d bytes after requeue, want 400", relay.RelayBytes)
+	if relay.Relay.Total != 400 || !relay.Relay.Occ.Has(1) {
+		t.Fatalf("relay VOQ holds %d bytes after requeue, want 400", relay.Relay.Total)
 	}
 	if c.Requeued() != 900 {
 		t.Fatalf("requeued=%d, want 900", c.Requeued())
@@ -109,17 +109,17 @@ func TestZeroDetectDelayRequeue(t *testing.T) {
 	sh := c.Shards[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 500}
 	c.Ledger.Injected += 500
-	nd.PushDirect(1, f, 0)
+	nd.Direct.Push(1, f, f.Total(), 0, 0)
 	at := c.Now()
-	nd.TakeDirect(1, 500, func(fl *flows.Flow, n int64) {
+	nd.Direct.Take(1, 500, func(fl *flows.Flow, n int64) {
 		off := fl.Sent()
 		fl.NoteSent(n)
 		sh.RecordLossClass(nd, fl, 1, off, n, at, RequeueDirect, -1)
 	})
 	c.mergeRound()
 	c.RequeueDetectedLosses(at, 0)
-	if c.pendingLosses != 0 || nd.DirectBytes != 500 {
-		t.Fatalf("zero-delay loss not requeued: records=%d queued=%d", c.pendingLosses, nd.DirectBytes)
+	if c.pendingLosses != 0 || nd.Direct.Total != 500 {
+		t.Fatalf("zero-delay loss not requeued: records=%d queued=%d", c.pendingLosses, nd.Direct.Total)
 	}
 	c.CheckConservation()
 }
@@ -138,7 +138,7 @@ func TestCoreOwnsFailureState(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &testPlane{c: c, serve: 1 << 20}
-	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].PushDirect(f.Dst, f, at) })
+	c.Bind(p, func(f *flows.Flow, at sim.Time) { c.Nodes[f.Src].Direct.Push(f.Dst, f, f.Total(), 0, at) })
 	c.SetWorkload(workload.NewSinglePair(2, 3, 100, 0))
 	actual, known := c.ActualFailures(), c.KnownFailures()
 	if actual == nil || known == nil || actual == known {

@@ -13,13 +13,15 @@ import (
 // mailboxes, matches, relay plans) stays with the control plane, keyed by
 // the same ToR index.
 //
-// Queue sets are PAGED slabs (queue.DestSlab / queue.FIFOSlab) indexed
-// by the per-class occupancy sets. They materialize lazily at two
+// A node has three queue classes — Direct and Lanes (QueueClass) and
+// Relay (RelayClass). Each is a PAGED slab (queue.Slab) plus the indexes
+// one set of choke points keeps exact: the occupancy index, the
+// aggregate bytes, the owning shard's active-node bit and the page
+// release candidates (see class). Slabs materialize lazily at two
 // granularities: a fresh node owns no queue memory at all and each class
-// (Direct with its index, Lanes, Relay) allocates its page table on the
-// first push into it; the
-// pages themselves (fixed-width chunks of queue.PageSize destinations)
-// materialize from the core's page pool on the first push that touches
+// allocates its page table on the first push into it; the pages
+// themselves (fixed-width chunks of queue.PageSize destinations)
+// materialize from the core's page pools on the first push that touches
 // them. A node's footprint therefore scales with the destinations its
 // traffic actually reaches, not with topology width — the rung that
 // opens the 65,536-ToR tier. Every push happens in a serial phase
@@ -35,36 +37,21 @@ import (
 // stayed empty and untouched since — so churning pages are never
 // released and steady state stays allocation-free.
 //
-// Engines may READ materialized slabs freely but must tolerate nil pages
-// on nodes (and destinations) they merely probe — use the nil-page-safe
-// accessors below (RelayQueuedBytes, DirectQueuedBytes, RelayHeadReady,
-// LaneHeadDst, DirectWeightedHoL, ...). Every MUTATION must go through
-// the Push*/Take*/Drain* choke points, which keep the
-// aggregates, the page counters and the indexes exact — the occupancy
-// invariant engines assert under CheckInvariants (Core.CheckOccupancy).
+// Engines may READ the slabs freely through the classes' nil-page-safe
+// readers (Bytes, HeadDst, HeadReady, WeightedHoL, ...), but every
+// MUTATION must go through the classes' Push/Take/Drain methods — the
+// occupancy invariant engines assert under CheckInvariants
+// (Core.CheckOccupancy).
 type Node struct {
 	// Direct holds data per final destination: the NegotiaToR VOQs, the
 	// baseline's direct queues, the hybrid's elephant queues.
-	Direct queue.DestSlab
+	Direct QueueClass
 	// Lanes is the optional secondary VOQ set: per-intermediate VLB spray
 	// lanes for the baseline, per-destination mice queues for the hybrid.
-	Lanes queue.DestSlab
+	Lanes QueueClass
 	// Relay holds in-transit data per final destination (second-hop
-	// virtual output queues); RelayBytes is its single aggregate counter,
-	// maintained exclusively by PushRelay/DrainRelay below so no engine
-	// tallies it in two places.
-	Relay      queue.FIFOSlab
-	RelayBytes int64
-	// DirectBytes and LanesBytes are the per-class aggregate byte
-	// counters (RelayBytes' counterparts), maintained by the choke
-	// points: an engine skips a whole node's per-port round work with one
-	// O(1) read instead of scanning its occupancy words.
-	DirectBytes int64
-	LanesBytes  int64
-	// DirectOcc, LanesOcc and RelayOcc index the non-empty entries of the
-	// corresponding queue set; per-round sweeps iterate them in ascending
-	// destination order, making round cost O(active), not O(N).
-	DirectOcc, LanesOcc, RelayOcc OccSet
+	// virtual output queues).
+	Relay RelayClass
 	// CumInjected is the optional cumulative injected-bytes table per
 	// destination (stateful matcher view).
 	CumInjected []int64
@@ -75,54 +62,43 @@ type Node struct {
 	// source requeue.
 	Losses []Loss
 
-	// actDirect/actLanes/actRelay point at the owning shard's active-node
-	// sets, with actBit the node's shard-local bit. The choke points flip
-	// the bit exactly on the per-class aggregate's 0<->nonzero transitions.
-	actDirect, actLanes, actRelay *OccSet
-	actBit                        int
-
-	// id is the node's ToR index and relq its owning shard's
-	// pending-release queue: take choke points record empty-page
-	// candidates there (shard-local, so parallel phases never contend)
-	// and the core's serial merge ages and applies them.
-	id   int32
-	relq *pageRelq
-	// relDst points at the owning shard's relay-destination index: the
-	// set of destinations ANY of the shard's nodes holds relay backlog
-	// for, refcounted so the last node to drain a destination clears its
-	// bit. PushRelay/DrainRelay maintain it on the same 0<->nonzero queue
-	// transitions that flip RelayOcc; pushes are serial-phase-only and
-	// drains happen in the owning shard's own parallel step, so the index
-	// never races.
-	relDst *relayDstIndex
-
-	// spec remembers the topology size and class configuration the lazy
-	// slabs materialize to (shared by every node of a core).
+	// sh is the owning shard — its active-node sets, its page-release
+	// queue and its relay-destination index; id is the node's ToR index
+	// and bit its shard-local index (id - sh.Lo). Every mutation of a node
+	// happens in a serial phase or in its own shard's parallel step, so
+	// the shard-local structures never race.
+	sh      *Shard
+	id, bit int32
+	// spec remembers the topology size, class configuration and recycling
+	// pools the lazy slabs materialize from (shared by every node of a
+	// core).
 	spec *nodeSpec
-	// pool recycles segment arrays fabric-wide (the core's; see
-	// queue.SegPool for why it may be unsynchronised). pages recycles
-	// released queue pages the same way (materialization happens only in
-	// serial phases, release only in the serial merge).
-	pool  *queue.SegPool
-	pages *queue.PagePool
 }
 
 // nodeSpec is the shared recipe lazy materialization follows: the
-// per-class slab sizes and options of Config, captured once per core.
+// per-class slab sizes and options of Config, captured once per core,
+// and the core's recycling pools (see queue.SegPool and queue.PagePool
+// for why they may be unsynchronised).
 type nodeSpec struct {
 	n           int
 	priority    bool
 	lanes       bool
 	relay       bool
 	cumInjected bool
+	segs        *queue.SegPool
+	dests       *queue.PagePool[queue.DestQueue]
+	fifos       *queue.PagePool[queue.FIFO]
 }
 
-// Queue-class tags for page-release candidates.
+// Queue-class tags: a class's shard active set, its page-release
+// candidates and its invariant messages are keyed by them.
 const (
 	classDirect uint8 = iota
 	classLanes
 	classRelay
 )
+
+var className = [...]string{"direct", "lane", "relay"}
 
 // pageRef is one empty-page release candidate: which node/class/page went
 // empty, the page's touch version at that moment, and (stamped by the
@@ -177,435 +153,373 @@ type Loss struct {
 	Via   int32 // lane index for RequeueLane
 }
 
-func newNode(spec *nodeSpec, pool *queue.SegPool, pages *queue.PagePool) *Node {
-	return &Node{spec: spec, pool: pool, pages: pages}
+func newNode(spec *nodeSpec) *Node {
+	nd := &Node{spec: spec}
+	nd.Direct.nd, nd.Direct.tag = nd, classDirect
+	nd.Lanes.nd, nd.Lanes.tag = nd, classLanes
+	nd.Relay.nd, nd.Relay.tag = nd, classRelay
+	return nd
 }
 
-// noteEmptyPage records a release candidate with the page's touch
-// version. Outside a core (bare-node tests) there is no queue and pages
-// simply stay materialized.
-func (nd *Node) noteEmptyPage(class uint8, page int, ver uint32) {
-	if nd.relq == nil {
+// configured reports whether the core's configuration carries the class
+// tagged tag (whether or not it has materialized yet).
+func (nd *Node) configured(tag uint8) bool {
+	switch tag {
+	case classLanes:
+		return nd.spec.lanes
+	case classRelay:
+		return nd.spec.relay
+	}
+	return true
+}
+
+// class is what every queue class keeps: its slab and the indexes that
+// must mirror it exactly — the occupancy index and the aggregate bytes,
+// and, through the owning node, the shard's active-node bit and the
+// page-release candidates. added and removed are the only writers of the
+// indexes and the page counter; the classes' push and take methods call
+// them after moving bytes.
+type class[Q queue.Queue] struct {
+	// Slab holds the queues. Engines read it freely; every mutation goes
+	// through the class's methods.
+	Slab queue.Slab[Q]
+	// Occ indexes the non-empty queues; per-round sweeps iterate it in
+	// ascending destination order, making round cost O(active), not O(N).
+	Occ OccSet
+	// Total is the class's aggregate queued bytes: an engine skips a whole
+	// node's round work with one O(1) read instead of scanning Occ.
+	Total int64
+	nd    *Node
+	tag   uint8
+}
+
+// added books n > 0 bytes just pushed into dst's queue: the page
+// counter, the occupancy bit, and the shard's active bit on the
+// aggregate's 0 -> nonzero transition.
+func (c *class[Q]) added(dst int, n int64) {
+	c.Slab.Add(dst, n)
+	if c.Total == 0 {
+		c.nd.sh.active(c.tag).Set(int(c.nd.bit))
+	}
+	c.Total += n
+	c.Occ.Set(dst)
+}
+
+// removed books n > 0 bytes just taken from dst's queue; empty reports
+// whether the queue went empty. A page whose counter hits zero becomes a
+// release candidate at its current touch version.
+func (c *class[Q]) removed(dst int, n int64, empty bool) {
+	nd := c.nd
+	if pb, ver := c.Slab.Add(dst, -n); pb == 0 {
+		q := &nd.sh.relq
+		q.refs = append(q.refs, pageRef{tor: nd.id, page: int32(queue.PageOf(dst)), class: c.tag, ver: ver})
+	}
+	if c.Total -= n; c.Total == 0 {
+		nd.sh.active(c.tag).Clear(int(nd.bit))
+	}
+	if empty {
+		c.Occ.Clear(dst)
+	}
+}
+
+// check reports the first way the class's indexes disagree with its
+// slab: a queue aggregate that differs from its recount (qb returns
+// both), an occupancy bit without bytes or bytes without the bit (an
+// absent page must carry no bit at all), a page counter that is not its
+// queues' sum, an aggregate that is not the class's sum, or a shard
+// active bit that does not mirror the aggregate. An unmaterialized class
+// must read as empty everywhere. It costs O(N) per materialized class.
+func (c *class[Q]) check(qb func(*Q) (bytes, recount int64)) error {
+	nd, name := c.nd, className[c.tag]
+	if !c.Slab.Materialized() {
+		if c.Total != 0 || c.Occ.words != nil {
+			return fmt.Errorf("fabric: tor %d unmaterialized %s slab with residue (bytes=%d)", nd.id, name, c.Total)
+		}
+	} else {
+		var total int64
+		for j := 0; j < nd.spec.n; j++ {
+			var b int64
+			if q := c.Slab.Probe(j); q != nil {
+				var r int64
+				if b, r = qb(q); b != r {
+					return fmt.Errorf("fabric: tor %d %s[%d] aggregate %d != recount %d", nd.id, name, j, b, r)
+				}
+			} else if c.Occ.Has(j) {
+				return fmt.Errorf("fabric: tor %d unmaterialized %s page %d with occupancy residue at dst %d", nd.id, name, queue.PageOf(j), j)
+			}
+			if c.Occ.Has(j) != (b > 0) {
+				return fmt.Errorf("fabric: tor %d %s occupancy[%d] = %v, queue holds %d", nd.id, name, j, c.Occ.Has(j), b)
+			}
+			total += b
+		}
+		var err error
+		c.Slab.ForEachPage(func(page, _ int, qs []Q, bytes int64) {
+			var sum int64
+			for k := range qs {
+				b, _ := qb(&qs[k])
+				sum += b
+			}
+			if sum != bytes && err == nil {
+				err = fmt.Errorf("fabric: tor %d %s page %d counter %d, queues hold %d", nd.id, name, page, bytes, sum)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if total != c.Total {
+			return fmt.Errorf("fabric: tor %d %s aggregate %d, queues hold %d", nd.id, name, c.Total, total)
+		}
+	}
+	if has := nd.sh.active(c.tag).Has(int(nd.bit)); has != (c.Total > 0) {
+		return fmt.Errorf("fabric: shard %d active-%s[%d] = %v, node holds %d", nd.sh.K, name, nd.id, has, c.Total)
+	}
+	return nil
+}
+
+// QueueClass is one per-destination VOQ class of a node (Direct or
+// Lanes): a paged slab of PIAS queues with its indexes. Push, Take,
+// TakeLowest and TakeHeadCell are its only mutation paths; its readers
+// are nil-page-safe.
+type QueueClass struct {
+	class[queue.DestQueue]
+}
+
+// materialize allocates the page table and the occupancy index (and, for
+// the direct class, the optional cumulative-injected table); callers
+// check Slab.Materialized first. Per-destination queued bytes live in
+// the pages themselves, so a touched node's footprint stays proportional
+// to the destinations its traffic reaches, never to the fabric width.
+func (c *QueueClass) materialize() {
+	spec := c.nd.spec
+	c.Slab = queue.NewDestSlab(spec.n, spec.priority)
+	c.Occ = newOccSet(spec.n)
+	if c.tag == classDirect && spec.cumInjected {
+		c.nd.CumInjected = make([]int64, spec.n)
+	}
+}
+
+// Push enqueues n bytes of f, whose first byte is at flow offset off,
+// for dst at time at (PIAS places bytes by offset; a whole flow or group
+// is Push(dst, f, f.Total(), 0, at)).
+func (c *QueueClass) Push(dst int, f *flows.Flow, n, off int64, at sim.Time) {
+	if n <= 0 {
 		return
 	}
-	nd.relq.refs = append(nd.relq.refs, pageRef{tor: nd.id, page: int32(page), class: class, ver: ver})
-}
-
-// materializeDirect allocates the direct page table with its occupancy
-// index and (when configured) the cumulative-injected table. Called from
-// the push choke points on first use; pushes happen only in serial
-// phases, so growth never races with parallel reads. Per-destination
-// queued bytes live in the pages themselves (DestSlab.Bytes), so a
-// touched node's footprint stays proportional to the destinations its
-// traffic reaches, never to the fabric width.
-func (nd *Node) materializeDirect() {
-	nd.Direct = queue.NewDestSlab(nd.spec.n, nd.spec.priority)
-	nd.DirectOcc = newOccSet(nd.spec.n)
-	if nd.spec.cumInjected {
-		nd.CumInjected = make([]int64, nd.spec.n)
+	if !c.Slab.Materialized() {
+		c.materialize()
 	}
+	c.Slab.Queue(dst, c.nd.spec.dests).PushBytesPool(c.nd.spec.segs, f, n, off, at)
+	c.added(dst, n)
 }
 
-// materializeLanes allocates the secondary page table and its index.
-func (nd *Node) materializeLanes() {
-	nd.Lanes = queue.NewDestSlab(nd.spec.n, nd.spec.priority)
-	nd.LanesOcc = newOccSet(nd.spec.n)
+// restore re-enqueues one checkpointed segment verbatim into priority
+// level prio with Push's bookkeeping, bypassing the PIAS offset split:
+// the placement was decided at the original push and must be reproduced,
+// not recomputed.
+func (c *QueueClass) restore(dst, prio int, s queue.Segment) error {
+	if !c.Slab.Materialized() {
+		c.materialize()
+	}
+	if err := c.Slab.Queue(dst, c.nd.spec.dests).RestoreSegment(c.nd.spec.segs, prio, s); err != nil {
+		return err
+	}
+	c.added(dst, s.Bytes)
+	return nil
 }
 
-// materializeRelay allocates the relay page table and its index.
-func (nd *Node) materializeRelay() {
-	nd.Relay = queue.NewFIFOSlab(nd.spec.n)
-	nd.RelayOcc = newOccSet(nd.spec.n)
+// Take removes up to max bytes from dst's queue (priorities in order,
+// FIFO within each), returning the bytes taken.
+func (c *QueueClass) Take(dst int, max int64, emit func(f *flows.Flow, n int64)) int64 {
+	q := c.Slab.Probe(dst)
+	if q == nil {
+		return 0
+	}
+	taken := q.Take(max, emit)
+	if taken > 0 {
+		c.removed(dst, taken, q.Empty())
+	}
+	return taken
 }
+
+// TakeLowest removes up to max bytes from dst's lowest-priority
+// (elephant) level only — the selective relay's first-hop source drain.
+func (c *QueueClass) TakeLowest(dst int, max int64, emit func(f *flows.Flow, n int64)) int64 {
+	q := c.Slab.Probe(dst)
+	if q == nil {
+		return 0
+	}
+	taken := q.TakeLowestOnly(max, emit)
+	if taken > 0 {
+		c.removed(dst, taken, q.Empty())
+	}
+	return taken
+}
+
+// TakeHeadCell removes up to max bytes for a single final destination
+// from the head of dst's queue (see queue.DestQueue.TakeHeadCell),
+// returning the destination served and the bytes taken (-1 and 0 when
+// the queue is empty).
+func (c *QueueClass) TakeHeadCell(dst int, max int64, emit func(f *flows.Flow, n int64)) (int, int64) {
+	q := c.Slab.Probe(dst)
+	if q == nil {
+		return -1, 0
+	}
+	d, taken := q.TakeHeadCell(max, emit)
+	if taken > 0 {
+		c.removed(dst, taken, q.Empty())
+	}
+	return d, taken
+}
+
+// Bytes reports dst's queued bytes.
+func (c *QueueClass) Bytes(dst int) int64 {
+	if q := c.Slab.Probe(dst); q != nil {
+		return q.Bytes()
+	}
+	return 0
+}
+
+// HeadDst returns the final destination of the next data dst's queue
+// would serve, or -1 when it is empty.
+func (c *QueueClass) HeadDst(dst int) int {
+	if q := c.Slab.Probe(dst); q != nil {
+		return q.HeadDst()
+	}
+	return -1
+}
+
+// LowestPriorityBytes reports the bytes queued at dst's lowest (elephant)
+// priority.
+func (c *QueueClass) LowestPriorityBytes(dst int) int64 {
+	if q := c.Slab.Probe(dst); q != nil {
+		return q.LowestPriorityBytes()
+	}
+	return 0
+}
+
+// WeightedHoL computes dst's weighted head-of-line delay (App. A.2.3);
+// an absent page is a set of empty queues, whose HoL waits are all zero.
+func (c *QueueClass) WeightedHoL(dst int, now sim.Time, alpha float64) float64 {
+	if q := c.Slab.Probe(dst); q != nil {
+		return q.WeightedHoL(now, alpha)
+	}
+	return 0
+}
+
+// RelayClass is a node's relay FIFO set: in-transit bytes per final
+// destination. It keeps the classes' shared bookkeeping and adds its
+// own: the shard's relay-destination index, the ready-time drain and the
+// headroom under an aggregate cap.
+type RelayClass struct {
+	class[queue.FIFO]
+}
+
+// materialize allocates the page table and the occupancy index; callers
+// check Slab.Materialized first.
+func (r *RelayClass) materialize() {
+	r.Slab = queue.NewFIFOSlab(r.nd.spec.n)
+	r.Occ = newOccSet(r.nd.spec.n)
+}
+
+// Push enqueues one in-transit segment for final destination dst.
+func (r *RelayClass) Push(dst int, s queue.Segment) {
+	if s.Bytes <= 0 {
+		return
+	}
+	if !r.Slab.Materialized() {
+		r.materialize()
+	}
+	r.Slab.Queue(dst, r.nd.spec.fifos).PushPool(r.nd.spec.segs, s)
+	if !r.Occ.Has(dst) {
+		r.nd.sh.relDst.inc(r.nd.spec.n, dst)
+	}
+	r.added(dst, s.Bytes)
+}
+
+// Drain forwards up to max relay bytes for dst that have physically
+// arrived by now, returning the bytes taken.
+func (r *RelayClass) Drain(dst int, max int64, now sim.Time, emit func(f *flows.Flow, n int64)) int64 {
+	q := r.Slab.Probe(dst)
+	if q == nil {
+		return 0
+	}
+	taken := q.TakeReady(max, now, emit)
+	if taken > 0 {
+		r.removed(dst, taken, q.Empty())
+		if q.Empty() {
+			r.nd.sh.relDst.dec(dst)
+		}
+	}
+	return taken
+}
+
+// Bytes reports the relay backlog for dst — the read a spray source uses
+// to check an intermediate's VOQ headroom.
+func (r *RelayClass) Bytes(dst int) int64 {
+	if q := r.Slab.Probe(dst); q != nil {
+		return q.Bytes()
+	}
+	return 0
+}
+
+// HeadReady reports whether the relay FIFO for dst has data that has
+// physically arrived by now.
+func (r *RelayClass) HeadReady(dst int, now sim.Time) bool {
+	q := r.Slab.Probe(dst)
+	return q != nil && q.HeadReady(now)
+}
+
+// Headroom returns how many more relay bytes the node accepts under the
+// given aggregate cap.
+func (r *RelayClass) Headroom(cap int64) int64 { return cap - r.Total }
 
 // Materialize eagerly allocates every class the node's configuration
 // enables — page tables AND every page — as pre-paging construction did.
 // Tests use it to prove lazy and eager fabrics produce byte-identical
 // results.
 func (nd *Node) Materialize() {
-	if !nd.Direct.Materialized() {
-		nd.materializeDirect()
-	}
-	nd.Direct.MaterializeAll(nd.pages)
-	if nd.spec.lanes {
-		if !nd.Lanes.Materialized() {
-			nd.materializeLanes()
+	for _, c := range []*QueueClass{&nd.Direct, &nd.Lanes} {
+		if !nd.configured(c.tag) {
+			continue
 		}
-		nd.Lanes.MaterializeAll(nd.pages)
-	}
-	if nd.spec.relay {
-		if !nd.Relay.Materialized() {
-			nd.materializeRelay()
+		if !c.Slab.Materialized() {
+			c.materialize()
 		}
-		nd.Relay.MaterializeAll(nd.pages)
+		c.Slab.MaterializeAll(nd.spec.dests)
 	}
-}
-
-// RelayEnabled reports whether the node's configuration carries relay
-// FIFOs (whether or not they have materialized yet).
-func (nd *Node) RelayEnabled() bool { return nd.spec.relay }
-
-// PushDirect enqueues all bytes of flow f (all members, for a group) for
-// destination dst at time now.
-func (nd *Node) PushDirect(dst int, f *flows.Flow, at sim.Time) {
-	nd.PushDirectBytes(dst, f, f.Total(), 0, at)
-}
-
-// PushDirectBytes enqueues n bytes of f (first byte at flow offset off)
-// for dst, maintaining the page counter and the occupancy index.
-func (nd *Node) PushDirectBytes(dst int, f *flows.Flow, n, off int64, at sim.Time) {
-	if n <= 0 {
-		return
-	}
-	if !nd.Direct.Materialized() {
-		nd.materializeDirect()
-	}
-	nd.Direct.Queue(dst, nd.pages).PushBytesPool(nd.pool, f, n, off, at)
-	nd.Direct.Add(dst, n)
-	if nd.DirectBytes == 0 && nd.actDirect != nil {
-		nd.actDirect.Set(nd.actBit)
-	}
-	nd.DirectBytes += n
-	nd.DirectOcc.Set(dst)
-}
-
-// TakeDirect removes up to max bytes from the dst VOQ (priorities in
-// order, FIFO within each), returning the bytes taken.
-func (nd *Node) TakeDirect(dst int, max int64, emit func(f *flows.Flow, n int64)) int64 {
-	q := nd.Direct.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	taken := q.Take(max, emit)
-	if taken > 0 {
-		nd.afterTakeDirect(dst, taken)
-	}
-	return taken
-}
-
-// TakeDirectLowest removes up to max bytes from the dst VOQ's
-// lowest-priority (elephant) class only — the selective relay's first-hop
-// source drain.
-func (nd *Node) TakeDirectLowest(dst int, max int64, emit func(f *flows.Flow, n int64)) int64 {
-	q := nd.Direct.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	taken := q.TakeLowestOnly(max, emit)
-	if taken > 0 {
-		nd.afterTakeDirect(dst, taken)
-	}
-	return taken
-}
-
-// afterTakeDirect folds a direct take into the aggregates, the page
-// counter and the occupancy indexes, and records an empty-page candidate
-// when the page's counter hits zero.
-func (nd *Node) afterTakeDirect(dst int, taken int64) {
-	if pb, ver := nd.Direct.Add(dst, -taken); pb == 0 {
-		nd.noteEmptyPage(classDirect, queue.PageOf(dst), ver)
-	}
-	if nd.DirectBytes -= taken; nd.DirectBytes == 0 && nd.actDirect != nil {
-		nd.actDirect.Clear(nd.actBit)
-	}
-	if nd.Direct.Bytes(dst) == 0 {
-		nd.DirectOcc.Clear(dst)
-	}
-}
-
-// PushLane enqueues all bytes of flow f (all members, for a group) into
-// lane dst at time now.
-func (nd *Node) PushLane(dst int, f *flows.Flow, at sim.Time) {
-	nd.PushLaneBytes(dst, f, f.Total(), 0, at)
-}
-
-// PushLaneBytes enqueues n bytes of f (offset off) into lane dst.
-func (nd *Node) PushLaneBytes(dst int, f *flows.Flow, n, off int64, at sim.Time) {
-	if n <= 0 {
-		return
-	}
-	if !nd.Lanes.Materialized() {
-		nd.materializeLanes()
-	}
-	nd.Lanes.Queue(dst, nd.pages).PushBytesPool(nd.pool, f, n, off, at)
-	nd.Lanes.Add(dst, n)
-	if nd.LanesBytes == 0 && nd.actLanes != nil {
-		nd.actLanes.Set(nd.actBit)
-	}
-	nd.LanesBytes += n
-	nd.LanesOcc.Set(dst)
-}
-
-// TakeLane removes up to max bytes from lane dst.
-func (nd *Node) TakeLane(dst int, max int64, emit func(f *flows.Flow, n int64)) int64 {
-	q := nd.Lanes.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	taken := q.Take(max, emit)
-	if taken > 0 {
-		nd.afterTakeLane(dst, taken, q.Empty())
-	}
-	return taken
-}
-
-// TakeLaneHeadCell removes up to max bytes for a single destination from
-// lane dst's head (see queue.DestQueue.TakeHeadCell), returning the
-// destination served and the bytes taken.
-func (nd *Node) TakeLaneHeadCell(dst int, max int64, emit func(f *flows.Flow, n int64)) (int, int64) {
-	q := nd.Lanes.Probe(dst)
-	if q == nil {
-		return -1, 0
-	}
-	d, taken := q.TakeHeadCell(max, emit)
-	if taken > 0 {
-		nd.afterTakeLane(dst, taken, q.Empty())
-	}
-	return d, taken
-}
-
-// afterTakeLane folds a lane take into the aggregate, the page counter
-// and the occupancy index.
-func (nd *Node) afterTakeLane(dst int, taken int64, nowEmpty bool) {
-	if pb, ver := nd.Lanes.Add(dst, -taken); pb == 0 {
-		nd.noteEmptyPage(classLanes, queue.PageOf(dst), ver)
-	}
-	if nd.LanesBytes -= taken; nd.LanesBytes == 0 && nd.actLanes != nil {
-		nd.actLanes.Clear(nd.actBit)
-	}
-	if nowEmpty {
-		nd.LanesOcc.Clear(dst)
-	}
-}
-
-// PushRelay enqueues one in-transit segment for final destination dst and
-// maintains the aggregate relay counter, the page counter and the
-// occupancy index.
-func (nd *Node) PushRelay(dst int, s queue.Segment) {
-	if s.Bytes <= 0 {
-		return
-	}
-	if !nd.Relay.Materialized() {
-		nd.materializeRelay()
-	}
-	nd.Relay.Get(dst, nd.pages).PushPool(nd.pool, s)
-	nd.Relay.Add(dst, s.Bytes)
-	if nd.RelayBytes == 0 && nd.actRelay != nil {
-		nd.actRelay.Set(nd.actBit)
-	}
-	nd.RelayBytes += s.Bytes
-	if !nd.RelayOcc.Has(dst) {
-		nd.RelayOcc.Set(dst)
-		if nd.relDst != nil {
-			nd.relDst.inc(nd.spec.n, dst)
+	if r := &nd.Relay; nd.spec.relay {
+		if !r.Slab.Materialized() {
+			r.materialize()
 		}
+		r.Slab.MaterializeAll(nd.spec.fifos)
 	}
-}
-
-// DrainRelay forwards up to max relay bytes for dst that have physically
-// arrived by now, maintaining the aggregate counter. It returns the bytes
-// taken.
-func (nd *Node) DrainRelay(dst int, max int64, now sim.Time, emit func(f *flows.Flow, n int64)) int64 {
-	q := nd.Relay.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	taken := q.TakeReady(max, now, emit)
-	if taken > 0 {
-		if pb, ver := nd.Relay.Add(dst, -taken); pb == 0 {
-			nd.noteEmptyPage(classRelay, queue.PageOf(dst), ver)
-		}
-		if nd.RelayBytes -= taken; nd.RelayBytes == 0 && nd.actRelay != nil {
-			nd.actRelay.Clear(nd.actBit)
-		}
-		if q.Empty() {
-			nd.RelayOcc.Clear(dst)
-			if nd.relDst != nil {
-				nd.relDst.dec(dst)
-			}
-		}
-	}
-	return taken
 }
 
 // NextDirectOrRelay returns the smallest destination strictly greater
 // than after with direct backlog or queued relay data, or -1 — the
-// ascending sweep order of the predefined transmission phase.
+// ascending sweep order of the predefined transmission phase. Either
+// class may be unmaterialized.
 func (nd *Node) NextDirectOrRelay(after int) int {
-	if !nd.Relay.Materialized() {
-		return nd.DirectOcc.Next(after)
-	}
-	return nextUnion(&nd.DirectOcc, &nd.RelayOcc, after)
+	return nextUnion(&nd.Direct.Occ, &nd.Relay.Occ, after)
 }
 
-// RelayHeadroom returns how many more relay bytes the node accepts under
-// the given aggregate cap.
-func (nd *Node) RelayHeadroom(cap int64) int64 { return cap - nd.RelayBytes }
-
-// RelayQueuedBytes reports the relay backlog for dst, zero when the relay
-// slab (or dst's page) has not materialized — the nil-page-safe read
-// engines use to probe OTHER nodes (a spray source checking an
-// intermediate's VOQ headroom).
-func (nd *Node) RelayQueuedBytes(dst int) int64 { return nd.Relay.Bytes(dst) }
-
-// RelayHeadReady reports whether the relay FIFO for dst has data that has
-// physically arrived by now (false for unmaterialized slabs or pages).
-func (nd *Node) RelayHeadReady(dst int, now sim.Time) bool {
-	q := nd.Relay.Probe(dst)
-	return q != nil && q.HeadReady(now)
+// verify reports the first way the node's classes disagree with their
+// queues (see class.check), or a cumulative-injected table that outlives
+// the direct slab it materializes with.
+func (nd *Node) verify() error {
+	if !nd.Direct.Slab.Materialized() && nd.CumInjected != nil {
+		return fmt.Errorf("fabric: tor %d cumulative-injected table without a direct slab", nd.id)
+	}
+	if err := nd.Direct.check(destQueueBytes); err != nil {
+		return err
+	}
+	if err := nd.Lanes.check(destQueueBytes); err != nil {
+		return err
+	}
+	return nd.Relay.check(fifoBytes)
 }
 
-// DirectQueuedBytes reports the direct backlog for dst, zero when the
-// direct slab (or dst's page) has not materialized — the nil-page-safe
-// read matcher demand views and spray scans use.
-func (nd *Node) DirectQueuedBytes(dst int) int64 { return nd.Direct.Bytes(dst) }
-
-// DirectLowestPriorityBytes reports the bytes queued at dst's lowest
-// (elephant) priority, zero for unmaterialized slabs or pages.
-func (nd *Node) DirectLowestPriorityBytes(dst int) int64 {
-	q := nd.Direct.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	return q.LowestPriorityBytes()
-}
-
-// DirectWeightedHoL computes the weighted head-of-line delay for dst
-// (App. A.2.3), zero for unmaterialized slabs or pages (an absent page
-// is a set of empty queues, whose HoL waits are all zero).
-func (nd *Node) DirectWeightedHoL(dst int, now sim.Time, alpha float64) float64 {
-	q := nd.Direct.Probe(dst)
-	if q == nil {
-		return 0
-	}
-	return q.WeightedHoL(now, alpha)
-}
-
-// LaneHeadDst returns the destination of the next data lane dst would
-// serve, or -1 when the lane is empty (or its page absent).
-func (nd *Node) LaneHeadDst(dst int) int {
-	q := nd.Lanes.Probe(dst)
-	if q == nil {
-		return -1
-	}
-	return q.HeadDst()
-}
-
-// CheckRelayCounter asserts the aggregate counter matches the FIFO
-// contents (per-round invariant of relay-carrying control planes).
-func (nd *Node) CheckRelayCounter() {
-	if !nd.Relay.Materialized() {
-		return
-	}
-	var sum int64
-	nd.Relay.ForEachPage(func(page, base int, fs []queue.FIFO, bytes int64) {
-		for j := range fs {
-			sum += fs[j].Bytes()
-		}
-	})
-	if sum != nd.RelayBytes {
-		panic(fmt.Sprintf("fabric: relay accounting drift: FIFOs hold %d, counter says %d", sum, nd.RelayBytes))
-	}
-}
-
-// checkOccupancy asserts the per-queue, per-page and per-class aggregate
-// counters and all three occupancy indexes exactly mirror queue contents
-// — including that unmaterialized classes report empty/zero everywhere
-// (nil slab, zero aggregate) and that unmaterialized PAGES carry no
-// residue: an absent page must have no occupancy bits and no page
-// counter anywhere in its destination range.
-func (nd *Node) checkOccupancy(tor int) {
-	if !nd.Direct.Materialized() {
-		if nd.DirectBytes != 0 || nd.DirectOcc.words != nil || nd.CumInjected != nil {
-			panic(fmt.Sprintf("fabric: tor %d unmaterialized direct slab with residue (bytes=%d)", tor, nd.DirectBytes))
-		}
-	}
-	if !nd.Lanes.Materialized() {
-		if nd.LanesBytes != 0 || nd.LanesOcc.words != nil {
-			panic(fmt.Sprintf("fabric: tor %d unmaterialized lane slab with residue (bytes=%d)", tor, nd.LanesBytes))
-		}
-	}
-	if !nd.Relay.Materialized() {
-		if nd.RelayBytes != 0 || nd.RelayOcc.words != nil {
-			panic(fmt.Sprintf("fabric: tor %d unmaterialized relay slab with residue (bytes=%d)", tor, nd.RelayBytes))
-		}
-	}
-	if nd.Direct.Materialized() {
-		var direct int64
-		for j := 0; j < nd.spec.n; j++ {
-			q := nd.Direct.Probe(j)
-			var b int64
-			if q != nil {
-				b = q.Bytes()
-				if r := q.Recount(); r != b {
-					panic(fmt.Sprintf("fabric: tor %d direct[%d] aggregate %d != recount %d", tor, j, b, r))
-				}
-			} else if nd.DirectOcc.Has(j) {
-				panic(fmt.Sprintf("fabric: tor %d unmaterialized direct page %d with occupancy residue at dst %d", tor, queue.PageOf(j), j))
-			}
-			if nd.DirectOcc.Has(j) != (b > 0) {
-				panic(fmt.Sprintf("fabric: tor %d direct occupancy[%d] = %v, queue holds %d", tor, j, nd.DirectOcc.Has(j), b))
-			}
-			direct += b
-		}
-		nd.Direct.ForEachPage(func(page, base int, qs []queue.DestQueue, bytes int64) {
-			var sum int64
-			for k := range qs {
-				sum += qs[k].Bytes()
-			}
-			if sum != bytes {
-				panic(fmt.Sprintf("fabric: tor %d direct page %d counter %d, queues hold %d", tor, page, bytes, sum))
-			}
-		})
-		if direct != nd.DirectBytes {
-			panic(fmt.Sprintf("fabric: tor %d DirectBytes = %d, queues hold %d", tor, nd.DirectBytes, direct))
-		}
-	}
-	if nd.Lanes.Materialized() {
-		var lanes int64
-		for j := 0; j < nd.spec.n; j++ {
-			q := nd.Lanes.Probe(j)
-			var b int64
-			if q != nil {
-				b = q.Bytes()
-				if r := q.Recount(); r != b {
-					panic(fmt.Sprintf("fabric: tor %d lane[%d] aggregate %d != recount %d", tor, j, b, r))
-				}
-			}
-			if nd.LanesOcc.Has(j) != (b > 0) {
-				panic(fmt.Sprintf("fabric: tor %d lane occupancy[%d] = %v, queue holds %d", tor, j, nd.LanesOcc.Has(j), b))
-			}
-			lanes += b
-		}
-		nd.Lanes.ForEachPage(func(page, base int, qs []queue.DestQueue, bytes int64) {
-			var sum int64
-			for k := range qs {
-				sum += qs[k].Bytes()
-			}
-			if sum != bytes {
-				panic(fmt.Sprintf("fabric: tor %d lane page %d counter %d, queues hold %d", tor, page, bytes, sum))
-			}
-		})
-		if lanes != nd.LanesBytes {
-			panic(fmt.Sprintf("fabric: tor %d LanesBytes = %d, queues hold %d", tor, nd.LanesBytes, lanes))
-		}
-	}
-	if nd.Relay.Materialized() {
-		for j := 0; j < nd.spec.n; j++ {
-			q := nd.Relay.Probe(j)
-			empty := q == nil || q.Empty()
-			if nd.RelayOcc.Has(j) != !empty {
-				panic(fmt.Sprintf("fabric: tor %d relay occupancy[%d] = %v, queue holds %d", tor, j, nd.RelayOcc.Has(j), nd.Relay.Bytes(j)))
-			}
-		}
-		nd.Relay.ForEachPage(func(page, base int, fs []queue.FIFO, bytes int64) {
-			var sum int64
-			for k := range fs {
-				sum += fs[k].Bytes()
-			}
-			if sum != bytes {
-				panic(fmt.Sprintf("fabric: tor %d relay page %d counter %d, FIFOs hold %d", tor, page, bytes, sum))
-			}
-		})
-	}
-}
+// destQueueBytes and fifoBytes read a queue's aggregate for class.check
+// with its recount; a FIFO's byte counter is its only figure.
+func destQueueBytes(q *queue.DestQueue) (bytes, recount int64) { return q.Bytes(), q.Recount() }
+func fifoBytes(q *queue.FIFO) (bytes, recount int64)           { return q.Bytes(), q.Bytes() }

@@ -117,8 +117,9 @@ func (s *OccSet) Count() int {
 // relayDstIndex is a shard-level relay-DESTINATION index: which
 // destinations ANY of the shard's nodes holds relay backlog for,
 // refcounted per destination so the last node to drain one clears its
-// bit. The node choke points (PushRelay/DrainRelay) maintain it on the
-// same queue-empty transitions that flip the per-node RelayOcc sets.
+// bit. The relay class's choke points (RelayClass.Push/Drain) maintain it
+// on the same queue-empty transitions that flip the per-node Relay.Occ
+// sets.
 //
 // It exists to invert the relay-drain walk: under VLB spray every
 // intermediate holds relay bytes, so iterating relay-ACTIVE NODES is

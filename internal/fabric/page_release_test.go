@@ -21,7 +21,7 @@ func TestDeferredPageRelease(t *testing.T) {
 		t.Fatal("single pair did not drain")
 	}
 	nd := c.Nodes[0]
-	if !nd.Direct.Materialized() || !nd.Direct.PageMaterialized(1) {
+	if !nd.Direct.Slab.Materialized() || !nd.Direct.Slab.PageMaterialized(1) {
 		t.Fatal("drained page released before the hysteresis age")
 	}
 	// Idle rounds age the candidate past pageReleaseAge; the merge then
@@ -29,13 +29,13 @@ func TestDeferredPageRelease(t *testing.T) {
 	for i := 0; i < int(pageReleaseAge)+2; i++ {
 		c.RunRound()
 	}
-	if nd.Direct.PageMaterialized(1) {
+	if nd.Direct.Slab.PageMaterialized(1) {
 		t.Fatal("empty page not released after the hysteresis age")
 	}
 	if got := nd.Direct.Bytes(1); got != 0 {
 		t.Fatalf("released page reports %d bytes", got)
 	}
-	if nd.DirectQueuedBytes(1) != 0 || nd.DirectOcc.Has(1) {
+	if nd.Direct.Bytes(1) != 0 || nd.Direct.Occ.Has(1) {
 		t.Fatal("release left byte or occupancy residue")
 	}
 	c.CheckOccupancy()
@@ -44,8 +44,8 @@ func TestDeferredPageRelease(t *testing.T) {
 	// behaves as if nothing happened.
 	f := &flows.Flow{ID: 99, Src: 0, Dst: 1, Size: 800}
 	c.Ledger.Injected += 800
-	nd.PushDirect(1, f, c.Now())
-	if !nd.Direct.PageMaterialized(1) || nd.Direct.Bytes(1) != 800 {
+	nd.Direct.Push(1, f, f.Total(), 0, c.Now())
+	if !nd.Direct.Slab.PageMaterialized(1) || nd.Direct.Bytes(1) != 800 {
 		t.Fatalf("re-materialized page holds %d bytes, want 800", nd.Direct.Bytes(1))
 	}
 	c.CheckOccupancy()
@@ -64,19 +64,19 @@ func TestChurningPageStaysMaterialized(t *testing.T) {
 	nd := c.Nodes[0]
 	sh := c.Shards[0]
 	for round := 0; round < 4*int(pageReleaseAge); round++ {
-		if round > 0 && !nd.Direct.PageMaterialized(1) {
+		if round > 0 && !nd.Direct.Slab.PageMaterialized(1) {
 			t.Fatalf("churning page released at round %d", round)
 		}
 		f := &flows.Flow{ID: int64(round), Src: 0, Dst: 1, Size: 700}
 		c.Ledger.Injected += 700
-		nd.PushDirect(1, f, c.Now())
-		nd.TakeDirect(1, 1<<20, func(f *flows.Flow, n int64) {
+		nd.Direct.Push(1, f, f.Total(), 0, c.Now())
+		nd.Direct.Take(1, 1<<20, func(f *flows.Flow, n int64) {
 			f.NoteSent(n)
 			sh.Deliver(f, 1, n, c.Now())
 		})
 		c.RunRound()
 	}
-	if !nd.Direct.PageMaterialized(1) {
+	if !nd.Direct.Slab.PageMaterialized(1) {
 		t.Fatal("churning page released despite per-round touches")
 	}
 	c.CheckOccupancy()
@@ -96,10 +96,10 @@ func TestUnmaterializedPageResiduePanics(t *testing.T) {
 	}
 	nd := c.Nodes[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
-	nd.PushDirect(1, f, 0) // materializes the slab and page 0 only
+	nd.Direct.Push(1, f, f.Total(), 0, 0) // materializes the slab and page 0 only
 	c.CheckOccupancy()
 
-	nd.DirectOcc.Set(queue.PageSize + 5) // residue in absent page 1
+	nd.Direct.Occ.Set(queue.PageSize + 5) // residue in absent page 1
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -120,10 +120,10 @@ func TestPageCounterDriftPanics(t *testing.T) {
 	nd := c.Nodes[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	c.Ledger.Injected += 1000
-	nd.PushDirect(1, f, 0)
+	nd.Direct.Push(1, f, f.Total(), 0, 0)
 	c.CheckOccupancy()
 
-	nd.Direct.Add(1, 32) // drift the page counter with no queued bytes behind it
+	nd.Direct.Slab.Add(1, 32) // drift the page counter with no queued bytes behind it
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -19,13 +19,13 @@ type Shard struct {
 	Lo, Hi int
 
 	// ActiveDirect, ActiveLanes and ActiveRelay index the shard's nodes
-	// with a non-zero per-class aggregate (bit i-Lo set iff node i holds
-	// bytes of that class). They are the node-level analogue of the
-	// per-node destination occupancy sets: a slot/epoch loop iterates the
-	// shard's active nodes directly instead of probing all Hi-Lo
-	// aggregates. Maintained by the node choke points; every mutation of
-	// node i happens either in a serial phase or in shard-of-i's own
-	// parallel step, so the shard-local words never race.
+	// with a non-zero class aggregate (bit i-Lo set iff node i holds bytes
+	// of that class). They are the node-level analogue of the per-node
+	// destination occupancy sets: a slot/epoch loop iterates the shard's
+	// active nodes directly instead of probing all Hi-Lo aggregates.
+	// Maintained by the class choke points (class.added/removed); every
+	// mutation of node i happens either in a serial phase or in
+	// shard-of-i's own parallel step, so the shard-local words never race.
 	ActiveDirect OccSet
 	ActiveLanes  OccSet
 	ActiveRelay  OccSet
@@ -46,14 +46,25 @@ type Shard struct {
 	Freed []*flows.Flow
 
 	// relq queues the shard's empty-page release candidates (recorded by
-	// the node take choke points, applied by the core's serial merge —
+	// the class take choke points, applied by the core's serial merge —
 	// see Core.mergeRound).
 	relq pageRelq
 
 	// relDst is the shard's relay-destination index (see relayDstIndex):
-	// maintained by the node choke points, consumed by slot planes that
+	// maintained by the relay class's choke points, consumed by slot planes that
 	// invert the relay-drain walk from sources to backlogged destinations.
 	relDst relayDstIndex
+}
+
+// active returns the shard's active-node set of a queue class.
+func (sh *Shard) active(class uint8) *OccSet {
+	switch class {
+	case classDirect:
+		return &sh.ActiveDirect
+	case classLanes:
+		return &sh.ActiveLanes
+	}
+	return &sh.ActiveRelay
 }
 
 // RelayDsts exposes the shard's relay-destination index: the set of

@@ -116,12 +116,13 @@ func (c *Core) Snapshot(w io.Writer) error {
 // replays the generator to the checkpointed position. The stream and
 // every section but NODE and FAIL decode and validate before any core
 // state mutates, and the plane state applies before the core's own, so
-// only a bad NODE or FAIL payload is caught after the core has changed;
-// any other corrupt, truncated or mismatched checkpoint leaves the core
-// untouched. A failure past the workload replay has drawn the attached
-// generator, which must be attached afresh before a retry. After applying
-// state, Restore re-verifies the rebuilt derived indexes (CheckOccupancy,
-// and CheckConservation under a failure plan).
+// only a bad NODE or FAIL payload, or applied state that fails the final
+// checks, is caught after the core has changed; any other corrupt,
+// truncated or mismatched checkpoint leaves the core untouched. A failure
+// past the workload replay has drawn the attached generator, which must
+// be attached afresh before a retry. The final checks re-verify the
+// rebuilt derived indexes and byte conservation (the CheckOccupancy and
+// CheckConservation invariants) and return a violation as an error.
 func (c *Core) Restore(r io.Reader) error {
 	sp, ok := c.plane.(StatefulPlane)
 	if !ok {
@@ -244,12 +245,12 @@ func (c *Core) Restore(r io.Reader) error {
 	}
 
 	// The rebuilt derived state must satisfy the same invariants a live run
-	// maintains.
-	c.CheckOccupancy()
-	if c.failPlan != nil {
-		c.CheckConservation()
+	// maintains: queued bytes a payload added or dropped break the ledger
+	// identity even without a failure plan.
+	if err := c.verifyOccupancy(); err != nil {
+		return err
 	}
-	return nil
+	return c.verifyConservation()
 }
 
 // coreState is the decoded CORE section.
@@ -529,17 +530,17 @@ func (c *Core) liveFlows() []*flows.Flow {
 		}
 	}
 	for _, nd := range c.Nodes {
-		nd.Direct.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
+		nd.Direct.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				qs[j].ForEachSegment(func(_ int, s queue.Segment) { note(s.Flow) })
 			}
 		})
-		nd.Lanes.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
+		nd.Lanes.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				qs[j].ForEachSegment(func(_ int, s queue.Segment) { note(s.Flow) })
 			}
 		})
-		nd.Relay.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
+		nd.Relay.Slab.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
 			for j := range fs {
 				fs[j].ForEachSegment(func(s queue.Segment) { note(s.Flow) })
 			}
@@ -670,9 +671,9 @@ func decodeGroups(payload []byte) (map[int64]int32, int32, error) {
 // encodeState serializes one node's state, or nil when the node carries
 // none. Queued segments are recorded verbatim (class, destination,
 // priority level, flow, bytes, enqueue time) in service order; restore
-// re-pushes them through restore choke points that maintain the same
-// shadow/aggregate/index bookkeeping as the live push paths, which is how
-// the derived occupancy state is rebuilt rather than serialized.
+// re-pushes them through the class choke points, which maintain the same
+// aggregate/index bookkeeping as the live push paths — that is how the
+// derived occupancy state is rebuilt rather than serialized.
 func (nd *Node) encodeState(idx int) []byte {
 	var cum uint32
 	for _, v := range nd.CumInjected {
@@ -680,7 +681,7 @@ func (nd *Node) encodeState(idx int) []byte {
 			cum++
 		}
 	}
-	hasSegs := nd.DirectBytes > 0 || nd.LanesBytes > 0 || nd.RelayBytes > 0
+	hasSegs := nd.Direct.Total > 0 || nd.Lanes.Total > 0 || nd.Relay.Total > 0
 	if nd.SprayPtr == 0 && len(nd.Losses) == 0 && cum == 0 && !hasSegs {
 		return nil
 	}
@@ -704,16 +705,16 @@ func (nd *Node) encodeState(idx int) []byte {
 		e.U8(uint8(l.Class))
 		e.U32(uint32(l.Via))
 	}
-	encodeDestSlab(&e, &nd.Direct)
-	encodeDestSlab(&e, &nd.Lanes)
+	encodeDestSlab(&e, &nd.Direct.Slab)
+	encodeDestSlab(&e, &nd.Lanes.Slab)
 	var relayCnt uint32
-	nd.Relay.ForEachPage(func(_, base int, fs []queue.FIFO, _ int64) {
+	nd.Relay.Slab.ForEachPage(func(_, base int, fs []queue.FIFO, _ int64) {
 		for j := range fs {
 			relayCnt += uint32(fs[j].Len())
 		}
 	})
 	e.U32(relayCnt)
-	nd.Relay.ForEachPage(func(_, base int, fs []queue.FIFO, _ int64) {
+	nd.Relay.Slab.ForEachPage(func(_, base int, fs []queue.FIFO, _ int64) {
 		for j := range fs {
 			dst := base + j
 			fs[j].ForEachSegment(func(s queue.Segment) {
@@ -773,8 +774,8 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		if dst < 0 || dst >= c.N {
 			return fmt.Errorf("fabric: checkpoint node %d cum-injected destination %d out of range", idx, dst)
 		}
-		if !nd.Direct.Materialized() {
-			nd.materializeDirect()
+		if !nd.Direct.Slab.Materialized() {
+			nd.Direct.materialize()
 		}
 		nd.CumInjected[dst] = v
 	}
@@ -796,16 +797,16 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		if !ok {
 			return fmt.Errorf("fabric: checkpoint node %d loss references unknown flow %d", idx, id)
 		}
-		if l.Class > RequeueRelay {
-			return fmt.Errorf("fabric: checkpoint node %d loss has invalid requeue class %d", idx, l.Class)
-		}
 		l.F = f
+		if err := nd.checkLoss(l); err != nil {
+			return fmt.Errorf("fabric: checkpoint node %d loss of flow %d: %w", idx, id, err)
+		}
 		nd.Losses = append(nd.Losses, l)
 	}
-	if err := c.decodeDestSlabSegs(d, nd, byID, idx, false); err != nil {
+	if err := c.decodeDestSlabSegs(d, &nd.Direct, byID, idx); err != nil {
 		return err
 	}
-	if err := c.decodeDestSlabSegs(d, nd, byID, idx, true); err != nil {
+	if err := c.decodeDestSlabSegs(d, &nd.Lanes, byID, idx); err != nil {
 		return err
 	}
 	relays := int(d.U32())
@@ -827,12 +828,44 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 			return fmt.Errorf("fabric: checkpoint node %d carries relay data the core does not configure", idx)
 		}
 		s.Flow = f
-		nd.PushRelay(dst, s)
+		nd.Relay.Push(dst, s)
 	}
 	return d.Finish()
 }
 
-func (c *Core) decodeDestSlabSegs(d *snap.Dec, nd *Node, byID map[int64]*flows.Flow, idx int, lanes bool) error {
+// checkLoss validates a decoded loss record against the core: a
+// destination (and, for a lane loss, a lane) inside the fabric, a
+// positive byte run inside the flow, and a requeue class the core
+// configures — requeue would index out of range or strand bytes
+// otherwise.
+func (nd *Node) checkLoss(l Loss) error {
+	n := nd.spec.n
+	var into uint8
+	switch l.Class {
+	case RequeueDirect:
+		into = classDirect
+	case RequeueLane:
+		into = classLanes
+		if l.Via < 0 || int(l.Via) >= n {
+			return fmt.Errorf("lane %d out of range", l.Via)
+		}
+	case RequeueRelay:
+		into = classRelay
+	default:
+		return fmt.Errorf("invalid requeue class %d", l.Class)
+	}
+	switch {
+	case !nd.configured(into):
+		return fmt.Errorf("requeues into %s queues the core does not configure", className[into])
+	case l.Dst < 0 || l.Dst >= n:
+		return fmt.Errorf("destination %d out of range", l.Dst)
+	case l.N <= 0 || l.Off < 0 || l.Off > l.F.Total()-l.N:
+		return fmt.Errorf("bytes [%d, %d) outside the flow's %d", l.Off, l.Off+l.N, l.F.Total())
+	}
+	return nil
+}
+
+func (c *Core) decodeDestSlabSegs(d *snap.Dec, cls *QueueClass, byID map[int64]*flows.Flow, idx int) error {
 	n := int(d.U32())
 	for i := 0; i < n; i++ {
 		dst := int(d.U32())
@@ -849,58 +882,13 @@ func (c *Core) decodeDestSlabSegs(d *snap.Dec, nd *Node, byID map[int64]*flows.F
 		if dst < 0 || dst >= c.N {
 			return fmt.Errorf("fabric: checkpoint node %d segment destination %d out of range", idx, dst)
 		}
-		s.Flow = f
-		var err error
-		if lanes {
-			if !nd.spec.lanes {
-				return fmt.Errorf("fabric: checkpoint node %d carries lane data the core does not configure", idx)
-			}
-			err = nd.restoreLaneSegment(dst, prio, s)
-		} else {
-			err = nd.restoreDirectSegment(dst, prio, s)
+		if !cls.nd.configured(cls.tag) {
+			return fmt.Errorf("fabric: checkpoint node %d carries %s data the core does not configure", idx, className[cls.tag])
 		}
-		if err != nil {
+		s.Flow = f
+		if err := cls.restore(dst, prio, s); err != nil {
 			return err
 		}
 	}
 	return d.Err()
-}
-
-// restoreDirectSegment re-enqueues one checkpointed segment verbatim,
-// mirroring PushDirectBytes' bookkeeping exactly (aggregates, page
-// counter, occupancy index, shard active bit) but
-// bypassing the PIAS offset split — the segment's priority placement was
-// decided at original push time and must be reproduced, not recomputed.
-func (nd *Node) restoreDirectSegment(dst, prio int, s queue.Segment) error {
-	if !nd.Direct.Materialized() {
-		nd.materializeDirect()
-	}
-	if err := nd.Direct.Queue(dst, nd.pages).RestoreSegment(nd.pool, prio, s); err != nil {
-		return err
-	}
-	nd.Direct.Add(dst, s.Bytes)
-	if nd.DirectBytes == 0 && nd.actDirect != nil {
-		nd.actDirect.Set(nd.actBit)
-	}
-	nd.DirectBytes += s.Bytes
-	nd.DirectOcc.Set(dst)
-	return nil
-}
-
-// restoreLaneSegment is restoreDirectSegment for the secondary VOQ set,
-// mirroring PushLaneBytes.
-func (nd *Node) restoreLaneSegment(dst, prio int, s queue.Segment) error {
-	if !nd.Lanes.Materialized() {
-		nd.materializeLanes()
-	}
-	if err := nd.Lanes.Queue(dst, nd.pages).RestoreSegment(nd.pool, prio, s); err != nil {
-		return err
-	}
-	nd.Lanes.Add(dst, s.Bytes)
-	if nd.LanesBytes == 0 && nd.actLanes != nil {
-		nd.actLanes.Set(nd.actBit)
-	}
-	nd.LanesBytes += s.Bytes
-	nd.LanesOcc.Set(dst)
-	return nil
 }

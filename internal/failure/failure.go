@@ -82,6 +82,17 @@ func (st *State) PathOK(src, dst, port int) bool {
 	return !st.Egress[src][port] && !st.Ingress[dst][port]
 }
 
+// Down reports whether the directed path src.port -> dst.port has failed
+// in this snapshot. A nil snapshot (no failure plan) or an all-healthy one
+// reports false without reading the bitmaps.
+func (st *State) Down(src, dst, port int) bool {
+	return !st.Healthy() && !st.PathOK(src, dst, port)
+}
+
+// Healthy reports whether no link has failed: true for a nil snapshot.
+// Per-link loops check it once instead of calling Down per link.
+func (st *State) Healthy() bool { return st == nil || st.Count == 0 }
+
 // Random builds a plan failing fraction of all 2·n·s directed links
 // simultaneously at failAt and recovering them at recoverAt, the scenario
 // of the paper's Figure 10.

@@ -57,6 +57,28 @@ func TestFillAndPathOK(t *testing.T) {
 	}
 }
 
+// TestDownIsNilSafe: Down is PathOK's negation on a snapshot with
+// failures, and reports false for a nil snapshot (no plan) and for an
+// all-healthy one; Healthy agrees.
+func TestDownIsNilSafe(t *testing.T) {
+	var none *State
+	if none.Down(0, 1, 0) || !none.Healthy() {
+		t.Error("nil snapshot reports a failure")
+	}
+	st := NewState(4, 2)
+	if st.Down(0, 1, 0) || !st.Healthy() {
+		t.Error("healthy snapshot reports a failure")
+	}
+	st.Egress[0][1] = true
+	st.Count = 1
+	if !st.Down(0, 3, 1) || st.Healthy() {
+		t.Error("failed egress not reported down")
+	}
+	if st.Down(0, 3, 0) || st.Down(1, 3, 1) {
+		t.Error("healthy paths reported down")
+	}
+}
+
 func TestFillDeduplicates(t *testing.T) {
 	p := &Plan{Events: []Event{
 		{Link: Link{ToR: 0, Port: 0}, FailAt: 0},

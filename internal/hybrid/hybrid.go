@@ -80,17 +80,16 @@ type torView struct {
 	i int
 }
 
-func (v *torView) QueuedBytes(dst int) int64 { return v.e.Nodes[v.i].DirectQueuedBytes(dst) }
+func (v *torView) QueuedBytes(dst int) int64 { return v.e.Nodes[v.i].Direct.Bytes(dst) }
 func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
-	nd := v.e.Nodes[v.i]
-	return nd.DirectWeightedHoL(dst, v.e.Now(), alpha)
+	return v.e.Nodes[v.i].Direct.WeightedHoL(dst, v.e.Now(), alpha)
 }
 func (v *torView) CumInjected(dst int) int64 { return 0 }
 
 // NextDemand iterates the elephant-VOQ occupancy index: the matcher's
 // request sweep is O(active destinations).
 func (v *torView) NextDemand(after int) int {
-	return v.e.Nodes[v.i].DirectOcc.Next(after)
+	return v.e.Nodes[v.i].Direct.Occ.Next(after)
 }
 
 // hyShard is one contiguous ToR range's execution context: the matcher
@@ -234,10 +233,10 @@ func New(cfg negotiator.Config) (*Engine, error) {
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 	nd := e.Nodes[f.Src]
 	if f.Size < metrics.MiceFlowBytes {
-		nd.PushLane(f.Dst, f, at)
+		nd.Lanes.Push(f.Dst, f, f.Total(), 0, at)
 		return
 	}
-	nd.PushDirect(f.Dst, f, at)
+	nd.Direct.Push(f.Dst, f, f.Total(), 0, at)
 }
 
 func (e *Engine) Name() string           { return "hybrid" }
@@ -406,8 +405,8 @@ func (sh *hyShard) transmitStep() {
 		sh.txLost = false
 		// One O(1) aggregate read skips the occupancy-index word scan
 		// entirely for ToRs holding no mice at all.
-		if e.piggyBytes > 0 && nd.LanesBytes != 0 {
-			for j := nd.LanesOcc.Next(-1); j >= 0; j = nd.LanesOcc.Next(j) {
+		if e.piggyBytes > 0 && nd.Lanes.Total != 0 {
+			for j := nd.Lanes.Occ.Next(-1); j >= 0; j = nd.Lanes.Occ.Next(j) {
 				if j == i {
 					continue
 				}
@@ -415,13 +414,13 @@ func (sh *hyShard) transmitStep() {
 				// A pair whose predefined link the fabric knows is down
 				// holds its mice for a later rotation (a different port);
 				// an undetected failure transmits into the void.
-				if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, port) {
+				if e.known.Down(i, j, port) {
 					continue
 				}
 				sh.txDst = j
 				sh.txAt = e.epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
-				sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, port)
-				nd.TakeLane(j, e.piggyBytes, sh.miceEmit)
+				sh.txLost = e.actual.Down(i, j, port)
+				nd.Lanes.Take(j, e.piggyBytes, sh.miceEmit)
 			}
 		}
 		// Elephants use the negotiated connections.
@@ -430,14 +429,14 @@ func (sh *hyShard) transmitStep() {
 				if dj < 0 {
 					continue
 				}
-				if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, int(dj), p) {
+				if e.known.Down(i, int(dj), p) {
 					continue // match rides a link known down: forfeited
 				}
 				sh.txDst = int(dj)
 				sh.txPos = 0
 				sh.txAt = phaseStart
-				sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, int(dj), p)
-				nd.TakeDirect(int(dj), capacity, sh.schedEmit)
+				sh.txLost = e.actual.Down(i, int(dj), p)
+				nd.Direct.Take(int(dj), capacity, sh.schedEmit)
 			}
 		}
 	}

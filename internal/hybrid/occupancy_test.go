@@ -14,7 +14,7 @@ import (
 // TestOccupancyInvariant runs the hybrid plane with per-round invariant
 // checking on (byte conservation plus the occupancy-index/shadow
 // exactness of fabric.Core.CheckOccupancy): the mice sweep iterates
-// LanesOcc and the elephant demand view DirectOcc, so both index classes
+// Lanes.Occ and the elephant demand view Direct.Occ, so both index classes
 // are exercised under churn. Run in CI under -race at -cpu 1,2,4.
 func TestOccupancyInvariant(t *testing.T) {
 	for _, pq := range []bool{false, true} {
@@ -64,7 +64,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 16; i < 64; i++ {
-			if e.Nodes[i].Direct.Materialized() || e.Nodes[i].Lanes.Materialized() {
+			if e.Nodes[i].Direct.Slab.Materialized() || e.Nodes[i].Lanes.Slab.Materialized() {
 				t.Fatalf("idle node %d materialized", i)
 			}
 		}
@@ -95,10 +95,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		}
 		lastDst := 2*queue.PageSize - 1
 		for i, nd := range e.Nodes {
-			if nd.Direct.PageMaterialized(lastDst) {
+			if nd.Direct.Slab.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}
-			if nd.Relay.PageMaterialized(lastDst) {
+			if nd.Relay.Slab.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a relay page outside the active range", i)
 			}
 		}

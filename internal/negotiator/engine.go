@@ -286,7 +286,7 @@ func New(cfg Config) (*Engine, error) {
 // (stateful matcher view) advances.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 	nd := e.Nodes[f.Src]
-	nd.PushDirect(f.Dst, f, at)
+	nd.Direct.Push(f.Dst, f, f.Total(), 0, at)
 	nd.CumInjected[f.Dst] += f.Total()
 }
 

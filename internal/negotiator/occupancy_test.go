@@ -109,7 +109,7 @@ func TestOccupancyInvariant(t *testing.T) {
 				t.Fatal("sparse permutation did not drain")
 			}
 			for i := 16; i < 64; i++ {
-				if e.Nodes[i].Direct.Materialized() {
+				if e.Nodes[i].Direct.Slab.Materialized() {
 					t.Fatalf("idle node %d materialized", i)
 				}
 			}
@@ -147,10 +147,10 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		for i, nd := range e.Nodes {
-			if i >= 16 && nd.Direct.Materialized() {
+			if i >= 16 && nd.Direct.Slab.Materialized() {
 				t.Fatalf("idle node %d materialized", i)
 			}
-			if nd.Direct.PageMaterialized(2*queue.PageSize - 1) {
+			if nd.Direct.Slab.PageMaterialized(2*queue.PageSize - 1) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}
 		}

@@ -19,9 +19,9 @@ type torView struct {
 
 func (v *torView) QueuedBytes(dst int) int64 {
 	nd := v.e.Nodes[v.i]
-	b := nd.DirectQueuedBytes(dst)
+	b := nd.Direct.Bytes(dst)
 	if v.e.cfg.Relay {
-		b += nd.RelayQueuedBytes(dst)
+		b += nd.Relay.Bytes(dst)
 		if p := v.e.tors[v.i].relayPlan[dst]; p.quota > 0 {
 			b += p.quota
 		}
@@ -43,12 +43,11 @@ func (v *torView) NextDemand(after int) int {
 		}
 		return -1
 	}
-	return v.e.Nodes[v.i].DirectOcc.Next(after)
+	return v.e.Nodes[v.i].Direct.Occ.Next(after)
 }
 
 func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
-	nd := v.e.Nodes[v.i]
-	return nd.DirectWeightedHoL(dst, v.e.Now(), alpha)
+	return v.e.Nodes[v.i].Direct.WeightedHoL(dst, v.e.Now(), alpha)
 }
 
 func (v *torView) CumInjected(dst int) int64 {
@@ -67,7 +66,7 @@ func (e *Engine) rotation(epoch int64) int { return int(epoch % (1 << 30)) }
 // msgPathOK reports whether the scheduling message i->j survives epoch's
 // predefined phase (it is lost if its slot's link has actually failed).
 func (e *Engine) msgPathOK(i, j int, epoch int64) bool {
-	if e.actual == nil || e.actual.Count == 0 {
+	if e.actual.Healthy() {
 		return true
 	}
 	_, port := e.top.PredefinedSlotPort(i, j, e.rotation(epoch))

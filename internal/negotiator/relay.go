@@ -72,12 +72,12 @@ func (e *Engine) planRelay() {
 			r.groupBuf[p] = 0
 		}
 		heavy := false
-		for j := nd.DirectOcc.Next(-1); j >= 0; j = nd.DirectOcc.Next(j) {
+		for j := nd.Direct.Occ.Next(-1); j >= 0; j = nd.Direct.Occ.Next(j) {
 			if j == i {
 				continue
 			}
-			r.groupBuf[r.tc.PathPort(i, j)] += nd.DirectQueuedBytes(j)
-			if nd.DirectLowestPriorityBytes(j) > r.minBytes {
+			r.groupBuf[r.tc.PathPort(i, j)] += nd.Direct.Bytes(j)
+			if nd.Direct.LowestPriorityBytes(j) > r.minBytes {
 				heavy = true
 			}
 		}
@@ -86,8 +86,8 @@ func (e *Engine) planRelay() {
 		}
 		rot := r.rotate[i]
 		r.rotate[i]++
-		for j := nd.DirectOcc.Next(-1); j >= 0; j = nd.DirectOcc.Next(j) {
-			if j == i || nd.DirectLowestPriorityBytes(j) <= r.minBytes {
+		for j := nd.Direct.Occ.Next(-1); j >= 0; j = nd.Direct.Occ.Next(j) {
+			if j == i || nd.Direct.LowestPriorityBytes(j) <= r.minBytes {
 				continue
 			}
 			// Find an intermediate k for the elephant i -> j.
@@ -106,7 +106,7 @@ func (e *Engine) planRelay() {
 					continue
 				}
 				inter := e.Nodes[k]
-				headroom := inter.RelayHeadroom(r.bufferCap)
+				headroom := inter.Relay.Headroom(r.bufferCap)
 				if headroom <= 0 {
 					continue
 				}
@@ -115,7 +115,7 @@ func (e *Engine) planRelay() {
 				var kDirect int64
 				for _, d := range r.tc.PortDomain(k, s2) {
 					if d != k {
-						kDirect += inter.DirectQueuedBytes(d)
+						kDirect += inter.Direct.Bytes(d)
 					}
 				}
 				if kDirect > r.busyBytes {
@@ -151,7 +151,7 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	}
 	j := int(plan.finalDst)
 	inter := e.Nodes[k]
-	headroom := inter.RelayHeadroom(e.relay.bufferCap)
+	headroom := inter.Relay.Headroom(e.relay.bufferCap)
 	max := budget
 	if max > plan.quota {
 		max = plan.quota
@@ -164,6 +164,6 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	}
 	sh.txDst = j
 	sh.txInter = inter
-	e.Nodes[i].TakeDirectLowest(j, max, sh.relayEmit)
+	e.Nodes[i].Direct.TakeLowest(j, max, sh.relayEmit)
 	t.relayPlan[k] = relayPlan{finalDst: -1}
 }

@@ -112,7 +112,7 @@ func (sh *engineShard) initEmitters() {
 		sh.grants++
 		// Grants over known-failed ports are suppressed at the source of
 		// truth: the destination will not use a dead ingress.
-		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(g.Src, g.Dst, g.Port) {
+		if e.known.Down(g.Src, g.Dst, g.Port) {
 			return
 		}
 		if !e.msgPathOK(g.Dst, g.Src, e.Rounds()) {
@@ -178,7 +178,7 @@ func (sh *engineShard) initEmitters() {
 			sh.fs.RecordLoss(sh.txNode, f, sh.txDst, off, n, at)
 			return
 		}
-		sh.txInter.PushRelay(sh.txDst, queue.Segment{Flow: f, Bytes: n, Enqueued: at})
+		sh.txInter.Relay.Push(sh.txDst, queue.Segment{Flow: f, Bytes: n, Enqueued: at})
 	}
 }
 
@@ -237,7 +237,7 @@ func (sh *engineShard) acceptStep() {
 	// flag (and matched bit) stays up even when the filter empties a row
 	// — the scheduled phase's port walk just finds nothing, exactly as
 	// the dense sweep behaved.
-	if e.known != nil && e.known.Count > 0 {
+	if !e.known.Healthy() {
 		for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 			i := sh.lo + bit
 			t := e.tors[i]
@@ -376,7 +376,7 @@ func (sh *engineShard) batchPrepStep() {
 			sh.matched.Set(i - sh.lo)
 		}
 	}
-	if e.known != nil && e.known.Count > 0 {
+	if !e.known.Healthy() {
 		for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 			i := sh.lo + bit
 			t := e.tors[i]
@@ -415,26 +415,26 @@ func (sh *engineShard) predefinedPhase(epochStart sim.Time) {
 			if j == i {
 				continue
 			}
-			hasDirect := nd.DirectQueuedBytes(j) > 0
-			hasRelay := nd.RelayHeadReady(j, epochStart)
+			hasDirect := nd.Direct.Bytes(j) > 0
+			hasRelay := nd.Relay.HeadReady(j, epochStart)
 			if !hasDirect && !hasRelay {
 				continue
 			}
 			slot, port := e.top.PredefinedSlotPort(i, j, rot)
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, port) {
+			if e.known.Down(i, j, port) {
 				continue // knowingly dead link: hold the data
 			}
 			sh.txNode, sh.txDst = nd, j
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, port)
+			sh.txLost = e.actual.Down(i, j, port)
 			sh.txAt = epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
 			budget := e.piggyBytes
 			if hasDirect {
-				budget -= nd.TakeDirect(j, budget, sh.pbEmit)
+				budget -= nd.Direct.Take(j, budget, sh.pbEmit)
 			}
 			if budget > 0 && hasRelay {
 				// Relay bytes piggyback too once they are at the
 				// intermediate: from there they are ordinary one-hop data.
-				nd.DrainRelay(j, budget, epochStart, sh.pbEmit)
+				nd.Relay.Drain(j, budget, epochStart, sh.pbEmit)
 			}
 		}
 	}
@@ -461,14 +461,14 @@ func (sh *engineShard) scheduledPhase(epochStart sim.Time) {
 			}
 			j := int(dj)
 			sh.txNode, sh.txDst = nd, j
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, p)
+			sh.txLost = e.actual.Down(i, j, p)
 			sh.txPos = 0
 			sh.txPhaseStart = phaseStart
-			sent := nd.TakeDirect(j, capacity, sh.schedEmit)
-			if nd.Relay.Materialized() && sent < capacity {
+			sent := nd.Direct.Take(j, capacity, sh.schedEmit)
+			if nd.Relay.Slab.Materialized() && sent < capacity {
 				// Second hop: forward data relayed through us that has
 				// physically arrived by the start of this epoch.
-				sent += nd.DrainRelay(j, capacity-sent, epochStart, sh.schedEmit)
+				sent += nd.Relay.Drain(j, capacity-sent, epochStart, sh.schedEmit)
 			}
 			if e.relay != nil && sent < capacity {
 				// First hop: ship planned relay data to intermediate j.

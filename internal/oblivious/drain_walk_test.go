@@ -115,9 +115,9 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 			}
 		}
 		for i, nd := range hold.Nodes {
-			if nd.RelayBytes != inv.Nodes[i].RelayBytes {
+			if nd.Relay.Total != inv.Nodes[i].Relay.Total {
 				t.Fatalf("round %d node %d: relay backlog %d (holder walk) vs %d (inverted walk)",
-					round, i, nd.RelayBytes, inv.Nodes[i].RelayBytes)
+					round, i, nd.Relay.Total, inv.Nodes[i].Relay.Total)
 			}
 		}
 	}

@@ -339,11 +339,11 @@ func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 			if k >= f.Src {
 				k++
 			}
-			nd.PushLaneBytes(k, f, n, off, at)
+			nd.Lanes.Push(k, f, n, off, at)
 		}
 		return
 	}
-	nd.PushDirect(f.Dst, f, at)
+	nd.Direct.Push(f.Dst, f, f.Total(), 0, at)
 }
 
 // initShards builds the shard contexts and their prebuilt emitters.
@@ -444,7 +444,7 @@ func (e *Engine) Round() {
 	}
 	for _, sh := range e.shards {
 		for _, p := range sh.pushes {
-			e.Nodes[p.inter].PushRelay(p.dst, queue.Segment{Flow: p.f, Bytes: p.n, Enqueued: p.at})
+			e.Nodes[p.inter].Relay.Push(p.dst, queue.Segment{Flow: p.f, Bytes: p.n, Enqueued: p.at})
 			e.relayed += p.n
 		}
 		sh.pushes = sh.pushes[:0]
@@ -468,14 +468,6 @@ func (e *Engine) Round() {
 // queued anywhere (the core's precondition) every future slot is a no-op
 // until new bytes arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
-
-// CheckRound implements fabric.RoundChecker: every node's relay byte
-// counter must match its relay FIFOs.
-func (e *Engine) CheckRound() {
-	for _, nd := range e.Nodes {
-		nd.CheckRelayCounter()
-	}
-}
 
 // drainStep is phase A for one shard: second-hop relay traffic destined to
 // each connected peer, for this shard's ToRs. Relay traffic must not
@@ -531,7 +523,7 @@ func (sh *obShard) drainHolders(slotNo int64) {
 // order, with j recomputed by PredefinedPeer, so the drains, the deferred
 // records and the usedStamp marks are byte-identical to that walk; a
 // candidate whose source holds no ready backlog for j fails the same
-// RelayHeadReady gate that skips it there. Every mark is placed before any
+// Relay.HeadReady gate that skips it there. Every mark is placed before any
 // drain runs, so destination bits clearing as VOQs empty cannot perturb
 // the walk, and the visit clears each mark, so no per-slot reset is
 // needed. Cost: O(relay-destinations · S) per shard, independent of fabric
@@ -560,17 +552,17 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 // gated too); a link that is down but undetected transmits into the void.
 func (sh *obShard) drainConn(i, s, j int, slotNo int64) {
 	e := sh.e
-	if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+	if e.known.Down(i, j, s) {
 		return
 	}
 	src := e.Nodes[i]
-	if !src.RelayHeadReady(j, e.slotStart) {
+	if !src.Relay.HeadReady(j, e.slotStart) {
 		return
 	}
 	sh.txDst = j
 	sh.txNode = src
-	sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
-	src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
+	sh.txLost = e.actual.Down(i, j, s)
+	src.Relay.Drain(j, e.cell, e.slotStart, sh.drainEmit)
 	sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
 }
 
@@ -602,12 +594,12 @@ func (sh *obShard) serveStep() {
 			// Every transmission of slot (i, s) rides the same fibre pair,
 			// so the known-failure gate and the actual-loss flag apply to
 			// the connection as a whole (see drainConn).
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+			if e.known.Down(i, j, s) {
 				continue
 			}
 			sh.txNode = src
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
-			if src.Lanes.Materialized() {
+			sh.txLost = e.actual.Down(i, j, s)
+			if src.Lanes.Slab.Materialized() {
 				sh.serveLanes(src, i, j)
 			} else {
 				sh.serve(src, i, j)
@@ -625,7 +617,7 @@ func (sh *obShard) serveStep() {
 // caps the oblivious design's goodput under heavy load (paper §2).
 func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 	e := sh.e
-	d := src.LaneHeadDst(j)
+	d := src.Lanes.HeadDst(j)
 	if d < 0 {
 		return // idle slot
 	}
@@ -633,10 +625,10 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 		// The pre-assigned intermediate is the destination: one hop.
 		sh.txDst = j
 		sh.txVia = j
-		src.TakeLaneHeadCell(j, e.cell, sh.sentEmit)
+		src.Lanes.TakeHeadCell(j, e.cell, sh.sentEmit)
 		return
 	}
-	headroom := e.cfg.RelayCap - e.Nodes[j].RelayQueuedBytes(d)
+	headroom := e.cfg.RelayCap - e.Nodes[j].Relay.Bytes(d)
 	if headroom <= 0 {
 		return // VOQ full: the lane head stalls and the slot is wasted
 	}
@@ -646,7 +638,7 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 	}
 	sh.txInter, sh.txDst = j, d
 	sh.txVia = j
-	_, n := src.TakeLaneHeadCell(j, max, sh.pushEmit)
+	_, n := src.Lanes.TakeHeadCell(j, max, sh.pushEmit)
 	if !sh.txLost {
 		sh.noteTransit(j, n) // destroyed cells never reach the intermediate
 	}
@@ -659,10 +651,10 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 // phase A).
 func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	e := sh.e
-	if src.DirectQueuedBytes(j) > 0 {
+	if src.Direct.Bytes(j) > 0 {
 		// Direct traffic to j (source-side priority queues apply).
 		sh.txDst = j
-		src.TakeDirect(j, e.cell, sh.sentEmit)
+		src.Direct.Take(j, e.cell, sh.sentEmit)
 		return
 	}
 	// First hop: spray one fresh cell via j, bounded by j's relay headroom
@@ -676,7 +668,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	// spray sequence is byte-identical at O(active) cost.
 	inter := e.Nodes[j]
 	start := src.SprayPtr
-	d := src.DirectOcc.Next(start - 1)
+	d := src.Direct.Occ.Next(start - 1)
 	wrapped := false
 	for {
 		if d < 0 {
@@ -684,7 +676,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 				return
 			}
 			wrapped = true
-			d = src.DirectOcc.Next(-1)
+			d = src.Direct.Occ.Next(-1)
 			if d < 0 {
 				return
 			}
@@ -695,20 +687,20 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 		if d != i {
 			if d == j {
 				sh.txDst = j
-				src.TakeDirect(d, e.cell, sh.sentEmit)
+				src.Direct.Take(d, e.cell, sh.sentEmit)
 				src.SprayPtr = d + 1
 				if src.SprayPtr >= e.n {
 					src.SprayPtr = 0
 				}
 				return
 			}
-			if headroom := e.cfg.RelayCap - inter.RelayQueuedBytes(d); headroom > 0 {
+			if headroom := e.cfg.RelayCap - inter.Relay.Bytes(d); headroom > 0 {
 				max := e.cell
 				if max > headroom {
 					max = headroom
 				}
 				sh.txInter, sh.txDst = j, d
-				n := src.TakeDirect(d, max, sh.pushEmit)
+				n := src.Direct.Take(d, max, sh.pushEmit)
 				if !sh.txLost {
 					sh.noteTransit(j, n)
 				}
@@ -720,7 +712,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 			}
 			// That VOQ is full; try another destination's data.
 		}
-		d = src.DirectOcc.Next(d)
+		d = src.Direct.Occ.Next(d)
 	}
 }
 
@@ -736,7 +728,6 @@ func (sh *obShard) noteTransit(inter int, n int64) {
 // Compile-time interface checks.
 var (
 	_ fabric.ControlPlane = (*Engine)(nil)
-	_ fabric.RoundChecker = (*Engine)(nil)
 	_ fabric.IdlePlane    = (*Engine)(nil)
 	_ fabric.EpochPlane   = (*Engine)(nil)
 )

@@ -63,7 +63,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 4; i < 16; i++ {
-			if e.Nodes[i].Direct.Materialized() {
+			if e.Nodes[i].Direct.Slab.Materialized() {
 				t.Fatalf("idle source %d materialized a direct slab", i)
 			}
 		}
@@ -104,10 +104,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		}
 		lastDst := 2*queue.PageSize - 1
 		for i, nd := range e.Nodes {
-			if nd.Direct.PageMaterialized(lastDst) {
+			if nd.Direct.Slab.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}
-			if nd.Relay.PageMaterialized(lastDst) {
+			if nd.Relay.Slab.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a relay page outside the active range", i)
 			}
 		}

@@ -2,17 +2,18 @@ package queue
 
 import "fmt"
 
-// Paged destination slabs decouple a node's queue memory from topology
-// width. NewSlab lays a node's whole VOQ set out as one N-wide array —
-// compact per node, but a single touched node at 65,536 ToRs would pay
-// for 65,536 destinations' worth of queue headers when spray traffic
-// occupies a few hundred. A paged slab keeps only a page TABLE of
+// Paged slabs decouple a node's queue memory from topology width. A slab
+// laid out as one N-wide array would make a single touched node at 65,536
+// ToRs pay for 65,536 destinations' worth of queue headers when spray
+// traffic occupies a few hundred. A paged slab keeps only a page TABLE of
 // pointers (N/PageSize words) and materializes fixed-width pages of
 // PageSize contiguous destinations on first touch, so per-node memory
-// follows the destinations traffic actually reaches while sweeps inside
-// a page still walk consecutive cache lines, exactly as the monolithic
-// slab's did. A page is one allocation: its queues are an inline array,
-// and each queue's priority levels and front segments are inline in it.
+// follows the destinations traffic actually reaches while sweeps inside a
+// page still walk consecutive cache lines. A page is one allocation: its
+// queues are an inline array, and each queue's priority levels and front
+// segments are inline in it. One generic Slab serves both element types:
+// DestSlab (per-destination VOQs with PIAS levels) and FIFOSlab (plain
+// relay FIFOs).
 //
 // Pages carry two small bookkeeping fields the fabric's deferred release
 // relies on:
@@ -43,34 +44,49 @@ const (
 	pageMask  = PageSize - 1
 )
 
-// numPages returns the page-table length covering n destinations.
-func numPages(n int) int { return (n + PageSize - 1) >> PageShift }
-
-// destPage is one materialized chunk of PageSize destination queues (the
-// monolithic slab's layout, at page granularity).
-type destPage struct {
-	bytes int64
-	ver   uint32
-	qs    [PageSize]DestQueue
+// Queue is the element constraint of a paged slab: a per-destination
+// VOQ with its priority levels, or a plain FIFO.
+type Queue interface {
+	DestQueue | FIFO
 }
 
-func newDestPage(priority bool) *destPage {
-	pg := new(destPage)
-	for j := range pg.qs {
-		pg.qs[j].levels = numLevels(priority)
+// page is one materialized chunk of PageSize queues.
+type page[Q Queue] struct {
+	bytes int64
+	ver   uint32
+	qs    [PageSize]Q
+}
+
+// newPage allocates a page whose destination queues use levels priority
+// levels (FIFO pages ignore it).
+func newPage[Q Queue](levels int) *page[Q] {
+	pg := new(page[Q])
+	if qs, ok := any(&pg.qs).(*[PageSize]DestQueue); ok {
+		for j := range qs {
+			qs[j].levels = levels
+		}
 	}
 	return pg
 }
 
-// fifoPage is one materialized chunk of PageSize plain FIFOs (relay
-// queues).
-type fifoPage struct {
-	bytes int64
-	ver   uint32
-	fifos [PageSize]FIFO
+// recycle clears a released page for reuse, dropping flow references
+// but keeping every FIFO's segment array and every queue's level count.
+func (pg *page[Q]) recycle() {
+	switch qs := any(&pg.qs).(type) {
+	case *[PageSize]DestQueue:
+		for i := range qs {
+			for l := range qs[i].prios {
+				qs[i].prios[l].recycle()
+			}
+			qs[i].bytes = 0
+		}
+	case *[PageSize]FIFO:
+		for i := range qs {
+			qs[i].recycle()
+		}
+	}
+	pg.bytes, pg.ver = 0, 0
 }
-
-func newFIFOPage() *fifoPage { return new(fifoPage) }
 
 // recycle clears a FIFO for reuse, dropping flow references but KEEPING
 // the backing segment array (a recycled page must push without
@@ -82,100 +98,81 @@ func (q *FIFO) recycle() {
 	*q = FIFO{segs: segs[:0]}
 }
 
-// PagePool recycles released pages, keyed by page kind (plain FIFO pages
-// vs destination pages with and without priority levels). Like SegPool it
-// is unsynchronised: pages are taken at materialization (pushes, which
-// run only in serial phases) and returned by the core's serial merge.
-type PagePool struct {
-	dest [2][]*destPage // [0] single-FIFO, [1] priority
-	fifo []*fifoPage
+// PagePool recycles released pages of one element type, keyed by the
+// queues' level count (destination pages with and without PIAS levels
+// never mix). Like SegPool it is unsynchronised: pages are taken at
+// materialization (pushes, which run only in serial phases) and returned
+// by the core's serial merge.
+type PagePool[Q Queue] struct {
+	free [NumPriorities + 1][]*page[Q]
 }
 
 // maxFreePages caps each freelist; beyond it released pages go to the GC.
 const maxFreePages = 4096
 
-func (p *PagePool) getDest(priority bool) *destPage {
-	k := 0
-	if priority {
-		k = 1
-	}
-	if free := p.dest[k]; len(free) > 0 {
+func (p *PagePool[Q]) get(levels int) *page[Q] {
+	if free := p.free[levels]; len(free) > 0 {
 		pg := free[len(free)-1]
 		free[len(free)-1] = nil
-		p.dest[k] = free[:len(free)-1]
+		p.free[levels] = free[:len(free)-1]
 		return pg
 	}
-	return newDestPage(priority)
+	return newPage[Q](levels)
 }
 
-func (p *PagePool) putDest(pg *destPage, priority bool) {
-	for i := range pg.qs {
-		q := &pg.qs[i]
-		for l := range q.prios {
-			q.prios[l].recycle()
-		}
-		q.bytes = 0
-	}
-	pg.bytes, pg.ver = 0, 0
-	k := 0
-	if priority {
-		k = 1
-	}
-	if len(p.dest[k]) < maxFreePages {
-		p.dest[k] = append(p.dest[k], pg)
+func (p *PagePool[Q]) put(pg *page[Q], levels int) {
+	pg.recycle()
+	if len(p.free[levels]) < maxFreePages {
+		p.free[levels] = append(p.free[levels], pg)
 	}
 }
 
-func (p *PagePool) getFIFO() *fifoPage {
-	if free := p.fifo; len(free) > 0 {
-		pg := free[len(free)-1]
-		free[len(free)-1] = nil
-		p.fifo = free[:len(free)-1]
-		return pg
-	}
-	return newFIFOPage()
+// Slab is a paged queue set: a page table over n destinations whose
+// pages materialize on first push. The zero value is an unmaterialized
+// slab (the lazy-node idiom: no memory at all until the class is first
+// pushed into).
+type Slab[Q Queue] struct {
+	pages  []*page[Q]
+	n      int32
+	levels int32 // priority levels of every DestQueue; 0 for FIFO slabs
 }
 
-func (p *PagePool) putFIFO(pg *fifoPage) {
-	for i := range pg.fifos {
-		pg.fifos[i].recycle()
-	}
-	pg.bytes, pg.ver = 0, 0
-	if len(p.fifo) < maxFreePages {
-		p.fifo = append(p.fifo, pg)
-	}
-}
+// DestSlab is the paged per-destination VOQ set.
+type DestSlab = Slab[DestQueue]
 
-// DestSlab is the paged replacement for a NewSlab VOQ set: a page table
-// over n destinations whose pages materialize on first push. The zero
-// value is an unmaterialized slab (the lazy-node idiom: no memory at all
-// until the class is first pushed into).
-type DestSlab struct {
-	pages    []*destPage
-	n        int
-	priority bool
-}
+// FIFOSlab is the paged relay FIFO set.
+type FIFOSlab = Slab[FIFO]
 
-// NewDestSlab returns a paged slab over n destinations holding only the
-// page table — no queue memory until pages materialize.
+// NewDestSlab returns a paged VOQ slab over n destinations holding only
+// the page table — no queue memory until pages materialize; priority
+// selects the PIAS multi-level queues.
 func NewDestSlab(n int, priority bool) DestSlab {
-	return DestSlab{pages: make([]*destPage, numPages(n)), n: n, priority: priority}
+	return DestSlab{pages: make([]*page[DestQueue], numPages(n)), n: int32(n), levels: int32(numLevels(priority))}
 }
 
-// Materialized reports whether the slab itself exists (the class has been
-// pushed into at least once).
-func (s *DestSlab) Materialized() bool { return s.pages != nil }
+// NewFIFOSlab returns a paged FIFO slab over n destinations holding only
+// the page table.
+func NewFIFOSlab(n int) FIFOSlab {
+	return FIFOSlab{pages: make([]*page[FIFO], numPages(n)), n: int32(n)}
+}
 
-// NumPages returns the page-table length.
-func (s *DestSlab) NumPages() int { return len(s.pages) }
+// numPages returns the page-table length covering n destinations.
+func numPages(n int) int { return (n + PageSize - 1) >> PageShift }
 
 // PageOf returns the page index covering dst.
 func PageOf(dst int) int { return dst >> PageShift }
 
+// Materialized reports whether the slab itself exists (the class has been
+// pushed into at least once).
+func (s *Slab[Q]) Materialized() bool { return s.pages != nil }
+
+// NumPages returns the page-table length.
+func (s *Slab[Q]) NumPages() int { return len(s.pages) }
+
 // Probe returns the queue for dst, or nil when its page (or the slab) has
 // not materialized — the nil-page-safe read path. An absent page reads as
 // a set of empty queues.
-func (s *DestSlab) Probe(dst int) *DestQueue {
+func (s *Slab[Q]) Probe(dst int) *Q {
 	i := dst >> PageShift
 	if i >= len(s.pages) {
 		return nil
@@ -191,30 +188,22 @@ func (s *DestSlab) Probe(dst int) *DestQueue {
 // on first touch (and bumping the page's touch version). Mutation path
 // only: pushes run in serial phases, so materialization never races with
 // the parallel phases' Probe reads.
-func (s *DestSlab) Queue(dst int, pool *PagePool) *DestQueue {
+func (s *Slab[Q]) Queue(dst int, pool *PagePool[Q]) *Q {
 	i := dst >> PageShift
 	pg := s.pages[i]
 	if pg == nil {
-		pg = pool.getDest(s.priority)
+		pg = pool.get(int(s.levels))
 		s.pages[i] = pg
 	}
 	pg.ver++
 	return &pg.qs[dst&pageMask]
 }
 
-// Bytes returns the queued bytes for dst (zero for absent pages).
-func (s *DestSlab) Bytes(dst int) int64 {
-	if q := s.Probe(dst); q != nil {
-		return q.Bytes()
-	}
-	return 0
-}
-
 // Add adjusts dst's page byte counter by delta (the owner calls it at the
 // same choke points that maintain the per-queue aggregates) and returns
 // the page's new total with its touch version — a zero total is a release
 // candidate, honoured later only if the version is still current.
-func (s *DestSlab) Add(dst int, delta int64) (pageBytes int64, ver uint32) {
+func (s *Slab[Q]) Add(dst int, delta int64) (pageBytes int64, ver uint32) {
 	pg := s.pages[dst>>PageShift]
 	pg.bytes += delta
 	if pg.bytes < 0 {
@@ -226,13 +215,13 @@ func (s *DestSlab) Add(dst int, delta int64) (pageBytes int64, ver uint32) {
 // ReleaseIfEmpty returns the page to the pool if it still holds zero
 // bytes AND its touch version matches ver (no push since the candidate
 // was recorded). It reports whether the page was released.
-func (s *DestSlab) ReleaseIfEmpty(page int, ver uint32, pool *PagePool) bool {
+func (s *Slab[Q]) ReleaseIfEmpty(page int, ver uint32, pool *PagePool[Q]) bool {
 	pg := s.pages[page]
 	if pg == nil || pg.bytes != 0 || pg.ver != ver {
 		return false
 	}
 	s.pages[page] = nil
-	pool.putDest(pg, s.priority)
+	pool.put(pg, int(s.levels))
 	return true
 }
 
@@ -240,14 +229,14 @@ func (s *DestSlab) ReleaseIfEmpty(page int, ver uint32, pool *PagePool) bool {
 // the first destination it covers, its queues (trimmed to the slab width
 // on the final page) and its byte counter — the contiguous-iteration
 // surface for page-wise sweeps and invariant checks.
-func (s *DestSlab) ForEachPage(fn func(page, base int, qs []DestQueue, bytes int64)) {
+func (s *Slab[Q]) ForEachPage(fn func(page, base int, qs []Q, bytes int64)) {
 	for i, pg := range s.pages {
 		if pg == nil {
 			continue
 		}
 		base := i << PageShift
 		qs := pg.qs[:]
-		if rem := s.n - base; rem < PageSize {
+		if rem := int(s.n) - base; rem < PageSize {
 			qs = qs[:rem]
 		}
 		fn(i, base, qs, pg.bytes)
@@ -255,13 +244,13 @@ func (s *DestSlab) ForEachPage(fn func(page, base int, qs []DestQueue, bytes int
 }
 
 // PageMaterialized reports whether the page covering dst exists.
-func (s *DestSlab) PageMaterialized(dst int) bool {
+func (s *Slab[Q]) PageMaterialized(dst int) bool {
 	i := dst >> PageShift
 	return i < len(s.pages) && s.pages[i] != nil
 }
 
 // MaterializedPages counts materialized pages.
-func (s *DestSlab) MaterializedPages() int {
+func (s *Slab[Q]) MaterializedPages() int {
 	var k int
 	for _, pg := range s.pages {
 		if pg != nil {
@@ -272,130 +261,11 @@ func (s *DestSlab) MaterializedPages() int {
 }
 
 // MaterializeAll eagerly materializes every page, reproducing the
-// monolithic pre-paging footprint (lazy-vs-eager equivalence tests).
-func (s *DestSlab) MaterializeAll(pool *PagePool) {
+// one-array footprint (lazy-vs-eager equivalence tests).
+func (s *Slab[Q]) MaterializeAll(pool *PagePool[Q]) {
 	for i := range s.pages {
 		if s.pages[i] == nil {
-			s.pages[i] = pool.getDest(s.priority)
-		}
-	}
-}
-
-// FIFOSlab is the paged replacement for a []FIFO relay set: a page table
-// over n destinations whose FIFO pages materialize on first push.
-type FIFOSlab struct {
-	pages []*fifoPage
-	n     int
-}
-
-// NewFIFOSlab returns a paged FIFO slab over n destinations holding only
-// the page table.
-func NewFIFOSlab(n int) FIFOSlab {
-	return FIFOSlab{pages: make([]*fifoPage, numPages(n)), n: n}
-}
-
-// Materialized reports whether the slab itself exists.
-func (s *FIFOSlab) Materialized() bool { return s.pages != nil }
-
-// NumPages returns the page-table length.
-func (s *FIFOSlab) NumPages() int { return len(s.pages) }
-
-// Probe returns the FIFO for dst, or nil when its page (or the slab) has
-// not materialized.
-func (s *FIFOSlab) Probe(dst int) *FIFO {
-	i := dst >> PageShift
-	if i >= len(s.pages) {
-		return nil
-	}
-	pg := s.pages[i]
-	if pg == nil {
-		return nil
-	}
-	return &pg.fifos[dst&pageMask]
-}
-
-// Get returns the FIFO for dst, materializing its page from the pool on
-// first touch (and bumping the page's touch version). Mutation path only.
-func (s *FIFOSlab) Get(dst int, pool *PagePool) *FIFO {
-	i := dst >> PageShift
-	pg := s.pages[i]
-	if pg == nil {
-		pg = pool.getFIFO()
-		s.pages[i] = pg
-	}
-	pg.ver++
-	return &pg.fifos[dst&pageMask]
-}
-
-// Bytes returns the queued bytes for dst (zero for absent pages).
-func (s *FIFOSlab) Bytes(dst int) int64 {
-	if q := s.Probe(dst); q != nil {
-		return q.Bytes()
-	}
-	return 0
-}
-
-// Add adjusts dst's page byte counter by delta, returning the page total
-// and touch version (see DestSlab.Add).
-func (s *FIFOSlab) Add(dst int, delta int64) (pageBytes int64, ver uint32) {
-	pg := s.pages[dst>>PageShift]
-	pg.bytes += delta
-	if pg.bytes < 0 {
-		panic(fmt.Sprintf("queue: page %d byte counter negative (%d)", dst>>PageShift, pg.bytes))
-	}
-	return pg.bytes, pg.ver
-}
-
-// ReleaseIfEmpty returns the page to the pool if still empty and
-// untouched since ver was recorded.
-func (s *FIFOSlab) ReleaseIfEmpty(page int, ver uint32, pool *PagePool) bool {
-	pg := s.pages[page]
-	if pg == nil || pg.bytes != 0 || pg.ver != ver {
-		return false
-	}
-	s.pages[page] = nil
-	pool.putFIFO(pg)
-	return true
-}
-
-// ForEachPage invokes fn for every materialized page (see
-// DestSlab.ForEachPage).
-func (s *FIFOSlab) ForEachPage(fn func(page, base int, fs []FIFO, bytes int64)) {
-	for i, pg := range s.pages {
-		if pg == nil {
-			continue
-		}
-		base := i << PageShift
-		fs := pg.fifos[:]
-		if rem := s.n - base; rem < PageSize {
-			fs = fs[:rem]
-		}
-		fn(i, base, fs, pg.bytes)
-	}
-}
-
-// PageMaterialized reports whether the page covering dst exists.
-func (s *FIFOSlab) PageMaterialized(dst int) bool {
-	i := dst >> PageShift
-	return i < len(s.pages) && s.pages[i] != nil
-}
-
-// MaterializedPages counts materialized pages.
-func (s *FIFOSlab) MaterializedPages() int {
-	var k int
-	for _, pg := range s.pages {
-		if pg != nil {
-			k++
-		}
-	}
-	return k
-}
-
-// MaterializeAll eagerly materializes every page.
-func (s *FIFOSlab) MaterializeAll(pool *PagePool) {
-	for i := range s.pages {
-		if s.pages[i] == nil {
-			s.pages[i] = pool.getFIFO()
+			s.pages[i] = pool.get(int(s.levels))
 		}
 	}
 }

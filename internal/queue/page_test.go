@@ -7,6 +7,22 @@ import (
 	"negotiator/internal/flows"
 )
 
+// destBytes reads dst's queued bytes through the nil-page-safe Probe.
+func destBytes(s *DestSlab, dst int) int64 {
+	if q := s.Probe(dst); q != nil {
+		return q.Bytes()
+	}
+	return 0
+}
+
+// fifoBytes is destBytes for a FIFO slab.
+func fifoBytes(s *FIFOSlab, dst int) int64 {
+	if q := s.Probe(dst); q != nil {
+		return q.Bytes()
+	}
+	return 0
+}
+
 // TestDestSlabPageBoundaries: pushes and takes straddling page boundaries
 // behave exactly like adjacent monolithic-slab entries — neighbouring
 // destinations on different pages stay independent, HeadDst carries the
@@ -15,7 +31,7 @@ import (
 func TestDestSlabPageBoundaries(t *testing.T) {
 	for _, priority := range []bool{false, true} {
 		n := 2*PageSize + 37 // three pages, last one partial
-		var pool PagePool
+		var pool PagePool[DestQueue]
 		s := NewDestSlab(n, priority)
 		if s.NumPages() != 3 {
 			t.Fatalf("priority=%v NumPages = %d, want 3", priority, s.NumPages())
@@ -32,7 +48,7 @@ func TestDestSlabPageBoundaries(t *testing.T) {
 			t.Fatalf("priority=%v materialized %d pages, want 3", priority, got)
 		}
 		for _, d := range dsts {
-			if got := s.Bytes(d); got != int64(100+d) {
+			if got := destBytes(&s, d); got != int64(100+d) {
 				t.Fatalf("priority=%v Bytes(%d) = %d, want %d", priority, d, got, 100+d)
 			}
 			if got := s.Probe(d).HeadDst(); got != d {
@@ -42,7 +58,7 @@ func TestDestSlabPageBoundaries(t *testing.T) {
 		// Untouched neighbours of touched destinations read empty, on both
 		// sides of each boundary.
 		for _, d := range []int{PageSize - 2, PageSize + 1, n - 2} {
-			if got := s.Bytes(d); got != 0 {
+			if got := destBytes(&s, d); got != 0 {
 				t.Fatalf("priority=%v untouched dst %d holds %d bytes", priority, d, got)
 			}
 			if q := s.Probe(d); q == nil || q.HeadDst() != -1 {
@@ -78,7 +94,7 @@ func TestDestSlabPageBoundaries(t *testing.T) {
 		if pb, _ := s.Add(d, -taken); pb != int64(100+2*PageSize-1) {
 			t.Fatalf("priority=%v page counter after drain = %d", priority, pb)
 		}
-		if got := s.Bytes(PageSize - 1); got != int64(100+PageSize-1) {
+		if got := destBytes(&s, PageSize-1); got != int64(100+PageSize-1) {
 			t.Fatalf("priority=%v neighbour across boundary lost bytes: %d", priority, got)
 		}
 	}
@@ -88,18 +104,18 @@ func TestDestSlabPageBoundaries(t *testing.T) {
 // behaviour.
 func TestFIFOSlabPageBoundaries(t *testing.T) {
 	n := PageSize + 5
-	var pool PagePool
+	var pool PagePool[FIFO]
 	s := NewFIFOSlab(n)
 	if s.NumPages() != 2 {
 		t.Fatalf("NumPages = %d, want 2", s.NumPages())
 	}
 	f := &flows.Flow{ID: 1, Dst: 9, Size: 1 << 30}
 	for _, d := range []int{PageSize - 1, PageSize, n - 1} {
-		s.Get(d, &pool).Push(Segment{Flow: f, Bytes: int64(10 + d)})
+		s.Queue(d, &pool).Push(Segment{Flow: f, Bytes: int64(10 + d)})
 		s.Add(d, int64(10+d))
 	}
 	for _, d := range []int{PageSize - 1, PageSize, n - 1} {
-		if got := s.Bytes(d); got != int64(10+d) {
+		if got := fifoBytes(&s, d); got != int64(10+d) {
 			t.Fatalf("Bytes(%d) = %d, want %d", d, got, 10+d)
 		}
 	}
@@ -126,19 +142,19 @@ func TestUnmaterializedPageReadsEmpty(t *testing.T) {
 	if bare.Materialized() {
 		t.Fatal("zero-value slab claims materialized")
 	}
-	if bare.Probe(12345) != nil || bare.Bytes(12345) != 0 || bare.PageMaterialized(12345) {
+	if bare.Probe(12345) != nil || destBytes(&bare, 12345) != 0 || bare.PageMaterialized(12345) {
 		t.Fatal("unmaterialized slab leaks state")
 	}
-	var pool PagePool
+	var pool PagePool[DestQueue]
 	s := NewDestSlab(4*PageSize, true)
 	s.Queue(0, &pool) // materialize page 0 only
 	for _, d := range []int{PageSize, 2 * PageSize, 4*PageSize - 1} {
-		if s.Probe(d) != nil || s.Bytes(d) != 0 || s.PageMaterialized(d) {
+		if s.Probe(d) != nil || destBytes(&s, d) != 0 || s.PageMaterialized(d) {
 			t.Fatalf("dst %d on absent page leaks state", d)
 		}
 	}
 	var bareF FIFOSlab
-	if bareF.Materialized() || bareF.Probe(7) != nil || bareF.Bytes(7) != 0 {
+	if bareF.Materialized() || bareF.Probe(7) != nil || fifoBytes(&bareF, 7) != 0 {
 		t.Fatal("zero-value FIFO slab leaks state")
 	}
 }
@@ -147,7 +163,7 @@ func TestUnmaterializedPageReadsEmpty(t *testing.T) {
 // cleared queues but intact segment capacity, so re-materializing and
 // pushing through the pool allocates nothing.
 func TestPagePoolRecycleAndReuse(t *testing.T) {
-	var pool PagePool
+	var pool PagePool[DestQueue]
 	var segs SegPool
 	s := NewDestSlab(2*PageSize, true)
 	f := &flows.Flow{ID: 1, Dst: 3, Size: 1 << 30}
@@ -196,8 +212,8 @@ func TestPagePoolRecycleAndReuse(t *testing.T) {
 	// A recycled page is indistinguishable from fresh: every queue empty.
 	s.Queue(3, &pool)
 	for d := 0; d < PageSize; d++ {
-		if s.Bytes(d) != 0 {
-			t.Fatalf("recycled page dst %d holds %d bytes", d, s.Bytes(d))
+		if destBytes(&s, d) != 0 {
+			t.Fatalf("recycled page dst %d holds %d bytes", d, destBytes(&s, d))
 		}
 	}
 }
@@ -207,7 +223,7 @@ func TestPagePoolRecycleAndReuse(t *testing.T) {
 // stayed empty and untouched since the recorded version go back to the
 // pool.
 func TestReleaseVersionHysteresis(t *testing.T) {
-	var pool PagePool
+	var pool PagePool[DestQueue]
 	s := NewDestSlab(PageSize, false)
 	f := &flows.Flow{ID: 1, Dst: 0, Size: 1 << 30}
 
@@ -244,7 +260,7 @@ func TestPagedSlabTraceEquivalence(t *testing.T) {
 		const n = 3*PageSize + 11
 		rng := rand.New(rand.NewSource(42))
 		mono := NewSlab(n, priority)
-		var pool PagePool
+		var pool PagePool[DestQueue]
 		paged := NewDestSlab(n, priority)
 		flowsByID := map[int64]*flows.Flow{}
 		flowFor := func(id int64, dst int) *flows.Flow {
@@ -313,8 +329,8 @@ func TestPagedSlabTraceEquivalence(t *testing.T) {
 		}
 		// Final sweep: every destination byte-identical.
 		for d := 0; d < n; d++ {
-			if mono[d].Bytes() != paged.Bytes(d) {
-				t.Fatalf("priority=%v final dst %d: mono %d paged %d", priority, d, mono[d].Bytes(), paged.Bytes(d))
+			if mono[d].Bytes() != destBytes(&paged, d) {
+				t.Fatalf("priority=%v final dst %d: mono %d paged %d", priority, d, mono[d].Bytes(), destBytes(&paged, d))
 			}
 		}
 	}

@@ -101,12 +101,9 @@ type FIFO struct {
 	head  int
 }
 
-// Push appends a segment. Zero-byte segments are dropped.
-func (q *FIFO) Push(s Segment) { q.PushPool(nil, s) }
-
-// PushPool is Push with segment-array recycling: when the append would
-// grow the backing array and pool is non-nil, the replacement comes from
-// the pool and the old array is returned to it.
+// PushPool appends a segment; zero-byte segments are dropped. When the
+// append would grow the backing array and pool is non-nil, the
+// replacement comes from the pool and the old array is returned to it.
 func (q *FIFO) PushPool(pool *SegPool, s Segment) {
 	if s.Bytes <= 0 {
 		return
@@ -163,14 +160,6 @@ func (q *FIFO) Len() int {
 		return 0
 	}
 	return 1 + len(q.segs) - q.head
-}
-
-// Head returns the front segment without removing it. It panics when empty.
-func (q *FIFO) Head() *Segment {
-	if q.Empty() {
-		panic("queue: Head of empty FIFO")
-	}
-	return &q.front
 }
 
 // Take removes up to max bytes from the front of the queue in FIFO order,
@@ -259,7 +248,7 @@ func (q *FIFO) HeadReady(now sim.Time) bool {
 // aggregate byte counter is maintained by every push/take, so Bytes() and
 // Empty() are O(1) field reads — the per-round demand sweeps of the
 // engines read them N² times per epoch. DestQueue is embeddable by value:
-// NewSlab lays a whole VOQ set out contiguously.
+// a slab page lays PageSize of them out contiguously.
 type DestQueue struct {
 	bytes  int64
 	levels int // levels in use: 1, or NumPriorities with PIAS on
@@ -274,43 +263,15 @@ func numLevels(priority bool) int {
 	return 1
 }
 
-// NewDestQueue returns a per-destination queue; priority selects the PIAS
-// multi-level variant.
-func NewDestQueue(priority bool) *DestQueue {
-	return &DestQueue{levels: numLevels(priority)}
-}
-
-// NewSlab returns n per-destination queues laid out contiguously in one
-// allocation, priority levels inline: a dense sweep of Bytes()/Empty()
-// walks consecutive cache lines instead of chasing n heap pointers.
-func NewSlab(n int, priority bool) []DestQueue {
-	qs := make([]DestQueue, n)
-	for j := range qs {
-		qs[j].levels = numLevels(priority)
-	}
-	return qs
-}
-
-// Push enqueues all bytes of flow f (all members, for a group) at time
-// now, splitting across priority levels by the PIAS thresholds when
-// enabled.
-func (d *DestQueue) Push(f *flows.Flow, now sim.Time) {
-	d.PushBytes(f, f.Total(), 0, now)
-}
-
-// PushBytes enqueues n bytes of flow f whose first byte is at offset off
-// within the flow. Offsets matter because PIAS priorities are assigned by
-// cumulative position in the flow, not by arrival order (a requeued byte
-// keeps its original priority).
-func (d *DestQueue) PushBytes(f *flows.Flow, n, off int64, now sim.Time) {
-	d.PushBytesPool(nil, f, n, off, now)
-}
-
-// PushBytesPool is PushBytes with segment-array recycling (see
-// FIFO.PushPool). With PIAS on, each level takes the run's share as one
-// segment, so a push costs O(1) whatever the group's member count: the
-// pieces a run places in one level share a flow and an enqueue time, and
-// Take yields their bytes in the same order either way.
+// PushBytesPool enqueues n bytes of flow f whose first byte is at offset
+// off within the flow, recycling segment arrays through pool (see
+// FIFO.PushPool; pool may be nil). Offsets matter because PIAS priorities
+// are assigned by cumulative position in the flow, not by arrival order
+// (a requeued byte keeps its original priority). With PIAS on, each
+// level takes the run's share as one segment, so a push costs O(1)
+// whatever the group's member count: the pieces a run places in one level
+// share a flow and an enqueue time, and Take yields their bytes in the
+// same order either way.
 func (d *DestQueue) PushBytesPool(pool *SegPool, f *flows.Flow, n, off int64, now sim.Time) {
 	if n <= 0 {
 		return

@@ -237,6 +237,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // or a hand-edited checkpoint, which the container checks cannot catch.
 func reframe(t *testing.T, stream []byte, tag string, mutate func([]byte)) []byte {
 	t.Helper()
+	return reframeWhere(t, stream, tag, func(p []byte) bool { mutate(p); return true })
+}
+
+// reframeWhere is reframe for the first section with the tag whose
+// mutate reports that it edited the payload.
+func reframeWhere(t *testing.T, stream []byte, tag string, mutate func([]byte) bool) []byte {
+	t.Helper()
 	var out bytes.Buffer
 	w := snap.NewWriter(&out)
 	found := false
@@ -249,8 +256,7 @@ func reframe(t *testing.T, stream []byte, tag string, mutate func([]byte)) []byt
 			break
 		}
 		if sec == tag && !found {
-			mutate(payload)
-			found = true
+			found = mutate(payload)
 		}
 		w.Section(sec, payload)
 	}
@@ -351,6 +357,104 @@ func TestRestoreRejectsOversizedCounts(t *testing.T) {
 			if got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24)); got != want {
 				t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
 			}
+		})
+	}
+}
+
+// TestRestoreRejectsBadLossRecords: a NODE payload edited behind a valid
+// CRC must fail Restore with an error, never a panic — a loss record whose
+// destination or lane lies off the fabric (requeue would index out of
+// range), or whose byte count the ledger does not hold, and (with no
+// failure plan at all) queued bytes the ledger does not hold (the flow
+// would over-deliver).
+func TestRestoreRejectsBadLossRecords(t *testing.T) {
+	failing := negotiator.SmallSpec()
+	failing.Failures = &negotiator.FailurePlan{
+		Fraction:    0.25,
+		RecoverAt:   negotiator.Time(200 * negotiator.Microsecond),
+		DetectDelay: 30 * negotiator.Microsecond,
+		Seed:        3,
+	}
+	// NODE payload layout: index and spray pointer (8 bytes each), the
+	// cumulative-injected entries (count, then 12 bytes each), the loss
+	// records (count, then 41 bytes each: flow 8, dst 4, off 8, n 8, at 8,
+	// class 1, via 4), then the direct segments (count, then 29 bytes
+	// each: dst 4, prio 1, flow 8, bytes 8, at 8).
+	u32 := func(p []byte, at int) int { return int(binary.LittleEndian.Uint32(p[at:])) }
+	losses := func(p []byte) int { return 20 + 12*u32(p, 16) }
+	firstLoss := func(edit func(p []byte, l int)) func([]byte) bool {
+		return func(p []byte) bool {
+			at := losses(p)
+			if u32(p, at) == 0 {
+				return false
+			}
+			edit(p, at+4)
+			return true
+		}
+	}
+	cases := []struct {
+		name   string
+		spec   negotiator.Spec
+		snapAt int
+		mutate func([]byte) bool
+	}{
+		{"loss-dst-off-fabric", failing, 3, firstLoss(func(p []byte, l int) {
+			binary.LittleEndian.PutUint32(p[l+8:], 1_000_000)
+		})},
+		{"lane-loss-without-lanes", failing, 3, firstLoss(func(p []byte, l int) {
+			p[l+36] = 1 // RequeueLane
+			binary.LittleEndian.PutUint32(p[l+37:], 1_000_000)
+		})},
+		{"loss-bytes-beyond-ledger", failing, 3, firstLoss(func(p []byte, l int) {
+			n := binary.LittleEndian.Uint64(p[l+20:])
+			binary.LittleEndian.PutUint64(p[l+20:], n+1000)
+		})},
+		{"segment-bytes-beyond-ledger", negotiator.SmallSpec(), 60, func(p []byte) bool {
+			at := losses(p)
+			at += 4 + 41*u32(p, at)
+			if u32(p, at) == 0 {
+				return false
+			}
+			b := at + 4 + 4 + 1 + 8
+			binary.LittleEndian.PutUint64(p[b:], binary.LittleEndian.Uint64(p[b:])+1000)
+			return true
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.spec.Workers = 1
+			build := func() negotiator.Fabric {
+				fab, err := c.spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab.SetWorkload(negotiator.PoissonWorkload(c.spec, negotiator.Hadoop, 0.7, c.spec.Seed+6))
+				return fab
+			}
+			fab := build()
+			fab.RunEpochs(c.snapAt)
+			var buf bytes.Buffer
+			if err := fab.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			bad := reframeWhere(t, buf.Bytes(), "NODE", c.mutate)
+			fab2 := build()
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Restore panicked: %v", r)
+					}
+				}()
+				if err = fab2.Restore(bytes.NewReader(bad)); err == nil {
+					// A record that slipped through would fail here.
+					fab2.RunEpochs(60)
+				}
+				return err
+			}()
+			if err == nil {
+				t.Fatal("edited checkpoint restored without error")
+			}
+			t.Logf("rejected: %v", err)
 		})
 	}
 }
