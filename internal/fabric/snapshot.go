@@ -167,19 +167,21 @@ func (c *Core) Restore(r io.Reader) error {
 			core.pending.Count = pendCount
 		}
 	}
-	flowSec, ok := s.Section(secFlows)
-	if !ok {
-		return fmt.Errorf("fabric: checkpoint missing %s section", secFlows)
-	}
-	byID, err := decodeFlows(flowSec, core.flowSeq, groups)
-	if err != nil {
-		return err
-	}
+	// Tags decode before flow records: a tagged flow must name an entry
+	// of the table its completion will update.
 	var tags map[int]*TagStat
 	if sec, ok := s.Section(secTags); ok {
 		if tags, err = decodeTags(sec); err != nil {
 			return err
 		}
+	}
+	flowSec, ok := s.Section(secFlows)
+	if !ok {
+		return fmt.Errorf("fabric: checkpoint missing %s section", secFlows)
+	}
+	byID, err := decodeFlows(flowSec, c.N, core.flowSeq, groups, tags)
+	if err != nil {
+		return err
 	}
 	applyMetrics := func() {}
 	if sec, ok := s.Section(secMetr); ok {
@@ -573,11 +575,17 @@ func encodeFlows(live []*flows.Flow) []byte {
 	return e.Bytes()
 }
 
-func decodeFlows(payload []byte, flowSeq int64, groups map[int64]int32) (map[int64]*flows.Flow, error) {
+// decodeFlows decodes the live flow records, rejecting any the fabric of
+// n ToRs could not carry: an ID outside the issued range or repeated, a
+// source or destination off the fabric (a relay push or requeue would
+// index out of range), a nonzero tag with no entry in tags (its
+// completion would update a missing tag), or progress beyond the flow's
+// bytes.
+func decodeFlows(payload []byte, n int, flowSeq int64, groups map[int64]int32, tags map[int]*TagStat) (map[int64]*flows.Flow, error) {
 	d := snap.NewDec(payload)
-	n := d.Count(64) // eight 8-byte fields per flow record
-	byID := make(map[int64]*flows.Flow, n)
-	for i := 0; i < n; i++ {
+	count := d.Count(64) // eight 8-byte fields per flow record
+	byID := make(map[int64]*flows.Flow, count)
+	for i := 0; i < count; i++ {
 		f := &flows.Flow{
 			ID:      d.I64(),
 			Src:     d.Int(),
@@ -595,6 +603,12 @@ func decodeFlows(payload []byte, flowSeq int64, groups map[int64]int32) (map[int
 		}
 		if _, dup := byID[f.ID]; dup {
 			return nil, fmt.Errorf("fabric: checkpoint flow ID %d duplicated", f.ID)
+		}
+		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
+			return nil, fmt.Errorf("fabric: checkpoint flow %d runs %d -> %d, outside the fabric's %d ToRs", f.ID, f.Src, f.Dst, n)
+		}
+		if _, ok := tags[f.Tag]; f.Tag != 0 && !ok {
+			return nil, fmt.Errorf("fabric: checkpoint flow %d carries tag %d, which the tag table does not list", f.ID, f.Tag)
 		}
 		// The member count must be applied before progress restores: the
 		// bounds check is against the group's total bytes, not one member's.

@@ -12,15 +12,20 @@ import (
 )
 
 // TestDrainWalksAgree pins drainStep's two relay-drain walks to each other
-// slot by slot. Two identical engines run the same workload, one forced
-// onto the holder walk and one onto the destination-inverted walk, whatever
-// the cost rule would pick. After every round each shard's
-// consumed-connection stamps and per-destination delivered bytes, the
-// fabric's delivered total and every node's relay backlog must match; the
-// inverted walk must leave its candidate marks empty; and the drained
-// runs must end with the same results. The parallel case pads its
-// schedule (S=5 does not divide N-1=23) and the failure cases fire both
-// the known-down gate and the undetected-loss path.
+// and the occupancy gates of both slot phases to an ungated reference,
+// slot by slot. Three identical engines run the same workload: one forced
+// onto the holder walk and one onto the destination-inverted walk,
+// whatever the cost rule would pick, and one running ungatedDrain and
+// ungatedServe, which probe every connection's queue without reading the
+// occupancy bits first. The two walks share drainConn's gate, so the
+// reference is the only slot-level check of it. After every
+// round each twin's consumed-connection stamps and per-destination
+// delivered bytes, the fabric's delivered total and every node's relay
+// and lane backlogs must match the holder engine's; the inverted walk
+// must leave its candidate marks empty; and the drained runs must end
+// with the same results. The parallel case pads its schedule (S=5 does
+// not divide N-1=23) and the failure cases fire both the known-down gate
+// and the undetected-loss path.
 func TestDrainWalksAgree(t *testing.T) {
 	par, err := topo.NewParallel(24, 5)
 	if err != nil {
@@ -46,7 +51,7 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 	// inverted[k] counts the slots in which shard k's inverted walk had
 	// relay destinations to mark (each shard writes only its own entry).
 	inverted := make([]int, workers)
-	build := func(invert bool) *Engine {
+	build := func(walk string) *Engine {
 		cfg := Config{
 			Topology:       top,
 			HostRate:       sim.Gbps(200),
@@ -62,7 +67,10 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 		if err != nil {
 			t.Fatal(err)
 		}
-		if invert {
+		switch walk {
+		case "holder":
+			e.stepDrain = func(k int) { e.shards[k].drainHolders(e.Rounds()) }
+		case "inverted":
 			e.stepDrain = func(k int) {
 				sh := e.shards[k]
 				dsts, nd := sh.fs.RelayDsts()
@@ -71,15 +79,46 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 				}
 				sh.drainSparse(dsts, e.Rounds())
 			}
-		} else {
-			e.stepDrain = func(k int) { e.shards[k].drainHolders(e.Rounds()) }
+		case "ungated":
+			e.stepDrain = func(k int) { e.shards[k].ungatedDrain(e.Rounds()) }
+			e.stepServe = func(k int) { e.shards[k].ungatedServe(e.Rounds()) }
 		}
 		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), top.N(), 0.7, cfg.HostRate, 7))
 		return e
 	}
-	hold, inv := build(false), build(true)
+	hold := build("holder")
+	twins := []struct {
+		name string
+		e    *Engine
+	}{{"inverted walk", build("inverted")}, {"ungated reference", build("ungated")}}
 	if len(hold.shards) != workers {
 		t.Fatalf("%d shards, want %d", len(hold.shards), workers)
+	}
+	agree := func(round int, name string, tw *Engine) {
+		t.Helper()
+		if hold.Ledger.Delivered != tw.Ledger.Delivered {
+			t.Fatalf("round %d: delivered %d (holder walk) vs %d (%s)",
+				round, hold.Ledger.Delivered, tw.Ledger.Delivered, name)
+		}
+		for k, hs := range hold.shards {
+			ts := tw.shards[k]
+			if !slices.Equal(hs.usedStamp, ts.usedStamp) {
+				t.Fatalf("round %d shard %d: consumed connections differ\nholder: %v\n%s: %v",
+					round, k, hs.usedStamp, name, ts.usedStamp)
+			}
+			if !slices.Equal(hs.fs.Goodput.PerToR(), ts.fs.Goodput.PerToR()) {
+				t.Fatalf("round %d shard %d: delivered bytes per destination differ (%s)", round, k, name)
+			}
+			if n := ts.drainMarks.Count(); n != 0 {
+				t.Fatalf("round %d shard %d: %s left %d candidate marks set", round, k, name, n)
+			}
+		}
+		for i, nd := range hold.Nodes {
+			if tn := tw.Nodes[i]; nd.Relay.Total != tn.Relay.Total || nd.Lanes.Total != tn.Lanes.Total {
+				t.Fatalf("round %d node %d: relay/lane backlog %d/%d (holder walk) vs %d/%d (%s)",
+					round, i, nd.Relay.Total, nd.Lanes.Total, tn.Relay.Total, tn.Lanes.Total, name)
+			}
+		}
 	}
 
 	// 1000 slots of arrivals (60 us), then step until the fabric drains.
@@ -87,7 +126,9 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 	for round := 0; ; round++ {
 		if round == arrivalRounds {
 			hold.SetWorkload(nil)
-			inv.SetWorkload(nil)
+			for _, tw := range twins {
+				tw.e.SetWorkload(nil)
+			}
 		}
 		if round > arrivalRounds && hold.WorkloadDone() && hold.Ledger.Queued() == 0 {
 			break
@@ -96,29 +137,9 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 			t.Fatal("fabric did not drain")
 		}
 		hold.RunRound()
-		inv.RunRound()
-		if hold.Ledger.Delivered != inv.Ledger.Delivered {
-			t.Fatalf("round %d: delivered %d (holder walk) vs %d (inverted walk)",
-				round, hold.Ledger.Delivered, inv.Ledger.Delivered)
-		}
-		for k, hs := range hold.shards {
-			is := inv.shards[k]
-			if !slices.Equal(hs.usedStamp, is.usedStamp) {
-				t.Fatalf("round %d shard %d: consumed connections differ\nholder:   %v\ninverted: %v",
-					round, k, hs.usedStamp, is.usedStamp)
-			}
-			if !slices.Equal(hs.fs.Goodput.PerToR(), is.fs.Goodput.PerToR()) {
-				t.Fatalf("round %d shard %d: delivered bytes per destination differ", round, k)
-			}
-			if n := is.drainMarks.Count(); n != 0 {
-				t.Fatalf("round %d shard %d: inverted walk left %d candidate marks set", round, k, n)
-			}
-		}
-		for i, nd := range hold.Nodes {
-			if nd.Relay.Total != inv.Nodes[i].Relay.Total {
-				t.Fatalf("round %d node %d: relay backlog %d (holder walk) vs %d (inverted walk)",
-					round, i, nd.Relay.Total, inv.Nodes[i].Relay.Total)
-			}
+		for _, tw := range twins {
+			tw.e.RunRound()
+			agree(round, tw.name, tw.e)
 		}
 	}
 
@@ -127,13 +148,65 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 		return fmt.Sprintf("%v p99=%v injected=%d delivered=%d lost=%d relayed=%d duration=%v cdf=%v",
 			r.FCT, r.FCT.P(99), r.Injected, r.Delivered, r.LostBytes, e.relayed, r.Duration, r.FCT.MiceCDF(24))
 	}
-	if h, i := results(hold), results(inv); h != i {
-		t.Fatalf("results differ\nholder:   %s\ninverted: %s", h, i)
+	for _, tw := range twins {
+		if h, w := results(hold), results(tw.e); h != w {
+			t.Fatalf("results differ\nholder: %s\n%s: %s", h, tw.name, w)
+		}
 	}
 	if hold.relayed == 0 || slices.Max(inverted) == 0 {
 		t.Fatalf("no relay traffic to drain (relayed %d, inverted-walk slots %v)", hold.relayed, inverted)
 	}
 	if failures && hold.Results().LostBytes == 0 {
 		t.Fatal("failure plan destroyed nothing: the undetected-loss path never ran")
+	}
+}
+
+// ungatedDrain is the reference for drainConn's occupancy gate: the
+// holder walk with every port of every relay holder probing its queue,
+// gated only by the known-down link and the FIFO's own HeadReady.
+func (sh *obShard) ungatedDrain(slotNo int64) {
+	e := sh.e
+	occ := &sh.fs.ActiveRelay
+	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
+		i := sh.lo + bit
+		for s := 0; s < e.s; s++ {
+			j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot)
+			if j < 0 || e.known.Down(i, j, s) {
+				continue
+			}
+			src := e.Nodes[i]
+			if !src.Relay.HeadReady(j, e.slotStart) {
+				continue
+			}
+			sh.txDst = j
+			sh.txNode = src
+			sh.txLost = e.actual.Down(i, j, s)
+			src.Relay.Drain(j, e.cell, e.slotStart, sh.drainEmit)
+			sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
+		}
+	}
+}
+
+// ungatedServe is the reference for serveStep's lane occupancy gate:
+// every free port of every lane holder reaches serveLanes, whose HeadDst
+// read finds the empty lanes.
+func (sh *obShard) ungatedServe(slotNo int64) {
+	e := sh.e
+	occ := &sh.fs.ActiveLanes
+	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
+		i := sh.lo + bit
+		src := e.Nodes[i]
+		for s := 0; s < e.s; s++ {
+			if sh.usedStamp[(i-sh.lo)*e.s+s] == slotNo+1 {
+				continue
+			}
+			j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot)
+			if j < 0 || e.known.Down(i, j, s) {
+				continue
+			}
+			sh.txNode = src
+			sh.txLost = e.actual.Down(i, j, s)
+			sh.serveLanes(src, i, j)
+		}
 	}
 }

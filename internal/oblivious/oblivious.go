@@ -473,9 +473,11 @@ func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 // each connected peer, for this shard's ToRs. Relay traffic must not
 // accumulate, so a connection carrying it is consumed for the slot.
 //
-// Two walks find the connections to drain, with byte-identical results.
-// The holder walk visits every node with relay backlog and probes each of
-// its S connections once. VLB spraying makes nearly every node a relay
+// Two walks find the connections to drain, with byte-identical results;
+// both hand each candidate connection to drainConn, whose occupancy gate
+// reads a queue only when the source holds relay bytes for the peer. The
+// holder walk visits every node with relay backlog and probes each of its
+// S connections once. VLB spraying makes nearly every node a relay
 // holder even when only a handful of flows are live — 256 flows sprayed
 // across 65,536 intermediates leave backlog everywhere — so that walk is
 // O(width) in exactly the sparse regime that must not pay it. The number
@@ -523,7 +525,7 @@ func (sh *obShard) drainHolders(slotNo int64) {
 // order, with j recomputed by PredefinedPeer, so the drains, the deferred
 // records and the usedStamp marks are byte-identical to that walk; a
 // candidate whose source holds no ready backlog for j fails the same
-// Relay.HeadReady gate that skips it there. Every mark is placed before any
+// drainConn gates that skip it there. Every mark is placed before any
 // drain runs, so destination bits clearing as VOQs empty cannot perturb
 // the walk, and the visit clears each mark, so no per-slot reset is
 // needed. Cost: O(relay-destinations · S) per shard, independent of fabric
@@ -547,15 +549,25 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 }
 
 // drainConn drains one cell of source i's relay VOQ for j over its port s
-// and marks the connection consumed. A link the fabric knows is down is
-// excluded from service (the slot is not scheduled, so serve keeps it
-// gated too); a link that is down but undetected transmits into the void.
+// and marks the connection consumed. It reads the source's relay
+// occupancy bit for j before the queue: most connections of a relay
+// holder face a peer it holds nothing for, and the bit answers that from
+// a few words per node, cached after the node's first port, where the
+// queue read loads a FIFO header from the node's relay page. A
+// drainSparse candidate may never have held relay bytes, its occupancy
+// index unmaterialized, so the zero aggregate is tested first. A link the
+// fabric knows is down is excluded from service (the slot is not
+// scheduled, so serve keeps it gated too); a link that is down but
+// undetected transmits into the void.
 func (sh *obShard) drainConn(i, s, j int, slotNo int64) {
 	e := sh.e
+	src := e.Nodes[i]
+	if src.Relay.Total == 0 || !src.Relay.Occ.Has(j) {
+		return
+	}
 	if e.known.Down(i, j, s) {
 		return
 	}
-	src := e.Nodes[i]
 	if !src.Relay.HeadReady(j, e.slotStart) {
 		return
 	}
@@ -574,8 +586,14 @@ func (sh *obShard) serveStep() {
 	// The occupancy set of the class this discipline serves walks straight
 	// to the nodes holding fresh data — the O(active)-nodes counterpart of
 	// the drain-phase walk. Connections phase A consumed need no masking
-	// here: an idle node set no usedStamp entries. Every visited node has
-	// bytes in its class, so the lanes dispatch below needs no nil check.
+	// here: an idle node set no usedStamp entries. Under the lane
+	// discipline each connection then reads the source's lane occupancy
+	// bit for the peer before the lane's queue, as drainConn does for
+	// relay FIFOs: most lanes of a node are empty in any one slot, and an
+	// empty PIAS lane's head read touches three cache lines of its page.
+	// Every visited node has bytes in its class, so its occupancy index
+	// exists and the bit read needs no nil check. The slot-time-spray
+	// ablation keeps its own occupancy walk in serve.
 	occ := &sh.fs.ActiveDirect
 	if e.lanes {
 		occ = &sh.fs.ActiveLanes
@@ -591,6 +609,9 @@ func (sh *obShard) serveStep() {
 			if j < 0 {
 				continue
 			}
+			if e.lanes && !src.Lanes.Occ.Has(j) {
+				continue // lane j is empty: an idle slot
+			}
 			// Every transmission of slot (i, s) rides the same fibre pair,
 			// so the known-failure gate and the actual-loss flag apply to
 			// the connection as a whole (see drainConn).
@@ -599,7 +620,7 @@ func (sh *obShard) serveStep() {
 			}
 			sh.txNode = src
 			sh.txLost = e.actual.Down(i, j, s)
-			if src.Lanes.Slab.Materialized() {
+			if e.lanes {
 				sh.serveLanes(src, i, j)
 			} else {
 				sh.serve(src, i, j)

@@ -1,6 +1,9 @@
 package queue
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Paged slabs decouple a node's queue memory from topology width. A slab
 // laid out as one N-wide array would make a single touched node at 65,536
@@ -50,11 +53,34 @@ type Queue interface {
 	DestQueue | FIFO
 }
 
-// page is one materialized chunk of PageSize queues.
-type page[Q Queue] struct {
+// Page layout. A page is one heap object of more than 512 bytes that
+// holds pointers, and since Go 1.22 the allocator puts an 8-byte type
+// header (the malloc header) in front of every such object. Both page
+// types fall in size classes that are multiples of 64 bytes, so the
+// object the header opens starts on a cache line. The page's counters
+// and a pad fill out the rest of that first line, so qs starts on the
+// next one: every relay FIFO header is exactly one cache line, and a
+// destination page's first queue starts on one. Without the pad qs would
+// start 24 bytes into a line and every FIFO header would straddle two.
+// TestPageQueuesCacheAligned checks the layout on the toolchain in use.
+const (
+	cacheLineBytes    = 64
+	mallocHeaderBytes = 8
+)
+
+// pageCounters is a page's bookkeeping prefix: the byte counter and the
+// touch version (see the paged-slab comment above).
+type pageCounters struct {
 	bytes int64
 	ver   uint32
-	qs    [PageSize]Q
+}
+
+// page is one materialized chunk of PageSize queues, laid out so that qs
+// starts on a cache line (see the page-layout comment above).
+type page[Q Queue] struct {
+	pageCounters
+	_  [cacheLineBytes - mallocHeaderBytes - unsafe.Sizeof(pageCounters{})]byte
+	qs [PageSize]Q
 }
 
 // newPage allocates a page whose destination queues use levels priority

@@ -3,6 +3,7 @@ package queue
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"negotiator/internal/flows"
 )
@@ -215,6 +216,50 @@ func TestPagePoolRecycleAndReuse(t *testing.T) {
 		if destBytes(&s, d) != 0 {
 			t.Fatalf("recycled page dst %d holds %d bytes", d, destBytes(&s, d))
 		}
+	}
+}
+
+// TestPageQueuesCacheAligned: a page's queues start on a 64-byte
+// boundary, fresh from the allocator and recycled through the pool, and
+// a FIFO header is exactly one cache line, so every relay FIFO's head
+// reads touch a single line. The page's pad assumes the allocator puts an
+// 8-byte header in front of a pointer-holding object over 512 bytes; this
+// test is the check that the assumption holds on the toolchain in use.
+// Without the pad the queues would start 24 bytes into a line.
+func TestPageQueuesCacheAligned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the page pad assumes 8-byte pointers")
+	}
+	if got := unsafe.Sizeof(FIFO{}); got != cacheLineBytes {
+		t.Errorf("FIFO header is %d bytes, want %d", got, cacheLineBytes)
+	}
+	checkPageAligned[FIFO](t, "relay", 0)
+	checkPageAligned[DestQueue](t, "destination", NumPriorities)
+}
+
+// checkPageAligned draws a few pages from a fresh pool, returns them and
+// draws them again, checking that each one's first queue starts on a
+// cache line both times.
+func checkPageAligned[Q Queue](t *testing.T, kind string, levels int) {
+	t.Helper()
+	var pool PagePool[Q]
+	check := func(pg *page[Q], how string) {
+		t.Helper()
+		if off := uintptr(unsafe.Pointer(&pg.qs[0])) % cacheLineBytes; off != 0 {
+			t.Errorf("%s %s page: queues start %d bytes into a cache line (page is %d bytes)",
+				how, kind, off, unsafe.Sizeof(*pg))
+		}
+	}
+	pages := make([]*page[Q], 4)
+	for i := range pages {
+		pages[i] = pool.get(levels)
+		check(pages[i], "fresh")
+	}
+	for _, pg := range pages {
+		pool.put(pg, levels)
+	}
+	for range pages {
+		check(pool.get(levels), "recycled")
 	}
 }
 

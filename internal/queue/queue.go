@@ -89,11 +89,12 @@ func (p *SegPool) put(arr []Segment) {
 // The front segment lives in the header (front); segs[head:] holds only
 // the segments queued behind it. Every queued segment holds bytes, so a
 // FIFO is non-empty exactly when its front is. Head reads and any take
-// that ends inside the front touch nothing but the header, which fits one
-// 64-byte cache line. When segs drains it rewinds to the start of its
-// array, so a queue that empties and refills every epoch reuses the same
-// few slots; the head > 64 compaction in PushPool covers queues that never
-// drain.
+// that ends inside the front touch nothing but the header, which is 64
+// bytes; a slab page starts its queues on a cache line, so every FIFO of
+// a relay page occupies exactly one line (see page). When segs drains it
+// rewinds to the start of its array, so a queue that empties and refills
+// every epoch reuses the same few slots; the head > 64 compaction in
+// PushPool covers queues that never drain.
 type FIFO struct {
 	bytes int64
 	front Segment

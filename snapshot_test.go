@@ -459,6 +459,100 @@ func TestRestoreRejectsBadLossRecords(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadFlowRecords: a FLOW record edited behind a valid
+// CRC must fail Restore with an error, never a panic: a tag the tag table
+// does not list (the round in which the flow completes would update a
+// missing tag entry), and a destination off the fabric (the oblivious
+// plane's relay push would index past its page table). Each case edits
+// every live record in turn, one per checkpoint. A rejected record must
+// leave the fabric untouched — proven, as in TestRestoreRejectsCorruption,
+// by restoring the intact checkpoint into the same fabric and finishing
+// the run byte-identically.
+func TestRestoreRejectsBadFlowRecords(t *testing.T) {
+	oblivious := negotiator.SmallSpec()
+	oblivious.ControlPlane = negotiator.ObliviousPlane
+	hybrid := negotiator.SmallSpec()
+	hybrid.ControlPlane = negotiator.HybridPlane
+	hybrid.Topology = negotiator.ThinClos
+	// FLOW payload layout: the record count (4 bytes), then 64-byte
+	// records of eight 8-byte fields: ID, src, dst, size, arrival, tag,
+	// sent, delivered.
+	const tagField, dstField = 40, 16
+	cases := []struct {
+		name  string
+		spec  negotiator.Spec
+		field int
+		value uint64
+	}{
+		{"negotiator-tag", negotiator.SmallSpec(), tagField, 77},
+		{"oblivious-tag", oblivious, tagField, 77},
+		{"hybrid-tag", hybrid, tagField, 77},
+		{"oblivious-dst", oblivious, dstField, 1_000_000},
+	}
+	const snapAt, epochs = 20, 60
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.spec.Workers = 1
+			build := func() negotiator.Fabric {
+				fab, err := c.spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab.SetWorkload(negotiator.PoissonWorkload(c.spec, negotiator.Hadoop, 0.7, c.spec.Seed+6))
+				return fab
+			}
+			fab := build()
+			fab.RunEpochs(epochs)
+			want := fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
+
+			fab = build()
+			fab.RunEpochs(snapAt)
+			var buf bytes.Buffer
+			if err := fab.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			good := buf.Bytes()
+			var live int
+			reframe(t, good, "FLOW", func(p []byte) { live = int(binary.LittleEndian.Uint32(p)) })
+			if live == 0 {
+				t.Fatal("no live flow records to edit")
+			}
+			for r := 0; r < live; r++ {
+				bad := reframe(t, good, "FLOW", func(p []byte) {
+					binary.LittleEndian.PutUint64(p[4+64*r+c.field:], c.value)
+				})
+				fab2 := build()
+				err := func() (err error) {
+					defer func() {
+						if v := recover(); v != nil {
+							t.Fatalf("record %d: panic: %v", r, v)
+						}
+					}()
+					if err = fab2.Restore(bytes.NewReader(bad)); err == nil {
+						// A record that slipped through would fail here.
+						fab2.RunEpochs(epochs - snapAt)
+					}
+					return err
+				}()
+				if err == nil {
+					t.Errorf("record %d: edited checkpoint restored without error", r)
+					continue
+				}
+				if err := fab2.Restore(bytes.NewReader(good)); err != nil {
+					t.Fatalf("record %d: intact checkpoint rejected after failed restore: %v", r, err)
+				}
+				fab2.RunEpochs(epochs - snapAt)
+				if got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24)); got != want {
+					t.Fatalf("record %d: run after recovered restore diverges\n got: %.400s\nwant: %.400s", r, got, want)
+				}
+				if r == 0 {
+					t.Logf("%d live records; rejected: %v", live, err)
+				}
+			}
+		})
+	}
+}
+
 // TestRestoreRejectsMismatch: a structurally valid checkpoint applied to
 // the wrong configuration (different plane, topology size, failure plan,
 // or a wrongly seeded workload) must fail loudly instead of scrambling
