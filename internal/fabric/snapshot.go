@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"negotiator/internal/failure"
@@ -310,7 +311,35 @@ func (c *Core) decodeCore(s *snap.Snapshot) (*coreState, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
+	if err := st.checkClock(c.roundLen); err != nil {
+		return nil, err
+	}
 	return st, nil
+}
+
+// checkClock holds the decoded clock and pump to what a run leaves at a
+// round boundary: now is rounds whole rounds, skipped ones among them; a
+// pump that has drawn buffers an arrival (the last draw, which the replay
+// checks) or is exhausted; and the buffered arrival lies after the last
+// round's start, up to which that round injected. A clock edited ahead of
+// its rounds would have the first restored round inject every arrival up
+// to it at once.
+func (st *coreState) checkClock(roundLen sim.Duration) error {
+	rl := int64(roundLen)
+	switch {
+	case st.rounds < 0 || st.skippedRounds < 0 || st.skippedRounds > st.rounds:
+		return fmt.Errorf("fabric: checkpoint counts %d rounds, %d of them skipped", st.rounds, st.skippedRounds)
+	case st.rounds > math.MaxInt64/rl || int64(st.now) != st.rounds*rl:
+		return fmt.Errorf("fabric: checkpoint clock %d ns is not %d rounds of %v", int64(st.now), st.rounds, roundLen)
+	case st.nextCalls < 0 || st.havePending && (st.genDone || st.nextCalls == 0) ||
+		!st.genDone && !st.havePending && st.nextCalls != 0:
+		return fmt.Errorf("fabric: checkpoint pump state (draws %d, buffered %v, exhausted %v) is not one a run leaves",
+			st.nextCalls, st.havePending, st.genDone)
+	case st.havePending && int64(st.pending.Time) <= int64(st.now)-rl:
+		return fmt.Errorf("fabric: checkpoint buffers an arrival at %d ns, before the last round started (%d ns)",
+			int64(st.pending.Time), int64(st.now)-rl)
+	}
+	return nil
 }
 
 // replayWorkload pulls the generator forward to the checkpointed pump

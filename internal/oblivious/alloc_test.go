@@ -18,15 +18,15 @@ import (
 func steadySlotEngine(tb testing.TB, top topo.Topology, warmupSlots int) *Engine {
 	tb.Helper()
 	e, err := New(Config{
-		Topology:        top,
-		HostRate:        sim.Gbps(400),
-		PriorityQueues:  true,
-		SprayChunkCells: 64,
-		Seed:            1,
+		Topology:       top,
+		HostRate:       sim.Gbps(400),
+		PriorityQueues: true,
+		Seed:           1,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	e.chunkCells = 64
 	e.SetWorkload(workload.NewAllToAll(128, 4<<20, 0))
 	for i := 0; i < warmupSlots; i++ {
 		e.RunRound()

@@ -47,9 +47,8 @@ func TestSprayUniformity(t *testing.T) {
 // the connected intermediate, the slot moves nothing (Sirius backpressure),
 // even though other lanes have data.
 func TestLaneStallWastesSlot(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.RelayCap = 1 // one byte: every VOQ is effectively always full
-	e, _ := New(cfg)
+	e, _ := New(testConfig(t))
+	e.relayCap = 1 // one byte: every VOQ is effectively always full
 	e.SetWorkload(workload.NewSinglePair(0, 9, 1<<20, 0))
 	e.Run(20 * sim.Microsecond)
 	r := e.Results()
@@ -118,20 +117,14 @@ func TestRelayedBytesWaitPropagation(t *testing.T) {
 	}
 }
 
-// TestChunkGranularityConfigurable: SprayChunkCells controls lane
-// assignment granularity.
+// TestChunkGranularityConfigurable: chunkCells controls lane assignment
+// granularity.
 func TestChunkGranularityConfigurable(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.SprayChunkCells = 1
-	e, _ := New(cfg)
-	if e.cfg.SprayChunkCells != 1 {
-		t.Fatal("chunk override ignored")
+	e, _ := New(testConfig(t))
+	if e.chunkCells != 4 {
+		t.Fatalf("default chunk = %d, want 4", e.chunkCells)
 	}
-	cfg2 := testConfig(t)
-	e2, _ := New(cfg2)
-	if e2.cfg.SprayChunkCells != 4 {
-		t.Fatalf("default chunk = %d, want 4", e2.cfg.SprayChunkCells)
-	}
+	e.chunkCells = 1
 	// Finer chunks spread a mid-size flow over more lanes.
 	e.SetWorkload(workload.NewSinglePair(2, 9, 10*615*4, 0))
 	e.Inject(0)

@@ -96,17 +96,6 @@ type Config struct {
 	HostRate sim.Rate
 	// PriorityQueues enables source-side PIAS prioritisation.
 	PriorityQueues bool
-	// RelayCap bounds each (intermediate, destination) relay VOQ. Zero
-	// means 64 cells (~39 KB): deep enough that elephants spread across
-	// the fabric block mice at intermediates — the paper's criticism of
-	// relay-based designs — while shallow enough that full VOQs stall
-	// spraying sources, the congestion that caps the oblivious design's
-	// goodput under heavy load (§2).
-	RelayCap int64
-	// SprayChunkCells is the lane-assignment granularity in cells (default
-	// 4). Sirius sprays per cell; chunking trades a little spray
-	// uniformity for segment-bookkeeping memory.
-	SprayChunkCells int
 	// OpportunisticDirect switches the service discipline from Sirius's
 	// uniform VLB spray (default: every byte takes two hops unless its
 	// random intermediate happens to be its destination) to the
@@ -148,7 +137,7 @@ type Config struct {
 	// second-hop drains but before this slot's pushes — same-slot pushes
 	// from other sources are invisible, mirroring the physical reality
 	// that occupancy feedback is at least a propagation delay stale. A
-	// VOQ may therefore briefly exceed RelayCap by up to one cell per
+	// VOQ may therefore briefly exceed its cap by up to one cell per
 	// connected source per slot. Observer callbacks fire from the serial
 	// merge in a fixed order (drain deliveries, transits, serve
 	// deliveries, each in ToR order), identical at any worker count.
@@ -171,6 +160,17 @@ type Engine struct {
 	slots  int // round-robin cycle length in slots
 	cell   int64
 	lanes  bool
+
+	// relayCap bounds each (intermediate, destination) relay VOQ: 64 cells
+	// (~39 KB), deep enough that elephants spread across the fabric block
+	// mice at intermediates — the paper's criticism of relay-based designs
+	// — while shallow enough that full VOQs stall spraying sources, the
+	// congestion that caps the oblivious design's goodput under heavy load
+	// (§2). chunkCells is the lane-assignment granularity in cells (4):
+	// Sirius sprays per cell; chunking trades a little spray uniformity for
+	// segment-bookkeeping memory. Tests may set either after New.
+	relayCap   int64
+	chunkCells int
 
 	// Core-owned failure snapshots (stable pointers, advanced by the core
 	// before each Round; nil without a plan). Known state gates service,
@@ -287,14 +287,10 @@ func New(cfg Config) (*Engine, error) {
 		s:      cfg.Topology.Ports(),
 		slots:  cfg.Topology.PredefinedSlots(),
 		cell:   cfg.Timing.CellBytes(),
+		lanes:  !cfg.OpportunisticDirect,
 	}
-	if cfg.RelayCap == 0 {
-		e.cfg.RelayCap = 64 * e.cell
-	}
-	if cfg.SprayChunkCells <= 0 {
-		e.cfg.SprayChunkCells = 4
-	}
-	e.lanes = !e.cfg.OpportunisticDirect
+	e.relayCap = 64 * e.cell
+	e.chunkCells = 4
 	fab, err := fabric.New(fabric.Config{
 		Topology:         cfg.Topology,
 		HostRate:         cfg.HostRate,
@@ -328,7 +324,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 	nd := e.Nodes[f.Src]
 	if e.lanes {
-		chunk := int64(e.cfg.SprayChunkCells) * e.cell
+		chunk := int64(e.chunkCells) * e.cell
 		total := f.Total()
 		for off := int64(0); off < total; off += chunk {
 			n := total - off
@@ -649,7 +645,7 @@ func (sh *obShard) serveLanes(src *fabric.Node, i, j int) {
 		src.Lanes.TakeHeadCell(j, e.cell, sh.sentEmit)
 		return
 	}
-	headroom := e.cfg.RelayCap - e.Nodes[j].Relay.Bytes(d)
+	headroom := e.relayCap - e.Nodes[j].Relay.Bytes(d)
 	if headroom <= 0 {
 		return // VOQ full: the lane head stalls and the slot is wasted
 	}
@@ -715,7 +711,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 				}
 				return
 			}
-			if headroom := e.cfg.RelayCap - inter.Relay.Bytes(d); headroom > 0 {
+			if headroom := e.relayCap - inter.Relay.Bytes(d); headroom > 0 {
 				max := e.cell
 				if max > headroom {
 					max = headroom

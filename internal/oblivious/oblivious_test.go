@@ -120,9 +120,9 @@ func TestRelayDoublesTrafficVolume(t *testing.T) {
 
 func TestRelayCapBackpressure(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.RelayCap = 2 * DefaultTiming().CellBytes()
 	cfg.CheckInvariants = true
 	e, _ := New(cfg)
+	e.relayCap = 2 * DefaultTiming().CellBytes()
 	e.SetWorkload(workload.NewAllToAll(16, 100<<10, 0))
 	e.Run(200 * sim.Microsecond)
 	// The cap bounds each (intermediate, destination) VOQ, but the
@@ -134,8 +134,8 @@ func TestRelayCapBackpressure(t *testing.T) {
 	slack := int64(e.s) * e.cell
 	for i, nd := range e.Nodes {
 		for d := 0; d < e.n; d++ {
-			if b := nd.Relay.Bytes(d); b > cfg.RelayCap+slack {
-				t.Fatalf("tor %d VOQ[%d] backlog %d exceeds cap %d", i, d, b, cfg.RelayCap)
+			if b := nd.Relay.Bytes(d); b > e.relayCap+slack {
+				t.Fatalf("tor %d VOQ[%d] backlog %d exceeds cap %d", i, d, b, e.relayCap)
 			}
 		}
 	}

@@ -196,9 +196,11 @@ func millionFlowInject(tb testing.TB, grouped bool) (*Engine, uint64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var w workload.Generator = perm
+	var w workload.Generator
 	if grouped {
-		perm.SetGroup(4096)
+		if w, err = workload.NewGroupBy(perm, 4096); err != nil {
+			tb.Fatal(err)
+		}
 	} else {
 		w = &replicateGen{g: perm, k: 4096}
 	}
@@ -221,7 +223,9 @@ func millionFlowInject(tb testing.TB, grouped bool) (*Engine, uint64) {
 // VOQs hold 256 segments instead of 1,048,576, so the grouped slot's
 // remaining allocation is occupancy cost (destination pages, relay pages
 // the first spray materializes) that does not scale with the member
-// count at all — measured ~11 B per host flow against ~130 ungrouped.
+// count at all. It was ~11 B per host flow against ~130 ungrouped before
+// destination pages held all three PIAS levels inline; now it is 16.2 B
+// against 136.3, below the floor (ROADMAP item 8).
 // The whole grouped setup also stays under a hard 4 GB ceiling that an
 // ungrouped-record flow table at this width would strain alongside it.
 // The timed loop then runs steady-state slots with the grouped table

@@ -67,20 +67,25 @@ func (r *RNG) Float64() float64 {
 
 // ExpDuration returns an exponentially distributed duration with the given
 // mean, for Poisson arrival processes. The result is at least 1 ns so that
-// arrival sequences strictly advance.
-func (r *RNG) ExpDuration(mean Duration) Duration {
+// arrival sequences strictly advance. ok is false when the draw lies past
+// the int64 range, which a mean above ~2.5e17 ns can give.
+func (r *RNG) ExpDuration(mean Duration) (d Duration, ok bool) {
 	if mean <= 0 {
-		return 1
+		return 1, true
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	d := Duration(-math.Log(u) * float64(mean))
+	f := -math.Log(u) * float64(mean)
+	if !(f < 1<<63) {
+		return 0, false
+	}
+	d = Duration(f)
 	if d < 1 {
 		d = 1
 	}
-	return d
+	return d, true
 }
 
 // Perm fills p with a uniform random permutation of [0, len(p)).

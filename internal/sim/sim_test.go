@@ -32,11 +32,33 @@ func TestDurationString(t *testing.T) {
 		{30 * Millisecond, "30ms"},
 		{Second, "1s"},
 		{-10, "-10ns"},
+		{-3660, "-3.66µs"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("Duration(%d).String() = %q, want %q", int64(c.d), got, c.want)
 		}
+	}
+}
+
+// TestDurationStringExtremes: math.MinInt64 negates to itself, so a
+// formatter that prints "-" and recurses on -d never returns. MinInt64 is
+// what a float arrival time past the int64 range converts to.
+func TestDurationStringExtremes(t *testing.T) {
+	for _, c := range []struct {
+		d    Duration
+		want string
+	}{
+		{math.MaxInt64, "9.223e+09s"},
+		{math.MinInt64, "-9.223e+09s"},
+		{math.MinInt64 + 1, "-9.223e+09s"},
+	} {
+		if got := c.d.String(); got != c.want {
+			t.Errorf("Duration(%d).String() = %q, want %q", int64(c.d), got, c.want)
+		}
+	}
+	if got := Time(math.MinInt64).String(); got != "-9.223e+09s" {
+		t.Errorf("Time(MinInt64).String() = %q", got)
 	}
 }
 
@@ -170,9 +192,9 @@ func TestRNGExpDurationMean(t *testing.T) {
 	var sum int64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		d := r.ExpDuration(mean)
-		if d < 1 {
-			t.Fatalf("ExpDuration returned %d < 1", d)
+		d, ok := r.ExpDuration(mean)
+		if !ok || d < 1 {
+			t.Fatalf("ExpDuration returned %d (ok=%v), want >= 1", d, ok)
 		}
 		sum += int64(d)
 	}
@@ -180,8 +202,22 @@ func TestRNGExpDurationMean(t *testing.T) {
 	if math.Abs(got-float64(mean)) > 0.02*float64(mean) {
 		t.Errorf("ExpDuration mean = %v, want ~%v", got, float64(mean))
 	}
-	if d := r.ExpDuration(0); d != 1 {
-		t.Errorf("ExpDuration(0) = %d, want 1", d)
+	if d, ok := r.ExpDuration(0); d != 1 || !ok {
+		t.Errorf("ExpDuration(0) = %d (ok=%v), want 1", d, ok)
+	}
+	// With a mean of 2^62 ns, a draw past the int64 range (any draw above
+	// twice the mean, probability e^-2) must report it instead of wrapping.
+	past := 0
+	for i := 0; i < 1000; i++ {
+		d, ok := r.ExpDuration(1 << 62)
+		if !ok {
+			past++
+		} else if d < 1 {
+			t.Fatalf("in-range draw %d < 1", d)
+		}
+	}
+	if past == 0 {
+		t.Error("no draw of mean 2^62 ns reported the int64 range")
 	}
 }
 

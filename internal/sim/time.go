@@ -35,19 +35,22 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the time with an adaptive unit, e.g. "3.66µs".
 func (t Time) String() string { return Duration(t).String() }
 
-// String formats the duration with an adaptive unit.
+// String formats the duration with an adaptive unit. The magnitude is
+// taken as a uint64, so math.MinInt64 formats like any other negative.
 func (d Duration) String() string {
+	sign, mag := "", uint64(d)
+	if d < 0 {
+		sign, mag = "-", -mag
+	}
 	switch {
-	case d < 0:
-		return "-" + (-d).String()
-	case d < Microsecond:
-		return fmt.Sprintf("%dns", int64(d))
-	case d < Millisecond:
-		return fmt.Sprintf("%.3gµs", float64(d)/float64(Microsecond))
-	case d < Second:
-		return fmt.Sprintf("%.4gms", float64(d)/float64(Millisecond))
+	case mag < uint64(Microsecond):
+		return fmt.Sprintf("%s%dns", sign, mag)
+	case mag < uint64(Millisecond):
+		return fmt.Sprintf("%s%.3gµs", sign, float64(mag)/float64(Microsecond))
+	case mag < uint64(Second):
+		return fmt.Sprintf("%s%.4gms", sign, float64(mag)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.4gs", float64(d)/float64(Second))
+		return fmt.Sprintf("%s%.4gs", sign, float64(mag)/float64(Second))
 	}
 }
 

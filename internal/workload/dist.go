@@ -4,6 +4,11 @@
 // the synthetic incast, all-to-all, single-pair and mixed-incast workloads
 // of §4.2 and §4.4.
 //
+// Poisson, Hotspot and Diurnal share one arrival clock, and IncastMix keeps
+// an integer one; a stream ends when its clock leaves the int64 range.
+// Flow groups have one path, the Grouped adapter (NewGroupBy): no generator
+// emits groups itself.
+//
 // The published traces themselves (Meta Hadoop, DCTCP web search, Google
 // aggregated) are not redistributable, so each is reproduced as a piecewise
 // log-linear CDF matching every property the paper states about it; see

@@ -21,23 +21,9 @@ import (
 // is a deterministic function of the seed, independent of how the
 // simulator consumes it.
 type Diurnal struct {
-	dist   SizeDist
-	n      int
-	meanNs float64 // mean inter-arrival at the PEAK rate
-	period float64 // cycle length in ns
-	floor  float64 // trough rate as a fraction of peak
-	rng    *sim.RNG
-	clock  float64
-	group  int32
-}
-
-// SetGroup implements Grouper: each arrival event stands for k identical
-// host flows; the thinned arrival process itself is untouched.
-func (g *Diurnal) SetGroup(k int) {
-	g.group = 0
-	if k > 1 {
-		g.group = int32(k)
-	}
+	arrivalClock         // candidate arrivals at the PEAK rate
+	period       float64 // cycle length in ns
+	floor        float64 // trough rate as a fraction of peak
 }
 
 // NewDiurnal returns a diurnal generator: peakLoad is the network load
@@ -50,13 +36,7 @@ func NewDiurnal(dist SizeDist, n int, peakLoad float64, hostRate sim.Rate, perio
 	if floor < 0 || floor >= 1 {
 		return nil, fmt.Errorf("workload: diurnal floor %v outside [0, 1)", floor)
 	}
-	g := &Diurnal{dist: dist, n: n, period: float64(period), floor: floor, rng: sim.NewRNG(seed)}
-	if peakLoad > 0 {
-		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * peakLoad)
-		g.meanNs = tauSec * 1e9
-	} else {
-		g.meanNs = 1e18
-	}
+	g := &Diurnal{newArrivalClock(dist, n, peakLoad, hostRate, seed), float64(period), floor}
 	g.advance()
 	return g, nil
 }
@@ -69,28 +49,27 @@ func (g *Diurnal) rate(tNs float64) float64 {
 
 // advance moves the clock to the next accepted arrival: exponential
 // candidate gaps at the peak rate, thinned by the rate fraction at the
-// candidate time.
+// candidate time. A clock past the int64 range stops the search; Next then
+// ends the stream.
 func (g *Diurnal) advance() {
 	for {
-		u := g.rng.Float64()
-		for u == 0 {
-			u = g.rng.Float64()
-		}
-		g.clock += -math.Log(u) * g.meanNs
-		if g.rng.Float64() < g.rate(g.clock) {
+		g.step()
+		if _, ok := g.now(); !ok || g.rng.Float64() < g.rate(g.t) {
 			return
 		}
 	}
 }
 
-// Next implements Generator. The process is unbounded.
+// Next implements Generator. Like Poisson's, the process ends only when
+// its clock passes the int64 range.
 func (g *Diurnal) Next() (Arrival, bool) {
-	src := g.rng.Intn(g.n)
-	dst := g.rng.Intn(g.n - 1)
-	if dst >= src {
-		dst++
+	t, ok := g.now()
+	if !ok {
+		return Arrival{}, false
 	}
-	a := Arrival{Time: sim.Time(g.clock), Src: src, Dst: dst, Size: g.dist.Sample(g.rng), Count: g.group}
+	src := g.rng.Intn(g.n)
+	dst := otherThan(g.rng, g.n, src)
+	a := Arrival{Time: t, Src: src, Dst: dst, Size: g.dist.Sample(g.rng)}
 	g.advance()
 	return a, true
 }

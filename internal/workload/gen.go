@@ -42,75 +42,51 @@ type Generator interface {
 	Next() (a Arrival, ok bool)
 }
 
-// Grouper is implemented by generators that can emit flow groups natively:
-// SetGroup(k) makes every subsequent arrival stand for k identical host
-// flows (Count = k). SetGroup(1) restores single-flow emission and is a
-// strict no-op on the arrival stream.
-type Grouper interface {
-	SetGroup(k int)
-}
-
-// Grouped wraps a generator with flow-group coalescing: consecutive
-// arrivals identical in (Time, Src, Dst, Size, Tag) merge into one group
-// record whose member count is their combined member count times k. For
-// streams with no identical neighbours (Poisson and the other trace-driven
-// processes) coalescing never fires, and with k == 1 the output stream is
-// byte-identical to the input — the property TestGroupEquivalence pins
-// across the golden matrix.
+// Grouped is the flow-group adapter: every arrival of the wrapped
+// generator comes out with its member count multiplied by k, so a
+// single-flow arrival stands for k identical host flows behind one record.
+// Nothing else changes: one record out per record in, with the same time,
+// endpoints, size and tag, so k == 1 passes the stream through untouched.
 type Grouped struct {
-	g    Generator
-	k    int64
-	pend Arrival
-	have bool
-	done bool
+	g Generator
+	k int64
 }
 
-// NewGroupBy wraps g; k multiplies each coalesced record's member count
-// (k == 1 means pure coalescing). k must be ≥ 1.
+// NewGroupBy wraps g with the flow-group factor k, which must lie in
+// [1, MaxInt32]. Wrapping a *Grouped folds the two factors into one adapter
+// over the inner generator (nested groups multiply), and a product above
+// MaxInt32 is rejected.
 func NewGroupBy(g Generator, k int) (*Grouped, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("workload: flow-group factor must be >= 1, got %d", k)
+	if k < 1 || k > math.MaxInt32 {
+		return nil, fmt.Errorf("workload: flow-group factor %d outside [1, %d]", k, math.MaxInt32)
 	}
-	return &Grouped{g: g, k: int64(k)}, nil
+	f := int64(k)
+	if in, ok := g.(*Grouped); ok {
+		if f *= in.k; f > math.MaxInt32 {
+			return nil, fmt.Errorf("workload: nested flow-group factors %d x %d exceed %d", in.k, k, math.MaxInt32)
+		}
+		g = in.g
+	}
+	return &Grouped{g: g, k: f}, nil
 }
 
-// Next implements Generator.
+// Next implements Generator. It panics when an arrival's member count
+// times k exceeds MaxInt32. The generators of this package emit single
+// flows and NewGroupBy bounds k, so only a source that already emits
+// groups (a caller's own generator with Count > 1, or a merge of grouped
+// streams) can get there.
 func (g *Grouped) Next() (Arrival, bool) {
-	if !g.have {
-		if g.done {
-			return Arrival{}, false
-		}
-		a, ok := g.g.Next()
-		if !ok {
-			g.done = true
-			return Arrival{}, false
-		}
-		g.pend = a
+	a, ok := g.g.Next()
+	if !ok {
+		return Arrival{}, false
 	}
-	cur := g.pend
-	g.have = false
-	cnt := cur.Members()
-	for !g.done {
-		a, ok := g.g.Next()
-		if !ok {
-			g.done = true
-			break
+	if cnt := a.Members() * g.k; cnt > 1 {
+		if cnt > math.MaxInt32 {
+			panic(fmt.Sprintf("workload: flow group of %d members overflows the count", cnt))
 		}
-		if a.Time == cur.Time && a.Src == cur.Src && a.Dst == cur.Dst && a.Size == cur.Size && a.Tag == cur.Tag {
-			cnt += a.Members()
-			continue
-		}
-		g.pend, g.have = a, true
-		break
+		a.Count = int32(cnt)
 	}
-	cnt *= g.k
-	if cnt > math.MaxInt32 {
-		panic(fmt.Sprintf("workload: flow group of %d members overflows the count", cnt))
-	}
-	if cnt > 1 {
-		cur.Count = int32(cnt)
-	}
-	return cur, true
+	return a, true
 }
 
 // Load computes the paper's network load for a mean flow size F (bytes),
@@ -141,55 +117,83 @@ func InterArrivalFor(load float64, dist SizeDist, hostRate sim.Rate, n int) sim.
 	return d
 }
 
+// maxTimeNs is 2^63 ns: the first float clock value sim.Time cannot hold.
+const maxTimeNs = float64(1 << 63)
+
+// arrivalClock is the Poisson arrival process Poisson, Hotspot and Diurnal
+// share: the load equation L = F/(R·N·τ) (§4.1) sets the mean gap (10^18 ns
+// at a load of zero or less), and step draws exponential gaps from the
+// generator's RNG. Time accumulates in float64 nanoseconds: at paper scale
+// the mean gap is a few tens of nanoseconds, where integer truncation would
+// bias the offered load by several percent. A clock outside [0, 2^63) ns
+// ends the stream instead of converting to a wrapped, negative time.
+type arrivalClock struct {
+	dist   SizeDist
+	n      int
+	rng    *sim.RNG
+	meanNs float64
+	t      float64
+}
+
+func newArrivalClock(dist SizeDist, n int, load float64, hostRate sim.Rate, seed int64) arrivalClock {
+	c := arrivalClock{dist: dist, n: n, rng: sim.NewRNG(seed), meanNs: 1e18}
+	if load > 0 {
+		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
+		c.meanNs = tauSec * 1e9
+	}
+	return c
+}
+
+// step adds one exponential gap.
+func (c *arrivalClock) step() {
+	u := c.rng.Float64()
+	for u == 0 {
+		u = c.rng.Float64()
+	}
+	c.t += -math.Log(u) * c.meanNs
+}
+
+// now reports the clock as a sim.Time; ok is false once it has left the
+// range sim.Time can hold.
+func (c *arrivalClock) now() (t sim.Time, ok bool) {
+	if !(c.t >= 0 && c.t < maxTimeNs) {
+		return 0, false
+	}
+	return sim.Time(c.t), true
+}
+
+// otherThan draws uniformly from [0, n) without x.
+func otherThan(rng *sim.RNG, n, x int) int {
+	d := rng.Intn(n - 1)
+	if d >= x {
+		d++
+	}
+	return d
+}
+
 // Poisson generates background traffic: flows arrive as a Poisson process
 // with sources and destinations chosen uniformly at random (distinct), and
 // sizes drawn from dist — the paper's workload model (§4.1).
-//
-// Arrival times accumulate in float64 nanoseconds internally: at paper
-// scale the mean inter-arrival is a few tens of nanoseconds, where integer
-// truncation would bias the offered load by several percent.
-type Poisson struct {
-	dist   SizeDist
-	n      int
-	meanNs float64
-	rng    *sim.RNG
-	clock  float64
-}
+type Poisson struct{ arrivalClock }
 
 // NewPoisson returns a Poisson generator for n ToRs at the given load.
 func NewPoisson(dist SizeDist, n int, load float64, hostRate sim.Rate, seed int64) *Poisson {
-	g := &Poisson{
-		dist: dist,
-		n:    n,
-		rng:  sim.NewRNG(seed),
-	}
-	if load > 0 {
-		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
-		g.meanNs = tauSec * 1e9
-	} else {
-		g.meanNs = 1e18
-	}
-	g.advance()
+	g := &Poisson{newArrivalClock(dist, n, load, hostRate, seed)}
+	g.step()
 	return g
 }
 
-func (g *Poisson) advance() {
-	u := g.rng.Float64()
-	for u == 0 {
-		u = g.rng.Float64()
-	}
-	g.clock += -math.Log(u) * g.meanNs
-}
-
-// Next implements Generator. The process is unbounded.
+// Next implements Generator. The process ends only when its clock passes
+// the int64 range (load 0 gets there in a few draws).
 func (g *Poisson) Next() (Arrival, bool) {
-	src := g.rng.Intn(g.n)
-	dst := g.rng.Intn(g.n - 1)
-	if dst >= src {
-		dst++
+	t, ok := g.now()
+	if !ok {
+		return Arrival{}, false
 	}
-	a := Arrival{Time: sim.Time(g.clock), Src: src, Dst: dst, Size: g.dist.Sample(g.rng)}
-	g.advance()
+	src := g.rng.Intn(g.n)
+	dst := otherThan(g.rng, g.n, src)
+	a := Arrival{Time: t, Src: src, Dst: dst, Size: g.dist.Sample(g.rng)}
+	g.step()
 	return a, true
 }
 
@@ -289,7 +293,10 @@ func (g *SinglePair) Next() (Arrival, bool) {
 // IncastMix generates Poisson-arriving incast events: each event has the
 // given degree and per-flow size, and events arrive so that incast traffic
 // consumes bwFraction of the aggregate host downlink bandwidth (paper §4.4,
-// Figure 13a: degree 20, 1 KB flows, 2%).
+// Figure 13a: degree 20, 1 KB flows, 2%). Event times accumulate in whole
+// nanoseconds. A mean gap or an event time that sim.Time cannot hold (a
+// bwFraction of zero or less, or one so small that the gaps pass the int64
+// range) ends the stream.
 type IncastMix struct {
 	n        int
 	degree   int
@@ -297,6 +304,7 @@ type IncastMix struct {
 	mean     sim.Duration
 	rng      *sim.RNG
 	nextTime sim.Time
+	done     bool // no event at nextTime or after
 	tag      int
 	pending  []Arrival
 	pos      int
@@ -305,22 +313,38 @@ type IncastMix struct {
 // NewIncastMix returns the generator. Tags start at firstTag and increment
 // per event.
 func NewIncastMix(n, degree int, size int64, bwFraction float64, hostRate sim.Rate, firstTag int, seed int64) *IncastMix {
+	g := &IncastMix{n: n, degree: degree, size: size, rng: sim.NewRNG(seed), tag: firstTag}
 	eventBytes := float64(degree) * float64(size)
 	rate := bwFraction * hostRate.BytesPerSecond() * float64(n) / eventBytes // events/s
-	mean := sim.Duration(float64(sim.Second) / rate)
-	if mean < 1 {
-		mean = 1
+	meanNs := float64(sim.Second) / rate
+	if !(rate > 0 && meanNs < maxTimeNs) {
+		g.done = true
+		return g
 	}
-	g := &IncastMix{
-		n: n, degree: degree, size: size,
-		mean: mean, rng: sim.NewRNG(seed), tag: firstTag,
+	g.mean = sim.Duration(meanNs)
+	if g.mean < 1 {
+		g.mean = 1
 	}
-	g.nextTime = sim.Time(g.rng.ExpDuration(mean))
+	g.advance()
 	return g
+}
+
+// advance draws the gap to the next event, ending the stream when the gap
+// or the event time passes the int64 range.
+func (g *IncastMix) advance() {
+	gap, ok := g.rng.ExpDuration(g.mean)
+	if !ok || gap > math.MaxInt64-sim.Duration(g.nextTime) {
+		g.done = true
+		return
+	}
+	g.nextTime = g.nextTime.Add(gap)
 }
 
 func (g *IncastMix) Next() (Arrival, bool) {
 	if g.pos >= len(g.pending) {
+		if g.done {
+			return Arrival{}, false
+		}
 		// Synthesise the next event.
 		dst := g.rng.Intn(g.n)
 		ev, err := NewIncast(g.n, dst, g.degree, g.size, g.nextTime, g.tag, int64(g.rng.Uint64()))
@@ -330,7 +354,7 @@ func (g *IncastMix) Next() (Arrival, bool) {
 		g.pending = ev.arrivals
 		g.pos = 0
 		g.tag++
-		g.nextTime = g.nextTime.Add(g.rng.ExpDuration(g.mean))
+		g.advance()
 	}
 	a := g.pending[g.pos]
 	g.pos++

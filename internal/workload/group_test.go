@@ -1,9 +1,8 @@
 package workload
 
 import (
+	"math"
 	"testing"
-
-	"negotiator/internal/sim"
 )
 
 // sliceGen replays a fixed arrival sequence.
@@ -22,22 +21,39 @@ func (g *sliceGen) Next() (Arrival, bool) {
 }
 
 func TestGroupByRejectsBadFactor(t *testing.T) {
-	if _, err := NewGroupBy(&sliceGen{}, 0); err == nil {
-		t.Error("k=0 accepted")
+	for _, k := range []int{0, -3, math.MaxInt32 + 1, math.MinInt64} {
+		if _, err := NewGroupBy(&sliceGen{}, k); err == nil {
+			t.Errorf("k=%d accepted", k)
+		}
 	}
-	if _, err := NewGroupBy(&sliceGen{}, -3); err == nil {
-		t.Error("k=-3 accepted")
+	if _, err := NewGroupBy(&sliceGen{}, math.MaxInt32); err != nil {
+		t.Errorf("k=MaxInt32 rejected: %v", err)
+	}
+	// Nested factors fold, and their product obeys the same bound.
+	inner, err := NewGroupBy(&sliceGen{}, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGroupBy(inner, 1<<15); err == nil {
+		t.Error("nested product 2^31 accepted")
+	}
+	if g, err := NewGroupBy(inner, 1<<14); err != nil || g.k != 1<<30 || g.g != inner.g {
+		t.Errorf("nested 2^16 x 2^14 = %+v, %v; want one adapter of factor 2^30", g, err)
 	}
 }
 
 // TestGroupByIdentityPassthrough pins the golden-compatibility property:
-// with k == 1 and a stream with no identical neighbours, the wrapped output
-// is byte-identical to the input (Count stays 0 — not normalized to 1).
+// with k == 1 the wrapped output is the input, record for record — Count
+// stays 0 (not normalized to 1), and identical neighbours stay separate
+// records.
 func TestGroupByIdentityPassthrough(t *testing.T) {
 	in := []Arrival{
 		{Time: 10, Src: 0, Dst: 1, Size: 100},
-		{Time: 10, Src: 0, Dst: 1, Size: 200}, // differs in size: no coalesce
+		{Time: 10, Src: 0, Dst: 1, Size: 100},
+		{Time: 10, Src: 0, Dst: 1, Size: 100},
+		{Time: 10, Src: 0, Dst: 1, Size: 200},
 		{Time: 20, Src: 2, Dst: 3, Size: 200, Tag: 5},
+		{Time: 30, Src: 4, Dst: 5, Size: 100, Count: 6},
 	}
 	g, err := NewGroupBy(&sliceGen{as: in}, 1)
 	if err != nil {
@@ -57,33 +73,31 @@ func TestGroupByIdentityPassthrough(t *testing.T) {
 	}
 }
 
-// TestGroupByCoalesces checks that consecutive identical arrivals merge
-// into one group whose member count is the combined count times k, and
-// that a differing neighbour breaks the run.
-func TestGroupByCoalesces(t *testing.T) {
+// TestGroupByMultiplies: each record's member count is multiplied by k,
+// record for record, and nesting multiplies the factors.
+func TestGroupByMultiplies(t *testing.T) {
 	in := []Arrival{
 		{Time: 10, Src: 0, Dst: 1, Size: 100},
 		{Time: 10, Src: 0, Dst: 1, Size: 100},
-		{Time: 10, Src: 0, Dst: 1, Size: 100},
-		{Time: 20, Src: 0, Dst: 1, Size: 100},           // later time: new record
-		{Time: 30, Src: 4, Dst: 5, Size: 100, Count: 6}, // already a group
+		{Time: 30, Src: 4, Dst: 5, Size: 100, Count: 6},
 	}
-	g, err := NewGroupBy(&sliceGen{as: in}, 2)
+	inner, err := NewGroupBy(&sliceGen{as: in}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Arrival{
-		{Time: 10, Src: 0, Dst: 1, Size: 100, Count: 6},
-		{Time: 20, Src: 0, Dst: 1, Size: 100, Count: 2},
-		{Time: 30, Src: 4, Dst: 5, Size: 100, Count: 12},
+	g, err := NewGroupBy(inner, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, w := range want {
+	for i, a := range in {
+		want := a
+		want.Count = int32(6 * a.Members())
 		got, ok := g.Next()
 		if !ok {
 			t.Fatalf("stream ended at %d", i)
 		}
-		if got != w {
-			t.Errorf("group %d = %+v, want %+v", i, got, w)
+		if got != want {
+			t.Errorf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
 	if _, ok := g.Next(); ok {
@@ -91,47 +105,18 @@ func TestGroupByCoalesces(t *testing.T) {
 	}
 }
 
-// TestSetGroupNative checks the native Grouper path on the three
-// generators that implement it: the RNG draws and arrival process are
-// untouched — only Count is stamped — and SetGroup(1) restores the exact
-// ungrouped stream.
-func TestSetGroupNative(t *testing.T) {
-	perm := func() Generator { g, _ := NewPermutation(64, 16, 1000, 5); return g }
-	hot := func() Generator {
-		g, _ := NewHotspot(Fixed(1000), 64, 0.5, sim.Gbps(400), 4, 0.5, 7)
-		return g
+// TestGroupByOverflowPanics: a source that already emits groups can push
+// the product past the count's range; the adapter panics rather than
+// wrapping the count.
+func TestGroupByOverflowPanics(t *testing.T) {
+	g, err := NewGroupBy(&sliceGen{as: []Arrival{{Count: 1 << 20}}}, 1<<11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	diur := func() Generator {
-		g, _ := NewDiurnal(Fixed(1000), 64, 0.5, sim.Gbps(400), sim.Millisecond, 0.1, 7)
-		return g
-	}
-	for name, mk := range map[string]func() Generator{"permutation": perm, "hotspot": hot, "diurnal": diur} {
-		base, grouped := mk(), mk()
-		grouped.(Grouper).SetGroup(8)
-		for i := 0; i < 50; i++ {
-			b, okB := base.Next()
-			g, okG := grouped.Next()
-			if okB != okG {
-				t.Fatalf("%s: stream lengths diverge at %d", name, i)
-			}
-			if !okB {
-				break
-			}
-			if g.Count != 8 {
-				t.Fatalf("%s: arrival %d Count = %d, want 8", name, i, g.Count)
-			}
-			g.Count = 0
-			if g != b {
-				t.Errorf("%s: arrival %d = %+v, want %+v modulo Count", name, i, g, b)
-			}
+	defer func() {
+		if recover() == nil {
+			t.Error("count 2^20 x 2^11 did not panic")
 		}
-		reset := mk()
-		reset.(Grouper).SetGroup(8)
-		reset.(Grouper).SetGroup(1)
-		b, _ := mk().Next()
-		r, _ := reset.Next()
-		if r != b {
-			t.Errorf("%s: SetGroup(1) not a strict no-op: %+v vs %+v", name, r, b)
-		}
-	}
+	}()
+	g.Next()
 }

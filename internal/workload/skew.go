@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"negotiator/internal/sim"
 )
@@ -19,17 +18,6 @@ type Permutation struct {
 	n, active, i int
 	size         int64
 	t            sim.Time
-	group        int32
-}
-
-// SetGroup implements Grouper: each (src, dst) pair's arrival becomes a
-// group of k identical host flows — the knob that puts a million host
-// flows behind a few thousand records.
-func (g *Permutation) SetGroup(k int) {
-	g.group = 0
-	if k > 1 {
-		g.group = int32(k)
-	}
 }
 
 // NewPermutation returns the generator. active == 0 means all n ToRs.
@@ -48,7 +36,7 @@ func (g *Permutation) Next() (Arrival, bool) {
 	if g.i >= g.active {
 		return Arrival{}, false
 	}
-	a := Arrival{Time: g.t, Src: g.i, Dst: (g.i + 1) % g.active, Size: g.size, Count: g.group}
+	a := Arrival{Time: g.t, Src: g.i, Dst: (g.i + 1) % g.active, Size: g.size}
 	g.i++
 	return a, true
 }
@@ -61,24 +49,9 @@ func (g *Permutation) Next() (Arrival, bool) {
 // so the offered network load is the same L = F/(R·N·τ) as the uniform
 // workload — only the destination matrix tilts.
 type Hotspot struct {
-	dist    SizeDist
-	n       int
+	arrivalClock
 	hotTors int
 	hotFrac float64
-	meanNs  float64
-	rng     *sim.RNG
-	clock   float64
-	group   int32
-}
-
-// SetGroup implements Grouper: each arrival event stands for k identical
-// host flows (k users behind the same ToR pair making the same request) —
-// the RNG stream and arrival times are untouched, only Count changes.
-func (g *Hotspot) SetGroup(k int) {
-	g.group = 0
-	if k > 1 {
-		g.group = int32(k)
-	}
 }
 
 // NewHotspot returns a skewed Poisson generator. hotTors must be in
@@ -90,27 +63,18 @@ func NewHotspot(dist SizeDist, n int, load float64, hostRate sim.Rate, hotTors i
 	if hotFrac < 0 || hotFrac > 1 {
 		return nil, fmt.Errorf("workload: hotFrac %v outside [0, 1]", hotFrac)
 	}
-	g := &Hotspot{dist: dist, n: n, hotTors: hotTors, hotFrac: hotFrac, rng: sim.NewRNG(seed)}
-	if load > 0 {
-		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
-		g.meanNs = tauSec * 1e9
-	} else {
-		g.meanNs = 1e18
-	}
-	g.advance()
+	g := &Hotspot{newArrivalClock(dist, n, load, hostRate, seed), hotTors, hotFrac}
+	g.step()
 	return g, nil
 }
 
-func (g *Hotspot) advance() {
-	u := g.rng.Float64()
-	for u == 0 {
-		u = g.rng.Float64()
-	}
-	g.clock += -math.Log(u) * g.meanNs
-}
-
-// Next implements Generator. The process is unbounded.
+// Next implements Generator. Like Poisson's, the process ends only when
+// its clock passes the int64 range.
 func (g *Hotspot) Next() (Arrival, bool) {
+	t, ok := g.now()
+	if !ok {
+		return Arrival{}, false
+	}
 	src := g.rng.Intn(g.n)
 	var dst int
 	// A hot pick that cannot avoid src (single-ToR hot set containing
@@ -118,20 +82,14 @@ func (g *Hotspot) Next() (Arrival, bool) {
 	// rejection sampling.
 	if g.rng.Float64() < g.hotFrac && !(g.hotTors == 1 && src == 0) {
 		if src < g.hotTors {
-			dst = g.rng.Intn(g.hotTors - 1)
-			if dst >= src {
-				dst++
-			}
+			dst = otherThan(g.rng, g.hotTors, src)
 		} else {
 			dst = g.rng.Intn(g.hotTors)
 		}
 	} else {
-		dst = g.rng.Intn(g.n - 1)
-		if dst >= src {
-			dst++
-		}
+		dst = otherThan(g.rng, g.n, src)
 	}
-	a := Arrival{Time: sim.Time(g.clock), Src: src, Dst: dst, Size: g.dist.Sample(g.rng), Count: g.group}
-	g.advance()
+	a := Arrival{Time: t, Src: src, Dst: dst, Size: g.dist.Sample(g.rng)}
+	g.step()
 	return a, true
 }

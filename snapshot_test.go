@@ -553,6 +553,101 @@ func TestRestoreRejectsBadFlowRecords(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadClock: a CORE section whose clock disagrees with its
+// round count, or whose pump holds an arrival that the last round would
+// already have injected or that no replayed draw vouches for, must fail
+// Restore with an error and leave the fabric untouched. Before the check, a hybrid checkpoint with its clock edited
+// to 352 s restored without error, and its first round would have injected
+// every arrival up to 352 s at once, so a rejected edit is never run
+// forward. The intact checkpoint then restores into the same fabric and
+// finishes byte-identically.
+func TestRestoreRejectsBadClock(t *testing.T) {
+	oblivious := negotiator.SmallSpec()
+	oblivious.ControlPlane = negotiator.ObliviousPlane
+	hybrid := negotiator.SmallSpec()
+	hybrid.ControlPlane = negotiator.HybridPlane
+	hybrid.Topology = negotiator.ThinClos
+	// CORE payload layout: the plane name (4-byte length, then the bytes),
+	// ToRs, ports and round length (8 bytes each), then 8-byte now, rounds,
+	// skipped rounds, flow sequence and draw count, the exhausted and
+	// buffered flags (1 byte each), and the buffered arrival's time first.
+	const now, rounds, skipped, draws, buffered, pendingTime = 0, 8, 16, 32, 41, 42
+	u64 := func(p []byte, at int) int64 { return int64(binary.LittleEndian.Uint64(p[at:])) }
+	put := func(p []byte, at int, v int64) { binary.LittleEndian.PutUint64(p[at:], uint64(v)) }
+	cases := []struct {
+		name string
+		edit func(p []byte, clock int) // clock is now's offset
+	}{
+		{"now-352s", func(p []byte, c int) { put(p, c+now, 352*int64(negotiator.Second)) }},
+		{"rounds-plus-1e9", func(p []byte, c int) { put(p, c+rounds, u64(p, c+rounds)+1e9) }},
+		{"skipped-beyond-rounds", func(p []byte, c int) { put(p, c+skipped, u64(p, c+rounds)+1) }},
+		{"pending-before-last-round", func(p []byte, c int) {
+			if p[c+buffered] != 1 {
+				t.Fatal("checkpoint buffers no arrival")
+			}
+			put(p, c+pendingTime, u64(p, c+now)-u64(p, c-8))
+		}},
+		// With no draws to replay, nothing compares the buffered arrival
+		// with the generator's: the restored pump would inject a flow the
+		// workload never produced.
+		{"buffered-without-draws", func(p []byte, c int) {
+			if p[c+buffered] != 1 {
+				t.Fatal("checkpoint buffers no arrival")
+			}
+			put(p, c+draws, 0)
+		}},
+	}
+	const snapAt, epochs = 20, 60
+	for _, spec := range []negotiator.Spec{negotiator.SmallSpec(), oblivious, hybrid} {
+		spec.Workers = 1
+		build := func() negotiator.Fabric {
+			fab, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6))
+			return fab
+		}
+		fab := build()
+		fab.RunEpochs(epochs)
+		want := fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
+		fab = build()
+		fab.RunEpochs(snapAt)
+		var buf bytes.Buffer
+		if err := fab.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%v/%s", spec.ControlPlane, c.name), func(t *testing.T) {
+				bad := reframe(t, good, "CORE", func(p []byte) {
+					c.edit(p, 4+int(binary.LittleEndian.Uint32(p))+24)
+				})
+				fab2 := build()
+				err := func() (err error) {
+					defer func() {
+						if v := recover(); v != nil {
+							t.Fatalf("Restore panicked: %v", v)
+						}
+					}()
+					return fab2.Restore(bytes.NewReader(bad))
+				}()
+				if err == nil {
+					t.Fatal("edited checkpoint restored without error")
+				}
+				t.Logf("rejected: %v", err)
+				if err := fab2.Restore(bytes.NewReader(good)); err != nil {
+					t.Fatalf("intact checkpoint rejected after failed restore: %v", err)
+				}
+				fab2.RunEpochs(epochs - snapAt)
+				if got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24)); got != want {
+					t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestRestoreRejectsMismatch: a structurally valid checkpoint applied to
 // the wrong configuration (different plane, topology size, failure plan,
 // or a wrongly seeded workload) must fail loudly instead of scrambling

@@ -1,10 +1,6 @@
 package negotiator
 
-import (
-	"fmt"
-
-	"negotiator/internal/workload"
-)
+import "negotiator/internal/workload"
 
 // Trace identifies a flow-size distribution modelled after a published
 // datacenter trace (§4.1, §4.4).
@@ -48,7 +44,9 @@ func (t Trace) MeanFlowBytes() float64 { return t.dist().Mean() }
 
 // PoissonWorkload generates background traffic at the given network load
 // (L = F/(R·N·τ), §4.1): Poisson arrivals, uniform random distinct
-// endpoints, sizes from the trace.
+// endpoints, sizes from the trace. Like every clock-driven workload here,
+// the stream ends when its clock passes the int64 nanosecond range, which
+// at load 0 happens within a few draws.
 func PoissonWorkload(spec Spec, trace Trace, load float64, seed int64) Workload {
 	return workload.NewPoisson(trace.dist(), spec.ToRs, load, spec.HostRate, seed)
 }
@@ -81,7 +79,8 @@ func SinglePairWorkload(src, dst int, size int64, at Time) Workload {
 // MixedIncastWorkload layers Poisson incast events (degree, per-flow size,
 // consuming bwFraction of aggregate host bandwidth) over background
 // traffic from the trace at the given load (§4.4, Figure 13a). Incast
-// events are tagged starting from firstTag.
+// events are tagged starting from firstTag; a bwFraction of zero or less
+// adds none.
 func MixedIncastWorkload(spec Spec, trace Trace, load float64, degree int, size int64, bwFraction float64, firstTag int, seed int64) Workload {
 	bg := workload.NewPoisson(trace.dist(), spec.ToRs, load, spec.HostRate, seed)
 	inc := workload.NewIncastMix(spec.ToRs, degree, size, bwFraction, spec.HostRate, firstTag, seed+1)
@@ -114,27 +113,24 @@ func DiurnalWorkload(spec Spec, trace Trace, peakLoad float64, period Duration, 
 }
 
 // GroupWorkload applies the flow-group knob: every arrival of w stands
-// for k identical host flows behind one flow record — the aggregation
-// that fits millions of host flows in a flow table sized by records.
-// Generators that support native group emission (Permutation, Hotspot,
-// Diurnal) have their count stamped directly; any other generator is
-// wrapped in the coalescing GroupBy adapter, which merges consecutive
-// identical arrivals and multiplies their member count by k. k == 1 is a
-// strict no-op on the arrival stream (and is what the golden-equivalence
-// tests run). k < 1 is rejected.
+// for k identical host flows behind one flow record (k times its count if
+// it already is a group) — the aggregation that fits millions of host
+// flows in a flow table sized by records. It wraps every generator alike
+// in one adapter (workload.Grouped) that multiplies the count and changes
+// nothing else: k == 1 is a strict no-op on the arrival stream (and is
+// what the golden-equivalence tests run), and grouping a GroupWorkload
+// result multiplies the two factors. k must lie in [1, MaxInt32], and so
+// must a nested product.
 //
 // Per-member FCT emission is exact under FIFO delivery; see the README's
 // "Flow groups" subsection for when the grouped FCT stream equals the
 // ungrouped one byte for byte.
 func GroupWorkload(w Workload, k int) (Workload, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("negotiator: flow-group factor must be >= 1, got %d", k)
+	g, err := workload.NewGroupBy(w, k)
+	if err != nil {
+		return nil, err
 	}
-	if g, ok := w.(workload.Grouper); ok {
-		g.SetGroup(k)
-		return w, nil
-	}
-	return workload.NewGroupBy(w, k)
+	return g, nil
 }
 
 // MergeWorkloads combines arrival streams in time order.
