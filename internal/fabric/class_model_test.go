@@ -77,7 +77,7 @@ func TestClassModel(t *testing.T) {
 	check := func(op int, what string) {
 		t.Helper()
 		for _, i := range nodes {
-			nd := c.Nodes[i]
+			nd := &c.Nodes[i]
 			for ci, cls := range classes(nd) {
 				var total int64
 				for _, d := range dsts {
@@ -117,7 +117,7 @@ func TestClassModel(t *testing.T) {
 	var released, requeued int
 	for op := 0; op < 3000; op++ {
 		i := nodes[rng.Intn(len(nodes))]
-		nd, sh := c.Nodes[i], c.Shards[c.ShardOf[i]]
+		nd, sh := &c.Nodes[i], c.Shards[c.ShardOf[i]]
 		d := dsts[rng.Intn(len(dsts))]
 		f := fl[rng.Intn(len(fl))]
 		now := c.Now()
@@ -205,7 +205,7 @@ func TestClassModel(t *testing.T) {
 			what = "idle"
 			pages := func() (k int) {
 				for _, j := range nodes {
-					nd := c.Nodes[j]
+					nd := &c.Nodes[j]
 					k += nd.Direct.Slab.MaterializedPages() + nd.Lanes.Slab.MaterializedPages() + nd.Relay.Slab.MaterializedPages()
 				}
 				return k
@@ -250,7 +250,7 @@ func TestClassModel(t *testing.T) {
 // relay-configured core.
 func TestRelayAggregateDriftPanics(t *testing.T) {
 	c := failCore(t)
-	nd := c.Nodes[1]
+	nd := &c.Nodes[1]
 	f := &flows.Flow{ID: 1, Src: 3, Dst: 2, Size: 1000}
 	nd.Relay.Push(2, queue.Segment{Flow: f, Bytes: 600, Enqueued: 0})
 	c.CheckOccupancy()

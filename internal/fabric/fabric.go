@@ -154,9 +154,11 @@ type Config struct {
 // surface control planes program against; the run loop, workload pump and
 // merge bookkeeping stay internal.
 type Core struct {
-	Top   topo.Topology
-	N, S  int
-	Nodes []*Node
+	Top  topo.Topology
+	N, S int
+	// Nodes holds every ToR's node by value, indexed by ToR: one
+	// allocation at any fabric size. Take &Nodes[i]; never copy a Node.
+	Nodes []Node
 	// Shards are the contiguous ToR ranges with their metric
 	// accumulators; ShardOf maps a ToR to its owning shard.
 	Shards  []*Shard
@@ -171,7 +173,7 @@ type Core struct {
 	// RNG is the core randomness stream (spray decisions, matcher seeds).
 	RNG *sim.RNG
 	// RxBuffers are the optional receiver-side drain buffers (per dst).
-	RxBuffers []*metrics.DrainBuffer
+	RxBuffers []metrics.DrainBuffer
 	// OnDeliver is the optional delivery observer (applied by
 	// Shard.Deliver; sequential-only by the control planes' clamping).
 	OnDeliver func(dst int, at sim.Time, n int64)
@@ -259,10 +261,10 @@ func New(cfg Config) (*Core, error) {
 	if c.RNG == nil {
 		c.RNG = sim.NewRNG(0)
 	}
-	// Nodes are lazy: construction allocates only the node headers and
-	// the shared slab spec; queue slabs and occupancy indexes
-	// materialize per node (per class) on first push, so a mostly-idle
-	// 4096-ToR fabric costs O(active nodes), not O(N²) FIFOs.
+	// Nodes are lazy: construction allocates only the node array and the
+	// shared slab spec; queue slabs and occupancy indexes materialize per
+	// node (per class) on first push, so a mostly-idle 4096-ToR fabric
+	// costs O(active nodes), not O(N²) FIFOs.
 	spec := &nodeSpec{
 		n:           c.N,
 		priority:    cfg.PriorityQueues,
@@ -273,10 +275,7 @@ func New(cfg Config) (*Core, error) {
 		dests:       &c.destPages,
 		fifos:       &c.fifoPages,
 	}
-	c.Nodes = make([]*Node, c.N)
-	for i := range c.Nodes {
-		c.Nodes[i] = newNode(spec)
-	}
+	c.Nodes = make([]Node, c.N)
 	c.Workers = cfg.Workers
 	if c.Workers < 1 {
 		c.Workers = 1
@@ -295,8 +294,7 @@ func New(cfg Config) (*Core, error) {
 		c.Shards[k] = sh
 		for i := lo; i < hi; i++ {
 			c.ShardOf[i] = int32(k)
-			nd := c.Nodes[i]
-			nd.sh, nd.id, nd.bit = sh, int32(i), int32(i-lo)
+			c.Nodes[i].init(spec, sh, i, i-lo)
 		}
 	}
 	c.skipOff = cfg.DisableEventSkip
@@ -309,7 +307,7 @@ func New(cfg Config) (*Core, error) {
 		runtime.AddCleanup(c, func(g *par.Gang) { g.Close() }, c.gang)
 	}
 	if cfg.TrackReceiverBuffers {
-		c.RxBuffers = make([]*metrics.DrainBuffer, c.N)
+		c.RxBuffers = make([]metrics.DrainBuffer, c.N)
 		for i := range c.RxBuffers {
 			c.RxBuffers[i] = metrics.NewDrainBuffer(cfg.HostRate)
 		}
@@ -528,7 +526,7 @@ func (c *Core) releasePages(sh *Shard) {
 		ref := q.refs[q.head]
 		q.refs[q.head] = pageRef{}
 		q.head++
-		nd := c.Nodes[ref.tor]
+		nd := &c.Nodes[ref.tor]
 		switch ref.class {
 		case classDirect:
 			nd.Direct.Slab.ReleaseIfEmpty(int(ref.page), ref.ver, &c.destPages)
@@ -611,7 +609,8 @@ func (c *Core) RequeueDetectedLosses(now sim.Time, detect sim.Duration) {
 	if c.pendingLosses == 0 {
 		return
 	}
-	for _, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		if len(nd.Losses) == 0 {
 			continue
 		}
@@ -709,7 +708,8 @@ func (c *Core) PeakReceiverBuffer() int64 {
 // checks compare against the ledger.
 func (c *Core) QueuedInNodes() int64 {
 	var total int64
-	for _, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		nd.Direct.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				total += qs[j].Bytes()
@@ -743,8 +743,8 @@ func (c *Core) CheckOccupancy() {
 
 // verifyOccupancy is CheckOccupancy's check, reporting the first failure.
 func (c *Core) verifyOccupancy() error {
-	for _, nd := range c.Nodes {
-		if err := nd.verify(); err != nil {
+	for i := range c.Nodes {
+		if err := c.Nodes[i].verify(); err != nil {
 			return err
 		}
 	}
@@ -800,8 +800,8 @@ func (c *Core) verifyConservation() error {
 		return err
 	}
 	var sum, recs int64
-	for _, nd := range c.Nodes {
-		for _, l := range nd.Losses {
+	for i := range c.Nodes {
+		for _, l := range c.Nodes[i].Losses {
 			sum += l.N
 			recs++
 		}
@@ -822,7 +822,7 @@ func (c *Core) verifyConservation() error {
 // as pre-PR-5 construction did. Lazy-vs-eager equivalence tests call it;
 // simulations never need to.
 func (c *Core) MaterializeAll() {
-	for _, nd := range c.Nodes {
-		nd.Materialize()
+	for i := range c.Nodes {
+		c.Nodes[i].Materialize()
 	}
 }

@@ -24,7 +24,8 @@ func (p *testPlane) Round() {
 	c := p.c
 	now := c.Now()
 	c.Inject(now)
-	for i, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		sh := c.Shards[c.ShardOf[i]]
 		for j := nd.Direct.Occ.Next(-1); j >= 0; j = nd.Direct.Occ.Next(j) {
 			dst := j
@@ -93,7 +94,7 @@ func TestOutstandingLossCounter(t *testing.T) {
 		t.Fatalf("pendingLosses = %d before any loss", c.pendingLosses)
 	}
 	// Destroy 300 bytes in flight from ToR 0 toward dst 1.
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	sh := c.Shards[0]
 	nd.Direct.Take(1, 300, func(f *flows.Flow, n int64) {
 		off := f.Sent()
@@ -183,7 +184,7 @@ func TestChokePointsMaintainIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 3, Size: 1 << 20}
 	discard := func(fl *flows.Flow, n int64) {}
 
@@ -275,7 +276,8 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	discard := func(fl *flows.Flow, n int64) {}
-	for i, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		if nd.Direct.Slab.Materialized() || nd.Lanes.Slab.Materialized() || nd.Relay.Slab.Materialized() || nd.CumInjected != nil {
 			t.Fatalf("node %d owns slab memory before any push", i)
 		}
@@ -334,7 +336,8 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 
 	// MaterializeAll is the eager escape hatch tests compare against.
 	c.MaterializeAll()
-	for i, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		if !nd.Direct.Slab.Materialized() || !nd.Lanes.Slab.Materialized() || !nd.Relay.Slab.Materialized() {
 			t.Fatalf("node %d not fully materialized by MaterializeAll", i)
 		}

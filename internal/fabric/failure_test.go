@@ -33,7 +33,7 @@ func failCore(t *testing.T) *Core {
 // relay delivery never re-notes them).
 func TestRequeueClasses(t *testing.T) {
 	c := failCore(t)
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	sh := c.Shards[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	c.Ledger.Injected += 1000
@@ -75,7 +75,7 @@ func TestRequeueClasses(t *testing.T) {
 
 	// Relay loss: a second-hop segment destroyed in flight. The bytes were
 	// noted sent at the first hop, so the segment re-enqueues as-is.
-	relay := c.Nodes[2]
+	relay := &c.Nodes[2]
 	rsh := c.Shards[c.ShardOf[2]]
 	g := &flows.Flow{ID: 2, Src: 3, Dst: 1, Size: 400}
 	c.Ledger.Injected += 400
@@ -105,7 +105,7 @@ func TestRequeueClasses(t *testing.T) {
 // lingering.
 func TestZeroDetectDelayRequeue(t *testing.T) {
 	c := failCore(t)
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	sh := c.Shards[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 500}
 	c.Ledger.Injected += 500
@@ -145,14 +145,14 @@ func TestCoreOwnsFailureState(t *testing.T) {
 		t.Fatal("core did not build distinct actual/known snapshots")
 	}
 	c.RunRounds(4) // rounds start at t=0..300: actual sees the cut at 300, known still lags
-	if actual.Count != 1 || !actual.Egress[0][0] {
+	if actual.Count != 1 || !actual.Egress[0] {
 		t.Fatalf("actual state missed the failure: count=%d", actual.Count)
 	}
 	if known.Count != 0 {
 		t.Fatalf("known state detected the failure before the delay: count=%d", known.Count)
 	}
 	c.RunRounds(4) // round starts reach t=700 > 250+300: detection
-	if known.Count != 1 || !known.Egress[0][0] {
+	if known.Count != 1 || !known.Egress[0] {
 		t.Fatalf("known state never detected the failure: count=%d", known.Count)
 	}
 	c.CheckConservation()

@@ -42,7 +42,13 @@ import (
 // MUTATION must go through the classes' Push/Take/Drain methods — the
 // occupancy invariant engines assert under CheckInvariants
 // (Core.CheckOccupancy).
+//
+// The core holds its nodes by value in one array (Core.Nodes), so code
+// takes &c.Nodes[i] and never copies a Node: its classes point back at
+// it. go vet's copylocks check reports a copy.
 type Node struct {
+	_ noCopy
+
 	// Direct holds data per final destination: the NegotiaToR VOQs, the
 	// baseline's direct queues, the hybrid's elephant queues.
 	Direct QueueClass
@@ -74,6 +80,12 @@ type Node struct {
 	// core).
 	spec *nodeSpec
 }
+
+// noCopy makes go vet's copylocks check report a copied Node.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // nodeSpec is the shared recipe lazy materialization follows: the
 // per-class slab sizes and options of Config, captured once per core,
@@ -153,12 +165,13 @@ type Loss struct {
 	Via   int32 // lane index for RequeueLane
 }
 
-func newNode(spec *nodeSpec) *Node {
-	nd := &Node{spec: spec}
+// init wires a zero node in place: ToR id, owned by shard sh, where it
+// is bit bit.
+func (nd *Node) init(spec *nodeSpec, sh *Shard, id, bit int) {
+	nd.spec, nd.sh, nd.id, nd.bit = spec, sh, int32(id), int32(bit)
 	nd.Direct.nd, nd.Direct.tag = nd, classDirect
 	nd.Lanes.nd, nd.Lanes.tag = nd, classLanes
 	nd.Relay.nd, nd.Relay.tag = nd, classRelay
-	return nd
 }
 
 // configured reports whether the core's configuration carries the class

@@ -20,7 +20,7 @@ func TestDeferredPageRelease(t *testing.T) {
 	if !c.Drain(4) {
 		t.Fatal("single pair did not drain")
 	}
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	if !nd.Direct.Slab.Materialized() || !nd.Direct.Slab.PageMaterialized(1) {
 		t.Fatal("drained page released before the hysteresis age")
 	}
@@ -61,7 +61,7 @@ func TestDeferredPageRelease(t *testing.T) {
 func TestChurningPageStaysMaterialized(t *testing.T) {
 	c, _ := testCore(t, nil, 1<<20)
 	c.SetWorkload(nil)
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	sh := c.Shards[0]
 	for round := 0; round < 4*int(pageReleaseAge); round++ {
 		if round > 0 && !nd.Direct.Slab.PageMaterialized(1) {
@@ -94,7 +94,7 @@ func TestUnmaterializedPageResiduePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	nd.Direct.Push(1, f, f.Total(), 0, 0) // materializes the slab and page 0 only
 	c.CheckOccupancy()
@@ -117,7 +117,7 @@ func TestUnmaterializedPageResiduePanics(t *testing.T) {
 func TestPageCounterDriftPanics(t *testing.T) {
 	c, _ := testCore(t, nil, 1<<20)
 	c.SetWorkload(nil)
-	nd := c.Nodes[0]
+	nd := &c.Nodes[0]
 	f := &flows.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	c.Ledger.Injected += 1000
 	nd.Direct.Push(1, f, f.Total(), 0, 0)

@@ -98,8 +98,8 @@ func (c *Core) Snapshot(w io.Writer) error {
 	if payload := encodeGroups(live, c.pending, c.havePending); payload != nil {
 		sw.Section(secGrps, payload)
 	}
-	for i, nd := range c.Nodes {
-		if payload := nd.encodeState(i); payload != nil {
+	for i := range c.Nodes {
+		if payload := c.Nodes[i].encodeState(i); payload != nil {
 			sw.Section(secNode, payload)
 		}
 	}
@@ -560,7 +560,8 @@ func (c *Core) liveFlows() []*flows.Flow {
 			byID[f.ID] = f
 		}
 	}
-	for _, nd := range c.Nodes {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
 		nd.Direct.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 			for j := range qs {
 				qs[j].ForEachSegment(func(_ int, s queue.Segment) { note(s.Flow) })
@@ -802,7 +803,7 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 	if idx < 0 || idx >= c.N {
 		return fmt.Errorf("fabric: checkpoint node index %d out of range", idx)
 	}
-	nd := c.Nodes[idx]
+	nd := &c.Nodes[idx]
 	nd.SprayPtr = d.Int()
 	cum := int(d.U32())
 	for i := 0; i < cum; i++ {

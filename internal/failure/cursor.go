@@ -23,11 +23,11 @@ type Cursor struct {
 	next  int     // first unapplied transition
 	refs  []int32 // active-event count per directed link
 	now   sim.Time
-	s     int
 }
 
 // transition is one edge of one event: at time at, link idx gains (down)
-// or loses (up) one active-event reference.
+// or loses (up) one active-event reference. idx>>1 is the link's State
+// index and bit 0 its direction (1 = ingress).
 type transition struct {
 	at   sim.Time
 	idx  int32
@@ -39,7 +39,7 @@ type transition struct {
 // yields a cursor that stays healthy forever. Out-of-range links are
 // skipped, exactly as Fill skips them.
 func NewCursor(p *Plan, n, s int) *Cursor {
-	c := &Cursor{st: NewState(n, s), now: math.MinInt64, s: s}
+	c := &Cursor{st: NewState(n, s), now: math.MinInt64}
 	if p == nil {
 		return c
 	}
@@ -48,7 +48,7 @@ func NewCursor(p *Plan, n, s int) *Cursor {
 		if l.ToR < 0 || l.ToR >= n || l.Port < 0 || l.Port >= s {
 			continue
 		}
-		idx := int32((l.ToR*s + l.Port) << 1)
+		idx := int32(c.st.link(l.ToR, l.Port) << 1)
 		if l.Ingress {
 			idx |= 1
 		}
@@ -81,19 +81,18 @@ func (c *Cursor) AdvanceTo(t sim.Time) *State {
 	for c.next < len(c.trans) && c.trans[c.next].at <= t {
 		tr := c.trans[c.next]
 		c.next++
-		i, p := int(tr.idx>>1)/c.s, int(tr.idx>>1)%c.s
-		row := c.st.Egress
+		links := c.st.Egress
 		if tr.idx&1 == 1 {
-			row = c.st.Ingress
+			links = c.st.Ingress
 		}
 		if tr.down {
 			if c.refs[tr.idx]++; c.refs[tr.idx] == 1 {
-				row[i][p] = true
+				links[tr.idx>>1] = true
 				c.st.Count++
 			}
 		} else {
 			if c.refs[tr.idx]--; c.refs[tr.idx] == 0 {
-				row[i][p] = false
+				links[tr.idx>>1] = false
 				c.st.Count--
 			}
 		}

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"slices"
 	"testing"
 
 	"negotiator/internal/sim"
@@ -10,12 +11,8 @@ import (
 // the dense O(N·S + events) rebuild the Cursor replaces, kept as its
 // test reference.
 func (p *Plan) Fill(st *State, t sim.Time) *State {
-	for i := range st.Egress {
-		for s := range st.Egress[i] {
-			st.Egress[i][s] = false
-			st.Ingress[i][s] = false
-		}
-	}
+	clear(st.Egress)
+	clear(st.Ingress)
 	st.Count = 0
 	if p == nil {
 		return st
@@ -25,19 +22,16 @@ func (p *Plan) Fill(st *State, t sim.Time) *State {
 			continue
 		}
 		l := e.Link
-		if l.ToR < 0 || l.ToR >= len(st.Egress) || l.Port < 0 || l.Port >= len(st.Egress[l.ToR]) {
+		if l.ToR < 0 || st.link(l.ToR, 0) >= len(st.Egress) || l.Port < 0 || l.Port >= st.s {
 			continue
 		}
+		links := st.Egress
 		if l.Ingress {
-			if !st.Ingress[l.ToR][l.Port] {
-				st.Ingress[l.ToR][l.Port] = true
-				st.Count++
-			}
-		} else {
-			if !st.Egress[l.ToR][l.Port] {
-				st.Egress[l.ToR][l.Port] = true
-				st.Count++
-			}
+			links = st.Ingress
+		}
+		if k := st.link(l.ToR, l.Port); !links[k] {
+			links[k] = true
+			st.Count++
 		}
 	}
 	return st
@@ -45,17 +39,7 @@ func (p *Plan) Fill(st *State, t sim.Time) *State {
 
 // statesEqual compares a cursor snapshot against a Fill reference.
 func statesEqual(a, b *State) bool {
-	if a.Count != b.Count {
-		return false
-	}
-	for i := range a.Egress {
-		for s := range a.Egress[i] {
-			if a.Egress[i][s] != b.Egress[i][s] || a.Ingress[i][s] != b.Ingress[i][s] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.Count == b.Count && slices.Equal(a.Egress, b.Egress) && slices.Equal(a.Ingress, b.Ingress)
 }
 
 // TestCursorMatchesFill pins the tentpole equivalence: advancing the
@@ -115,7 +99,7 @@ func TestCursorStablePointer(t *testing.T) {
 	if cur.AdvanceTo(150) != st || cur.State() != st {
 		t.Error("snapshot pointer not stable across advances")
 	}
-	if !st.Egress[0][0] || st.Count != 1 {
+	if !st.Egress[st.link(0, 0)] || st.Count != 1 {
 		t.Error("advance did not mutate the snapshot in place")
 	}
 }
@@ -150,7 +134,7 @@ func TestCursorNeverRecovers(t *testing.T) {
 	for _, rec := range []sim.Time{0, 50, 100} {
 		p := &Plan{Events: []Event{{Link: Link{ToR: 0, Port: 1}, FailAt: 100, RecoverAt: rec}}}
 		cur := NewCursor(p, 2, 2)
-		if st := cur.AdvanceTo(1 << 50); st.Count != 1 || !st.Egress[0][1] {
+		if st := cur.AdvanceTo(1 << 50); st.Count != 1 || !st.Egress[st.link(0, 1)] {
 			t.Errorf("RecoverAt=%d: link recovered, count=%d", rec, st.Count)
 		}
 		if cur.Pending() != 0 {
@@ -227,11 +211,11 @@ func TestPortGroupPlan(t *testing.T) {
 	}
 	st := p.Fill(NewState(n, s), 500)
 	for i := 0; i < n; i++ {
-		if !st.Egress[i][2] || !st.Ingress[i][2] {
+		if !st.Egress[st.link(i, 2)] || !st.Ingress[st.link(i, 2)] {
 			t.Fatalf("tor %d port 2 not failed in both directions", i)
 		}
 		for q := 0; q < s; q++ {
-			if q != 2 && (st.Egress[i][q] || st.Ingress[i][q]) {
+			if q != 2 && (st.Egress[st.link(i, q)] || st.Ingress[st.link(i, q)]) {
 				t.Fatalf("tor %d port %d failed, expected only port 2", i, q)
 			}
 		}
@@ -253,7 +237,7 @@ func TestToRDownPlan(t *testing.T) {
 	}
 	st := p.Fill(NewState(n, s), 500)
 	for q := 0; q < s; q++ {
-		if !st.Egress[3][q] || !st.Ingress[3][q] {
+		if !st.Egress[st.link(3, q)] || !st.Ingress[st.link(3, q)] {
 			t.Fatalf("tor 3 port %d not fully dark", q)
 		}
 	}

@@ -58,28 +58,27 @@ func (e Event) ActiveAt(t sim.Time) bool {
 	return e.RecoverAt <= e.FailAt || t < e.RecoverAt
 }
 
-// State is a point-in-time snapshot of link health as dense bitmaps,
-// rebuilt once per epoch by engines.
+// State is a point-in-time snapshot of link health as two dense flat
+// bitmaps, one entry per ToR port at index tor*S+port.
 type State struct {
-	Egress  [][]bool // [tor][port]
-	Ingress [][]bool
+	Egress  []bool // [tor*S+port]
+	Ingress []bool
 	Count   int
+	s       int
 }
 
 // NewState allocates a healthy snapshot for n ToRs with s ports.
 func NewState(n, s int) *State {
-	st := &State{Egress: make([][]bool, n), Ingress: make([][]bool, n)}
-	for i := 0; i < n; i++ {
-		st.Egress[i] = make([]bool, s)
-		st.Ingress[i] = make([]bool, s)
-	}
-	return st
+	return &State{Egress: make([]bool, n*s), Ingress: make([]bool, n*s), s: s}
 }
+
+// link returns the index of tor's port in Egress and Ingress.
+func (st *State) link(tor, port int) int { return tor*st.s + port }
 
 // PathOK reports whether the directed path src.port -> dst.port is healthy
 // in this snapshot.
 func (st *State) PathOK(src, dst, port int) bool {
-	return !st.Egress[src][port] && !st.Ingress[dst][port]
+	return !st.Egress[st.link(src, port)] && !st.Ingress[st.link(dst, port)]
 }
 
 // Down reports whether the directed path src.port -> dst.port has failed

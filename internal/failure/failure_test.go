@@ -69,7 +69,7 @@ func TestDownIsNilSafe(t *testing.T) {
 	if st.Down(0, 1, 0) || !st.Healthy() {
 		t.Error("healthy snapshot reports a failure")
 	}
-	st.Egress[0][1] = true
+	st.Egress[st.link(0, 1)] = true
 	st.Count = 1
 	if !st.Down(0, 3, 1) || st.Healthy() {
 		t.Error("failed egress not reported down")
@@ -153,5 +153,17 @@ func TestSinglePlanAndString(t *testing.T) {
 	}
 	if got := links[1].String(); got != "tor3/port1/ingress" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+var stateSink *State
+
+// TestNewStateAllocationsFlat: a snapshot is a header and two flat
+// bitmaps, so its allocation count does not grow with the fabric.
+func TestNewStateAllocationsFlat(t *testing.T) {
+	small := testing.AllocsPerRun(10, func() { stateSink = NewState(16, 4) })
+	large := testing.AllocsPerRun(10, func() { stateSink = NewState(65536, 8) })
+	if small != large {
+		t.Errorf("NewState makes %v allocations at 16x4 links but %v at 65,536x8", small, large)
 	}
 }

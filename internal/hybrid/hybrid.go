@@ -47,7 +47,7 @@ type Engine struct {
 	piggyBytes  int64 // predefined-phase payload per pair
 
 	matcher    match.Matcher
-	tors       []*torCtl
+	tors       []torCtl // per ToR, by value: take &tors[i]
 	views      []torView
 	shards     []*hyShard
 	epochStart sim.Time
@@ -188,18 +188,20 @@ func New(cfg negotiator.Config) (*Engine, error) {
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
 
-	e.tors = make([]*torCtl, e.n)
+	// Control state, views and match rows are three flat arrays, so their
+	// allocations do not grow with the ToR count. Mailboxes grow on demand
+	// (capacity retained via in[:0]), so a ToR's footprint follows
+	// received traffic instead of pre-paying n-1 slots — the same O(N²)
+	// construction floor the fabric's lazy node slabs remove.
+	e.tors = make([]torCtl, e.n)
 	e.views = make([]torView, e.n)
+	matches := make([]int32, e.n*e.s)
+	for k := range matches {
+		matches[k] = -1
+	}
 	for i := range e.tors {
-		// Mailboxes grow on demand (capacity retained via in[:0]), so a
-		// ToR's footprint follows received traffic instead of pre-paying
-		// n-1 slots — the same O(N²) construction floor the fabric's
-		// lazy node slabs remove.
-		t := &torCtl{matches: make([]int32, e.s)}
-		for p := range t.matches {
-			t.matches[p] = -1
-		}
-		e.tors[i] = t
+		lo, hi := i*e.s, (i+1)*e.s
+		e.tors[i].matches = matches[lo:hi:hi]
 		e.views[i] = torView{e: e, i: i}
 	}
 	var handles []match.Matcher
@@ -231,7 +233,7 @@ func New(cfg negotiator.Config) (*Engine, error) {
 // admit routes an arrival by class: mice to the round-robin queues,
 // elephants to the negotiated queues.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.Nodes[f.Src]
+	nd := &e.Nodes[f.Src]
 	if f.Size < metrics.MiceFlowBytes {
 		nd.Lanes.Push(f.Dst, f, f.Total(), 0, at)
 		return
@@ -345,13 +347,13 @@ func (sh *hyShard) grantStep() {
 	for _, src := range e.shards {
 		out := src.reqOut[sh.k]
 		for _, r := range out {
-			t := e.tors[r.Dst]
+			t := &e.tors[r.Dst]
 			t.reqIn = append(t.reqIn, r)
 		}
 		src.reqOut[sh.k] = out[:0]
 	}
 	for j := sh.lo; j < sh.hi; j++ {
-		t := e.tors[j]
+		t := &e.tors[j]
 		if len(t.reqIn) == 0 {
 			continue
 		}
@@ -368,7 +370,7 @@ func (sh *hyShard) transmitStep() {
 	for _, src := range e.shards {
 		out := src.grantOut[sh.k]
 		for _, g := range out {
-			t := e.tors[g.Src]
+			t := &e.tors[g.Src]
 			t.grantIn = append(t.grantIn, g)
 		}
 		src.grantOut[sh.k] = out[:0]
@@ -378,7 +380,7 @@ func (sh *hyShard) transmitStep() {
 	phaseStart := e.epochStart.Add(e.timing.PredefinedLen(e.predefSlots))
 	capacity := e.payload * int64(e.timing.ScheduledSlots)
 	for i := sh.lo; i < sh.hi; i++ {
-		t := e.tors[i]
+		t := &e.tors[i]
 		if len(t.grantIn) > 0 {
 			sh.matcher.Accepts(i, &e.views[i], t.grantIn, t.matches, nil)
 			t.grantIn = t.grantIn[:0]
@@ -396,7 +398,7 @@ func (sh *hyShard) transmitStep() {
 			}
 			t.hasMatches = false
 		}
-		nd := e.Nodes[i]
+		nd := &e.Nodes[i]
 		// Mice ride the round-robin: one piggyback payload per connected
 		// pair, delivery fixed by the pair's predefined slot. The sweep
 		// iterates the mice-queue occupancy index (ascending, exactly the

@@ -23,13 +23,15 @@ func (e *Engine) PlaneState() ([]byte, error) {
 		enc.I64(v)
 	}
 	var cnt uint32
-	for _, t := range e.tors {
+	for i := range e.tors {
+		t := &e.tors[i]
 		if t.hasMatches {
 			cnt++
 		}
 	}
 	enc.U32(cnt)
-	for i, t := range e.tors {
+	for i := range e.tors {
+		t := &e.tors[i]
 		if !t.hasMatches {
 			continue
 		}
@@ -70,7 +72,7 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 		if i < 0 || i >= e.n {
 			return fmt.Errorf("hybrid: checkpoint ToR index %d out of range", i)
 		}
-		t := e.tors[i]
+		t := &e.tors[i]
 		t.hasMatches = true
 		for p := range t.matches {
 			t.matches[p] = int32(d.Int())

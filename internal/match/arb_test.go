@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"negotiator/internal/sim"
@@ -48,7 +49,7 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 
 				// GRANT at a random destination.
 				dst := rng.Intn(n)
-				rings := m.grantRings[dst]
+				rings := grantRow(m, dst)
 				scramble(rng, rings)
 				ref := copyRings(rings)
 				var reqs []Request
@@ -85,7 +86,7 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 				// ACCEPT at a random source: per port, distinct granters
 				// drawn from the port's domain.
 				src := rng.Intn(n)
-				rings = m.acceptRings[src]
+				rings = m.portRings(m.acceptRings, src)
 				scramble(rng, rings)
 				ref = copyRings(rings)
 				var grants []Grant
@@ -131,7 +132,7 @@ func TestArbitrationMatchesPickReference(t *testing.T) {
 				// NewBytes is added, each winner's entry drops by
 				// epochBytes, and an entry at or below zero leaves.
 				dst = rng.Intn(n)
-				rings = m.grantRings[dst]
+				rings = grantRow(m, dst)
 				scramble(rng, rings)
 				ref = copyRings(rings)
 				reqs = reqs[:0]
@@ -217,25 +218,29 @@ func drawCandidates(rng *rand.Rand, n, ptr int, ok func(int) bool) []int {
 	return out
 }
 
+// grantRow returns dst's grant rings in the matcher's flat array: the one
+// ring its ports share on the parallel network, one per port on
+// thin-clos.
+func grantRow(m *Negotiator, dst int) []Ring {
+	if m.grp == nil {
+		return m.grantRings[dst : dst+1]
+	}
+	return m.portRings(m.grantRings, dst)
+}
+
 // scramble sets every ring to a random pointer.
-func scramble(rng *rand.Rand, rings []*Ring) {
-	for _, r := range rings {
-		r.ptr = rng.Intn(r.Size())
+func scramble(rng *rand.Rand, rings []Ring) {
+	for i := range rings {
+		rings[i].ptr = int32(rng.Intn(rings[i].Size()))
 	}
 }
 
-func copyRings(rings []*Ring) []Ring {
-	out := make([]Ring, len(rings))
-	for i, r := range rings {
-		out[i] = *r
-	}
-	return out
-}
+func copyRings(rings []Ring) []Ring { return slices.Clone(rings) }
 
-func samePointers(rings []*Ring, ref []Ring) error {
-	for i, r := range rings {
-		if r.Pointer() != ref[i].Pointer() {
-			return fmt.Errorf("ring %d pointer %d, reference %d", i, r.Pointer(), ref[i].Pointer())
+func samePointers(rings, ref []Ring) error {
+	for i := range rings {
+		if rings[i].Pointer() != ref[i].Pointer() {
+			return fmt.Errorf("ring %d pointer %d, reference %d", i, rings[i].Pointer(), ref[i].Pointer())
 		}
 	}
 	return nil

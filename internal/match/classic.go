@@ -177,7 +177,7 @@ func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []
 						b.cand = append(b.cand, int32(g.Dst))
 					}
 				}
-				dst := m.pick(m.acceptRings[src][port], b.cand)
+				dst := m.pick(&m.acceptRings[src*s+port], b.cand)
 				if dst < 0 {
 					continue
 				}
@@ -192,7 +192,7 @@ func (m *Classic) Match(reqs []Request, matches [][]int32, stats *BatchStats) []
 					// first-iteration grants.
 					gring, _ := m.grantRing(dst, port)
 					gring.Advance(m.ringPos(int32(src)))
-					m.acceptRings[src][port].Advance(m.ringPos(int32(dst)))
+					m.acceptRings[src*s+port].Advance(m.ringPos(int32(dst)))
 				}
 			}
 			m.grants[src] = m.grants[src][:0]

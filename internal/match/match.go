@@ -113,10 +113,13 @@ func TraitsOf(m Matcher) (idleSafe, pure bool) {
 type Negotiator struct {
 	topo topo.Topology
 
-	// grantRings[dst]: length 1 (parallel, shared) or S (thin-clos,
-	// per-port). acceptRings[src][port]: one ring per port.
-	grantRings  [][]*Ring
-	acceptRings [][]*Ring
+	// The rings, held by value in two flat arrays so that building them
+	// costs two allocations at any ToR count. grantRings holds one shared
+	// ring per destination on the parallel network (grantRings[dst]) and
+	// one per destination port on thin-clos (grantRings[dst*S+port]);
+	// acceptRings holds one per source port (acceptRings[src*S+port]).
+	grantRings  []Ring
+	acceptRings []Ring
 
 	// grp/pos are the thin-clos group and local-index tables, nil on the
 	// parallel network: src and dst meet on port (grp[src]+grp[dst]) mod
@@ -133,7 +136,8 @@ type Negotiator struct {
 }
 
 // NewNegotiator returns the base matcher for the given topology. rng seeds
-// the random initial ring pointers. The topology must be a *topo.Parallel
+// the random initial ring pointers, ToR by ToR: a ToR's grant ring (or
+// rings), then its accept rings. The topology must be a *topo.Parallel
 // or a *topo.ThinClos, the only two the package implements.
 func NewNegotiator(t topo.Topology, rng *sim.RNG) *Negotiator {
 	n, s := t.N(), t.Ports()
@@ -153,23 +157,23 @@ func NewNegotiator(t topo.Topology, rng *sim.RNG) *Negotiator {
 	default:
 		panic(fmt.Sprintf("match: unsupported topology %T", t))
 	}
-	m.grantRings = make([][]*Ring, n)
-	m.acceptRings = make([][]*Ring, n)
+	if shared {
+		m.grantRings = make([]Ring, n)
+	} else {
+		m.grantRings = make([]Ring, n*s)
+	}
+	m.acceptRings = make([]Ring, n*s)
 	for i := 0; i < n; i++ {
 		if shared {
-			m.grantRings[i] = []*Ring{NewRing(n, rng)}
+			m.grantRings[i] = NewRing(n, rng)
 		} else {
-			rings := make([]*Ring, s)
 			for p := 0; p < s; p++ {
-				rings[p] = NewRing(len(t.PortDomain(i, p)), rng)
+				m.grantRings[i*s+p] = NewRing(len(t.PortDomain(i, p)), rng)
 			}
-			m.grantRings[i] = rings
 		}
-		rings := make([]*Ring, s)
 		for p := 0; p < s; p++ {
-			rings[p] = NewRing(len(t.PortDomain(i, p)), rng)
+			m.acceptRings[i*s+p] = NewRing(len(t.PortDomain(i, p)), rng)
 		}
-		m.acceptRings[i] = rings
 	}
 	m.initScratch()
 	return m
@@ -229,11 +233,17 @@ func (m *Negotiator) bucket(dst, src int) int {
 // grantRing returns dst's grant ring for port and the candidate list the
 // port picks from (see bucket).
 func (m *Negotiator) grantRing(dst, port int) (*Ring, int) {
-	rings := m.grantRings[dst]
-	if len(rings) > 1 {
-		return rings[port], port
+	if m.grp == nil {
+		return &m.grantRings[dst], 0
 	}
-	return rings[0], 0
+	return &m.grantRings[dst*len(m.cands)+port], port
+}
+
+// portRings returns tor's S per-port rings in rings: its accept rings in
+// acceptRings, its thin-clos grant rings in grantRings.
+func (m *Negotiator) portRings(rings []Ring, tor int) []Ring {
+	s := len(m.cands)
+	return rings[tor*s : (tor+1)*s]
 }
 
 // resetCands empties every port's candidate list.
@@ -284,7 +294,7 @@ func (m *Negotiator) Grants(dst int, reqs []Request, emit func(Grant)) {
 	// candidate, so port p goes to the p-th nearest requester, wrapping
 	// when fewer than S asked, and the ring ends past port S-1's winner.
 	// One pass keeps the S smallest distances sorted in near.
-	ring := m.grantRings[dst][0]
+	ring := &m.grantRings[dst]
 	s := len(m.cands) // one list per port
 	near := m.near[:0]
 	for _, r := range reqs {
@@ -327,10 +337,10 @@ func (m *Negotiator) grantsPerPort(dst int, reqs []Request, emit func(Grant)) {
 			m.cands[p] = append(m.cands[p], int32(r.Src))
 		}
 	}
-	rings := m.grantRings[dst]
+	rings := m.portRings(m.grantRings, dst)
 	for port, cand := range m.cands {
 		if len(cand) > 0 {
-			i, pos := m.nearest(rings[port], cand)
+			i, pos := m.nearest(&rings[port], cand)
 			rings[port].Advance(pos)
 			emit(Grant{Dst: dst, Port: port, Src: int(cand[i])})
 		}
@@ -341,10 +351,10 @@ func (m *Negotiator) grantsPerPort(dst int, reqs []Request, emit func(Grant)) {
 // the per-port round-robin ring.
 func (m *Negotiator) Accepts(src int, view QueueView, grants []Grant, matches []int32, feedback func(Grant, bool)) {
 	m.granters(grants, matches)
-	rings := m.acceptRings[src]
+	rings := m.portRings(m.acceptRings, src)
 	for port, cand := range m.cands {
 		if len(cand) > 0 {
-			i, pos := m.nearest(rings[port], cand)
+			i, pos := m.nearest(&rings[port], cand)
 			rings[port].Advance(pos)
 			matches[port] = cand[i]
 		}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,39 @@ func denseMatch(m BatchMatcher, reqs []Request, matches [][]int32, stats *BatchS
 		}
 	}
 	m.Match(reqs, matches, stats)
+}
+
+var matcherSink Matcher
+
+// TestMatcherAllocationsFlat: every matcher keeps its per-ToR tables (the
+// rings, the stateful matrices, the batch scratch) in flat arrays, so
+// building one makes as many allocations at 512 ToRs as at 64, on both
+// topologies.
+func TestMatcherAllocationsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no runtime allocations from a collection
+	for name, mk := range map[string]func(topo.Topology) Matcher{
+		"negotiator": func(top topo.Topology) Matcher { return NewNegotiator(top, sim.NewRNG(1)) },
+		"islip":      func(top topo.Topology) Matcher { return NewClassic(top, sim.NewRNG(1), 3, ISLIP) },
+		"data-size":  func(top topo.Topology) Matcher { return NewDataSize(top, sim.NewRNG(1)) },
+		"stateful":   func(top topo.Topology) Matcher { return NewStateful(top, sim.NewRNG(1), 1000) },
+		"projector":  func(top topo.Topology) Matcher { return NewProjecToR(top, sim.NewRNG(1)) },
+	} {
+		for _, shape := range []struct {
+			name string
+			top  func(n int) topo.Topology
+		}{
+			{"parallel", func(n int) topo.Topology { return parallel(t, n, 8) }},
+			{"thinclos", func(n int) topo.Topology { return thinclos(t, n, 8, n/8) }},
+		} {
+			allocs := func(n int) float64 {
+				top := shape.top(n)
+				return testing.AllocsPerRun(3, func() { matcherSink = mk(top) })
+			}
+			if small, large := allocs(64), allocs(512); small != large {
+				t.Errorf("%s on %s: %v allocations at 64 ToRs, %v at 512", name, shape.name, small, large)
+			}
+		}
+	}
 }
 
 func TestRingBasics(t *testing.T) {

@@ -18,34 +18,38 @@ import "negotiator/internal/sim"
 // clockwise. After a participant wins, the pointer advances to its
 // successor, so the least recently granted participant is always preferred
 // — the fairness/starvation-freedom property of RRM.
+//
+// A ring is two int32s: matchers keep theirs by value in flat per-ToR
+// arrays (see Negotiator), so a fabric of any size builds its rings in
+// two allocations.
 type Ring struct {
-	n   int
-	ptr int
+	n   int32
+	ptr int32
 }
 
 // NewRing returns a ring of size n with a random initial pointer, as the
 // paper's Algorithm 1 initialises its rings.
-func NewRing(n int, rng *sim.RNG) *Ring {
-	r := &Ring{n: n}
+func NewRing(n int, rng *sim.RNG) Ring {
+	r := Ring{n: int32(n)}
 	if n > 0 && rng != nil {
-		r.ptr = rng.Intn(n)
+		r.ptr = int32(rng.Intn(n))
 	}
 	return r
 }
 
 // Size returns the ring size.
-func (r *Ring) Size() int { return r.n }
+func (r *Ring) Size() int { return int(r.n) }
 
 // Pointer returns the current highest-priority position.
-func (r *Ring) Pointer() int { return r.ptr }
+func (r *Ring) Pointer() int { return int(r.ptr) }
 
 // Dist returns pos's cyclic distance from the pointer, (pos - ptr) mod n.
 // The ring picks, of a candidate set, the member at the smallest distance:
 // the first candidate at or after the pointer.
 func (r *Ring) Dist(pos int) int {
-	d := pos - r.ptr
+	d := pos - int(r.ptr)
 	if d < 0 {
-		d += r.n
+		d += int(r.n)
 	}
 	return d
 }
@@ -56,7 +60,7 @@ func (r *Ring) Advance(winner int) {
 	if r.n == 0 {
 		return
 	}
-	r.ptr = winner + 1
+	r.ptr = int32(winner) + 1
 	if r.ptr >= r.n {
 		r.ptr = 0
 	}

@@ -5,10 +5,11 @@ package match
 // pointer. It is the ring's definition, walked position by position: the
 // tests hold every matcher's nearest-candidate arbitration to it.
 func (r *Ring) Pick(want func(pos int) bool) int {
-	for k := 0; k < r.n; k++ {
-		pos := r.ptr + k
-		if pos >= r.n {
-			pos -= r.n
+	n := int(r.n)
+	for k := 0; k < n; k++ {
+		pos := int(r.ptr) + k
+		if pos >= n {
+			pos -= n
 		}
 		if want(pos) {
 			return pos

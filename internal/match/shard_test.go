@@ -167,16 +167,39 @@ func TestForkMatchesSequential(t *testing.T) {
 }
 
 // TestForkSharesPerToRState: ring state advanced through one shard handle
-// must be visible to a later fork — the handles are views, not copies.
+// must be visible to the original and to a later fork — the handles are
+// views of the matcher's ring arrays, not copies: every handle's grant
+// and accept rings live at the original's addresses.
 func TestForkSharesPerToRState(t *testing.T) {
-	top, err := topo.NewParallel(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewNegotiator(top, sim.NewRNG(1))
-	h := m.Fork(2)[1]
-	h.Grants(5, []Request{{Src: 1, Dst: 5}}, func(Grant) {})
-	if m.grantRings[5][0] != h.(*Negotiator).grantRings[5][0] {
-		t.Fatal("fork copied rings instead of sharing them")
+	for _, mk := range []struct {
+		name string
+		topo func() (topo.Topology, error)
+	}{
+		{"parallel", func() (topo.Topology, error) { return topo.NewParallel(8, 2) }},
+		{"thinclos", func() (topo.Topology, error) { return topo.NewThinClos(8, 2, 4) }},
+	} {
+		top, err := mk.topo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewNegotiator(top, sim.NewRNG(1))
+		for k, h := range m.Fork(2) {
+			f := h.(*Negotiator)
+			if &f.grantRings[0] != &m.grantRings[0] || &f.acceptRings[0] != &m.acceptRings[0] ||
+				len(f.grantRings) != len(m.grantRings) || len(f.acceptRings) != len(m.acceptRings) {
+				t.Fatalf("%s: fork %d holds rings at other addresses than the matcher's", mk.name, k)
+			}
+		}
+		h := m.Fork(2)[1]
+		ring, _ := m.grantRing(5, 1) // src 1 reaches dst 5 on port 1 on both
+		ring.ptr = 0
+		h.Grants(5, []Request{{Src: 1, Dst: 5}}, func(Grant) {})
+		if ring.Pointer() != 2 {
+			t.Fatalf("%s: after a grant to src 1 through a fork the matcher's ring points at %d, want 2", mk.name, ring.Pointer())
+		}
+		later, _ := m.Fork(3)[2].(*Negotiator).grantRing(5, 1)
+		if later != ring {
+			t.Fatalf("%s: a later fork holds dst 5's grant ring at another address", mk.name)
+		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 
 // SetPointer restores a ring's arbitration pointer from a checkpoint.
 func (r *Ring) SetPointer(p int) error {
-	if p < 0 || p > r.n || (p == r.n && r.n != 0) {
+	if n := int(r.n); p < 0 || p > n || (p == n && n != 0) {
 		return fmt.Errorf("match: restored ring pointer %d out of range [0, %d)", p, r.n)
 	}
-	r.ptr = p
+	r.ptr = int32(p)
 	return nil
 }
 
@@ -137,33 +137,21 @@ func RestoreState(m Matcher, d *snap.Dec) error {
 }
 
 // snapshotRings records every grant and accept ring pointer. The walk
-// order is fixed by construction (grant rings row by row, then accept
-// rings), so both sides enumerate identically; rings shared between rows
-// simply record (and later re-apply) the same value more than once.
+// order is fixed by construction (grant rings ToR by ToR, then accept
+// rings ToR by ToR and port by port), so both sides enumerate
+// identically.
 func snapshotRings(n *Negotiator, e *snap.Enc) {
-	for _, row := range n.grantRings {
-		for _, r := range row {
-			e.Int(r.Pointer())
-		}
-	}
-	for _, row := range n.acceptRings {
-		for _, r := range row {
-			e.Int(r.Pointer())
+	for _, rings := range [2][]Ring{n.grantRings, n.acceptRings} {
+		for i := range rings {
+			e.Int(rings[i].Pointer())
 		}
 	}
 }
 
 func restoreRings(n *Negotiator, d *snap.Dec) error {
-	for _, row := range n.grantRings {
-		for _, r := range row {
-			if err := r.SetPointer(d.Int()); err != nil {
-				return err
-			}
-		}
-	}
-	for _, row := range n.acceptRings {
-		for _, r := range row {
-			if err := r.SetPointer(d.Int()); err != nil {
+	for _, rings := range [2][]Ring{n.grantRings, n.acceptRings} {
+		for i := range rings {
+			if err := rings[i].SetPointer(d.Int()); err != nil {
 				return err
 			}
 		}

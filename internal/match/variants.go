@@ -141,15 +141,17 @@ type Stateful struct {
 // NewStateful returns the stateful matcher. epochBytes is the per-port
 // scheduled-phase capacity used as the per-grant matrix decrement.
 func NewStateful(t topo.Topology, rng *sim.RNG, epochBytes int64) *Stateful {
-	n := t.N()
-	m := &Stateful{Negotiator: NewNegotiator(t, rng), epochBytes: epochBytes}
-	m.matrix = make([][]int64, n)
-	m.reported = make([][]int64, n)
-	for i := 0; i < n; i++ {
-		m.matrix[i] = make([]int64, n)
-		m.reported[i] = make([]int64, n)
+	return &Stateful{Negotiator: NewNegotiator(t, rng), epochBytes: epochBytes, matrix: square(t.N()), reported: square(t.N())}
+}
+
+// square returns an n×n zero matrix whose rows are carved from one array.
+func square(n int) [][]int64 {
+	cells := make([]int64, n*n)
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
-	return m
+	return rows
 }
 
 func (m *Stateful) Name() string { return "stateful" }

@@ -249,8 +249,8 @@ type DrainBuffer struct {
 }
 
 // NewDrainBuffer returns a buffer draining at the given rate.
-func NewDrainBuffer(rate sim.Rate) *DrainBuffer {
-	return &DrainBuffer{rate: rate}
+func NewDrainBuffer(rate sim.Rate) DrainBuffer {
+	return DrainBuffer{rate: rate}
 }
 
 // Add drains the buffer up to time at, then adds n arriving bytes.

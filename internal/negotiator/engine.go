@@ -78,9 +78,10 @@ type Config struct {
 }
 
 // tor holds one ToR's control-plane state: scheduling mailboxes, this
-// epoch's matches, and the selective-relay plan. The data-plane state
-// (VOQs, relay FIFOs, loss records) lives in the shared fabric core's
-// Nodes, keyed by the same index.
+// epoch's matches, and the selective-relay plan. Its fixed-width slices
+// are rows of the engine's flat arrays (see New and initRelay). The
+// data-plane state (VOQs, relay FIFOs, loss records) lives in the shared
+// fabric core's Nodes, keyed by the same index.
 type tor struct {
 	// Pipelined scheduling mailboxes: reqIn[g] holds requests received as
 	// a destination, grantIn[g] grants received as a source; g cycles
@@ -124,7 +125,7 @@ type Engine struct {
 	payload     int64 // scheduled-phase payload per slot
 	piggyBytes  int64
 
-	tors    []*tor
+	tors    []tor // per ToR, by value: take &tors[i]
 	matcher match.Matcher
 	// matcherIdleSafe (see match.RequestTraits), resolved once, gates both
 	// the event-skip horizon and the O(active) request sweep.
@@ -219,14 +220,12 @@ func New(cfg Config) (*Engine, error) {
 		e.batch = b
 		depth := b.MatchDelay() + 1
 		e.future = make([][][]int32, depth)
+		rows := make([][]int32, depth*e.n)
+		cells := unmatched(depth * e.n * e.s)
 		for d := range e.future {
-			e.future[d] = make([][]int32, e.n)
+			e.future[d] = row(rows, d, e.n)
 			for i := range e.future[d] {
-				row := make([]int32, e.s)
-				for p := range row {
-					row[p] = -1
-				}
-				e.future[d][i] = row
+				e.future[d][i] = row(cells, d*e.n+i, e.s)
 			}
 		}
 		e.futureTouched = make([][]int32, depth)
@@ -252,23 +251,23 @@ func New(cfg Config) (*Engine, error) {
 	e.Core = fab
 	fab.Bind(e, e.admit)
 
-	e.tors = make([]*tor, e.n)
+	// Every ToR's control state comes from four flat arrays: the tor
+	// headers, the two mailbox-generation headers and the match rows.
+	// Mailboxes start empty and grow on demand, retaining capacity via
+	// in[:0]: a ToR's mailbox footprint follows the traffic it actually
+	// receives instead of pre-paying n-1 slots per generation (O(N²)
+	// across the fabric — at 4096 ToRs that pre-size alone dwarfed the
+	// queue slabs). Growth is one-time warm-up; the steady state stays
+	// allocation-free.
+	e.tors = make([]tor, e.n)
+	reqIn := make([][]match.Request, e.n*e.stageLag)
+	grantIn := make([][]match.Grant, e.n*e.stageLag)
+	matches := unmatched(e.n * e.s)
 	for i := range e.tors {
-		t := &tor{
-			reqIn:   make([][]match.Request, e.stageLag),
-			grantIn: make([][]match.Grant, e.stageLag),
-			matches: make([]int32, e.s),
-		}
-		// Mailboxes start empty and grow on demand, retaining capacity
-		// via in[:0]: a ToR's mailbox footprint follows the traffic it
-		// actually receives instead of pre-paying n-1 slots per
-		// generation (O(N²) across the fabric — at 4096 ToRs that
-		// pre-size alone dwarfed the queue slabs). Growth is one-time
-		// warm-up; the steady state stays allocation-free.
-		for p := range t.matches {
-			t.matches[p] = -1
-		}
-		e.tors[i] = t
+		t := &e.tors[i]
+		t.reqIn = row(reqIn, i, e.stageLag)
+		t.grantIn = row(grantIn, i, e.stageLag)
+		t.matches = row(matches, i, e.s)
 	}
 	e.initHotPath()
 	// The core owns failure state (cursor-advanced at each round start);
@@ -281,11 +280,24 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// row returns row i of a flat array of w-wide rows, capped at its end so
+// that an append cannot run into row i+1.
+func row[T any](flat []T, i, w int) []T { return flat[i*w : (i+1)*w : (i+1)*w] }
+
+// unmatched returns n match entries, all -1 (no match).
+func unmatched(n int) []int32 {
+	m := make([]int32, n)
+	for k := range m {
+		m[k] = -1
+	}
+	return m
+}
+
 // admit is the core's arrival-admission hook: an injected flow lands in
 // the source's per-destination VOQ, and the cumulative-injected table
 // (stateful matcher view) advances.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.Nodes[f.Src]
+	nd := &e.Nodes[f.Src]
 	nd.Direct.Push(f.Dst, f, f.Total(), 0, at)
 	nd.CumInjected[f.Dst] += f.Total()
 }
@@ -491,7 +503,8 @@ func (e *Engine) controlPhases(phaseC func(k int)) {
 // occupancy indexes must mirror their shadow state exactly.
 func (e *Engine) CheckRound() {
 	rx := make(map[[2]int32]int32)
-	for i, t := range e.tors {
+	for i := range e.tors {
+		t := &e.tors[i]
 		for p, dj := range t.matches {
 			if dj < 0 {
 				continue
@@ -512,7 +525,7 @@ func (e *Engine) CheckRound() {
 	// strands a mailbox.
 	for _, sh := range e.shards {
 		for i := sh.lo; i < sh.hi; i++ {
-			t := e.tors[i]
+			t := &e.tors[i]
 			if sh.matched.Has(i-sh.lo) != t.hasMatches {
 				panic(fmt.Sprintf("negotiator: shard %d matched[%d] = %v, hasMatches = %v", sh.k, i, sh.matched.Has(i-sh.lo), t.hasMatches))
 			}

@@ -146,7 +146,8 @@ func TestOccupancyInvariant(t *testing.T) {
 		if !e.Drain(8000) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
-		for i, nd := range e.Nodes {
+		for i := range e.Nodes {
+			nd := &e.Nodes[i]
 			if i >= 16 && nd.Direct.Slab.Materialized() {
 				t.Fatalf("idle node %d materialized", i)
 			}

@@ -18,7 +18,7 @@ type torView struct {
 }
 
 func (v *torView) QueuedBytes(dst int) int64 {
-	nd := v.e.Nodes[v.i]
+	nd := &v.e.Nodes[v.i]
 	b := nd.Direct.Bytes(dst)
 	if v.e.cfg.Relay {
 		b += nd.Relay.Bytes(dst)
@@ -51,7 +51,7 @@ func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
 }
 
 func (v *torView) CumInjected(dst int) int64 {
-	nd := v.e.Nodes[v.i]
+	nd := &v.e.Nodes[v.i]
 	if nd.CumInjected == nil {
 		return 0
 	}

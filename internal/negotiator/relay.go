@@ -43,12 +43,14 @@ func (e *Engine) initRelay() {
 		groupBuf:  make([]int64, e.s),
 	}
 	// The relay FIFOs themselves live in the fabric core's nodes
-	// (fabric.Config.Relay); only the per-epoch plan is control-plane state.
-	for _, t := range e.tors {
-		t.relayPlan = make([]relayPlan, e.n)
-		for k := range t.relayPlan {
-			t.relayPlan[k] = relayPlan{finalDst: -1}
-		}
+	// (fabric.Config.Relay); only the per-epoch plan is control-plane
+	// state, one flat N×N array.
+	plans := make([]relayPlan, e.n*e.n)
+	for k := range plans {
+		plans[k] = relayPlan{finalDst: -1}
+	}
+	for i := range e.tors {
+		e.tors[i].relayPlan = row(plans, i, e.n)
 	}
 }
 
@@ -61,8 +63,9 @@ func (e *Engine) initRelay() {
 // previous epoch planned.
 func (e *Engine) planRelay() {
 	r := e.relay
-	for i, t := range e.tors {
-		nd := e.Nodes[i]
+	for i := range e.tors {
+		t := &e.tors[i]
+		nd := &e.Nodes[i]
 		for _, k := range t.planned {
 			t.relayPlan[k] = relayPlan{finalDst: -1}
 		}
@@ -105,7 +108,7 @@ func (e *Engine) planRelay() {
 				if t.relayPlan[k].quota > 0 {
 					continue
 				}
-				inter := e.Nodes[k]
+				inter := &e.Nodes[k]
 				headroom := inter.Relay.Headroom(r.bufferCap)
 				if headroom <= 0 {
 					continue
@@ -144,13 +147,13 @@ func (e *Engine) planRelay() {
 // sequential execution (the engine clamps Workers to 1).
 func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	e := sh.e
-	t := e.tors[i]
+	t := &e.tors[i]
 	plan := t.relayPlan[k]
 	if plan.quota <= 0 || plan.finalDst < 0 {
 		return
 	}
 	j := int(plan.finalDst)
-	inter := e.Nodes[k]
+	inter := &e.Nodes[k]
 	headroom := inter.Relay.Headroom(e.relay.bufferCap)
 	max := budget
 	if max > plan.quota {

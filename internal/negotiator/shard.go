@@ -205,7 +205,7 @@ func (sh *engineShard) acceptStep() {
 	// touches no matcher state, so hoisting it out of the grant walk
 	// cannot reorder anything the matcher observes.
 	for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
-		t := e.tors[sh.lo+bit]
+		t := &e.tors[sh.lo+bit]
 		for p := range t.matches {
 			t.matches[p] = -1
 		}
@@ -216,7 +216,7 @@ func (sh *engineShard) acceptStep() {
 	for bit := pend.Next(-1); bit >= 0; bit = pend.Next(bit) {
 		pend.Clear(bit)
 		i := sh.lo + bit
-		t := e.tors[i]
+		t := &e.tors[i]
 		in := t.grantIn[prev]
 		sh.matcher.Accepts(i, &e.views[i], in, t.matches, sh.feedbackFn)
 		sh.inflight -= int64(len(in))
@@ -240,7 +240,7 @@ func (sh *engineShard) acceptStep() {
 	if !e.known.Healthy() {
 		for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 			i := sh.lo + bit
-			t := e.tors[i]
+			t := &e.tors[i]
 			for p, dj := range t.matches {
 				if dj >= 0 && !e.known.PathOK(i, int(dj), p) {
 					t.matches[p] = -1
@@ -261,7 +261,7 @@ func (sh *engineShard) emitStep() {
 	for bit := pend.Next(-1); bit >= 0; bit = pend.Next(bit) {
 		pend.Clear(bit)
 		j := sh.lo + bit
-		t := e.tors[j]
+		t := &e.tors[j]
 		in := t.reqIn[prev]
 		sh.matcher.Grants(j, in, sh.grantEmit)
 		sh.inflight -= int64(len(in))
@@ -302,7 +302,7 @@ func (sh *engineShard) mergeStep() {
 	for _, src := range e.shards {
 		gout := src.grantOut[sh.k]
 		for _, g := range gout {
-			t := e.tors[g.Src]
+			t := &e.tors[g.Src]
 			t.grantIn[cur] = append(t.grantIn[cur], g)
 			sh.grantPend[cur].Set(int(g.Src) - sh.lo)
 		}
@@ -310,7 +310,7 @@ func (sh *engineShard) mergeStep() {
 		src.grantOut[sh.k] = gout[:0]
 		rout := src.reqOut[sh.k]
 		for _, r := range rout {
-			t := e.tors[r.Dst]
+			t := &e.tors[r.Dst]
 			t.reqIn[cur] = append(t.reqIn[cur], r)
 			sh.reqPend[cur].Set(int(r.Dst) - sh.lo)
 		}
@@ -347,7 +347,7 @@ func (sh *engineShard) batchPrepStep() {
 	depth := len(e.future)
 	slot := int(e.Rounds()) % depth
 	for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
-		t := e.tors[sh.lo+bit]
+		t := &e.tors[sh.lo+bit]
 		for p := range t.matches {
 			t.matches[p] = -1
 		}
@@ -358,7 +358,7 @@ func (sh *engineShard) batchPrepStep() {
 	ti, _ := slices.BinarySearch(touched, int32(sh.lo))
 	for ; ti < len(touched) && int(touched[ti]) < sh.hi; ti++ {
 		i := int(touched[ti])
-		t := e.tors[i]
+		t := &e.tors[i]
 		row := e.future[slot][i]
 		copy(t.matches, row)
 		for p := range row {
@@ -379,7 +379,7 @@ func (sh *engineShard) batchPrepStep() {
 	if !e.known.Healthy() {
 		for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 			i := sh.lo + bit
-			t := e.tors[i]
+			t := &e.tors[i]
 			for p, dj := range t.matches {
 				if dj >= 0 && !e.known.PathOK(i, int(dj), p) {
 					t.matches[p] = -1
@@ -410,7 +410,7 @@ func (sh *engineShard) predefinedPhase(epochStart sim.Time) {
 	ad, ar := &sh.fs.ActiveDirect, &sh.fs.ActiveRelay
 	for bit := ad.NextUnion(ar, -1); bit >= 0; bit = ad.NextUnion(ar, bit) {
 		i := sh.lo + bit
-		nd := e.Nodes[i]
+		nd := &e.Nodes[i]
 		for j := nd.NextDirectOrRelay(-1); j >= 0; j = nd.NextDirectOrRelay(j) {
 			if j == i {
 				continue
@@ -453,8 +453,8 @@ func (sh *engineShard) scheduledPhase(epochStart sim.Time) {
 	// row pay the O(S) port walk — the epoch's last dense range sweep.
 	for bit := sh.matched.Next(-1); bit >= 0; bit = sh.matched.Next(bit) {
 		i := sh.lo + bit
-		t := e.tors[i]
-		nd := e.Nodes[i]
+		t := &e.tors[i]
+		nd := &e.Nodes[i]
 		for p, dj := range t.matches {
 			if dj < 0 {
 				continue

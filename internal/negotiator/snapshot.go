@@ -34,13 +34,15 @@ func (e *Engine) PlaneState() ([]byte, error) {
 	}
 
 	var cnt uint32
-	for _, t := range e.tors {
+	for i := range e.tors {
+		t := &e.tors[i]
 		if torHasState(t) {
 			cnt++
 		}
 	}
 	enc.U32(cnt)
-	for i, t := range e.tors {
+	for i := range e.tors {
+		t := &e.tors[i]
 		if !torHasState(t) {
 			continue
 		}
@@ -121,7 +123,7 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 		if i < 0 || i >= e.n {
 			return fmt.Errorf("negotiator: checkpoint ToR index %d out of range", i)
 		}
-		t := e.tors[i]
+		t := &e.tors[i]
 		t.hasMatches = d.Bool()
 		if t.hasMatches {
 			for p := range t.matches {
@@ -178,7 +180,7 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 	// mailboxes, inflight == delivered-but-unconsumed message count).
 	for _, sh := range e.shards {
 		for i := sh.lo; i < sh.hi; i++ {
-			t := e.tors[i]
+			t := &e.tors[i]
 			if t.hasMatches {
 				sh.matched.Set(i - sh.lo)
 			}

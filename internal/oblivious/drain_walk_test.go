@@ -113,8 +113,9 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 				t.Fatalf("round %d shard %d: %s left %d candidate marks set", round, k, name, n)
 			}
 		}
-		for i, nd := range hold.Nodes {
-			if tn := tw.Nodes[i]; nd.Relay.Total != tn.Relay.Total || nd.Lanes.Total != tn.Lanes.Total {
+		for i := range hold.Nodes {
+			nd := &hold.Nodes[i]
+			if tn := &tw.Nodes[i]; nd.Relay.Total != tn.Relay.Total || nd.Lanes.Total != tn.Lanes.Total {
 				t.Fatalf("round %d node %d: relay/lane backlog %d/%d (holder walk) vs %d/%d (%s)",
 					round, i, nd.Relay.Total, nd.Lanes.Total, tn.Relay.Total, tn.Lanes.Total, name)
 			}
@@ -174,7 +175,7 @@ func (sh *obShard) ungatedDrain(slotNo int64) {
 			if j < 0 || e.known.Down(i, j, s) {
 				continue
 			}
-			src := e.Nodes[i]
+			src := &e.Nodes[i]
 			if !src.Relay.HeadReady(j, e.slotStart) {
 				continue
 			}
@@ -195,7 +196,7 @@ func (sh *obShard) ungatedServe(slotNo int64) {
 	occ := &sh.fs.ActiveLanes
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
-		src := e.Nodes[i]
+		src := &e.Nodes[i]
 		for s := 0; s < e.s; s++ {
 			if sh.usedStamp[(i-sh.lo)*e.s+s] == slotNo+1 {
 				continue

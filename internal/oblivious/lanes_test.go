@@ -16,7 +16,7 @@ func TestSprayUniformity(t *testing.T) {
 	cfg := testConfig(t)
 	e, _ := New(cfg)
 	e.Inject(0) // no workload: establishes genDone
-	src := e.Nodes[2]
+	src := &e.Nodes[2]
 	// Inject a large flow directly through the generator path.
 	e.SetWorkload(workload.NewSinglePair(2, 9, 4<<20, 0))
 	e.Inject(0)

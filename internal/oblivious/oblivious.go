@@ -322,7 +322,7 @@ func New(cfg Config) (*Engine, error) {
 // across sources and melts hot intermediates. The slot-time-spray
 // ablations enqueue per final destination instead.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := e.Nodes[f.Src]
+	nd := &e.Nodes[f.Src]
 	if e.lanes {
 		chunk := int64(e.chunkCells) * e.cell
 		total := f.Total()
@@ -557,7 +557,7 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 // undetected transmits into the void.
 func (sh *obShard) drainConn(i, s, j int, slotNo int64) {
 	e := sh.e
-	src := e.Nodes[i]
+	src := &e.Nodes[i]
 	if src.Relay.Total == 0 || !src.Relay.Occ.Has(j) {
 		return
 	}
@@ -596,7 +596,7 @@ func (sh *obShard) serveStep() {
 	}
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
-		src := e.Nodes[i]
+		src := &e.Nodes[i]
 		for s := 0; s < e.s; s++ {
 			if sh.usedStamp[(i-sh.lo)*e.s+s] == slotNo+1 {
 				continue
@@ -683,7 +683,7 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	// pointer lands one past the served destination — or stays put after a
 	// fruitless full scan — exactly where the dense walk left it, so the
 	// spray sequence is byte-identical at O(active) cost.
-	inter := e.Nodes[j]
+	inter := &e.Nodes[j]
 	start := src.SprayPtr
 	d := src.Direct.Occ.Next(start - 1)
 	wrapped := false

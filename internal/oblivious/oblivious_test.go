@@ -132,7 +132,8 @@ func TestRelayCapBackpressure(t *testing.T) {
 	// one cell against the same headroom, so a VOQ can briefly overshoot
 	// by up to one cell per port.
 	slack := int64(e.s) * e.cell
-	for i, nd := range e.Nodes {
+	for i := range e.Nodes {
+		nd := &e.Nodes[i]
 		for d := 0; d < e.n; d++ {
 			if b := nd.Relay.Bytes(d); b > e.relayCap+slack {
 				t.Fatalf("tor %d VOQ[%d] backlog %d exceeds cap %d", i, d, b, e.relayCap)

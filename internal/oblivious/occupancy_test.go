@@ -103,7 +103,8 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		lastDst := 2*queue.PageSize - 1
-		for i, nd := range e.Nodes {
+		for i := range e.Nodes {
+			nd := &e.Nodes[i]
 			if nd.Direct.Slab.PageMaterialized(lastDst) {
 				t.Fatalf("node %d materialized a direct page outside the active range", i)
 			}

@@ -54,27 +54,45 @@ type Grouped struct {
 
 // NewGroupBy wraps g with the flow-group factor k, which must lie in
 // [1, MaxInt32]. Wrapping a *Grouped folds the two factors into one adapter
-// over the inner generator (nested groups multiply), and a product above
-// MaxInt32 is rejected.
+// over the inner generator (nested groups multiply). k times the largest
+// group the inner generator can emit (see groupFactor) must not exceed
+// MaxInt32.
 func NewGroupBy(g Generator, k int) (*Grouped, error) {
 	if k < 1 || k > math.MaxInt32 {
 		return nil, fmt.Errorf("workload: flow-group factor %d outside [1, %d]", k, math.MaxInt32)
 	}
+	if inner := groupFactor(g); int64(k)*inner > math.MaxInt32 {
+		return nil, fmt.Errorf("workload: nested flow-group factors %d x %d exceed %d", inner, k, math.MaxInt32)
+	}
 	f := int64(k)
 	if in, ok := g.(*Grouped); ok {
-		if f *= in.k; f > math.MaxInt32 {
-			return nil, fmt.Errorf("workload: nested flow-group factors %d x %d exceed %d", in.k, k, math.MaxInt32)
-		}
+		f *= in.k
 		g = in.g
 	}
 	return &Grouped{g: g, k: f}, nil
 }
 
+// groupFactor returns the largest member count g can put on one arrival,
+// as far as this package can tell: a Grouped's factor times its source's,
+// the largest among a Merge's sources, 1 for any other generator.
+func groupFactor(g Generator) int64 {
+	switch v := g.(type) {
+	case *Grouped:
+		return v.k * groupFactor(v.g)
+	case *Merge:
+		f := int64(1)
+		for _, src := range v.srcs {
+			f = max(f, groupFactor(src))
+		}
+		return f
+	}
+	return 1
+}
+
 // Next implements Generator. It panics when an arrival's member count
-// times k exceeds MaxInt32. The generators of this package emit single
-// flows and NewGroupBy bounds k, so only a source that already emits
-// groups (a caller's own generator with Count > 1, or a merge of grouped
-// streams) can get there.
+// times k exceeds MaxInt32. NewGroupBy bounds k by every group this
+// package's generators can emit, so only a caller's own generator that
+// emits groups (Count > 1) can get there.
 func (g *Grouped) Next() (Arrival, bool) {
 	a, ok := g.g.Next()
 	if !ok {
@@ -122,11 +140,12 @@ const maxTimeNs = float64(1 << 63)
 
 // arrivalClock is the Poisson arrival process Poisson, Hotspot and Diurnal
 // share: the load equation L = F/(R·N·τ) (§4.1) sets the mean gap (10^18 ns
-// at a load of zero or less), and step draws exponential gaps from the
-// generator's RNG. Time accumulates in float64 nanoseconds: at paper scale
-// the mean gap is a few tens of nanoseconds, where integer truncation would
-// bias the offered load by several percent. A clock outside [0, 2^63) ns
-// ends the stream instead of converting to a wrapped, negative time.
+// at a load of zero or less, infinite below two ToRs), and step draws
+// exponential gaps from the generator's RNG. Time accumulates in float64
+// nanoseconds: at paper scale the mean gap is a few tens of nanoseconds,
+// where integer truncation would bias the offered load by several percent.
+// A clock outside [0, 2^63) ns ends the stream instead of converting to a
+// wrapped, negative time.
 type arrivalClock struct {
 	dist   SizeDist
 	n      int
@@ -137,7 +156,13 @@ type arrivalClock struct {
 
 func newArrivalClock(dist SizeDist, n int, load float64, hostRate sim.Rate, seed int64) arrivalClock {
 	c := arrivalClock{dist: dist, n: n, rng: sim.NewRNG(seed), meanNs: 1e18}
-	if load > 0 {
+	switch {
+	case n < 2:
+		// No pair of distinct ToRs: an infinite gap ends the stream
+		// before its first arrival (at n = 0 the load equation already
+		// gives one).
+		c.meanNs = math.Inf(1)
+	case load > 0:
 		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
 		c.meanNs = tauSec * 1e9
 	}
@@ -205,8 +230,11 @@ type Incast struct {
 }
 
 // NewIncast builds the event. Sources are chosen deterministically from
-// seed among all ToRs except dst.
+// seed among all ToRs except dst; degree must lie in [1, n-1].
 func NewIncast(n, dst, degree int, size int64, t sim.Time, tag int, seed int64) (*Incast, error) {
+	if degree < 1 {
+		return nil, fmt.Errorf("workload: incast degree %d is below 1", degree)
+	}
 	if degree > n-1 {
 		return nil, fmt.Errorf("workload: incast degree %d exceeds n-1=%d", degree, n-1)
 	}
@@ -296,7 +324,8 @@ func (g *SinglePair) Next() (Arrival, bool) {
 // Figure 13a: degree 20, 1 KB flows, 2%). Event times accumulate in whole
 // nanoseconds. A mean gap or an event time that sim.Time cannot hold (a
 // bwFraction of zero or less, or one so small that the gaps pass the int64
-// range) ends the stream.
+// range) ends the stream, and so does an event that would carry no bytes
+// (a degree or a size below 1).
 type IncastMix struct {
 	n        int
 	degree   int
@@ -317,7 +346,7 @@ func NewIncastMix(n, degree int, size int64, bwFraction float64, hostRate sim.Ra
 	eventBytes := float64(degree) * float64(size)
 	rate := bwFraction * hostRate.BytesPerSecond() * float64(n) / eventBytes // events/s
 	meanNs := float64(sim.Second) / rate
-	if !(rate > 0 && meanNs < maxTimeNs) {
+	if degree < 1 || size < 1 || !(rate > 0 && meanNs < maxTimeNs) {
 		g.done = true
 		return g
 	}
@@ -363,7 +392,8 @@ func (g *IncastMix) Next() (Arrival, bool) {
 
 // Merge combines generators into one stream ordered by arrival time.
 type Merge struct {
-	h mergeHeap
+	h    mergeHeap
+	srcs []Generator // every source, exhausted or not (see groupFactor)
 }
 
 type mergeEntry struct {
@@ -387,7 +417,7 @@ func (h *mergeHeap) Pop() interface{} {
 
 // NewMerge merges the given generators.
 func NewMerge(gens ...Generator) *Merge {
-	m := &Merge{}
+	m := &Merge{srcs: gens}
 	for _, g := range gens {
 		if a, ok := g.Next(); ok {
 			m.h = append(m.h, mergeEntry{a, g})

@@ -149,3 +149,109 @@ func TestGroupWorkloadBounds(t *testing.T) {
 		t.Errorf("k=MaxInt32: first record %+v, ok=%v", a, ok)
 	}
 }
+
+// TestGroupWorkloadThroughMerge: grouping a merge bounds the product by
+// the largest group among the merge's sources, found recursively through
+// nested merges and groups, so an overflowing product is an error at
+// construction instead of a panic at the first Next.
+func TestGroupWorkloadThroughMerge(t *testing.T) {
+	pair := func() negotiator.Workload { return negotiator.SinglePairWorkload(0, 5, 1000, 0) }
+	group := func(w negotiator.Workload, k int) negotiator.Workload {
+		t.Helper()
+		g, err := negotiator.GroupWorkload(w, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for name, w := range map[string]negotiator.Workload{
+		"2^20 in a merge":          negotiator.MergeWorkloads(group(pair(), 1<<20)),
+		"2^20 in a nested merge":   negotiator.MergeWorkloads(pair(), negotiator.MergeWorkloads(group(pair(), 1<<20))),
+		"2^10 x 2^10 in a merge":   negotiator.MergeWorkloads(pair(), group(group(pair(), 1<<10), 1<<10)),
+		"2^10 in a merge x 2^10":   group(negotiator.MergeWorkloads(group(pair(), 1<<10)), 1<<10),
+		"2^10 x merge 2^10 nested": group(negotiator.MergeWorkloads(pair(), negotiator.MergeWorkloads(group(pair(), 1<<10))), 1<<10),
+	} {
+		if g, err := negotiator.GroupWorkload(w, 1<<12); err == nil || g != nil {
+			t.Errorf("%s, grouped by 2^12: got %v, %v; want a nil workload and an error", name, g, err)
+		}
+	}
+	g := group(negotiator.MergeWorkloads(pair(), group(pair(), 1<<10)), 1<<12)
+	for i, want := range []int32{1 << 12, 1 << 22} {
+		if a, ok := g.Next(); !ok || a.Count != want {
+			t.Errorf("record %d of 2^10 x 2^12 through a merge: %+v, ok=%v; want Count %d", i, a, ok, want)
+		}
+	}
+}
+
+// TestIncastRejectsDegreeBelowOne: an incast of degree below 1 is an
+// error; it used to take every other ToR as a source.
+func TestIncastRejectsDegreeBelowOne(t *testing.T) {
+	for _, degree := range []int{0, -1} {
+		if w, err := negotiator.IncastWorkload(negotiator.SmallSpec(), 3, degree, 1000, 0, 0, 1); err == nil {
+			t.Errorf("degree %d: nil error, %d flows", degree, len(drain(w, 100)))
+		}
+	}
+}
+
+// TestMixedIncastWithoutBytesEndsStream: incast events that would carry no
+// bytes (a degree or a size below 1) end the incast stream at once. A zero
+// event size made the event rate infinite and the gap 1 ns: a degree-0
+// mix emitted 1,500 arrivals by t = 123 ns.
+func TestMixedIncastWithoutBytesEndsStream(t *testing.T) {
+	for _, c := range []struct {
+		degree int
+		size   int64
+	}{{0, 1000}, {-1, 1000}, {10, 0}, {10, -5}} {
+		w := negotiator.MixedIncastWorkload(negotiator.SmallSpec(), negotiator.Hadoop, 0, c.degree, c.size, 0.02, 1, 1)
+		for i, a := range drain(w, 10_000) {
+			if a.Tag != 0 {
+				t.Errorf("degree %d, size %d: arrival %d is incast event %d at t = %d ns", c.degree, c.size, i, a.Tag, int64(a.Time))
+				break
+			}
+		}
+	}
+}
+
+// TestWorkloadsBelowTwoToRs: with fewer than two ToRs no pair of distinct
+// ToRs exists, so the random-endpoint streams end before their first
+// arrival (at one ToR they used to panic in the endpoint draw) and the
+// hotspot matrix is an error.
+func TestWorkloadsBelowTwoToRs(t *testing.T) {
+	for _, tors := range []int{0, 1} {
+		spec := negotiator.SmallSpec()
+		spec.ToRs = tors
+		for _, c := range []struct {
+			name string
+			mk   func() (negotiator.Workload, error)
+		}{
+			{"poisson", func() (negotiator.Workload, error) {
+				return negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.5, 1), nil
+			}},
+			{"fixed-size", func() (negotiator.Workload, error) { return negotiator.FixedSizeWorkload(spec, 1000, 0.5, 1), nil }},
+			{"diurnal", func() (negotiator.Workload, error) {
+				return negotiator.DiurnalWorkload(spec, negotiator.Hadoop, 0.5, negotiator.Millisecond, 0.1, 1)
+			}},
+			{"mixed-incast", func() (negotiator.Workload, error) {
+				return negotiator.MixedIncastWorkload(spec, negotiator.Hadoop, 0.5, 10, 1000, 0.02, 1, 1), nil
+			}},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%d ToRs, %s: panic: %v", tors, c.name, r)
+					}
+				}()
+				w, err := c.mk()
+				if err != nil {
+					t.Fatalf("%d ToRs, %s: %v", tors, c.name, err)
+				}
+				if got := drain(w, 10); len(got) != 0 {
+					t.Errorf("%d ToRs, %s: %d arrivals, first %+v", tors, c.name, len(got), got[0])
+				}
+			}()
+		}
+		if _, err := negotiator.HotspotWorkload(spec, negotiator.Hadoop, 0.5, 1, 0.5, 1); err == nil {
+			t.Errorf("%d ToRs, hotspot: nil error", tors)
+		}
+	}
+}
