@@ -38,8 +38,14 @@ func TestBuildAllocationsFlat(t *testing.T) {
 				tc.shape(&s)
 				// A collection during the build can allocate in the
 				// runtime itself (timers, mark workers): keep it out.
+				// The runtime also fills a type assertion's cache, one
+				// allocation, on a random ~1 in 1,024 of the assertions
+				// that miss it (runtime.typeAssert), so a single build
+				// may count one stray allocation; the mean over four
+				// builds, which AllocsPerRun truncates, drops it, while a
+				// per-ToR table still adds thousands to every build.
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				return testing.AllocsPerRun(1, func() {
+				return testing.AllocsPerRun(4, func() {
 					if _, err := s.Build(); err != nil {
 						t.Fatal(err)
 					}

@@ -559,7 +559,9 @@ func (c *Core) newFlow() *flows.Flow {
 
 // Inject moves all arrivals at or before t through the control plane's
 // admission hook into the source queues. Control planes call it at the
-// point of their round where arrivals become visible.
+// point of their round where arrivals become visible. An arrival without
+// bytes (a size below 1) is drawn and dropped: no flow exists to carry,
+// finish or count, and no plane's admission sees it.
 func (c *Core) Inject(t sim.Time) {
 	if c.work == nil {
 		c.genDone = true
@@ -580,6 +582,9 @@ func (c *Core) Inject(t sim.Time) {
 		}
 		a := c.pending
 		c.havePending = false
+		if a.Size < 1 {
+			continue
+		}
 		c.flowSeq++
 		f := c.newFlow()
 		*f = flows.Flow{ID: c.flowSeq, Src: a.Src, Dst: a.Dst, Size: a.Size, Arrival: a.Time, Tag: a.Tag, Count: a.Count}

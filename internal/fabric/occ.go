@@ -49,6 +49,10 @@ func (s *OccSet) Clear(i int) {
 // Has reports whether destination i is marked occupied.
 func (s *OccSet) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Bit is Has as a number, 1 or 0, for callers that fold many members'
+// bits into a mask with arithmetic instead of a branch per member.
+func (s *OccSet) Bit(i int) uint64 { return s.words[i>>6] >> (uint(i) & 63) & 1 }
+
 // nextSumWord returns the smallest word index >= from whose summary bit is
 // set in sa (OR sb when non-nil), or -1.
 func nextSumWord(sa, sb []uint64, from int) int {
@@ -126,9 +130,9 @@ func (s *OccSet) Count() int {
 // O(N·S) per slot no matter how sparse the traffic — but the backlogged
 // destinations are only the active flows' targets, and the predefined
 // schedules are per-(port, slot) permutations, so each (destination,
-// port) pair maps back to exactly one candidate source via
-// topo.PredefinedSource. Allocation is lazy on the first relay push, so
-// relay-free planes never pay for it.
+// port) pair maps back to exactly one candidate source through the slot
+// schedule's inverse (topo.Topology.SlotSchedule). Allocation is lazy on
+// the first relay push, so relay-free planes never pay for it.
 type relayDstIndex struct {
 	refs  []int32 // per destination: shard nodes holding relay backlog for it
 	occ   OccSet  // destinations with refs > 0

@@ -63,3 +63,13 @@ func BenchmarkSlotSaturated(b *testing.B) {
 func BenchmarkSlotLight(b *testing.B) {
 	benchSlots(b, func(b *testing.B, top topo.Topology) *Engine { return benchEngine(b, top, 0.05) })
 }
+
+// BenchmarkSlotMidLoad is the slot cost at load 0.4, the background load
+// of the oblivious-incast benchmark workload. Here a node's relay and lane
+// occupancy bits are neither nearly all set (saturation) nor nearly all
+// clear (light load), so a branch per port on them would be mispredicted
+// at random: the regime the slot walks' port masks are for, which the
+// other two benchmarks cannot show.
+func BenchmarkSlotMidLoad(b *testing.B) {
+	benchSlots(b, func(b *testing.B, top topo.Topology) *Engine { return benchEngine(b, top, 0.4) })
+}

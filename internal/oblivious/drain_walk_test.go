@@ -12,20 +12,22 @@ import (
 )
 
 // TestDrainWalksAgree pins drainStep's two relay-drain walks to each other
-// and the occupancy gates of both slot phases to an ungated reference,
-// slot by slot. Three identical engines run the same workload: one forced
-// onto the holder walk and one onto the destination-inverted walk,
-// whatever the cost rule would pick, and one running ungatedDrain and
-// ungatedServe, which probe every connection's queue without reading the
-// occupancy bits first. The two walks share drainConn's gate, so the
-// reference is the only slot-level check of it. After every
-// round each twin's consumed-connection stamps and per-destination
-// delivered bytes, the fabric's delivered total and every node's relay
-// and lane backlogs must match the holder engine's; the inverted walk
-// must leave its candidate marks empty; and the drained runs must end
-// with the same results. The parallel case pads its schedule (S=5 does
-// not divide N-1=23) and the failure cases fire both the known-down gate
-// and the undetected-loss path.
+// and the port masks of both slot phases to an ungated reference, slot by
+// slot. Three identical engines run the same workload: one forced onto
+// the holder walk and one onto the destination-inverted walk, whatever
+// the cost rule would pick, and one running ungatedDrain and ungatedServe,
+// which resolve every connection through PredefinedPeer and probe its
+// queue without reading an occupancy bit first. The two walks share
+// drainPorts' mask, so the reference is the only slot-level check of it.
+// After every round each twin's consumed-connection stamps and
+// per-destination delivered bytes, the fabric's delivered total and every
+// node's relay, lane and direct backlogs must match the holder engine's;
+// the inverted walk must leave its candidate marks empty; and the drained
+// runs must end with the same results. The 24-ToR parallel case pads its
+// schedule (S=5 does not divide N-1=23); the 70x66 parallel and 130-ToR,
+// 65-port thin-clos cases need two mask words per ToR; the direct cases
+// run the slot-time-spray serve (OpportunisticDirect); and the failure
+// cases fire both the known-down gate and the undetected-loss path.
 func TestDrainWalksAgree(t *testing.T) {
 	par, err := topo.NewParallel(24, 5)
 	if err != nil {
@@ -35,29 +37,62 @@ func TestDrainWalksAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, top := range []topo.Topology{par, tc} {
+	widePar, err := topo.NewParallel(70, 66)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideTC, err := topo.NewThinClos(130, 65, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The wide fabrics run sharded only: a shard boundary is the one
+	// thing one worker adds, and they are the costly cases.
+	small, wide := []int{1, 3}, []int{3}
+	for _, c := range []struct {
+		label   string
+		top     topo.Topology
+		direct  bool
+		workers []int
+	}{
+		{"parallel", par, false, small},
+		{"thin-clos", tc, false, small},
+		{"parallel-70x66", widePar, false, wide},
+		{"thin-clos-130x65", wideTC, false, wide},
+		{"parallel-direct", par, true, small},
+		{"thin-clos-direct", tc, true, small},
+		{"parallel-70x66-direct", widePar, true, wide},
+		{"thin-clos-130x65-direct", wideTC, true, wide},
+	} {
 		for _, failures := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%s/failures=%v/workers=%d", top.Name(), failures, workers)
+			for _, workers := range c.workers {
+				name := fmt.Sprintf("%s/failures=%v/workers=%d", c.label, failures, workers)
 				t.Run(name, func(t *testing.T) {
-					drainWalksAgree(t, top, failures, workers)
+					drainWalksAgree(t, c.top, c.direct, failures, workers)
 				})
 			}
 		}
 	}
 }
 
-func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int) {
+func drainWalksAgree(t *testing.T, top topo.Topology, direct, failures bool, workers int) {
 	// inverted[k] counts the slots in which shard k's inverted walk had
 	// relay destinations to mark (each shard writes only its own entry).
 	inverted := make([]int, workers)
+	// A fabric with more than 64 ports has tens of times more connections
+	// per slot: a lighter load and a shorter arrival window (24 us, still
+	// into the failure plan's outages) keep its run short.
+	load, arrivalRounds := 0.7, 1000
+	if top.Ports() > 64 {
+		load, arrivalRounds = 0.3, 400
+	}
 	build := func(walk string) *Engine {
 		cfg := Config{
-			Topology:       top,
-			HostRate:       sim.Gbps(200),
-			PriorityQueues: true,
-			Seed:           1,
-			Workers:        workers,
+			Topology:            top,
+			HostRate:            sim.Gbps(200),
+			PriorityQueues:      true,
+			OpportunisticDirect: direct,
+			Seed:                1,
+			Workers:             workers,
 		}
 		if failures {
 			cfg.Failures = failure.Random(top.N(), top.Ports(), 0.2,
@@ -83,7 +118,7 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 			e.stepDrain = func(k int) { e.shards[k].ungatedDrain(e.Rounds()) }
 			e.stepServe = func(k int) { e.shards[k].ungatedServe(e.Rounds()) }
 		}
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), top.N(), 0.7, cfg.HostRate, 7))
+		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), top.N(), load, cfg.HostRate, 7))
 		return e
 	}
 	hold := build("holder")
@@ -115,15 +150,17 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 		}
 		for i := range hold.Nodes {
 			nd := &hold.Nodes[i]
-			if tn := &tw.Nodes[i]; nd.Relay.Total != tn.Relay.Total || nd.Lanes.Total != tn.Lanes.Total {
-				t.Fatalf("round %d node %d: relay/lane backlog %d/%d (holder walk) vs %d/%d (%s)",
-					round, i, nd.Relay.Total, nd.Lanes.Total, tn.Relay.Total, tn.Lanes.Total, name)
+			if tn := &tw.Nodes[i]; nd.Relay.Total != tn.Relay.Total || nd.Lanes.Total != tn.Lanes.Total ||
+				nd.Direct.Total != tn.Direct.Total || nd.SprayPtr != tn.SprayPtr {
+				t.Fatalf("round %d node %d: relay/lane/direct backlog %d/%d/%d, spray pointer %d (holder walk) vs %d/%d/%d, %d (%s)",
+					round, i, nd.Relay.Total, nd.Lanes.Total, nd.Direct.Total, nd.SprayPtr,
+					tn.Relay.Total, tn.Lanes.Total, tn.Direct.Total, tn.SprayPtr, name)
 			}
 		}
 	}
 
-	// 1000 slots of arrivals (60 us), then step until the fabric drains.
-	const arrivalRounds = 1000
+	// arrivalRounds slots of arrivals (1000 slots are 60 us), then step
+	// until the fabric drains.
 	for round := 0; ; round++ {
 		if round == arrivalRounds {
 			hold.SetWorkload(nil)
@@ -162,9 +199,10 @@ func drainWalksAgree(t *testing.T, top topo.Topology, failures bool, workers int
 	}
 }
 
-// ungatedDrain is the reference for drainConn's occupancy gate: the
-// holder walk with every port of every relay holder probing its queue,
-// gated only by the known-down link and the FIFO's own HeadReady.
+// ungatedDrain is the reference for drainPorts' port mask: the holder
+// walk with every port of every relay holder resolved through
+// PredefinedPeer and probing its queue, gated only by the known-down link
+// and the FIFO's own HeadReady.
 func (sh *obShard) ungatedDrain(slotNo int64) {
 	e := sh.e
 	occ := &sh.fs.ActiveRelay
@@ -188,12 +226,16 @@ func (sh *obShard) ungatedDrain(slotNo int64) {
 	}
 }
 
-// ungatedServe is the reference for serveStep's lane occupancy gate:
-// every free port of every lane holder reaches serveLanes, whose HeadDst
-// read finds the empty lanes.
+// ungatedServe is the reference for serveStep's port mask under either
+// discipline: every free port of every lane (or direct) holder, resolved
+// through PredefinedPeer, reaches serveLanes, whose HeadDst read finds
+// the empty lanes, or serve.
 func (sh *obShard) ungatedServe(slotNo int64) {
 	e := sh.e
-	occ := &sh.fs.ActiveLanes
+	occ := &sh.fs.ActiveDirect
+	if e.lanes {
+		occ = &sh.fs.ActiveLanes
+	}
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
 		src := &e.Nodes[i]
@@ -207,7 +249,11 @@ func (sh *obShard) ungatedServe(slotNo int64) {
 			}
 			sh.txNode = src
 			sh.txLost = e.actual.Down(i, j, s)
-			sh.serveLanes(src, i, j)
+			if e.lanes {
+				sh.serveLanes(src, i, j)
+			} else {
+				sh.serve(src, i, j)
+			}
 		}
 	}
 }

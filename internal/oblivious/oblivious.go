@@ -27,6 +27,7 @@ package oblivious
 
 import (
 	"fmt"
+	"math/bits"
 
 	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
@@ -191,6 +192,17 @@ type Engine struct {
 	slotRot    int      // rule rotation (full cycles elapsed)
 	slotStart  sim.Time // current slot's start
 	slotArrive sim.Time // current slot's delivery time (slot end + prop)
+
+	// peers and sources are the current slot's schedule, resolved once per
+	// slot: peers.Row(i, row) puts the ToR that port s of ToR i connects to
+	// in row[s], and sources inverts it (an idle port maps i to i).
+	peers, sources topo.Schedule
+	// maskWords is the length of a ToR's port mask: one word per 64 ports.
+	maskWords int
+	// anyPeer holds every ToR: the occupancy the slot-time-spray serve
+	// gathers, since that discipline can spray any queue over any live
+	// connection (empty under the lane discipline).
+	anyPeer fabric.OccSet
 }
 
 // obShard owns one contiguous ToR range of the slot pipeline. Phases A
@@ -221,12 +233,14 @@ type obShard struct {
 	pushes      []obPush
 	transits    []obTransit
 
-	// drainMarks is drainSparse's candidate set over the shard's
-	// connections, indexed like usedStamp ((tor-lo)*s + port): ascending
-	// iteration yields the holder walk's (source, port) service order
-	// without a sort, and the walk clears every bit it visits, so the set
-	// is empty again between slots.
+	// drainMarks is drainSparse's candidate set over the shard's ToRs
+	// (bit tor-lo): ascending iteration yields the holder walk's service
+	// order without a sort, and the walk clears every bit it visits, so
+	// the set is empty again between slots.
 	drainMarks fabric.OccSet
+	// row holds the far ends of one ToR's S ports this slot (see
+	// Engine.peers), filled for each ToR a walk visits.
+	row []int
 
 	// Emitter context + prebuilt closures (no per-take closure allocs).
 	// txLost marks the current connection's actual link state down
@@ -291,6 +305,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.relayCap = 64 * e.cell
 	e.chunkCells = 4
+	e.maskWords = (e.s + 63) >> 6
+	if !e.lanes {
+		e.anyPeer = fabric.NewOccSet(e.n)
+		for j := 0; j < e.n; j++ {
+			e.anyPeer.Set(j)
+		}
+	}
 	fab, err := fabric.New(fabric.Config{
 		Topology:         cfg.Topology,
 		HostRate:         cfg.HostRate,
@@ -347,8 +368,9 @@ func (e *Engine) initShards() {
 	e.shards = make([]*obShard, e.Workers)
 	for k := 0; k < e.Workers; k++ {
 		fs := e.Shards[k]
-		conns := (fs.Hi - fs.Lo) * e.s
-		sh := &obShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs, usedStamp: make([]int64, conns), drainMarks: fabric.NewOccSet(conns), txVia: -1}
+		tors := fs.Hi - fs.Lo
+		sh := &obShard{e: e, k: k, lo: fs.Lo, hi: fs.Hi, fs: fs, usedStamp: make([]int64, tors*e.s),
+			drainMarks: fabric.NewOccSet(tors), row: make([]int, e.s), txVia: -1}
 		// Losses requeue into the queue set the discipline actually
 		// serves: lanes under Sirius spray, direct under the ablations.
 		sh.lossClass = fabric.RequeueDirect
@@ -402,7 +424,7 @@ func (e *Engine) EpochRounds() int { return e.slots }
 // Round implements fabric.ControlPlane: one timeslot through the
 // barrier-synchronized shard phases:
 //
-//	serial   arrival injection, slot context
+//	serial   arrival injection, slot context and schedule
 //	phase A  second-hop relay drains — each shard drains its own ToRs'
 //	         ready relay VOQs toward this slot's peers, marking the
 //	         connections it consumed
@@ -423,6 +445,7 @@ func (e *Engine) Round() {
 	e.slotRot = int(slotNo) / e.slots // rotate the rule every full cycle
 	e.slotStart = slotStart
 	e.slotArrive = slotStart.Add(e.timing.Slot).Add(e.timing.PropDelay)
+	e.top.SlotSchedule(e.slotT, e.slotRot, &e.peers, &e.sources)
 
 	e.ParDo(e.stepDrain)
 	e.ParDo(e.stepServe)
@@ -469,21 +492,19 @@ func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 // each connected peer, for this shard's ToRs. Relay traffic must not
 // accumulate, so a connection carrying it is consumed for the slot.
 //
-// Two walks find the connections to drain, with byte-identical results;
-// both hand each candidate connection to drainConn, whose occupancy gate
-// reads a queue only when the source holds relay bytes for the peer. The
-// holder walk visits every node with relay backlog and probes each of its
-// S connections once. VLB spraying makes nearly every node a relay
-// holder even when only a handful of flows are live — 256 flows sprayed
-// across 65,536 intermediates leave backlog everywhere — so that walk is
-// O(width) in exactly the sparse regime that must not pay it. The number
-// of relay DESTINATIONS tracks live flows, not width, and drainSparse
-// walks those instead; it touches each candidate connection twice (mark,
-// then visit) where the holder walk touches it once. So the inverted walk
-// runs only when it is the cheaper one: with fewer than half as many relay
-// destinations as relay holders. Under dense spray at 128 ToRs both sets
-// hold about N members and the holder walk runs; at 256 active ToRs of
-// 4096 and more, a few hundred destinations face thousands of holders.
+// Two walks find the ToRs to drain, with byte-identical results; both hand
+// each one to drainPorts. The holder walk visits every node with relay
+// backlog. VLB spraying makes nearly every node a relay holder even when
+// only a handful of flows are live — 256 flows sprayed across 65,536
+// intermediates leave backlog everywhere — so that walk is O(width) in
+// exactly the sparse regime that must not pay it. The number of relay
+// DESTINATIONS tracks live flows, not width, and drainSparse walks those
+// instead; it touches each candidate connection to mark its source before
+// the visit. So the inverted walk runs only when it is the cheaper one:
+// with fewer than half as many relay destinations as relay holders. Under
+// dense spray at 128 ToRs both sets hold about N members and the holder
+// walk runs; at 256 active ToRs of 4096 and more, a few hundred
+// destinations face thousands of holders.
 func (sh *obShard) drainStep() {
 	slotNo := sh.e.Rounds()
 	if dsts, nd := sh.fs.RelayDsts(); 2*nd < sh.fs.ActiveRelay.Count() {
@@ -499,97 +520,125 @@ func (sh *obShard) drainStep() {
 // empty clears its own bit, which is safe mid-iteration (Next only looks
 // ahead).
 func (sh *obShard) drainHolders(slotNo int64) {
-	e := sh.e
 	occ := &sh.fs.ActiveRelay
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
-		i := sh.lo + bit
-		for s := 0; s < e.s; s++ {
-			if j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot); j >= 0 {
-				sh.drainConn(i, s, j, slotNo)
-			}
-		}
+		sh.drainPorts(sh.lo+bit, slotNo)
 	}
 }
 
 // drainSparse is drainStep's destination-inverted walk. Within one slot the
 // predefined schedule is a permutation per port, so for every backlogged
-// destination j and port s there is at most one source i with
-// PredefinedPeer(i, s) == j — PredefinedSource names it directly. Marking
-// each in-shard candidate's connection bit ((i-lo)*S + s, the usedStamp
-// index) and then iterating the marks in ascending order visits the
-// candidates in the holder walk's (i ascending, s ascending) service
-// order, with j recomputed by PredefinedPeer, so the drains, the deferred
-// records and the usedStamp marks are byte-identical to that walk; a
-// candidate whose source holds no ready backlog for j fails the same
-// drainConn gates that skip it there. Every mark is placed before any
-// drain runs, so destination bits clearing as VOQs empty cannot perturb
-// the walk, and the visit clears each mark, so no per-slot reset is
-// needed. Cost: O(relay-destinations · S) per shard, independent of fabric
-// width.
+// destination j and port s there is at most one source i whose port s
+// reaches j — the slot's sources schedule names it. Marking each in-shard
+// candidate and then visiting the marks in ascending order reproduces the
+// holder walk's (i ascending, s ascending) service order, so the drains,
+// the deferred records and the usedStamp marks are byte-identical to that
+// walk: every port through which the holder walk would drain leads to a
+// relay destination, so its source is marked, and a marked ToR that holds
+// nothing for a port's peer drops that port from drainPorts' mask as it
+// would there. Every mark is placed before any drain runs, so destination
+// bits clearing as VOQs empty cannot perturb the walk, and the visit
+// clears each mark, so no per-slot reset is needed. Cost: O(relay-
+// destinations · S) marks and at most as many ToRs visited, each over its
+// S ports — independent of fabric width.
 func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 	e := sh.e
 	marks := &sh.drainMarks
 	for j := dsts.Next(-1); j >= 0; j = dsts.Next(j) {
-		for s := 0; s < e.s; s++ {
-			if i := e.top.PredefinedSource(j, s, e.slotT, e.slotRot); i >= sh.lo && i < sh.hi {
-				marks.Set((i-sh.lo)*e.s + s)
+		e.sources.Row(j, sh.row)
+		for _, i := range sh.row {
+			if i != j && i >= sh.lo && i < sh.hi {
+				marks.Set(i - sh.lo)
 			}
 		}
 	}
-	for c := marks.Next(-1); c >= 0; c = marks.Next(c) {
-		marks.Clear(c)
-		di := c / e.s
-		i, s := sh.lo+di, c-di*e.s
-		sh.drainConn(i, s, e.top.PredefinedPeer(i, s, e.slotT, e.slotRot), slotNo)
+	for di := marks.Next(-1); di >= 0; di = marks.Next(di) {
+		marks.Clear(di)
+		// A candidate may never have held relay bytes, its occupancy
+		// index unmaterialized: the zero aggregate answers for it.
+		if e.Nodes[sh.lo+di].Relay.Total > 0 {
+			sh.drainPorts(sh.lo+di, slotNo)
+		}
 	}
 }
 
-// drainConn drains one cell of source i's relay VOQ for j over its port s
-// and marks the connection consumed. It reads the source's relay
-// occupancy bit for j before the queue: most connections of a relay
-// holder face a peer it holds nothing for, and the bit answers that from
-// a few words per node, cached after the node's first port, where the
-// queue read loads a FIFO header from the node's relay page. A
-// drainSparse candidate may never have held relay bytes, its occupancy
-// index unmaterialized, so the zero aggregate is tested first. A link the
-// fabric knows is down is excluded from service (the slot is not
-// scheduled, so serve keeps it gated too); a link that is down but
-// undetected transmits into the void.
-func (sh *obShard) drainConn(i, s, j int, slotNo int64) {
+// drainPorts drains ToR i, which holds relay bytes, over every port whose
+// peer it holds relay bytes for, in ascending port order: one cell of the
+// relay VOQ for the peer per port, which consumes the connection for the
+// slot. The port mask comes from the occupancy index, so only those ports
+// read a queue. A link the fabric knows is down is excluded from service
+// (the slot is not scheduled, so serve keeps it gated too); a link that is
+// down but undetected transmits into the void. Draining port s can clear
+// only its own peer's occupancy bit, which no other port of i reads this
+// slot, so a mask built before the drains stays exact.
+func (sh *obShard) drainPorts(i int, slotNo int64) {
 	e := sh.e
 	src := &e.Nodes[i]
-	if src.Relay.Total == 0 || !src.Relay.Occ.Has(j) {
-		return
+	row := sh.row
+	e.peers.Row(i, row)
+	for w := 0; w < e.maskWords; w++ {
+		for m := portMask(&src.Relay.Occ, i, row, w); m != 0; m &= m - 1 {
+			s := w<<6 | bits.TrailingZeros64(m)
+			j := row[s]
+			if e.known.Down(i, j, s) || !src.Relay.HeadReady(j, e.slotStart) {
+				continue
+			}
+			sh.txDst = j
+			sh.txNode = src
+			sh.txLost = e.actual.Down(i, j, s)
+			src.Relay.Drain(j, e.cell, e.slotStart, sh.drainEmit)
+			sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
+		}
 	}
-	if e.known.Down(i, j, s) {
-		return
+}
+
+// portMask returns word w of ToR i's port mask for the slot (ports 64w to
+// 64w+63), given the far ends of its ports in row: a port's bit is set
+// when its connection is live — its peer is not i itself — and occ holds
+// the peer. Most connections of a busy node face a peer it holds nothing
+// for, and which ones do changes from slot to slot, so a branch per port
+// on that bit would be mispredicted at random; the bits combine
+// arithmetically instead, and the callers visit only the set bits.
+func portMask(occ *fabric.OccSet, i int, row []int, w int) uint64 {
+	lo := w << 6
+	var m uint64
+	for k, j := range row[lo:min(lo+64, len(row))] {
+		self := uint64(j ^ i) // zero only on an idle connection
+		m |= (occ.Bit(j) & ((self | -self) >> 63)) << (uint(k) & 63)
 	}
-	if !src.Relay.HeadReady(j, e.slotStart) {
-		return
+	return m
+}
+
+// freePorts returns word w of ToR i's mask of the ports phase A did not
+// consume this slot (a usedStamp other than stamp), without a branch per
+// port.
+func (sh *obShard) freePorts(i, w int, stamp int64) uint64 {
+	s := sh.e.s
+	used := sh.usedStamp[(i-sh.lo)*s : (i-sh.lo+1)*s]
+	lo := w << 6
+	var m uint64
+	for k, u := range used[lo:min(lo+64, s)] {
+		x := uint64(u ^ stamp)
+		m |= ((x | -x) >> 63) << (uint(k) & 63)
 	}
-	sh.txDst = j
-	sh.txNode = src
-	sh.txLost = e.actual.Down(i, j, s)
-	src.Relay.Drain(j, e.cell, e.slotStart, sh.drainEmit)
-	sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
+	return m
 }
 
 // serveStep is phase B for one shard: fresh-data service on the
 // connections phase A left free.
 func (sh *obShard) serveStep() {
 	e := sh.e
-	slotNo := e.Rounds()
+	stamp := e.Rounds() + 1
 	// The occupancy set of the class this discipline serves walks straight
 	// to the nodes holding fresh data — the O(active)-nodes counterpart of
-	// the drain-phase walk. Connections phase A consumed need no masking
-	// here: an idle node set no usedStamp entries. Under the lane
-	// discipline each connection then reads the source's lane occupancy
-	// bit for the peer before the lane's queue, as drainConn does for
-	// relay FIFOs: most lanes of a node are empty in any one slot, and an
-	// empty PIAS lane's head read touches three cache lines of its page.
-	// Every visited node has bytes in its class, so its occupancy index
-	// exists and the bit read needs no nil check. The slot-time-spray
-	// ablation keeps its own occupancy walk in serve.
+	// the drain-phase walk. Each node's port mask keeps the free, live
+	// ports and, under the lane discipline, those whose lane holds bytes,
+	// as drainPorts does for relay FIFOs: most lanes of a node are empty
+	// in any one slot, and an empty PIAS lane's head read touches three
+	// cache lines of its page. Every visited node has bytes in its class,
+	// so its occupancy index exists. The slot-time-spray ablation can
+	// spray any queue over any live port and keeps its own occupancy walk
+	// in serve.
 	occ := &sh.fs.ActiveDirect
 	if e.lanes {
 		occ = &sh.fs.ActiveLanes
@@ -597,29 +646,29 @@ func (sh *obShard) serveStep() {
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
 		i := sh.lo + bit
 		src := &e.Nodes[i]
-		for s := 0; s < e.s; s++ {
-			if sh.usedStamp[(i-sh.lo)*e.s+s] == slotNo+1 {
-				continue
-			}
-			j := e.top.PredefinedPeer(i, s, e.slotT, e.slotRot)
-			if j < 0 {
-				continue
-			}
-			if e.lanes && !src.Lanes.Occ.Has(j) {
-				continue // lane j is empty: an idle slot
-			}
-			// Every transmission of slot (i, s) rides the same fibre pair,
-			// so the known-failure gate and the actual-loss flag apply to
-			// the connection as a whole (see drainConn).
-			if e.known.Down(i, j, s) {
-				continue
-			}
-			sh.txNode = src
-			sh.txLost = e.actual.Down(i, j, s)
-			if e.lanes {
-				sh.serveLanes(src, i, j)
-			} else {
-				sh.serve(src, i, j)
+		held := &e.anyPeer
+		if e.lanes {
+			held = &src.Lanes.Occ
+		}
+		row := sh.row
+		e.peers.Row(i, row)
+		for w := 0; w < e.maskWords; w++ {
+			for m := sh.freePorts(i, w, stamp) & portMask(held, i, row, w); m != 0; m &= m - 1 {
+				s := w<<6 | bits.TrailingZeros64(m)
+				j := row[s]
+				// Every transmission of slot (i, s) rides the same fibre
+				// pair, so the known-failure gate and the actual-loss flag
+				// apply to the connection as a whole (see drainPorts).
+				if e.known.Down(i, j, s) {
+					continue
+				}
+				sh.txNode = src
+				sh.txLost = e.actual.Down(i, j, s)
+				if e.lanes {
+					sh.serveLanes(src, i, j)
+				} else {
+					sh.serve(src, i, j)
+				}
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package topo
 
 import "testing"
 
-// BenchmarkPredefinedPeer measures the schedule lookup on the hot
-// per-slot path at paper scale.
+// BenchmarkPredefinedPeer measures the per-connection schedule lookup at
+// paper scale, the reference the slot loops' SlotSchedule replaces.
 func BenchmarkPredefinedPeer(b *testing.B) {
 	p, err := NewParallel(128, 8)
 	if err != nil {

@@ -94,3 +94,111 @@ func TestPredefinedSourceInverse(t *testing.T) {
 		}
 	}
 }
+
+// thinClosPoint is one random query of a random thin-clos schedule: G
+// from 1 to 100 groups (ports) of W from 1 to 20 ToRs, so more than 64
+// ports occur, and a slot past one cycle.
+type thinClosPoint struct{ s, w, i, j, port, t, r int }
+
+func (thinClosPoint) Generate(rng *rand.Rand, _ int) reflect.Value {
+	s, w := 1+rng.Intn(100), 1+rng.Intn(20)
+	if s*w < 2 {
+		s = 2
+	}
+	n := s * w
+	return reflect.ValueOf(thinClosPoint{
+		s: s, w: w,
+		i: rng.Intn(n), j: rng.Intn(n),
+		port: rng.Intn(s), t: rng.Intn(3 * w), r: rng.Intn(1 << 20),
+	})
+}
+
+// resolved is the Schedule form of a per-connection reference answer:
+// the ToR itself where the reference reports no connection.
+func resolved(x, ref int) int {
+	if ref < 0 {
+		return x
+	}
+	return ref
+}
+
+// TestSlotScheduleMatchesReference pins SlotSchedule to the per-connection
+// schedule it replaces in the slot loops: for every ToR x and port s,
+// peers.Row(x)[s] is PredefinedPeer(x, s, t, r) and sources.Row(x)[s] is
+// PredefinedSource(x, s, t, r), with x itself where those report -1.
+// The quick cases draw random dimensions,
+// slots and rotations on both topologies (more than 64 ports included)
+// and refill one pair of schedules throughout, so storage reuse across
+// sizes is covered too; the exhaustive cases sweep every ToR, port and
+// slot of padded, multi-word and single-group fabrics.
+func TestSlotScheduleMatchesReference(t *testing.T) {
+	var peers, sources Schedule
+	fwd, back := make([]int, 100), make([]int, 100) // the widest fabric drawn
+	agree := func(top Topology, x, port, tt, r int) bool {
+		top.SlotSchedule(tt, r, &peers, &sources)
+		peers.Row(x, fwd)
+		sources.Row(x, back)
+		return fwd[port] == resolved(x, top.PredefinedPeer(x, port, tt, r)) &&
+			back[port] == resolved(x, top.PredefinedSource(x, port, tt, r))
+	}
+	t.Run("parallel-quick", func(t *testing.T) {
+		f := func(q parallelPoint) bool {
+			p, err := NewParallel(q.n, q.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return agree(p, q.i, q.port, q.t, q.r) && agree(p, q.j, q.port, q.t, q.r)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("thin-clos-quick", func(t *testing.T) {
+		f := func(q thinClosPoint) bool {
+			tc, err := NewThinClos(q.s*q.w, q.s, q.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return agree(tc, q.i, q.port, q.t, q.r) && agree(tc, q.j, q.port, q.t, q.r)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
+		}
+	})
+	var tops []Topology
+	for _, d := range [][2]int{{24, 5}, {150, 70}, {2, 1}, {9, 12}} {
+		p, err := NewParallel(d[0], d[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, p)
+	}
+	for _, d := range [][3]int{{24, 6, 4}, {140, 70, 2}, {8, 1, 8}, {128, 8, 16}} {
+		tc, err := NewThinClos(d[0], d[1], d[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, tc)
+	}
+	for _, top := range tops {
+		for r := 0; r < top.Ports()+2; r++ {
+			for tt := 0; tt < top.PredefinedSlots(); tt++ {
+				top.SlotSchedule(tt, r, &peers, &sources)
+				for x := 0; x < top.N(); x++ {
+					peers.Row(x, fwd)
+					sources.Row(x, back)
+					for port := 0; port < top.Ports(); port++ {
+						if got, want := fwd[port], resolved(x, top.PredefinedPeer(x, port, tt, r)); got != want {
+							t.Fatalf("%s %dx%d: peer of %d on port %d, slot %d, rotation %d = %d, want %d",
+								top.Name(), top.N(), top.Ports(), x, port, tt, r, got, want)
+						}
+						if got, want := back[port], resolved(x, top.PredefinedSource(x, port, tt, r)); got != want {
+							t.Fatalf("%s %dx%d: source of %d on port %d, slot %d, rotation %d = %d, want %d",
+								top.Name(), top.N(), top.Ports(), x, port, tt, r, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

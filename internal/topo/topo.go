@@ -67,9 +67,16 @@ type Topology interface {
 	// slot (schedule padding or the self-connection). The predefined
 	// schedules are per-(s, t, r) permutations, so
 	// PredefinedPeer(i, s, t, r) == j iff PredefinedSource(j, s, t, r) == i.
-	// Slot loops that iterate backlogged DESTINATIONS instead of all
-	// sources use this to find the one node a destination can drain from.
 	PredefinedSource(j, s, t, r int) int
+
+	// SlotSchedule resolves timeslot t of a predefined phase with rotation
+	// r for a slot loop, filling peers (the ToR each port connects to, as
+	// PredefinedPeer names it) and sources (the ToR each port hears from,
+	// as PredefinedSource names it) in place. Where those return -1 the
+	// Schedule maps the ToR to itself. It costs one reduction per slot;
+	// the loop then resolves a ToR's ports (Schedule.Row) without a
+	// division.
+	SlotSchedule(t, r int, peers, sources *Schedule)
 
 	// AWGRs returns the number of optical switches the physical build
 	// requires and the port count of each.
@@ -77,6 +84,61 @@ type Topology interface {
 
 	// Name returns a short human-readable topology name.
 	Name() string
+}
+
+// Schedule is one direction of one timeslot of a predefined schedule (see
+// Topology.SlotSchedule). Every ToR x has a base b for the slot and every
+// port s an offset in [0, N), and the ToR at the far end of x's port s is
+// (b + offset) mod N. A connection that ends at x itself is idle: the
+// self-connection, or padding on the parallel network. The zero value is
+// empty; SlotSchedule fills it and reuses its storage.
+type Schedule struct {
+	n      int
+	w      int // thin-clos group width; 0 on the parallel network, where x's base is x
+	shift  int // thin-clos local-index shift in [0, w)
+	offset []int
+}
+
+// reset sizes the schedule for n ToRs and the given port count.
+func (sc *Schedule) reset(n, ports, w, shift int) {
+	sc.n, sc.w, sc.shift = n, w, shift
+	if cap(sc.offset) < ports {
+		sc.offset = make([]int, ports)
+	}
+	sc.offset = sc.offset[:ports]
+}
+
+// Row fills far[s], for every port s, with the ToR at the far end of ToR
+// x's port s this slot, x itself on an idle connection; far must hold one
+// entry per port. It costs one sign mask per port in place of a mod, and
+// no division.
+func (sc *Schedule) Row(x int, far []int) {
+	b, n := sc.base(x), sc.n
+	far = far[:len(sc.offset)]
+	for s, o := range sc.offset {
+		j := b + o - n // b and o both lie in [0, N)
+		far[s] = j + n&(j>>63)
+	}
+}
+
+// base returns ToR x's base for the slot: x itself on the parallel
+// network; on thin-clos, with x = g*W + l, (((l + shift) mod W) - g*W)
+// mod N, so that port s (offset s*W) reaches group (s - g) mod G at local
+// index (l + shift) mod W.
+func (sc *Schedule) base(x int) int {
+	if sc.w == 0 {
+		return x
+	}
+	g := x / sc.w
+	l := x - g*sc.w + sc.shift
+	if l >= sc.w {
+		l -= sc.w
+	}
+	b := l - g*sc.w
+	if b < 0 {
+		b += sc.n
+	}
+	return b
 }
 
 // Parallel is the parallel network topology (paper Figure 1a): S AWGRs, each
@@ -120,10 +182,11 @@ func (p *Parallel) PredefinedSlots() int { return (p.n - 2 + p.s) / p.s } // cei
 // once. Incrementing the rotation r each epoch shifts which port serves a
 // given pair, cycling through all S ports over S epochs.
 //
-// The slot loops call this once per (ToR, port) per timeslot, so it costs
-// one integer division: offsets k >= N-1 (padding when S doesn't divide
-// N-1, and the wrap onto self) are idle, and every other k keeps
-// i + 1 + k below 2N, where one conditional subtract replaces the mod.
+// Offsets k >= N-1 (padding when S doesn't divide N-1, and the wrap onto
+// self) are idle, and every other k keeps i + 1 + k below 2N, where one
+// conditional subtract replaces the mod. Slot loops resolve a whole slot
+// through SlotSchedule instead; this per-connection form is the reference
+// it is tested against.
 func (p *Parallel) PredefinedPeer(i, s, t, r int) int {
 	k := (t*p.s + s + r) % p.span
 	if k >= p.n-1 {
@@ -150,6 +213,27 @@ func (p *Parallel) PredefinedSource(j, s, t, r int) int {
 		i += p.n
 	}
 	return i
+}
+
+// SlotSchedule implements Topology: the S ports of slot t hit the S
+// consecutive offsets k = (t*S + s + r) mod span, one reduction for the
+// slot and a wrap at span per port. Port s then takes each ToR forward by
+// 1 + k and back by the same amount (offset N-1-k), and a padding offset
+// (k >= N-1) maps every ToR to itself.
+func (p *Parallel) SlotSchedule(t, r int, peers, sources *Schedule) {
+	peers.reset(p.n, p.s, 0, 0)
+	sources.reset(p.n, p.s, 0, 0)
+	k := (t*p.s + r) % p.span
+	for s := 0; s < p.s; s++ {
+		fwd, back := 0, 0
+		if k < p.n-1 {
+			fwd, back = k+1, p.n-1-k
+		}
+		peers.offset[s], sources.offset[s] = fwd, back
+		if k++; k == p.span {
+			k = 0
+		}
+	}
 }
 
 func (p *Parallel) PathPort(src, dst int) int {
@@ -273,6 +357,20 @@ func (t *ThinClos) PredefinedSource(j, s, tt, r int) int {
 		return -1
 	}
 	return i
+}
+
+// SlotSchedule implements Topology: slot tt shifts every local index by
+// tt mod W, forward for peers and backward for sources, and port s of a
+// ToR in group g reaches group (s - g) mod G, offset s*W from the ToR's
+// base (see Schedule.base), so the whole slot is one shift; the
+// self-connection (shift 0, port 2g mod G) maps a ToR to itself.
+func (t *ThinClos) SlotSchedule(tt, r int, peers, sources *Schedule) {
+	shift := tt % t.w
+	peers.reset(t.n, t.s, t.w, shift)
+	sources.reset(t.n, t.s, t.w, (t.w-shift)%t.w)
+	for s := range peers.offset {
+		peers.offset[s], sources.offset[s] = s*t.w, s*t.w
+	}
 }
 
 func (t *ThinClos) PathPort(src, dst int) int {

@@ -125,6 +125,30 @@ func TestZeroLoadEndsStream(t *testing.T) {
 	}
 }
 
+// TestZeroMeanSizeEndsStream: the load equation makes the mean gap
+// proportional to the mean flow size, so a distribution whose mean is zero
+// gave zero gaps, an endless stream of zero-byte arrivals at t = 0. Such a
+// stream has nothing to offer and is empty, on every clock-driven
+// generator, as is one whose sizes are negative.
+func TestZeroMeanSizeEndsStream(t *testing.T) {
+	for _, size := range []int64{0, -5} {
+		dist := Fixed(size)
+		hs, err := NewHotspot(dist, 64, 0.5, sim.Gbps(400), 4, 0.5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		di, err := NewDiurnal(dist, 64, 0.5, sim.Gbps(400), sim.Millisecond, 0.1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range map[string]Generator{"poisson": NewPoisson(dist, 64, 0.5, sim.Gbps(400), 1), "hotspot": hs, "diurnal": di} {
+			if n := checkTimes(t, name, g, 10); n != 0 {
+				t.Errorf("%s over %d-byte flows emitted %d arrivals", name, size, n)
+			}
+		}
+	}
+}
+
 // TestIncastMixUnrepresentableGap: a bwFraction of zero makes the event
 // gap infinite, and the float-to-Duration conversion used to turn it into
 // a 1 ns gap (100 degree-20 incasts in the first 133 ns). Such a stream is

@@ -140,10 +140,12 @@ const maxTimeNs = float64(1 << 63)
 
 // arrivalClock is the Poisson arrival process Poisson, Hotspot and Diurnal
 // share: the load equation L = F/(R·N·τ) (§4.1) sets the mean gap (10^18 ns
-// at a load of zero or less, infinite below two ToRs), and step draws
-// exponential gaps from the generator's RNG. Time accumulates in float64
-// nanoseconds: at paper scale the mean gap is a few tens of nanoseconds,
-// where integer truncation would bias the offered load by several percent.
+// at a load of zero or less; infinite below two ToRs, and for a size
+// distribution whose mean is not positive, whose zero gaps would flood
+// t = 0), and step draws exponential gaps from the generator's RNG. Time
+// accumulates in float64 nanoseconds: at paper scale the mean gap is a few
+// tens of nanoseconds, where integer truncation would bias the offered
+// load by several percent.
 // A clock outside [0, 2^63) ns ends the stream instead of converting to a
 // wrapped, negative time.
 type arrivalClock struct {
@@ -157,10 +159,10 @@ type arrivalClock struct {
 func newArrivalClock(dist SizeDist, n int, load float64, hostRate sim.Rate, seed int64) arrivalClock {
 	c := arrivalClock{dist: dist, n: n, rng: sim.NewRNG(seed), meanNs: 1e18}
 	switch {
-	case n < 2:
-		// No pair of distinct ToRs: an infinite gap ends the stream
-		// before its first arrival (at n = 0 the load equation already
-		// gives one).
+	case n < 2 || !(dist.Mean() > 0):
+		// No pair of distinct ToRs, or no bytes to offer: an infinite gap
+		// ends the stream before its first arrival (at n = 0 the load
+		// equation already gives one).
 		c.meanNs = math.Inf(1)
 	case load > 0:
 		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
@@ -230,10 +232,14 @@ type Incast struct {
 }
 
 // NewIncast builds the event. Sources are chosen deterministically from
-// seed among all ToRs except dst; degree must lie in [1, n-1].
+// seed among all ToRs except dst; degree must lie in [1, n-1] and size be
+// at least 1 byte.
 func NewIncast(n, dst, degree int, size int64, t sim.Time, tag int, seed int64) (*Incast, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("workload: incast degree %d is below 1", degree)
+	}
+	if size < 1 {
+		return nil, fmt.Errorf("workload: incast flow size %d is below 1 byte", size)
 	}
 	if degree > n-1 {
 		return nil, fmt.Errorf("workload: incast degree %d exceeds n-1=%d", degree, n-1)

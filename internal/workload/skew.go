@@ -20,13 +20,17 @@ type Permutation struct {
 	t            sim.Time
 }
 
-// NewPermutation returns the generator. active == 0 means all n ToRs.
+// NewPermutation returns the generator. active == 0 means all n ToRs;
+// size must be at least 1 byte.
 func NewPermutation(n, active int, size int64, t sim.Time) (*Permutation, error) {
 	if active == 0 {
 		active = n
 	}
 	if active < 2 || active > n {
 		return nil, fmt.Errorf("workload: permutation needs 2 <= active <= n, got active=%d n=%d", active, n)
+	}
+	if size < 1 {
+		return nil, fmt.Errorf("workload: permutation flow size %d is below 1 byte", size)
 	}
 	return &Permutation{n: n, active: active, size: size, t: t}, nil
 }

@@ -193,6 +193,48 @@ func TestIncastRejectsDegreeBelowOne(t *testing.T) {
 	}
 }
 
+// TestFlowsWithoutBytesAreDropped: an arrival of fewer than 1 byte is no
+// flow. A zero-byte single pair used to panic on the NegotiaToR plane
+// ("index out of range" in its admission hook, whose direct class had not
+// materialized), and a -5-byte one never drained on the oblivious and
+// hybrid planes (the ledger booked -5 bytes injected). Every plane's pump
+// now drops such an arrival, so each drains at once with no flow and no
+// byte; the constructors that take a single flow size reject it.
+func TestFlowsWithoutBytesAreDropped(t *testing.T) {
+	for _, plane := range negotiator.ControlPlanes() {
+		for _, size := range []int64{0, -5} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v, size %d: panic: %v", plane, size, r)
+					}
+				}()
+				spec := negotiator.SmallSpec()
+				spec.ControlPlane = plane
+				fab, err := spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab.SetWorkload(negotiator.SinglePairWorkload(0, 1, size, 0))
+				if !fab.Drain(1000) {
+					t.Errorf("%v, size %d: did not drain", plane, size)
+				}
+				if s := fab.Summary(); s.Flows != 0 || s.Injected != 0 || s.Delivered != 0 {
+					t.Errorf("%v, size %d: %d flows, %d bytes injected, %d delivered", plane, size, s.Flows, s.Injected, s.Delivered)
+				}
+			}()
+		}
+	}
+	for _, size := range []int64{0, -5} {
+		if w, err := negotiator.IncastWorkload(negotiator.SmallSpec(), 3, 4, size, 0, 1, 1); err == nil {
+			t.Errorf("incast of %d-byte flows: nil error, %d flows", size, len(drain(w, 100)))
+		}
+		if w, err := negotiator.PermutationWorkload(negotiator.SmallSpec(), 0, size, 0); err == nil {
+			t.Errorf("permutation of %d-byte flows: nil error, %d flows", size, len(drain(w, 100)))
+		}
+	}
+}
+
 // TestMixedIncastWithoutBytesEndsStream: incast events that would carry no
 // bytes (a degree or a size below 1) end the incast stream at once. A zero
 // event size made the event rate infinite and the gap 1 ns: a degree-0
