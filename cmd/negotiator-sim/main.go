@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,8 +128,11 @@ func main() {
 	if *hostGbps <= 0 {
 		fatalUsagef("-host-gbps must be > 0, got %d: workloads scale their arrival rate by it", *hostGbps)
 	}
-	if *load < 0 {
-		fatalUsagef("-load must be >= 0, got %v", *load)
+	if *load < 0 || math.IsNaN(*load) || math.IsInf(*load, 0) {
+		fatalUsagef("-load must be >= 0 and finite, got %v", *load)
+	}
+	if *runs < 1 {
+		fatalUsagef("-runs must be >= 1, got %d", *runs)
 	}
 
 	spec := negotiator.DefaultSpec()
@@ -279,7 +283,7 @@ func main() {
 		return nil
 	}
 
-	if *runs <= 1 {
+	if *runs == 1 {
 		if err := runOne(*seed, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}

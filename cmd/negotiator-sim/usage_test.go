@@ -48,11 +48,12 @@ func checkUsageErrors(t *testing.T, bin string, cases []usageCase) {
 	}
 }
 
-// TestRateUsage pins the host-rate and load validation: a host rate of
-// zero or below would hand the Poisson generator a zero rate, whose first
-// round injects an unbounded burst, and a negative load would silently
-// run with no traffic. Both must exit 2 before any fabric is built; a
-// zero load is a valid idle run.
+// TestRateUsage pins the host-rate, load and replicate validation: a host
+// rate of zero or below would hand the Poisson generator a zero rate,
+// whose first round injects an unbounded burst; a negative or NaN load
+// would silently run with no traffic, and an infinite one flood t = 0;
+// and fewer than one replicate would silently run one. All must exit 2
+// before any fabric is built; a zero load is a valid idle run.
 func TestRateUsage(t *testing.T) {
 	bin := buildSim(t)
 	small := []string{"-tors", "16", "-ports", "4", "-awgr", "4", "-duration", "200us"}
@@ -60,6 +61,11 @@ func TestRateUsage(t *testing.T) {
 		{"zero-host-rate", append([]string{"-host-gbps", "0"}, small...), "-host-gbps must be > 0"},
 		{"negative-host-rate", append([]string{"-host-gbps", "-100"}, small...), "-host-gbps must be > 0"},
 		{"negative-load", append([]string{"-load", "-0.5"}, small...), "-load must be >= 0"},
+		{"nan-load", append([]string{"-load", "NaN"}, small...), "-load must be >= 0 and finite"},
+		{"inf-load", append([]string{"-load", "Inf"}, small...), "-load must be >= 0 and finite"},
+		{"negative-inf-load", append([]string{"-load", "-Inf"}, small...), "-load must be >= 0 and finite"},
+		{"zero-runs", append([]string{"-runs", "0"}, small...), "-runs must be >= 1"},
+		{"negative-runs", append([]string{"-runs", "-3"}, small...), "-runs must be >= 1"},
 	})
 
 	out, err := exec.Command(bin, append([]string{"-load", "0", "-host-gbps", "200"}, small...)...).CombinedOutput()

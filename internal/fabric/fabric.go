@@ -649,11 +649,12 @@ func (c *Core) RequeueDetectedLosses(now sim.Time, detect sim.Duration) {
 // MergedFCT returns the per-shard FCT accumulators merged into one view.
 // The merge shares the shards' sample blocks instead of copying them and
 // is order-independent, so every statistic is identical at any worker
-// count. The view, with the sorted copy its first percentile or CDF query
-// builds, is kept until a shard records a sample or Restore replaces the
-// samples: Summary, MiceCDF and every Results caller share one merge and
-// one sort. A view handed out earlier keeps its samples when a newer one
-// replaces it. Callers must not record or merge into the view.
+// count. The view, with the answers its queries cache (the all-flows
+// percentile its radix select found, the sorted mice copy), is kept until
+// a shard records a sample or Restore replaces the samples: Summary,
+// MiceCDF and every Results caller share one merge, one select and one
+// sort of the mice class. A view handed out earlier keeps its samples when
+// a newer one replaces it. Callers must not record or merge into the view.
 func (c *Core) MergedFCT() *metrics.FCTStats {
 	n := 0
 	for _, sh := range c.Shards {

@@ -346,8 +346,9 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 }
 
 // TestMergedFCTCachedView: a second MergedFCT with no new samples returns
-// the same view, sorted copy included, without allocating. A new shard
-// sample brings a new view, and the old one keeps the samples it had.
+// the same view, with the answers its queries cached, and repeated queries
+// allocate nothing. A new shard sample brings a new view, and the old one
+// keeps the samples it had.
 func TestMergedFCTCachedView(t *testing.T) {
 	top, err := topo.NewParallel(4, 2)
 	if err != nil {

@@ -435,10 +435,10 @@ func decodeTags(payload []byte) (map[int]*TagStat, error) {
 
 // encodeMetrics captures the MERGED per-shard accumulators. Restore
 // concentrates them into shard 0: shard merges are commutative sums and
-// every FCT order statistic is taken over a sorted copy of the samples,
-// so queried results are identical at any worker count on either side of
-// the checkpoint. The samples are written in recording order, shard by
-// shard, never in the sorted order an earlier query built.
+// every FCT order statistic is a function of the sample multiset, not of
+// its order, so queried results are identical at any worker count on
+// either side of the checkpoint. The samples are written in recording
+// order, shard by shard, never in the sorted order a mice query built.
 func (c *Core) encodeMetrics() []byte {
 	var e snap.Enc
 	fct := c.MergedFCT()

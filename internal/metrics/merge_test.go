@@ -74,12 +74,12 @@ func TestFCTMergeEqualsBulk(t *testing.T) {
 	}
 }
 
-// TestMergeAfterSortResorts: merging into a sorted accumulator must
-// invalidate the sort.
+// TestMergeAfterSortResorts: merging into a queried accumulator must
+// retire what its queries cached.
 func TestMergeAfterSortResorts(t *testing.T) {
 	var a, b FCTStats
 	a.Record(1, 50)
-	_ = a.P(99) // sorts
+	_ = a.P(99) + a.MiceP(99) // caches the answers
 	b.Record(1, 10)
 	a.Merge(&b)
 	if got := a.P(50); got != 10 {

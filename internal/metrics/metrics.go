@@ -18,9 +18,12 @@ const MiceFlowBytes = 10 << 10
 // FCTStats accumulates flow completion times, classified into mice and
 // all flows. The zero value is ready to use.
 //
-// Samples are stored in fixed-size blocks (see samples), and the order
-// statistics — P, MiceP, Max, MiceCDF — share one ascending copy per
-// class, radix-sorted on the first such query after a change.
+// Samples are stored in fixed-size blocks (see samples). P and Max read
+// the all-flows class by radix select over those blocks, with no copy
+// and no allocation; MiceP and MiceCDF share one ascending copy of the
+// mice class, radix-sorted on the first such query after a change. The
+// last rank selected and the sorted copy are kept until a sample arrives,
+// so a repeated query is free.
 //
 // Every derived statistic has a defined zero result on an empty sample
 // set — P, MiceP, Mean, MiceMean and Max return 0, MiceCDF returns nil —
@@ -40,10 +43,10 @@ func (s *FCTStats) Record(size int64, fct sim.Duration) {
 
 // Merge folds another accumulator's samples into s by reference: o's
 // sample blocks are shared, not copied, and o may keep recording without
-// changing what s holds. Every derived statistic sorts first, so the
-// merge is order-independent: merging per-shard accumulators in any
-// order yields the same percentiles, means and CDFs as recording all
-// samples into one instance. o is not modified.
+// changing what s holds. Every derived statistic is a function of the
+// sample multiset, so the merge is order-independent: merging per-shard
+// accumulators in any order yields the same percentiles, means and CDFs
+// as recording all samples into one instance. o is not modified.
 func (s *FCTStats) Merge(o *FCTStats) {
 	if o == nil {
 		return
@@ -58,36 +61,30 @@ func (s *FCTStats) Count() int { return s.all.n }
 // MiceCount returns the number of completed mice flows.
 func (s *FCTStats) MiceCount() int { return s.mice.n }
 
-// sort brings both ascending copies up to date, sharing one sort buffer.
-func (s *FCTStats) sort() (all, mice []sim.Duration) {
-	var scratch []sim.Duration
-	return s.all.ascending(&scratch), s.mice.ascending(&scratch)
+// rank is the ascending index of the p-th percentile among n > 0
+// samples: the smallest sample with at least p% of them at or below it.
+func rank(n int, p float64) int {
+	return min(max(int(math.Ceil(p/100*float64(n)))-1, 0), n-1)
 }
 
 func percentile(xs []sim.Duration, p float64) sim.Duration {
 	if len(xs) == 0 {
 		return 0
 	}
-	idx := int(math.Ceil(p/100*float64(len(xs)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(xs) {
-		idx = len(xs) - 1
-	}
-	return xs[idx]
+	return xs[rank(len(xs), p)]
 }
 
 // P returns the p-th percentile FCT over all flows.
 func (s *FCTStats) P(p float64) sim.Duration {
-	all, _ := s.sort()
-	return percentile(all, p)
+	if s.all.n == 0 {
+		return 0
+	}
+	return s.all.nth(rank(s.all.n, p))
 }
 
 // MiceP returns the p-th percentile FCT over mice flows.
 func (s *FCTStats) MiceP(p float64) sim.Duration {
-	_, mice := s.sort()
-	return percentile(mice, p)
+	return percentile(s.mice.ascending(), p)
 }
 
 // Mean returns the mean FCT over all flows.
@@ -108,8 +105,7 @@ type CDFPoint struct {
 // MiceCDF returns an empirical CDF of mice-flow FCTs sampled at up to
 // points evenly spaced quantiles (paper Figure 6).
 func (s *FCTStats) MiceCDF(points int) []CDFPoint {
-	_, mice := s.sort()
-	return cdf(mice, points)
+	return cdf(s.mice.ascending(), points)
 }
 
 func cdf(xs []sim.Duration, points int) []CDFPoint {

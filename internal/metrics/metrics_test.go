@@ -57,7 +57,7 @@ func TestRecordAfterSortResorts(t *testing.T) {
 	var s FCTStats
 	s.Record(1, 50)
 	_ = s.P(99)
-	s.Record(1, 10) // must re-sort
+	s.Record(1, 10) // must retire the cached answer
 	if got := s.P(50); got != 10 {
 		t.Errorf("P(50) after late record = %d, want 10", got)
 	}

@@ -48,22 +48,148 @@ func TestEmptyStoreAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSortedViewReused: the first order statistic sorts; later ones, of
-// either class, reuse the sorted copies until a new sample arrives.
+// TestSortedViewReused: P and Max never sort, and the mice class is
+// sorted once per change: later order statistics of either class reuse
+// what the first ones learned until a new sample arrives.
 func TestSortedViewReused(t *testing.T) {
 	var s FCTStats
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 3*blockLen; i++ {
 		s.Record(int64(rng.Intn(20<<10)), sim.Duration(rng.Int63n(int64(8*sim.Second))))
 	}
-	_ = s.P(99)
-	if allocs := testing.AllocsPerRun(10, func() { _ = s.P(99) + s.MiceP(99) + s.Max() }); allocs != 0 {
-		t.Errorf("repeated order statistics allocate %.0f objects, want 0", allocs)
+	_ = s.P(99) + s.MiceP(99)
+	sorted := s.mice.memo.sorted
+	if allocs := testing.AllocsPerRun(10, func() { _ = s.P(99) + s.MiceP(99) + s.Max() + s.MiceCDF(100)[0].Value }); allocs != 1 {
+		t.Errorf("repeated order statistics allocate %.0f objects, want 1 (the CDF)", allocs)
+	}
+	if s.all.memo.sorted != nil {
+		t.Error("an all-flows order statistic sorted the all-flows class")
+	}
+	if &s.mice.memo.sorted[0] != &sorted[0] {
+		t.Error("a repeated mice query sorted the mice class again")
 	}
 	max := s.Max()
 	s.Record(1, max+1)
 	if got := s.Max(); got != max+1 {
 		t.Errorf("Max after a larger sample = %v, want %v", got, max+1)
+	}
+	if got := s.MiceP(100); got != max+1 {
+		t.Errorf("MiceP(100) after a larger mouse = %v, want %v", got, max+1)
+	}
+}
+
+// TestSelectMatchesSort holds the radix select to a slices.Sort reference
+// at ranks 0 and n-1 and at random ranks asked in turn, and P to the
+// reference percentile, over key spans of every width from 1 to 64 bits:
+// one to six digits, mostly not a whole number of them, so the top digit
+// is partly empty. Each span is filled uniformly, with runs of three
+// distinct values, and with a cluster at its bottom and one far outlier
+// at its top.
+func TestSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for width := 1; width <= 64; width++ {
+		span := uint64(math.MaxUint64) >> (64 - width)
+		base := uint64(1)<<63 + rng.Uint64()%(math.MaxUint64-span+1) // math.MinInt64 + r
+		for _, shape := range []string{"uniform", "runs", "outlier"} {
+			var s FCTStats
+			var ref []sim.Duration
+			record := func(off uint64) {
+				x := sim.Duration(base + off)
+				s.Record(MiceFlowBytes, x)
+				ref = append(ref, x)
+			}
+			record(0)
+			record(span)
+			distinct := []uint64{rng.Uint64() & span, rng.Uint64() & span, rng.Uint64() & span}
+			for n := rng.Intn(blockLen + 100); len(ref) < n; {
+				switch shape {
+				case "uniform":
+					record(rng.Uint64() & span)
+				case "runs":
+					off := distinct[rng.Intn(len(distinct))]
+					for k := 1 + rng.Intn(64); k > 0; k-- {
+						record(off)
+					}
+				default:
+					record(rng.Uint64() & span & 1023)
+				}
+			}
+			slices.Sort(ref)
+			n := len(ref)
+			ranks := []int{0, n - 1}
+			for range 8 {
+				ranks = append(ranks, rng.Intn(n))
+			}
+			ranks = append(ranks, ranks[2])
+			for _, k := range ranks {
+				if got := s.all.nth(k); got != ref[k] {
+					t.Fatalf("%d-bit %s span, n %d: rank %d = %d, want %d", width, shape, n, k, got, ref[k])
+				}
+			}
+			for range 4 {
+				p := 100 * rng.Float64()
+				if got, want := s.P(p), percentile(ref, p); got != want {
+					t.Fatalf("%d-bit %s span, n %d: P(%v) = %d, want %d", width, shape, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFirstPercentileAllocatesNothing: the first P after a change selects
+// in place over the sample blocks, so on a million samples it allocates
+// nothing, whatever their distribution.
+func TestFirstPercentileAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		draw func(*rand.Rand) sim.Duration
+	}{
+		{"fct-under-8s", func(r *rand.Rand) sim.Duration { return sim.Duration(r.Int63n(int64(8 * sim.Second))) }},
+		{"any-int64", func(r *rand.Rand) sim.Duration { return sim.Duration(r.Uint64()) }},
+		{"one-value", func(*rand.Rand) sim.Duration { return 7 }},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		var s FCTStats
+		var ref []sim.Duration
+		for range 1<<20 + 100 {
+			x := c.draw(rng)
+			s.Record(MiceFlowBytes, x)
+			ref = append(ref, x)
+		}
+		if allocs := testing.AllocsPerRun(2, func() {
+			s.Record(MiceFlowBytes, ref[0]) // retires the last answer
+			_ = s.P(99)
+		}); allocs != 0 {
+			t.Errorf("%s: the first P(99) on %d samples allocates %.0f objects, want 0", c.name, s.Count(), allocs)
+		}
+		ref = append(ref, ref[0], ref[0], ref[0])
+		slices.Sort(ref)
+		if got, want := s.P(99), percentile(ref, 99); got != want {
+			t.Errorf("%s: P(99) = %v, want %v", c.name, got, want)
+		}
+	}
+}
+
+// BenchmarkFCTOrderStats measures what one Summary and one MiceCDF(100)
+// ask of a store of 2M samples, an eighth of them mice, from scratch:
+// P(99), MiceP(99) and MiceCDF(100). Each iteration records one mouse
+// first, which retires what the last one learned.
+func BenchmarkFCTOrderStats(b *testing.B) {
+	var s FCTStats
+	rng := rand.New(rand.NewSource(1))
+	for i := range 2 << 20 {
+		size := int64(MiceFlowBytes)
+		if i%8 == 0 {
+			size = 1
+		}
+		s.Record(size, sim.Duration(rng.Int63n(int64(100*sim.Millisecond))))
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		s.Record(1, sim.Duration(i))
+		s.P(99)
+		s.MiceP(99)
+		s.MiceCDF(100)
 	}
 }
 
@@ -80,7 +206,7 @@ func TestMergedViewIsSnapshot(t *testing.T) {
 	m.Merge(&a)
 	m.Merge(&b)
 	want := collect(&m)
-	_ = m.P(50) // builds the sorted copy the later samples must not reach
+	_ = m.P(50) + m.MiceP(50) // caches answers the later samples must retire
 
 	a.Record(1, -5)
 	b.Record(MiceFlowBytes, 1<<40)
@@ -182,6 +308,11 @@ func FuzzFCTStats(f *testing.F) {
 		}
 		if got, want := m.Max(), percentile(sortedAll, 100); got != want {
 			t.Errorf("Max = %v, want %v", got, want)
+		}
+		for range min(8, len(sortedAll)) {
+			if k := rng.Intn(len(sortedAll)); m.all.nth(k) != sortedAll[k] {
+				t.Errorf("rank %d = %d, want %d", k, m.all.nth(k), sortedAll[k])
+			}
 		}
 		if got, want := m.Mean(), refMean(all); got != want {
 			t.Errorf("Mean = %v, want %v", got, want)

@@ -1,9 +1,10 @@
 // Checkpoint accessors: the accumulators keep their fields private (the
 // engines may only feed them through Record/Observe/Deliver), so the
 // snapshot subsystem gets explicit state getters and setters here. Every
-// derived statistic either sorts first (FCTStats) or is a commutative sum
-// (Goodput, Ratio), which is what lets a restore concentrate merged
-// samples into a single shard without changing any queried result.
+// derived statistic is either a function of the sample multiset
+// (FCTStats) or a commutative sum (Goodput, Ratio), which is what lets a
+// restore concentrate merged samples into a single shard without changing
+// any queried result.
 package metrics
 
 import (
@@ -14,8 +15,9 @@ import (
 
 // Samples yields the raw recorded FCT samples of each class in recording
 // order; a merged accumulator yields each merged-in accumulator's samples
-// in merge order. The sorted copies the order statistics use never show
-// here, so what a checkpoint writes does not depend on earlier queries.
+// in merge order. The sorted mice copy the order statistics use never
+// shows here, so what a checkpoint writes does not depend on earlier
+// queries.
 func (s *FCTStats) Samples() (all, mice iter.Seq[sim.Duration]) {
 	return s.all.values, s.mice.values
 }

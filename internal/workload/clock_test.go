@@ -149,6 +149,19 @@ func TestZeroMeanSizeEndsStream(t *testing.T) {
 	}
 }
 
+// TestInfiniteLoadEndsStream: an infinite load makes the load equation's
+// mean gap zero, so the fabric's first round admitted arrivals at t = 0
+// until it ran out of memory. Such a stream is empty on every
+// clock-driven generator.
+func TestInfiniteLoadEndsStream(t *testing.T) {
+	load := math.Inf(1)
+	for name, g := range map[string]Generator{"poisson": poisson(load), "hotspot": hotspot(load), "diurnal": diurnal(load)} {
+		if n := checkTimes(t, name, g, 10); n != 0 {
+			t.Errorf("%s at load %v emitted %d arrivals", name, load, n)
+		}
+	}
+}
+
 // TestIncastMixUnrepresentableGap: a bwFraction of zero makes the event
 // gap infinite, and the float-to-Duration conversion used to turn it into
 // a 1 ns gap (100 degree-20 incasts in the first 133 ns). Such a stream is

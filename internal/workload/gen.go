@@ -140,8 +140,9 @@ const maxTimeNs = float64(1 << 63)
 
 // arrivalClock is the Poisson arrival process Poisson, Hotspot and Diurnal
 // share: the load equation L = F/(R·N·τ) (§4.1) sets the mean gap (10^18 ns
-// at a load of zero or less; infinite below two ToRs, and for a size
-// distribution whose mean is not positive, whose zero gaps would flood
+// at a load of zero or less; infinite below two ToRs, for a size
+// distribution whose mean is not positive, and wherever the equation gives
+// no positive gap, as at an infinite load, since zero gaps would flood
 // t = 0), and step draws exponential gaps from the generator's RNG. Time
 // accumulates in float64 nanoseconds: at paper scale the mean gap is a few
 // tens of nanoseconds, where integer truncation would bias the offered
@@ -158,15 +159,14 @@ type arrivalClock struct {
 
 func newArrivalClock(dist SizeDist, n int, load float64, hostRate sim.Rate, seed int64) arrivalClock {
 	c := arrivalClock{dist: dist, n: n, rng: sim.NewRNG(seed), meanNs: 1e18}
-	switch {
-	case n < 2 || !(dist.Mean() > 0):
-		// No pair of distinct ToRs, or no bytes to offer: an infinite gap
-		// ends the stream before its first arrival (at n = 0 the load
-		// equation already gives one).
-		c.meanNs = math.Inf(1)
-	case load > 0:
+	if load > 0 {
 		tauSec := dist.Mean() / (hostRate.BytesPerSecond() * float64(n) * load)
 		c.meanNs = tauSec * 1e9
+	}
+	if n < 2 || !(dist.Mean() > 0) || !(c.meanNs > 0) {
+		// No pair of distinct ToRs, no bytes to offer, or no positive gap:
+		// an infinite gap ends the stream before its first arrival.
+		c.meanNs = math.Inf(1)
 	}
 	return c
 }
