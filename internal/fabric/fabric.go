@@ -103,7 +103,8 @@ type TagStat struct {
 
 // Config assembles a core. Workers is the EFFECTIVE shard parallelism:
 // control planes resolve their own clamping rules (sequential-only
-// features, matcher shardability) before building the core.
+// features, matcher shardability) before building the core. The node
+// options choose queue classes only; see Node for what a node holds.
 type Config struct {
 	// Topology is the optical fabric layout (required).
 	Topology topo.Topology
@@ -125,9 +126,6 @@ type Config struct {
 	Lanes bool
 	// Relay allocates the per-ToR in-transit relay FIFOs.
 	Relay bool
-	// CumInjected tracks cumulative injected bytes per destination
-	// (consumed by the stateful matcher's queue view).
-	CumInjected bool
 	// OnDeliver, when set, observes every payload delivery at its
 	// destination.
 	OnDeliver func(dst int, at sim.Time, n int64)
@@ -178,8 +176,8 @@ type Core struct {
 	// Shard.Deliver; sequential-only by the control planes' clamping).
 	OnDeliver func(dst int, at sim.Time, n int64)
 	// MatchRatio is the per-epoch accept/grant series. The negotiating
-	// planes observe into it once per epoch and carry it in their
-	// PlaneState, where checkpoints have always stored it.
+	// planes observe into it once per epoch; the core checkpoints it with
+	// the other metrics.
 	MatchRatio metrics.Ratio
 
 	// fct caches MergedFCT's view. Shard sample counts only grow, so the
@@ -266,14 +264,13 @@ func New(cfg Config) (*Core, error) {
 	// node (per class) on first push, so a mostly-idle 4096-ToR fabric
 	// costs O(active nodes), not O(N²) FIFOs.
 	spec := &nodeSpec{
-		n:           c.N,
-		priority:    cfg.PriorityQueues,
-		lanes:       cfg.Lanes,
-		relay:       cfg.Relay,
-		cumInjected: cfg.CumInjected,
-		segs:        &c.segPool,
-		dests:       &c.destPages,
-		fifos:       &c.fifoPages,
+		n:        c.N,
+		priority: cfg.PriorityQueues,
+		lanes:    cfg.Lanes,
+		relay:    cfg.Relay,
+		segs:     &c.segPool,
+		dests:    &c.destPages,
+		fifos:    &c.fifoPages,
 	}
 	c.Nodes = make([]Node, c.N)
 	c.Workers = cfg.Workers

@@ -271,14 +271,14 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, PriorityQueues: true, Lanes: true, Relay: true, CumInjected: true})
+	c, err := New(Config{Topology: top, PriorityQueues: true, Lanes: true, Relay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	discard := func(fl *flows.Flow, n int64) {}
 	for i := range c.Nodes {
 		nd := &c.Nodes[i]
-		if nd.Direct.Slab.Materialized() || nd.Lanes.Slab.Materialized() || nd.Relay.Slab.Materialized() || nd.CumInjected != nil {
+		if nd.Direct.Slab.Materialized() || nd.Lanes.Slab.Materialized() || nd.Relay.Slab.Materialized() {
 			t.Fatalf("node %d owns slab memory before any push", i)
 		}
 		if nd.Direct.Total != 0 || nd.Lanes.Total != 0 || nd.Relay.Total != 0 {
@@ -300,11 +300,11 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	}
 	c.CheckOccupancy()
 
-	// First direct push materializes Direct (+index, CumInjected) of node
-	// 2 only; lanes and relay stay nil until their first push.
+	// First direct push materializes Direct (+index) of node 2 only;
+	// lanes and relay stay nil until their first push.
 	f := &flows.Flow{ID: 1, Src: 2, Dst: 5, Size: 4096}
 	c.Nodes[2].Direct.Push(5, f, f.Total(), 0, 0)
-	if !c.Nodes[2].Direct.Slab.Materialized() || c.Nodes[2].CumInjected == nil {
+	if !c.Nodes[2].Direct.Slab.Materialized() {
 		t.Fatal("direct push did not materialize the direct class")
 	}
 	if c.Nodes[2].Lanes.Slab.Materialized() || c.Nodes[2].Relay.Slab.Materialized() {
@@ -449,6 +449,7 @@ func TestCoreDefinesNoPlaneHooks(t *testing.T) {
 		{"RoundChecker", is[RoundChecker](c)},
 		{"IdlePlane", is[IdlePlane](c)},
 		{"EpochPlane", is[EpochPlane](c)},
+		{"FirstHopSender", is[FirstHopSender](c)},
 		{"PlaneState", is[interface{ PlaneState() ([]byte, error) }](c)},
 		{"RestorePlaneState", is[interface{ RestorePlaneState([]byte) error }](c)},
 	} {

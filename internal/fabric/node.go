@@ -9,9 +9,10 @@ import (
 )
 
 // Node is one ToR's data-plane state: the queues bytes wait in and the
-// loss records awaiting failure detection. Control-plane state (scheduling
-// mailboxes, matches, relay plans) stays with the control plane, keyed by
-// the same ToR index.
+// loss records awaiting failure detection, and nothing else. State that
+// one control plane or matcher alone reads (scheduling mailboxes,
+// matches, relay plans, spray pointers, the stateful matcher's arrival
+// counts) stays with its reader, keyed by the same ToR index.
 //
 // A node has three queue classes — Direct and Lanes (QueueClass) and
 // Relay (RelayClass). Each is a PAGED slab (queue.Slab) plus the indexes
@@ -58,12 +59,6 @@ type Node struct {
 	// Relay holds in-transit data per final destination (second-hop
 	// virtual output queues).
 	Relay RelayClass
-	// CumInjected is the optional cumulative injected-bytes table per
-	// destination (stateful matcher view).
-	CumInjected []int64
-	// SprayPtr is a rotating destination pointer for slot-time spray
-	// disciplines.
-	SprayPtr int
 	// Losses are bytes destroyed by failures, awaiting detection and
 	// source requeue.
 	Losses []Loss
@@ -92,14 +87,13 @@ func (*noCopy) Unlock() {}
 // and the core's recycling pools (see queue.SegPool and queue.PagePool
 // for why they may be unsynchronised).
 type nodeSpec struct {
-	n           int
-	priority    bool
-	lanes       bool
-	relay       bool
-	cumInjected bool
-	segs        *queue.SegPool
-	dests       *queue.PagePool[queue.DestQueue]
-	fifos       *queue.PagePool[queue.FIFO]
+	n        int
+	priority bool
+	lanes    bool
+	relay    bool
+	segs     *queue.SegPool
+	dests    *queue.PagePool[queue.DestQueue]
+	fifos    *queue.PagePool[queue.FIFO]
 }
 
 // Queue-class tags: a class's shard active set, its page-release
@@ -297,8 +291,7 @@ type QueueClass struct {
 	class[queue.DestQueue]
 }
 
-// materialize allocates the page table and the occupancy index (and, for
-// the direct class, the optional cumulative-injected table); callers
+// materialize allocates the page table and the occupancy index; callers
 // check Slab.Materialized first. Per-destination queued bytes live in
 // the pages themselves, so a touched node's footprint stays proportional
 // to the destinations its traffic reaches, never to the fabric width.
@@ -306,9 +299,6 @@ func (c *QueueClass) materialize() {
 	spec := c.nd.spec
 	c.Slab = queue.NewDestSlab(spec.n, spec.priority)
 	c.Occ = newOccSet(spec.n)
-	if c.tag == classDirect && spec.cumInjected {
-		c.nd.CumInjected = make([]int64, spec.n)
-	}
 }
 
 // Push enqueues n bytes of f, whose first byte is at flow offset off,
@@ -517,12 +507,8 @@ func (nd *Node) NextDirectOrRelay(after int) int {
 }
 
 // verify reports the first way the node's classes disagree with their
-// queues (see class.check), or a cumulative-injected table that outlives
-// the direct slab it materializes with.
+// queues (see class.check).
 func (nd *Node) verify() error {
-	if !nd.Direct.Slab.Materialized() && nd.CumInjected != nil {
-		return fmt.Errorf("fabric: tor %d cumulative-injected table without a direct slab", nd.id)
-	}
 	if err := nd.Direct.check(destQueueBytes); err != nil {
 		return err
 	}

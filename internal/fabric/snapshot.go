@@ -34,11 +34,11 @@ type StatefulPlane interface {
 const (
 	secCore  = "CORE" // identity, clock, counters, pump, ledger, RNG
 	secTags  = "TAGS" // tagged-event accounting
-	secMetr  = "METR" // merged FCT samples, goodput, receiver buffers
+	secMetr  = "METR" // merged FCT samples, goodput, match ratio, receiver buffers
 	secFail  = "FAIL" // failure cursor positions (only with a plan)
 	secFlows = "FLOW" // live flow records
 	secGrps  = "GRPS" // flow-group member counts (only when grouping is live)
-	secNode  = "NODE" // one per node with queue/loss/spray state
+	secNode  = "NODE" // one per node with queued segments or loss records
 	secPlane = "PLNE" // the control plane's StatefulPlane payload
 )
 
@@ -115,14 +115,15 @@ func (c *Core) Snapshot(w io.Writer) error {
 // have Bound the same control plane configuration and attached an
 // identically constructed workload generator (SetWorkload) first; Restore
 // replays the generator to the checkpointed position. The stream and
-// every section but NODE and FAIL decode and validate before any core
-// state mutates, and the plane state applies before the core's own, so
-// only a bad NODE or FAIL payload, or applied state that fails the final
-// checks, is caught after the core has changed; any other corrupt,
-// truncated or mismatched checkpoint leaves the core untouched. A failure
-// past the workload replay has drawn the attached generator, which must
-// be attached afresh before a retry. The final checks re-verify the
-// rebuilt derived indexes and byte conservation (the CheckOccupancy and
+// every section but NODE decode and validate before any core state
+// mutates, and the plane state applies before the core's own, so only a
+// bad NODE payload, or applied state that fails the final checks, is
+// caught after the core has changed; any other corrupt, truncated or
+// mismatched checkpoint leaves the core untouched. A plane payload that
+// fails partway may leave the plane's own state changed. A failure past
+// the workload replay has drawn the attached generator, which must be
+// attached afresh before a retry. The final checks re-verify the rebuilt
+// derived indexes and byte conservation (the CheckOccupancy and
 // CheckConservation invariants) and return a violation as an error.
 func (c *Core) Restore(r io.Reader) error {
 	sp, ok := c.plane.(StatefulPlane)
@@ -148,6 +149,12 @@ func (c *Core) Restore(r io.Reader) error {
 	if haveFail != (c.failPlan != nil) {
 		return fmt.Errorf("fabric: checkpoint failure-plan presence (%v) does not match core configuration (%v)",
 			haveFail, c.failPlan != nil)
+	}
+	var aNow, kNow sim.Time
+	if haveFail {
+		if aNow, kNow, err = c.decodeFail(failSec, core.now); err != nil {
+			return err
+		}
 	}
 	// Flow-group counts must be in hand before flow records decode (the
 	// progress bounds check is against the group's TOTAL bytes) and before
@@ -229,22 +236,16 @@ func (c *Core) Restore(r io.Reader) error {
 			return err
 		}
 	}
-	if haveFail {
-		d := snap.NewDec(failSec)
-		aNow, kNow := sim.Time(d.I64()), sim.Time(d.I64())
-		if err := d.Finish(); err != nil {
-			return err
-		}
-		// Cursors are pure functions of (plan, time): advancing the fresh
-		// cursors to the checkpointed positions replays the exact transition
-		// prefix, reproducing dense state, reference counts and the applied
-		// index — mid-cycle flapping state included.
-		if aNow != failure.NeverAdvanced {
-			c.actualCur.AdvanceTo(aNow)
-		}
-		if kNow != failure.NeverAdvanced {
-			c.knownCur.AdvanceTo(kNow)
-		}
+	if err := c.checkFlowBytes(byID); err != nil {
+		return err
+	}
+	// Cursors are pure functions of (plan, time): advancing the fresh
+	// cursors to the checkpointed positions replays the exact transition
+	// prefix, reproducing dense state, reference counts and the applied
+	// index — mid-cycle flapping state included.
+	if haveFail && aNow != failure.NeverAdvanced {
+		c.actualCur.AdvanceTo(aNow)
+		c.knownCur.AdvanceTo(kNow)
 	}
 
 	// The rebuilt derived state must satisfy the same invariants a live run
@@ -342,10 +343,27 @@ func (st *coreState) checkClock(roundLen sim.Duration) error {
 	return nil
 }
 
+// decodeFail decodes the failure cursor positions and holds them to what
+// a run leaves: unadvanced, or the actual cursor at a round start before
+// now and the known one the detection delay behind (the next round would
+// move a cursor ahead of the clock backwards).
+func (c *Core) decodeFail(payload []byte, now sim.Time) (aNow, kNow sim.Time, err error) {
+	d := snap.NewDec(payload)
+	aNow, kNow = sim.Time(d.I64()), sim.Time(d.I64())
+	rl := int64(c.roundLen)
+	never := aNow == failure.NeverAdvanced && kNow == failure.NeverAdvanced
+	if err = d.Finish(); err == nil && !never && (aNow < 0 || int64(aNow) > int64(now)-rl ||
+		int64(aNow)%rl != 0 || kNow != aNow.Add(-c.failPlan.DetectDelay)) {
+		err = fmt.Errorf("fabric: checkpoint failure cursors at %d and %d ns are not a round start before %d ns and its detection lag",
+			int64(aNow), int64(kNow), int64(now))
+	}
+	return aNow, kNow, err
+}
+
 // replayWorkload pulls the generator forward to the checkpointed pump
 // position and cross-checks the final draw against the serialized pending
 // arrival — catching a restore with the wrong (or wrongly seeded)
-// generator attached.
+// generator attached — and every earlier draw against the clock.
 func (c *Core) replayWorkload(st *coreState) error {
 	if st.nextCalls == 0 {
 		return nil
@@ -357,10 +375,20 @@ func (c *Core) replayWorkload(st *coreState) error {
 		last   workload.Arrival
 		lastOK bool
 	)
+	// A round starting at or before now - roundLen injected every draw but
+	// the last, which bounds a corrupt count by the arrivals it covers.
+	injected := st.now.Add(-c.roundLen)
 	for i := int64(0); i < st.nextCalls; i++ {
 		last, lastOK = c.work.Next()
-		if !lastOK && i != st.nextCalls-1 {
+		if i == st.nextCalls-1 {
+			break
+		}
+		if !lastOK {
 			return fmt.Errorf("fabric: workload exhausted after %d of %d checkpointed draws: wrong generator attached", i+1, st.nextCalls)
+		}
+		if last.Time > injected {
+			return fmt.Errorf("fabric: workload draw %d of %d arrives at %d ns, after the last round started (%d ns): the checkpoint counts more draws than the run made",
+				i+1, st.nextCalls, int64(last.Time), int64(injected))
 		}
 	}
 	switch {
@@ -465,6 +493,12 @@ func (c *Core) encodeMetrics() []byte {
 			e.I64(b)
 		}
 	}
+	num, den := c.MatchRatio.Counts()
+	e.U32(uint32(len(num)))
+	for i := range num {
+		e.I64(num[i])
+		e.I64(den[i])
+	}
 	e.Bool(c.RxBuffers != nil)
 	if c.RxBuffers != nil {
 		var rx uint32
@@ -512,6 +546,11 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 		}
 		perToR[dst] = v
 	}
+	num := make([]int64, d.Count(16)) // one numerator and one denominator per epoch
+	den := make([]int64, len(num))
+	for i := range num {
+		num[i], den[i] = d.I64(), d.I64()
+	}
 	haveRx := d.Bool()
 	if haveRx != (c.RxBuffers != nil) {
 		return nil, fmt.Errorf("fabric: checkpoint receiver-buffer presence (%v) does not match core configuration (%v)",
@@ -547,7 +586,38 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 		c.Shards[0].FCT.RestoreSamples(all, mice)
 		c.fct = nil
 		c.Shards[0].Goodput.RestorePerToR(perToR)
+		c.MatchRatio.RestoreCounts(num, den)
 	}, nil
+}
+
+// Where a node holds a flow's bytes (see eachHeld).
+const (
+	heldSource = iota // a direct or lane queue
+	heldRelay         // a relay queue
+	heldLost          // a loss record awaiting requeue
+)
+
+// eachHeld calls fn for every queued segment and outstanding loss record
+// of every node, with where the node holds its bytes.
+func (c *Core) eachHeld(fn func(f *flows.Flow, where int, n int64)) {
+	for i := range c.Nodes {
+		nd := &c.Nodes[i]
+		for _, cls := range [2]*QueueClass{&nd.Direct, &nd.Lanes} {
+			cls.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
+				for j := range qs {
+					qs[j].ForEachSegment(func(_ int, s queue.Segment) { fn(s.Flow, heldSource, s.Bytes) })
+				}
+			})
+		}
+		nd.Relay.Slab.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
+			for j := range fs {
+				fs[j].ForEachSegment(func(s queue.Segment) { fn(s.Flow, heldRelay, s.Bytes) })
+			}
+		})
+		for _, l := range nd.Losses {
+			fn(l.F, heldLost, l.N)
+		}
+	}
 }
 
 // liveFlows collects every flow still referenced by the fabric — queued
@@ -555,32 +625,11 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 // flows survive only as metric samples and are not serialized.
 func (c *Core) liveFlows() []*flows.Flow {
 	byID := make(map[int64]*flows.Flow)
-	note := func(f *flows.Flow) {
+	c.eachHeld(func(f *flows.Flow, _ int, _ int64) {
 		if f != nil {
 			byID[f.ID] = f
 		}
-	}
-	for i := range c.Nodes {
-		nd := &c.Nodes[i]
-		nd.Direct.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
-			for j := range qs {
-				qs[j].ForEachSegment(func(_ int, s queue.Segment) { note(s.Flow) })
-			}
-		})
-		nd.Lanes.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
-			for j := range qs {
-				qs[j].ForEachSegment(func(_ int, s queue.Segment) { note(s.Flow) })
-			}
-		})
-		nd.Relay.Slab.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
-			for j := range fs {
-				fs[j].ForEachSegment(func(s queue.Segment) { note(s.Flow) })
-			}
-		})
-		for _, l := range nd.Losses {
-			note(l.F)
-		}
-	}
+	})
 	out := make([]*flows.Flow, 0, len(byID))
 	for _, f := range byID {
 		out = append(out, f)
@@ -712,33 +761,20 @@ func decodeGroups(payload []byte) (map[int64]int32, int32, error) {
 	return counts, pendCount, d.Finish()
 }
 
-// encodeState serializes one node's state, or nil when the node carries
-// none. Queued segments are recorded verbatim (class, destination,
-// priority level, flow, bytes, enqueue time) in service order; restore
-// re-pushes them through the class choke points, which maintain the same
-// aggregate/index bookkeeping as the live push paths — that is how the
-// derived occupancy state is rebuilt rather than serialized.
+// encodeState serializes one node's loss records and queued segments, or
+// nil when it holds none. Segments are recorded verbatim (class,
+// destination, priority level, flow, bytes, enqueue time) in service
+// order; restore re-pushes them through the class choke points, which
+// maintain the same aggregate/index bookkeeping as the live push paths —
+// that is how the derived occupancy state is rebuilt rather than
+// serialized.
 func (nd *Node) encodeState(idx int) []byte {
-	var cum uint32
-	for _, v := range nd.CumInjected {
-		if v != 0 {
-			cum++
-		}
-	}
 	hasSegs := nd.Direct.Total > 0 || nd.Lanes.Total > 0 || nd.Relay.Total > 0
-	if nd.SprayPtr == 0 && len(nd.Losses) == 0 && cum == 0 && !hasSegs {
+	if len(nd.Losses) == 0 && !hasSegs {
 		return nil
 	}
 	var e snap.Enc
 	e.Int(idx)
-	e.Int(nd.SprayPtr)
-	e.U32(cum)
-	for dst, v := range nd.CumInjected {
-		if v != 0 {
-			e.U32(uint32(dst))
-			e.I64(v)
-		}
-	}
 	e.U32(uint32(len(nd.Losses)))
 	for _, l := range nd.Losses {
 		e.I64(l.F.ID)
@@ -804,25 +840,6 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		return fmt.Errorf("fabric: checkpoint node index %d out of range", idx)
 	}
 	nd := &c.Nodes[idx]
-	nd.SprayPtr = d.Int()
-	cum := int(d.U32())
-	for i := 0; i < cum; i++ {
-		dst := int(d.U32())
-		v := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		if !nd.spec.cumInjected {
-			return fmt.Errorf("fabric: checkpoint node %d carries cumulative-injected state the core does not track", idx)
-		}
-		if dst < 0 || dst >= c.N {
-			return fmt.Errorf("fabric: checkpoint node %d cum-injected destination %d out of range", idx, dst)
-		}
-		if !nd.Direct.Slab.Materialized() {
-			nd.Direct.materialize()
-		}
-		nd.CumInjected[dst] = v
-	}
 	losses := int(d.U32())
 	for i := 0; i < losses; i++ {
 		id := d.I64()
@@ -875,6 +892,39 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		nd.Relay.Push(dst, s)
 	}
 	return d.Finish()
+}
+
+// FirstHopSender is implemented by control planes that count a relayed
+// byte as sent when it leaves its source; on other planes it counts as
+// sent at its last hop. Restore checks each flow's sent cursor by it.
+type FirstHopSender interface {
+	SendsAtFirstHop()
+}
+
+// checkFlowBytes holds every restored flow to a run's byte accounting:
+// each byte is queued, destroyed awaiting requeue, or delivered, and the
+// sent cursor counts the delivered and destroyed ones (and the relayed
+// ones on a FirstHopSender), or the flow overshoots once its queues drain.
+func (c *Core) checkFlowBytes(byID map[int64]*flows.Flow) error {
+	held := make(map[*flows.Flow][3]int64, len(byID))
+	c.eachHeld(func(f *flows.Flow, where int, n int64) {
+		h := held[f]
+		h[where] += n
+		held[f] = h
+	})
+	_, firstHop := c.plane.(FirstHopSender)
+	for _, f := range byID {
+		h := held[f]
+		sent := f.Delivered() + h[heldLost]
+		if firstHop {
+			sent += h[heldRelay]
+		}
+		if f.Total() != h[heldSource]+h[heldRelay]+h[heldLost]+f.Delivered() || f.Sent() != sent {
+			return fmt.Errorf("fabric: checkpoint flow %d of %d bytes has %d queued at sources, %d at relays, %d lost, %d delivered and %d sent",
+				f.ID, f.Total(), h[heldSource], h[heldRelay], h[heldLost], f.Delivered(), f.Sent())
+		}
+	}
+	return nil
 }
 
 // checkLoss validates a decoded loss record against the core: a

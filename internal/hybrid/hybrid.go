@@ -84,7 +84,6 @@ func (v *torView) QueuedBytes(dst int) int64 { return v.e.Nodes[v.i].Direct.Byte
 func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
 	return v.e.Nodes[v.i].Direct.WeightedHoL(dst, v.e.Now(), alpha)
 }
-func (v *torView) CumInjected(dst int) int64 { return 0 }
 
 // NextDemand iterates the elephant-VOQ occupancy index: the matcher's
 // request sweep is O(active destinations).

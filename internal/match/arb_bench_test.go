@@ -14,7 +14,6 @@ type benchView struct{ n int }
 
 func (v *benchView) QueuedBytes(int) int64            { return 1 << 20 }
 func (v *benchView) WeightedHoL(int, float64) float64 { return 1 }
-func (v *benchView) CumInjected(int) int64            { return 0 }
 func (v *benchView) NextDemand(after int) int {
 	if after+1 < v.n {
 		return after + 1

@@ -8,16 +8,14 @@ import (
 )
 
 // QueueView lets matchers read a source ToR's per-destination queue state
-// without coupling to the queue implementation.
+// without coupling to the queue implementation. It shows what is queued
+// now; a matcher that counts arrivals is an ArrivalTracker.
 type QueueView interface {
 	// QueuedBytes returns the bytes currently queued for dst.
 	QueuedBytes(dst int) int64
 	// WeightedHoL returns the paper's weighted head-of-line delay for dst
 	// (Appendix A.2.3).
 	WeightedHoL(dst int, alpha float64) float64
-	// CumInjected returns the cumulative bytes ever enqueued for dst, used
-	// by the stateful variant to report newly arrived demand.
-	CumInjected(dst int) int64
 	// NextDemand returns the smallest destination strictly greater than
 	// after that may hold queued bytes, or -1. Iterating from -1 visits a
 	// superset of {dst : QueuedBytes(dst) > 0} in ascending order, so the
@@ -87,6 +85,16 @@ type RequestTraits interface {
 	// engine replays them: every epoch runs a fresh sweep. Pure implies
 	// idle-safe.
 	RequestsPure() bool
+}
+
+// ArrivalTracker is implemented by matchers that count admitted bytes
+// themselves (the stateful variant). The engine resolves it once and
+// calls Arrived for every flow it admits, in its serial injection phase
+// before the round's Requests. A wrapping matcher forwards it, as it
+// forwards RequestTraits, or the wrapped matcher never sees an arrival.
+type ArrivalTracker interface {
+	// Arrived notes n bytes admitted at src for dst.
+	Arrived(src, dst int, n int64)
 }
 
 // TraitsOf reads a matcher's request-step capabilities, defaulting to the

@@ -13,14 +13,12 @@ import (
 type fakeView struct {
 	queued map[int]int64
 	hol    map[int]float64
-	cum    map[int]int64
 }
 
 func (v *fakeView) QueuedBytes(dst int) int64 { return v.queued[dst] }
 func (v *fakeView) WeightedHoL(dst int, alpha float64) float64 {
 	return v.hol[dst]
 }
-func (v *fakeView) CumInjected(dst int) int64 { return v.cum[dst] }
 
 // NextDemand iterates the queued map's keys in ascending order (a
 // superset of the positive-bytes destinations, as the contract requires).
@@ -35,7 +33,7 @@ func (v *fakeView) NextDemand(after int) int {
 }
 
 func viewWith(queued map[int]int64) *fakeView {
-	return &fakeView{queued: queued, hol: map[int]float64{}, cum: map[int]int64{}}
+	return &fakeView{queued: queued, hol: map[int]float64{}}
 }
 
 func parallel(t *testing.T, n, s int) topo.Topology {
@@ -351,14 +349,12 @@ func runFullMatch(m Matcher, top topo.Topology, view QueueView) (int, int, [][]i
 
 func fullBacklogView(n int) *fakeView {
 	q := map[int]int64{}
-	c := map[int]int64{}
 	h := map[int]float64{}
 	for d := 0; d < n; d++ {
 		q[d] = 1 << 20
-		c[d] = 1 << 20
 		h[d] = 1
 	}
-	return &fakeView{queued: q, hol: h, cum: c}
+	return &fakeView{queued: q, hol: h}
 }
 
 func TestMatchRatioTheory(t *testing.T) {
@@ -511,7 +507,8 @@ func TestStatefulRevertsOnReject(t *testing.T) {
 func TestStatefulRequestsReportNewBytesOnce(t *testing.T) {
 	tp := parallel(t, 8, 1)
 	m := NewStateful(tp, sim.NewRNG(14), 1000)
-	view := &fakeView{queued: map[int]int64{2: 500}, cum: map[int]int64{2: 500}, hol: map[int]float64{}}
+	view := &fakeView{queued: map[int]int64{2: 500}, hol: map[int]float64{}}
+	m.Arrived(0, 2, 500)
 	var first, second []Request
 	m.Requests(0, view, 0, 0, func(r Request) { first = append(first, r) })
 	m.Requests(0, view, 0, 0, func(r Request) { second = append(second, r) })
@@ -530,7 +527,7 @@ func TestProjecToRPortBinding(t *testing.T) {
 	for d := 1; d < 6; d++ {
 		q[d] = 1000
 	}
-	view := &fakeView{queued: q, hol: map[int]float64{}, cum: map[int]int64{}}
+	view := &fakeView{queued: q, hol: map[int]float64{}}
 	var reqs []Request
 	m.Requests(0, view, 0, 0, func(r Request) { reqs = append(reqs, r) })
 	if len(reqs) != 5 {
@@ -578,7 +575,7 @@ func TestProjecToRThinClosUsesPathPort(t *testing.T) {
 	tc := thinclos(t, 16, 4, 4)
 	m := NewProjecToR(tc, sim.NewRNG(17))
 	q := map[int]int64{9: 1000}
-	view := &fakeView{queued: q, hol: map[int]float64{}, cum: map[int]int64{}}
+	view := &fakeView{queued: q, hol: map[int]float64{}}
 	var reqs []Request
 	m.Requests(0, view, 0, 0, func(r Request) { reqs = append(reqs, r) })
 	if len(reqs) != 1 {

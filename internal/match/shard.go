@@ -72,9 +72,11 @@ func (m *Informative) Fork(p int) []Matcher {
 }
 
 // Fork implements Sharded: handles share the traffic matrix and the
-// reported-bytes table. Matrix rows are written by Grants(dst) — one shard
-// per dst — and by Feedback at element (g.Dst, g.Src), unique per source
-// and therefore per shard; reported[src] is only touched by Requests(src).
+// unreported-bytes table. Matrix rows are written by Grants(dst) — one
+// shard per dst — and by Feedback at element (g.Dst, g.Src), unique per
+// source and therefore per shard; unreported[src] is read only by
+// Requests(src), and Arrived writes it in the engine's serial injection
+// phase.
 func (m *Stateful) Fork(p int) []Matcher {
 	out := make([]Matcher, p)
 	for k := range out {
@@ -82,7 +84,7 @@ func (m *Stateful) Fork(p int) []Matcher {
 			Negotiator: m.Negotiator.scratchClone(),
 			epochBytes: m.epochBytes,
 			matrix:     m.matrix,
-			reported:   m.reported,
+			unreported: m.unreported,
 		}
 	}
 	return out

@@ -11,7 +11,8 @@ import (
 )
 
 // shardView is a deterministic queue view: pair (src, dst) has queued bytes
-// varying with the round so request sets change over time.
+// varying with the round so request sets change over time, and
+// shardArrivals bytes arriving every round.
 type shardView struct {
 	src, n, round int
 }
@@ -23,9 +24,9 @@ func (v *shardView) QueuedBytes(dst int) int64 {
 func (v *shardView) WeightedHoL(dst int, alpha float64) float64 {
 	return float64((v.src*13 + dst*29 + v.round*3) % 11)
 }
-func (v *shardView) CumInjected(dst int) int64 {
-	return int64(v.round+1) * int64((v.src*7+dst*5)%9) * 100
-}
+
+// shardArrivals is the bytes pair (src, dst) admits each round.
+func shardArrivals(src, dst int) int64 { return int64((src*7+dst*5)%9) * 100 }
 
 // NextDemand is the dense fallback: every destination may hold bytes.
 func (v *shardView) NextDemand(after int) int {
@@ -93,7 +94,19 @@ func drive(t *testing.T, m Sharded, n, s, p, rounds int) string {
 		wg.Wait()
 	}
 
+	tracker, _ := m.(ArrivalTracker)
 	for round := 0; round < rounds; round++ {
+		// Arrivals land serially before the round's stages, as the
+		// engine's injection phase admits them.
+		if tracker != nil {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if dst != src {
+						tracker.Arrived(src, dst, shardArrivals(src, dst))
+					}
+				}
+			}
+		}
 		// ACCEPT over last round's grants (empty in round 0).
 		stage(func(h Matcher, tors []int) {
 			for _, i := range tors {

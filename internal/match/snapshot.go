@@ -1,9 +1,9 @@
 // Checkpoint support: the only state a matcher carries across epochs is
 // its round-robin ring pointers plus, per variant, the stateful demand
-// matrices, the ProjecToR rotation counters, and the PIM/iSLIP
-// tie-break RNG. Everything else (candidate lists, per-epoch request
-// buffers, batch scratch) is rebuilt from scratch every epoch and is
-// deliberately not serialized.
+// matrix and unreported arrivals, the ProjecToR rotation counters and
+// the PIM/iSLIP tie-break RNG. Everything else (candidate lists,
+// per-epoch request buffers, batch scratch) is rebuilt from scratch every
+// epoch and is deliberately not serialized.
 //
 // Fork shares exactly this persistent state between a matcher and its
 // per-shard clones (see shard.go), so snapshotting and restoring the
@@ -65,7 +65,7 @@ func SnapshotState(m Matcher, e *snap.Enc) error {
 	case *Stateful:
 		snapshotRings(v.Negotiator, e)
 		encodeMatrix(e, v.matrix)
-		encodeMatrix(e, v.reported)
+		encodeMatrix(e, v.unreported)
 	case *ProjecToR:
 		snapshotRings(v.Negotiator, e)
 		e.U32(uint32(len(v.rotate)))
@@ -107,7 +107,7 @@ func RestoreState(m Matcher, d *snap.Dec) error {
 		if err := decodeMatrix(d, v.matrix); err != nil {
 			return err
 		}
-		return decodeMatrix(d, v.reported)
+		return decodeMatrix(d, v.unreported)
 	case *ProjecToR:
 		if err := restoreRings(v.Negotiator, d); err != nil {
 			return err
@@ -116,7 +116,9 @@ func RestoreState(m Matcher, d *snap.Dec) error {
 			return fmt.Errorf("match: checkpoint holds %d rotation counters, matcher has %d", n, len(v.rotate))
 		}
 		for i := range v.rotate {
-			v.rotate[i] = d.Int()
+			if v.rotate[i] = d.Int(); v.rotate[i] < 0 {
+				return fmt.Errorf("match: checkpoint rotation counter %d of ToR %d is negative", v.rotate[i], i)
+			}
 		}
 		return d.Err()
 	case *Classic:

@@ -129,19 +129,20 @@ func (m *Informative) Accepts(src int, view QueueView, grants []Grant, matches [
 // destination maintains a traffic matrix of estimated pending bytes per
 // source, fed by request-carried newly-arrived sizes; grants are suppressed
 // for sources the matrix believes are drained, and accept/reject feedback
-// confirms or reverts the matrix decrements.
+// confirms or reverts the matrix decrements. The matcher counts the
+// arrivals itself (ArrivalTracker), so no queue view carries them.
 type Stateful struct {
 	*Negotiator
 	epochBytes int64 // bytes one matched port moves per scheduled phase
 
-	matrix   [][]int64 // matrix[dst][src]: estimated pending bytes
-	reported [][]int64 // reported[src][dst]: cumulative bytes already requested
+	matrix     [][]int64 // matrix[dst][src]: estimated pending bytes
+	unreported [][]int64 // unreported[src][dst]: bytes admitted since src last requested dst
 }
 
 // NewStateful returns the stateful matcher. epochBytes is the per-port
 // scheduled-phase capacity used as the per-grant matrix decrement.
 func NewStateful(t topo.Topology, rng *sim.RNG, epochBytes int64) *Stateful {
-	return &Stateful{Negotiator: NewNegotiator(t, rng), epochBytes: epochBytes, matrix: square(t.N()), reported: square(t.N())}
+	return &Stateful{Negotiator: NewNegotiator(t, rng), epochBytes: epochBytes, matrix: square(t.N()), unreported: square(t.N())}
 }
 
 // square returns an n×n zero matrix whose rows are carved from one array.
@@ -156,17 +157,21 @@ func square(n int) [][]int64 {
 
 func (m *Stateful) Name() string { return "stateful" }
 
-// RequestsPure: each emitted request advances the reported-bytes cursor,
-// and its NewBytes field depends on that cursor — a cached emission would
-// re-report bytes the destination's matrix already counted.
+// RequestsPure: each emitted request hands over the pair's unreported
+// bytes and zeroes them, so a cached emission would re-report bytes the
+// destination's matrix already counted.
 func (m *Stateful) RequestsPure() bool { return false }
+
+// Arrived implements ArrivalTracker: admitted bytes wait in src's row
+// until its next request to dst reports them.
+func (m *Stateful) Arrived(src, dst int, n int64) { m.unreported[src][dst] += n }
 
 // Requests reports newly arrived bytes along with each binary request.
 func (m *Stateful) Requests(src int, view QueueView, now sim.Time, threshold int64, emit func(Request)) {
+	row := m.unreported[src]
 	m.Negotiator.Requests(src, view, now, threshold, func(r Request) {
-		cum := view.CumInjected(r.Dst)
-		r.NewBytes = cum - m.reported[src][r.Dst]
-		m.reported[src][r.Dst] = cum
+		r.NewBytes = row[r.Dst]
+		row[r.Dst] = 0
 		emit(r)
 	})
 }

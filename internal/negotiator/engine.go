@@ -127,6 +127,9 @@ type Engine struct {
 
 	tors    []tor // per ToR, by value: take &tors[i]
 	matcher match.Matcher
+	// arrivals is the matcher's ArrivalTracker, resolved once; nil when
+	// the matcher does not count arrivals.
+	arrivals match.ArrivalTracker
 	// matcherIdleSafe (see match.RequestTraits), resolved once, gates both
 	// the event-skip horizon and the O(active) request sweep.
 	matcherIdleSafe bool
@@ -215,6 +218,7 @@ func New(cfg Config) (*Engine, error) {
 		e.matcher = match.NewNegotiator(e.top, rng.Split(1))
 	}
 	e.matcherIdleSafe, _ = match.TraitsOf(e.matcher)
+	e.arrivals, _ = e.matcher.(match.ArrivalTracker)
 	e.sparseReq = e.matcherIdleSafe && !cfg.Relay
 	if b, ok := e.matcher.(match.BatchMatcher); ok {
 		e.batch = b
@@ -238,7 +242,6 @@ func New(cfg Config) (*Engine, error) {
 		RNG:                  rng,
 		PriorityQueues:       cfg.PriorityQueues,
 		Relay:                cfg.Relay,
-		CumInjected:          true,
 		OnDeliver:            cfg.OnDeliver,
 		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
 		Failures:             cfg.Failures,
@@ -294,12 +297,13 @@ func unmatched(n int) []int32 {
 }
 
 // admit is the core's arrival-admission hook: an injected flow lands in
-// the source's per-destination VOQ, and the cumulative-injected table
-// (stateful matcher view) advances.
+// the source's per-destination VOQ, and a matcher that counts arrivals
+// (the stateful variant) notes its bytes.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
-	nd := &e.Nodes[f.Src]
-	nd.Direct.Push(f.Dst, f, f.Total(), 0, at)
-	nd.CumInjected[f.Dst] += f.Total()
+	e.Nodes[f.Src].Direct.Push(f.Dst, f, f.Total(), 0, at)
+	if e.arrivals != nil {
+		e.arrivals.Arrived(f.Src, f.Dst, f.Total())
+	}
 }
 
 // resolveWorkers clamps the configured shard parallelism: never more

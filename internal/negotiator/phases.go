@@ -50,14 +50,6 @@ func (v *torView) WeightedHoL(dst int, alpha float64) float64 {
 	return v.e.Nodes[v.i].Direct.WeightedHoL(dst, v.e.Now(), alpha)
 }
 
-func (v *torView) CumInjected(dst int) int64 {
-	nd := &v.e.Nodes[v.i]
-	if nd.CumInjected == nil {
-		return 0
-	}
-	return nd.CumInjected[dst]
-}
-
 // rotation returns the predefined-phase round-robin rotation for an epoch.
 // The rule changes every epoch so a ToR pair's control messages cycle over
 // all ports (§3.6.1).

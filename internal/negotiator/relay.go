@@ -27,7 +27,7 @@ type relayState struct {
 	bufferCap int64
 
 	tc       *topo.ThinClos
-	rotate   []int   // per-source candidate rotation
+	rotate   []int   // per-source candidate rotation, in [0, n)
 	groupBuf []int64 // scratch: per-port direct bytes of the planning source
 }
 
@@ -87,8 +87,12 @@ func (e *Engine) planRelay() {
 		if !heavy {
 			continue
 		}
+		// The walk reads the rotation only modulo n, so it wraps there: a
+		// checkpoint can hold no rotation the walk would overflow on.
 		rot := r.rotate[i]
-		r.rotate[i]++
+		if r.rotate[i]++; r.rotate[i] == e.n {
+			r.rotate[i] = 0
+		}
 		for j := nd.Direct.Occ.Next(-1); j >= 0; j = nd.Direct.Occ.Next(j) {
 			if j == i || nd.Direct.LowestPriorityBytes(j) <= r.minBytes {
 				continue

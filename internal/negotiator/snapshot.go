@@ -8,23 +8,16 @@ import (
 )
 
 // PlaneState implements fabric.StatefulPlane. The NegotiaToR plane's
-// persistent cross-epoch state is: the match-ratio series, the selective
-// relay's candidate rotation, every ToR's pipelined mailboxes and live
-// match row, the batch matchers' future-match ring, and the matcher's own
-// state (ring pointers, demand matrices, tie-break RNG). Everything else
-// — outboxes, shard scratch — is rebuilt or re-derived within an epoch
-// and is deliberately not serialized.
+// persistent cross-epoch state is: the selective relay's candidate
+// rotation, every ToR's pipelined mailboxes, the batch matchers'
+// future-match ring, and the matcher's own state (ring pointers, demand
+// matrices, tie-break RNG). The match-ratio series the plane observes
+// belongs to the core, which checkpoints it. Everything else is rebuilt
+// or re-derived within an epoch and is deliberately not serialized:
+// outboxes, shard scratch, and the last epoch's match rows, which the
+// next epoch expires before it reads them (acceptStep, batchPrepStep).
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
-	num, den := e.MatchRatio.Counts()
-	enc.U32(uint32(len(num)))
-	for _, v := range num {
-		enc.I64(v)
-	}
-	for _, v := range den {
-		enc.I64(v)
-	}
-
 	enc.Bool(e.relay != nil)
 	if e.relay != nil {
 		enc.U32(uint32(len(e.relay.rotate)))
@@ -36,23 +29,17 @@ func (e *Engine) PlaneState() ([]byte, error) {
 	var cnt uint32
 	for i := range e.tors {
 		t := &e.tors[i]
-		if torHasState(t) {
+		if hasMail(t) {
 			cnt++
 		}
 	}
 	enc.U32(cnt)
 	for i := range e.tors {
 		t := &e.tors[i]
-		if !torHasState(t) {
+		if !hasMail(t) {
 			continue
 		}
 		enc.U32(uint32(i))
-		enc.Bool(t.hasMatches)
-		if t.hasMatches {
-			for _, m := range t.matches {
-				enc.Int(int(m))
-			}
-		}
 		for g := 0; g < e.stageLag; g++ {
 			encodeRequests(&enc, t.reqIn[g])
 			encodeGrants(&enc, t.grantIn[g])
@@ -82,25 +69,11 @@ func (e *Engine) PlaneState() ([]byte, error) {
 
 // RestorePlaneState implements fabric.StatefulPlane: the inverse of
 // PlaneState, applied to a freshly constructed engine. After decoding it
-// rebuilds the per-shard derived mirrors (matched/pending occupancy bits
-// and in-flight message counts) that a live run maintains incrementally —
-// the same invariants CheckRound asserts.
+// rebuilds the per-shard derived mirrors (pending occupancy bits and
+// in-flight message counts) that a live run maintains incrementally — the
+// same invariants CheckRound asserts.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
-	rn := d.Count(16) // one numerator and one denominator per entry
-	num := make([]int64, rn)
-	den := make([]int64, rn)
-	for i := range num {
-		num[i] = d.I64()
-	}
-	for i := range den {
-		den[i] = d.I64()
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	e.MatchRatio.RestoreCounts(num, den)
-
 	hasRelay := d.Bool()
 	if hasRelay != (e.relay != nil) {
 		return fmt.Errorf("negotiator: checkpoint relay presence (%v) does not match engine configuration (%v)", hasRelay, e.relay != nil)
@@ -109,34 +82,51 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 		if n := int(d.U32()); n != len(e.relay.rotate) {
 			return fmt.Errorf("negotiator: checkpoint holds %d relay rotations, engine has %d", n, len(e.relay.rotate))
 		}
+		// A run keeps each rotation in [0, n) (see planRelay).
 		for i := range e.relay.rotate {
-			e.relay.rotate[i] = d.Int()
+			rot := d.Int()
+			if rot < 0 || rot >= e.n {
+				return fmt.Errorf("negotiator: checkpoint relay rotation %d of ToR %d outside [0, %d)", rot, i, e.n)
+			}
+			e.relay.rotate[i] = rot
 		}
 	}
 
+	// Mailboxes hold only messages a run delivers: the phases index ToRs,
+	// ports and matcher rows by their fields, and CheckRound asserts the
+	// matches grants turn into. Each generation's grants give away a
+	// (destination, port) pair at most once.
+	granted := map[[3]int]bool{}
 	cnt := int(d.U32())
-	for k := 0; k < cnt; k++ {
+	for k, prev := 0, -1; k < cnt; k++ {
 		i := int(d.U32())
 		if d.Err() != nil {
 			break
 		}
-		if i < 0 || i >= e.n {
-			return fmt.Errorf("negotiator: checkpoint ToR index %d out of range", i)
+		if i <= prev || i >= e.n {
+			return fmt.Errorf("negotiator: checkpoint ToR index %d out of range or out of order", i)
 		}
+		prev = i
 		t := &e.tors[i]
-		t.hasMatches = d.Bool()
-		if t.hasMatches {
-			for p := range t.matches {
-				t.matches[p] = int32(d.Int())
-			}
-		}
 		for g := 0; g < e.stageLag; g++ {
 			var err error
 			if t.reqIn[g], err = decodeRequests(d, t.reqIn[g]); err != nil {
 				return err
 			}
+			for _, r := range t.reqIn[g] {
+				if r.Dst != i || r.Src < 0 || r.Src >= e.n || r.Src == i || r.Port != -1 && !e.top.CanReach(r.Src, r.Port, i) {
+					return fmt.Errorf("negotiator: checkpoint request %d -> %d on port %d in ToR %d's mailbox is not one a REQUEST step sends", r.Src, r.Dst, r.Port, i)
+				}
+			}
 			if t.grantIn[g], err = decodeGrants(d, t.grantIn[g]); err != nil {
 				return err
+			}
+			for _, gr := range t.grantIn[g] {
+				key := [3]int{g, gr.Dst, gr.Port}
+				if gr.Src != i || !e.top.CanReach(i, gr.Port, gr.Dst) || granted[key] {
+					return fmt.Errorf("negotiator: checkpoint grant of port %d at %d to %d in ToR %d's mailbox is not one a GRANT step sends", gr.Port, gr.Dst, gr.Src, i)
+				}
+				granted[key] = true
 			}
 		}
 	}
@@ -149,20 +139,32 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 		if depth := int(d.U32()); depth != len(e.future) {
 			return fmt.Errorf("negotiator: checkpoint future-ring depth %d does not match engine %d", depth, len(e.future))
 		}
+		// A slot lists its sources ascending (batchPrepStep merge-joins
+		// the list), and its rows are a conflict-free matching.
 		for dd := range e.future {
 			tn := int(d.U32())
-			for k := 0; k < tn; k++ {
+			matched := map[[2]int]bool{}
+			for k, prev := 0, -1; k < tn; k++ {
 				src := int(d.U32())
 				if d.Err() != nil {
 					break
 				}
-				if src < 0 || src >= e.n {
-					return fmt.Errorf("negotiator: checkpoint future-ring source %d out of range", src)
+				if src <= prev || src >= e.n {
+					return fmt.Errorf("negotiator: checkpoint future-ring source %d out of range or out of order", src)
 				}
+				prev = src
 				e.futureTouched[dd] = append(e.futureTouched[dd], int32(src))
 				row := e.future[dd][src]
 				for p := range row {
-					row[p] = int32(d.Int())
+					dst := d.Int()
+					if dst != -1 {
+						key := [2]int{dst, p}
+						if !e.top.CanReach(src, p, dst) || matched[key] {
+							return fmt.Errorf("negotiator: checkpoint future match %d-(%d)->%d is not one a batch Match makes", src, p, dst)
+						}
+						matched[key] = true
+					}
+					row[p] = int32(dst)
 				}
 			}
 		}
@@ -175,15 +177,11 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 		return err
 	}
 
-	// Rebuild the shard-side derived mirrors from the restored shadow
-	// state (matched bit == hasMatches, pending bits == non-empty
-	// mailboxes, inflight == delivered-but-unconsumed message count).
+	// Rebuild the shard-side derived mirrors: pending bits == non-empty
+	// mailboxes, inflight == delivered-but-unconsumed message count.
 	for _, sh := range e.shards {
 		for i := sh.lo; i < sh.hi; i++ {
 			t := &e.tors[i]
-			if t.hasMatches {
-				sh.matched.Set(i - sh.lo)
-			}
 			for g := 0; g < e.stageLag; g++ {
 				if n := len(t.reqIn[g]); n > 0 {
 					sh.reqPend[g].Set(i - sh.lo)
@@ -199,21 +197,12 @@ func (e *Engine) RestorePlaneState(data []byte) error {
 	return nil
 }
 
-// torHasState reports whether a ToR carries cross-epoch control state: a
-// live match row or any pending pipelined message. The relay plan is
-// cleared and recomputed by the next epoch's planning pass and does not
-// count.
-func torHasState(t *tor) bool {
-	if t.hasMatches {
-		return true
-	}
-	for _, in := range t.reqIn {
-		if len(in) > 0 {
-			return true
-		}
-	}
-	for _, in := range t.grantIn {
-		if len(in) > 0 {
+// hasMail reports whether a ToR holds a pending pipelined message, its
+// only control state that crosses an epoch boundary (the relay plan is
+// recomputed by the next epoch's planning pass).
+func hasMail(t *tor) bool {
+	for g := range t.reqIn {
+		if len(t.reqIn[g]) > 0 || len(t.grantIn[g]) > 0 {
 			return true
 		}
 	}

@@ -75,6 +75,8 @@ func TestFailureDeterminism(t *testing.T) {
 		cfg.CheckInvariants = false
 		cfg.Workers = workers
 		cfg.Failures = failurePlan(2*sim.Microsecond, 9)
+		var relayed int64
+		countTransit(&cfg, &relayed)
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +85,7 @@ func TestFailureDeterminism(t *testing.T) {
 		e.Run(60 * sim.Microsecond)
 		r := e.Results()
 		return fmt.Sprintf("inj=%d del=%d lost=%d relayed=%d fct99=%v mice=%v cdf=%v",
-			r.Injected, r.Delivered, r.LostBytes, e.relayed, r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
+			r.Injected, r.Delivered, r.LostBytes, relayed, r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
 	}
 	want := fingerprint(1)
 	for _, workers := range []int{2, 4, 8, 16} {

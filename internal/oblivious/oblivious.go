@@ -17,12 +17,13 @@
 // priority queues apply at sources only (the paper notes PIAS does not
 // apply to data at intermediate nodes). The RotorLB-style opportunistic
 // discipline (relay > direct > slot-time spray) is kept as an ablation
-// (Config.OpportunisticDirect).
+// (Config.OpportunisticDirect) that no Spec selects and no checkpoint holds.
 //
 // The engine is the round-robin/VLB control plane over the shared fabric
 // core (internal/fabric): the core owns queues, workload, ledger, metrics
 // and the slot-synchronous run loop; this package owns only the
-// per-timeslot service decisions (one decision per port per timeslot).
+// per-timeslot service decisions (one decision per port per timeslot) and
+// the state they alone read: the ablation's per-source spray pointers.
 package oblivious
 
 import (
@@ -101,7 +102,8 @@ type Config struct {
 	// uniform VLB spray (default: every byte takes two hops unless its
 	// random intermediate happens to be its destination) to the
 	// RotorLB-style relay > direct > indirect order. The paper's baseline
-	// follows Sirius; the opportunistic variant is kept for ablations.
+	// follows Sirius; the opportunistic variant is kept for ablations,
+	// which cannot be checkpointed.
 	OpportunisticDirect bool
 	// Seed drives the spray randomness.
 	Seed int64
@@ -178,8 +180,9 @@ type Engine struct {
 	// actual state destroys bits.
 	actual, known *failure.State
 
-	// relayed counts bytes that took a first hop (transit volume).
-	relayed int64
+	// sprayPtr is each source's rotating destination pointer for the
+	// slot-time spray (see serve); nil under the lane discipline.
+	sprayPtr []int
 
 	// Sharded slot execution (see Config.Workers): per-slot context set
 	// serially, phase steps run over the shards via the core's gang, and
@@ -311,6 +314,7 @@ func New(cfg Config) (*Engine, error) {
 		for j := 0; j < e.n; j++ {
 			e.anyPeer.Set(j)
 		}
+		e.sprayPtr = make([]int, e.n)
 	}
 	fab, err := fabric.New(fabric.Config{
 		Topology:         cfg.Topology,
@@ -464,7 +468,6 @@ func (e *Engine) Round() {
 	for _, sh := range e.shards {
 		for _, p := range sh.pushes {
 			e.Nodes[p.inter].Relay.Push(p.dst, queue.Segment{Flow: p.f, Bytes: p.n, Enqueued: p.at})
-			e.relayed += p.n
 		}
 		sh.pushes = sh.pushes[:0]
 		for _, tr := range sh.transits {
@@ -727,13 +730,14 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 	// (idealised backpressure standing in for Sirius's congestion
 	// control). Data already destined to j delivers in one hop.
 	//
-	// The occupancy index replaces the dense SprayPtr walk: candidates are
-	// visited in the same cyclic order starting at SprayPtr, and the
-	// pointer lands one past the served destination — or stays put after a
-	// fruitless full scan — exactly where the dense walk left it, so the
-	// spray sequence is byte-identical at O(active) cost.
+	// The occupancy index replaces the dense spray-pointer walk:
+	// candidates are visited in the same cyclic order starting at the
+	// pointer, and the pointer lands one past the served destination — or
+	// stays put after a fruitless full scan — exactly where the dense walk
+	// left it, so the spray sequence is byte-identical at O(active) cost.
 	inter := &e.Nodes[j]
-	start := src.SprayPtr
+	ptr := &e.sprayPtr[i]
+	start := *ptr
 	d := src.Direct.Occ.Next(start - 1)
 	wrapped := false
 	for {
@@ -754,9 +758,8 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 			if d == j {
 				sh.txDst = j
 				src.Direct.Take(d, e.cell, sh.sentEmit)
-				src.SprayPtr = d + 1
-				if src.SprayPtr >= e.n {
-					src.SprayPtr = 0
+				if *ptr = d + 1; *ptr == e.n {
+					*ptr = 0
 				}
 				return
 			}
@@ -770,9 +773,8 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 				if !sh.txLost {
 					sh.noteTransit(j, n)
 				}
-				src.SprayPtr = d + 1
-				if src.SprayPtr >= e.n {
-					src.SprayPtr = 0
+				if *ptr = d + 1; *ptr == e.n {
+					*ptr = 0
 				}
 				return
 			}
@@ -781,6 +783,10 @@ func (sh *obShard) serve(src *fabric.Node, i, j int) {
 		d = src.Direct.Occ.Next(d)
 	}
 }
+
+// SendsAtFirstHop implements fabric.FirstHopSender: pushEmit counts a
+// sprayed byte as sent, and drainEmit delivers it without sending again.
+func (e *Engine) SendsAtFirstHop() {}
 
 // noteTransit records one connection's transit observation when an
 // observer is attached (one call per pushing connection, bytes summed —
@@ -793,7 +799,8 @@ func (sh *obShard) noteTransit(inter int, n int64) {
 
 // Compile-time interface checks.
 var (
-	_ fabric.ControlPlane = (*Engine)(nil)
-	_ fabric.IdlePlane    = (*Engine)(nil)
-	_ fabric.EpochPlane   = (*Engine)(nil)
+	_ fabric.ControlPlane   = (*Engine)(nil)
+	_ fabric.IdlePlane      = (*Engine)(nil)
+	_ fabric.EpochPlane     = (*Engine)(nil)
+	_ fabric.FirstHopSender = (*Engine)(nil)
 )

@@ -18,8 +18,12 @@ import (
 func obFingerprint(t *testing.T, cfg Config, d sim.Duration, load float64) string {
 	t.Helper()
 	var obs strings.Builder
+	var relayed int64
 	cfg.OnDeliver = func(dst int, at sim.Time, n int64) { fmt.Fprintf(&obs, "d%d@%d:%d;", dst, at, n) }
-	cfg.OnTransit = func(k int, at sim.Time, n int64) { fmt.Fprintf(&obs, "t%d@%d:%d;", k, at, n) }
+	cfg.OnTransit = func(k int, at sim.Time, n int64) {
+		relayed += n
+		fmt.Fprintf(&obs, "t%d@%d:%d;", k, at, n)
+	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +33,7 @@ func obFingerprint(t *testing.T, cfg Config, d sim.Duration, load float64) strin
 	r := e.Results()
 	return fmt.Sprintf("flows=%d mice=%d p99=%v mp99=%v mean=%v goodput=%d slots=%d inj=%d del=%d rel=%d tags=%v cdf=%v obslen=%d obs=%s",
 		r.FCT.Count(), r.FCT.MiceCount(), r.FCT.P(99), r.FCT.MiceP(99), r.FCT.Mean(),
-		r.Goodput.TotalBytes(), e.Rounds(), r.Injected, r.Delivered, e.relayed,
+		r.Goodput.TotalBytes(), e.Rounds(), r.Injected, r.Delivered, relayed,
 		r.Tags, r.FCT.MiceCDF(16), obs.Len(), obs.String())
 }
 

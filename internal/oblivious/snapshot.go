@@ -1,22 +1,30 @@
 package oblivious
 
-import "negotiator/internal/snap"
+import (
+	"errors"
 
-// PlaneState implements fabric.StatefulPlane. The round-robin schedule
-// keeps almost no cross-slot control state outside the node queues: the
-// slot index and rotation derive from the core's round counter, spray
-// pointers and the spray RNG live in the core snapshot, and the per-slot
-// used-connection stamps compare against the current slot number only.
-// The transit-volume counter is the plane's sole persistent scalar.
+	"negotiator/internal/snap"
+)
+
+// PlaneState implements fabric.StatefulPlane. Under the Sirius lane
+// discipline the payload is empty: the slot index and rotation derive
+// from the core's round counter, the spray RNG is the core's, and the
+// used-connection stamps compare against the current slot only. The
+// OpportunisticDirect ablation's spray pointers are in no checkpoint, so
+// it refuses to checkpoint.
 func (e *Engine) PlaneState() ([]byte, error) {
-	var enc snap.Enc
-	enc.I64(e.relayed)
-	return enc.Bytes(), nil
+	if !e.lanes {
+		return nil, errAblationCheckpoint
+	}
+	return nil, nil
 }
 
 // RestorePlaneState implements fabric.StatefulPlane.
 func (e *Engine) RestorePlaneState(data []byte) error {
-	d := snap.NewDec(data)
-	e.relayed = d.I64()
-	return d.Finish()
+	if !e.lanes {
+		return errAblationCheckpoint
+	}
+	return snap.NewDec(data).Finish()
 }
+
+var errAblationCheckpoint = errors.New("oblivious: the OpportunisticDirect ablation does not support checkpoints")

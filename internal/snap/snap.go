@@ -32,7 +32,7 @@ const Magic = "NEGOSNAP"
 
 // Version is the current container format version. Restore rejects any
 // other value.
-const Version = 1
+const Version = 2
 
 // endTag closes a stream; trailing bytes after it are an error.
 const endTag = "END."

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -199,6 +200,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		{"payload bit flip", func(b []byte) []byte { b[len(b)/2] ^= 1; return b }, "CRC"},
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, ""},
 		{"unknown version", func(b []byte) []byte { b[8] = 99; return b }, "version"},
+		// Version 1 stored cumulative-injected tables and spray pointers in
+		// every node record and the match ratio in the plane state.
+		{"version 1", func(b []byte) []byte { b[8] = 1; return b }, "version"},
 		{"empty", func(b []byte) []byte { return nil }, ""},
 	}
 	for _, c := range corruptions {
@@ -244,27 +248,45 @@ func reframe(t *testing.T, stream []byte, tag string, mutate func([]byte)) []byt
 // mutate reports that it edited the payload.
 func reframeWhere(t *testing.T, stream []byte, tag string, mutate func([]byte) bool) []byte {
 	t.Helper()
-	var out bytes.Buffer
-	w := snap.NewWriter(&out)
+	secs := splitSections(stream)
 	found := false
-	for off := 12; ; {
-		sec := string(stream[off : off+4])
-		n := int(binary.LittleEndian.Uint64(stream[off+4 : off+12]))
-		payload := bytes.Clone(stream[off+12 : off+12+n])
-		off += 12 + n + 4
-		if sec == "END." {
-			break
+	for i := range secs {
+		secs[i].Payload = bytes.Clone(secs[i].Payload)
+		if secs[i].Tag == tag && !found {
+			found = mutate(secs[i].Payload)
 		}
-		if sec == tag && !found {
-			found = mutate(payload)
-		}
-		w.Section(sec, payload)
 	}
 	if !found {
 		t.Fatalf("checkpoint has no %s section", tag)
 	}
+	return joinSections(t, secs)
+}
+
+// splitSections returns a well-formed stream's sections in order; the
+// payloads alias the stream.
+func splitSections(stream []byte) []snap.Section {
+	var secs []snap.Section
+	for off := 12; ; {
+		tag := string(stream[off : off+4])
+		n := int(binary.LittleEndian.Uint64(stream[off+4 : off+12]))
+		if tag == "END." {
+			return secs
+		}
+		secs = append(secs, snap.Section{Tag: tag, Payload: stream[off+12 : off+12+n]})
+		off += 12 + n + 4
+	}
+}
+
+// joinSections frames sections into a stream with valid CRCs.
+func joinSections(tb testing.TB, secs []snap.Section) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	w := snap.NewWriter(&out)
+	for _, sec := range secs {
+		w.Section(sec.Tag, sec.Payload)
+	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return out.Bytes()
 }
@@ -293,6 +315,14 @@ func TestRestoreRejectsOversizedCounts(t *testing.T) {
 		return func(p []byte) { binary.LittleEndian.PutUint32(p[at(p):], count) }
 	}
 	first := func([]byte) int { return 0 }
+	// METR payload layout: the FCT samples and the mice samples (count,
+	// then 8 bytes each), the goodput entries (count, then 12 bytes each:
+	// destination 4, bytes 8), then the match ratio (count, then 16 bytes
+	// each: accepts 8, grants 8).
+	u32 := func(p []byte, at int) int { return int(binary.LittleEndian.Uint32(p[at:])) }
+	mice := func(p []byte) int { return 4 + 8*u32(p, 0) }
+	goodput := func(p []byte) int { return mice(p) + 4 + 8*u32(p, mice(p)) }
+	matchRatio := func(p []byte) int { return goodput(p) + 4 + 12*u32(p, goodput(p)) }
 	cases := []struct {
 		name           string
 		spec           negotiator.Spec
@@ -303,12 +333,11 @@ func TestRestoreRejectsOversizedCounts(t *testing.T) {
 	}{
 		{"tags", small, poisson(small), 60, 120, "TAGS", put(first, 402_653_184)},
 		{"fct-samples", small, poisson(small), 60, 120, "METR", put(first, 1<<24)},
-		{"mice-samples", small, poisson(small), 60, 120, "METR",
-			put(func(p []byte) int { return 4 + 8*int(binary.LittleEndian.Uint32(p)) }, 1<<24)},
+		{"mice-samples", small, poisson(small), 60, 120, "METR", put(mice, 1<<24)},
 		{"flows", small, poisson(small), 60, 120, "FLOW", put(first, 1<<22)},
 		{"flow-groups", small, groupedSlice, 10, 150, "GRPS", put(func([]byte) int { return 4 }, 1<<22)},
-		{"negotiator-match-ratio", small, poisson(small), 60, 120, "PLNE", put(first, 1<<23)},
-		{"hybrid-match-ratio", hybrid, poisson(hybrid), 60, 120, "PLNE", put(first, 1<<23)},
+		{"negotiator-match-ratio", small, poisson(small), 60, 120, "METR", put(matchRatio, 1<<23)},
+		{"hybrid-match-ratio", hybrid, poisson(hybrid), 60, 120, "METR", put(matchRatio, 1<<23)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -375,16 +404,15 @@ func TestRestoreRejectsBadLossRecords(t *testing.T) {
 		DetectDelay: 30 * negotiator.Microsecond,
 		Seed:        3,
 	}
-	// NODE payload layout: index and spray pointer (8 bytes each), the
-	// cumulative-injected entries (count, then 12 bytes each), the loss
-	// records (count, then 41 bytes each: flow 8, dst 4, off 8, n 8, at 8,
-	// class 1, via 4), then the direct segments (count, then 29 bytes
-	// each: dst 4, prio 1, flow 8, bytes 8, at 8).
+	// NODE payload layout: the index (8 bytes), the loss records (count,
+	// then 41 bytes each: flow 8, dst 4, off 8, n 8, at 8, class 1, via
+	// 4), then the direct segments (count, then 29 bytes each: dst 4,
+	// prio 1, flow 8, bytes 8, at 8).
+	const losses = 8
 	u32 := func(p []byte, at int) int { return int(binary.LittleEndian.Uint32(p[at:])) }
-	losses := func(p []byte) int { return 20 + 12*u32(p, 16) }
 	firstLoss := func(edit func(p []byte, l int)) func([]byte) bool {
 		return func(p []byte) bool {
-			at := losses(p)
+			at := losses
 			if u32(p, at) == 0 {
 				return false
 			}
@@ -410,8 +438,7 @@ func TestRestoreRejectsBadLossRecords(t *testing.T) {
 			binary.LittleEndian.PutUint64(p[l+20:], n+1000)
 		})},
 		{"segment-bytes-beyond-ledger", negotiator.SmallSpec(), 60, func(p []byte) bool {
-			at := losses(p)
-			at += 4 + 41*u32(p, at)
+			at := losses + 4 + 41*u32(p, losses)
 			if u32(p, at) == 0 {
 				return false
 			}
@@ -645,6 +672,87 @@ func TestRestoreRejectsBadClock(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRestoreRejectsBadRelayRotation: a selective-relay rotation edited
+// behind a valid CRC must fail Restore with an error. The planning walk
+// indexes candidate intermediates by (j + rotation + step) mod n, so a
+// negative rotation, or one so large that the sum overflows, indexes below
+// zero: such a checkpoint used to restore without error and panic in the
+// next epoch's planRelay. A run keeps each rotation in [0, n), so n itself
+// is refused too. Each case edits every ToR's rotation; the intact
+// checkpoint then restores into the same fabric (with the generator the
+// failed restore drew attached afresh) and finishes byte-identically.
+func TestRestoreRejectsBadRelayRotation(t *testing.T) {
+	spec := negotiator.SmallSpec()
+	spec.Topology = negotiator.ThinClos
+	spec.SelectiveRelay = true
+	spec.Workers = 1
+	build := func() negotiator.Fabric {
+		fab, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.9, spec.Seed+6))
+		return fab
+	}
+	const snapAt, epochs = 60, 80
+	fab := build()
+	fab.RunEpochs(epochs)
+	want := fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
+	fab = build()
+	fab.RunEpochs(snapAt)
+	var buf bytes.Buffer
+	if err := fab.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	// PLNE payload layout: the relay flag (1 byte), the rotation count (4
+	// bytes), then one 8-byte rotation per ToR.
+	for _, c := range []struct {
+		name string
+		rot  int64
+	}{
+		{"negative", -1_000_000_007},
+		{"n", int64(spec.ToRs)},
+		{"max-int64", math.MaxInt64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := reframe(t, good, "PLNE", func(p []byte) {
+				if p[0] != 1 || int(binary.LittleEndian.Uint32(p[1:])) != spec.ToRs {
+					t.Fatal("plane state carries no relay rotations")
+				}
+				for i := 0; i < spec.ToRs; i++ {
+					binary.LittleEndian.PutUint64(p[5+8*i:], uint64(c.rot))
+				}
+			})
+			fab2 := build()
+			err := func() (err error) {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("panic: %v", v)
+					}
+				}()
+				if err = fab2.Restore(bytes.NewReader(bad)); err == nil {
+					// A rotation that slipped through fails here.
+					fab2.RunEpochs(epochs - snapAt)
+				}
+				return err
+			}()
+			if err == nil {
+				t.Fatal("edited checkpoint restored without error")
+			}
+			t.Logf("rejected: %v", err)
+			fab2.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.9, spec.Seed+6))
+			if err := fab2.Restore(bytes.NewReader(good)); err != nil {
+				t.Fatalf("intact checkpoint rejected after failed restore: %v", err)
+			}
+			fab2.RunEpochs(epochs - snapAt)
+			if got := fmt.Sprintf("%+v | cdf=%v", fab2.Summary(), fab2.MiceCDF(24)); got != want {
+				t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
+			}
+		})
 	}
 }
 
