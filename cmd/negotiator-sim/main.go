@@ -306,8 +306,9 @@ func main() {
 }
 
 // restoreCheckpoint applies a checkpoint file to a freshly built fabric
-// (workload already attached). Core.Restore validates the file end to end
-// before touching any state, so a bad file fails here without side effects.
+// (workload already attached). Fabric.Restore adopts the checkpoint only
+// once all of it has restored, so a bad file fails here and leaves the
+// fabric as it was.
 func restoreCheckpoint(fab negotiator.Fabric, path string) error {
 	f, err := os.Open(path)
 	if err != nil {

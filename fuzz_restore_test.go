@@ -11,11 +11,19 @@ import (
 )
 
 // restoreSeed is one checkpoint FuzzRestore edits: the spec and workload
-// that wrote it (and that every restore target is built from) and its
-// sections in stream order.
+// that wrote it (and that every restore target is built from), the stream
+// and its sections in stream order, and the render of the writing run 20
+// epochs past the checkpoint.
 type restoreSeed struct {
 	spec     negotiator.Spec
+	stream   []byte
 	sections []snap.Section
+	next     string
+}
+
+// workload returns a fresh generator of the seed's workload.
+func (s *restoreSeed) workload() negotiator.Workload {
+	return negotiator.PoissonWorkload(s.spec, negotiator.Hadoop, 0.7, s.spec.Seed+6)
 }
 
 // build returns a fresh fabric of the seed's spec with its workload
@@ -26,7 +34,7 @@ func (s *restoreSeed) build(tb testing.TB) negotiator.Fabric {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fab.SetWorkload(negotiator.PoissonWorkload(s.spec, negotiator.Hadoop, 0.7, s.spec.Seed+6))
+	fab.SetWorkload(s.workload())
 	return fab
 }
 
@@ -71,7 +79,10 @@ func restoreSeeds(tb testing.TB) []*restoreSeed {
 		if err := fab.Snapshot(&buf); err != nil {
 			tb.Fatal(err)
 		}
-		s.sections = splitSections(buf.Bytes())
+		s.stream = buf.Bytes()
+		s.sections = splitSections(s.stream)
+		fab.RunEpochs(20)
+		s.next = render(fab)
 		seeds = append(seeds, s)
 	}
 	return seeds
@@ -84,7 +95,10 @@ func restoreSeeds(tb testing.TB) []*restoreSeed {
 // Restore into a fresh fabric of the seed's spec must never panic and
 // must allocate under 64 MB (the bound TestRestoreRejectsOversizedCounts
 // uses); a checkpoint it accepts must then run 20 more epochs with
-// CheckInvariants on without a panic.
+// CheckInvariants on without a panic. A restore that fails must leave the
+// fabric as it was: the intact seed checkpoint, with a fresh generator
+// attached, then restores into the same fabric, and its next 20 epochs
+// equal the writing run's.
 //
 // The seed corpus (one edit per section tag and seed, plus any crasher
 // under testdata/fuzz/FuzzRestore/) runs in plain `go test`; fuzz with:
@@ -125,9 +139,18 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restoring a %s edited at byte %d allocated %d MB, want < 64 MB",
 				s.sections[k].Tag, int(offset)%len(payload), alloc>>20)
 		}
-		if err != nil {
+		if err == nil {
+			fab.RunEpochs(20)
 			return
 		}
+		fab.SetWorkload(s.workload())
+		if err := fab.Restore(bytes.NewReader(s.stream)); err != nil {
+			t.Fatalf("intact checkpoint rejected after a failed restore: %v", err)
+		}
 		fab.RunEpochs(20)
+		if got := render(fab); got != s.next {
+			t.Fatalf("run after a failed restore diverges (%s edited at byte %d)\n got: %.400s\nwant: %.400s",
+				s.sections[k].Tag, int(offset)%len(payload), got, s.next)
+		}
 	})
 }

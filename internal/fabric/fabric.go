@@ -380,6 +380,9 @@ func (c *Core) SetWorkload(g workload.Generator) {
 	c.nextCalls = 0
 }
 
+// Workload returns the attached arrival stream (nil before SetWorkload).
+func (c *Core) Workload() workload.Generator { return c.work }
+
 // Now returns the current simulated time (start of the next round).
 func (c *Core) Now() sim.Time { return c.now }
 

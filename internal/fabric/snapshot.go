@@ -32,21 +32,23 @@ type StatefulPlane interface {
 // Section tags of the core snapshot stream (see internal/snap for the
 // container format and the versioning policy).
 const (
-	secCore  = "CORE" // identity, clock, counters, pump, ledger, RNG
+	secCore  = "CORE" // identity, round counts, pump, requeued bytes, RNG
 	secTags  = "TAGS" // tagged-event accounting
 	secMetr  = "METR" // merged FCT samples, goodput, match ratio, receiver buffers
 	secFail  = "FAIL" // failure cursor positions (only with a plan)
 	secFlows = "FLOW" // live flow records
-	secGrps  = "GRPS" // flow-group member counts (only when grouping is live)
 	secNode  = "NODE" // one per node with queued segments or loss records
 	secPlane = "PLNE" // the control plane's StatefulPlane payload
 )
 
 // Snapshot serializes the core's complete simulation state at a round
-// boundary: clock and counters, the workload pump position, ledger and
+// boundary: round counts, the workload pump position, requeued bytes and
 // tag accounting, merged metrics, failure cursor positions, every live
-// flow, every node's queued segments verbatim, and the control plane's
-// own state. The stream is versioned and CRC-guarded (internal/snap).
+// flow, every node's queued segments and loss records verbatim, and the
+// control plane's own state. Each fact is stated once: the clock, the
+// ledger, the loss counters and each flow's cursors follow from the rest,
+// and Restore derives them. The stream is versioned and CRC-guarded
+// (internal/snap).
 //
 // What is NOT captured: configuration. A snapshot is a resume token — the
 // restoring process must rebuild the identical spec (topology, scheduler,
@@ -64,7 +66,6 @@ func (c *Core) Snapshot(w io.Writer) error {
 	e.Int(c.N)
 	e.Int(c.S)
 	e.I64(int64(c.roundLen))
-	e.I64(int64(c.now))
 	e.I64(c.rounds)
 	e.I64(c.skippedRounds)
 	e.I64(c.flowSeq)
@@ -74,12 +75,7 @@ func (c *Core) Snapshot(w io.Writer) error {
 	if c.havePending {
 		encodeArrival(&e, c.pending)
 	}
-	e.I64(c.Ledger.Injected)
-	e.I64(c.Ledger.Delivered)
-	e.I64(c.Ledger.Lost)
-	e.I64(c.Lost)
 	e.I64(c.requeued)
-	e.I64(c.pendingLosses)
 	for _, word := range c.RNG.State() {
 		e.U64(word)
 	}
@@ -93,11 +89,7 @@ func (c *Core) Snapshot(w io.Writer) error {
 		f.I64(int64(c.knownCur.Now()))
 		sw.Section(secFail, f.Bytes())
 	}
-	live := c.liveFlows()
-	sw.Section(secFlows, encodeFlows(live))
-	if payload := encodeGroups(live, c.pending, c.havePending); payload != nil {
-		sw.Section(secGrps, payload)
-	}
+	sw.Section(secFlows, encodeFlows(c.liveFlows()))
 	for i := range c.Nodes {
 		if payload := c.Nodes[i].encodeState(i); payload != nil {
 			sw.Section(secNode, payload)
@@ -113,18 +105,16 @@ func (c *Core) Snapshot(w io.Writer) error {
 
 // Restore applies a snapshot to a freshly built core. The caller must
 // have Bound the same control plane configuration and attached an
-// identically constructed workload generator (SetWorkload) first; Restore
-// replays the generator to the checkpointed position. The stream and
-// every section but NODE decode and validate before any core state
-// mutates, and the plane state applies before the core's own, so only a
-// bad NODE payload, or applied state that fails the final checks, is
-// caught after the core has changed; any other corrupt, truncated or
-// mismatched checkpoint leaves the core untouched. A plane payload that
-// fails partway may leave the plane's own state changed. A failure past
-// the workload replay has drawn the attached generator, which must be
-// attached afresh before a retry. The final checks re-verify the rebuilt
-// derived indexes and byte conservation (the CheckOccupancy and
-// CheckConservation invariants) and return a violation as an error.
+// identically constructed workload generator (SetWorkload) first. Each
+// section applies as it decodes, so a core whose Restore failed holds part
+// of a checkpoint and must be discarded (the negotiator facade restores
+// into a fresh build and adopts it only on success). What the checkpoint
+// does not state, Restore derives: the clock from the round count, each
+// live flow's cursors from where its bytes are held, and the ledger and
+// loss counters from the node records and the delivered bytes. The rebuilt
+// occupancy indexes are re-verified (the CheckOccupancy invariant), a
+// violation returned as an error. The workload replays last, so only a
+// checkpoint whose every other part restored draws the attached generator.
 func (c *Core) Restore(r io.Reader) error {
 	sp, ok := c.plane.(StatefulPlane)
 	if !ok {
@@ -138,238 +128,161 @@ func (c *Core) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-
-	// Decode and validate everything read-only first; mutation starts only
-	// after the checkpoint has proven structurally sound and compatible.
-	core, err := c.decodeCore(s)
+	// The clock bounds the failure cursors, the tag table the flow
+	// records, and the flow records the node records holding their bytes.
+	if err := c.decodeCore(s); err != nil {
+		return err
+	}
+	if err := c.decodeFail(s); err != nil {
+		return err
+	}
+	if err := c.decodeTags(s); err != nil {
+		return err
+	}
+	if err := c.decodeMetrics(s); err != nil {
+		return err
+	}
+	live, err := c.decodeFlows(s)
 	if err != nil {
 		return err
 	}
-	failSec, haveFail := s.Section(secFail)
-	if haveFail != (c.failPlan != nil) {
-		return fmt.Errorf("fabric: checkpoint failure-plan presence (%v) does not match core configuration (%v)",
-			haveFail, c.failPlan != nil)
-	}
-	var aNow, kNow sim.Time
-	if haveFail {
-		if aNow, kNow, err = c.decodeFail(failSec, core.now); err != nil {
-			return err
-		}
-	}
-	// Flow-group counts must be in hand before flow records decode (the
-	// progress bounds check is against the group's TOTAL bytes) and before
-	// the workload replays (the buffered pending arrival is compared
-	// including its count). An absent section means an ungrouped run — every
-	// pre-group checkpoint restores as all-singles.
-	var groups map[int64]int32
-	if grpSec, ok := s.Section(secGrps); ok {
-		var pendCount int32
-		groups, pendCount, err = decodeGroups(grpSec)
-		if err != nil {
-			return err
-		}
-		if pendCount > 1 {
-			if !core.havePending {
-				return fmt.Errorf("fabric: checkpoint carries a pending-arrival group count without a pending arrival")
-			}
-			core.pending.Count = pendCount
-		}
-	}
-	// Tags decode before flow records: a tagged flow must name an entry
-	// of the table its completion will update.
-	var tags map[int]*TagStat
-	if sec, ok := s.Section(secTags); ok {
-		if tags, err = decodeTags(sec); err != nil {
-			return err
-		}
-	}
-	flowSec, ok := s.Section(secFlows)
-	if !ok {
-		return fmt.Errorf("fabric: checkpoint missing %s section", secFlows)
-	}
-	byID, err := decodeFlows(flowSec, c.N, core.flowSeq, groups, tags)
-	if err != nil {
-		return err
-	}
-	applyMetrics := func() {}
-	if sec, ok := s.Section(secMetr); ok {
-		if applyMetrics, err = c.decodeMetrics(sec); err != nil {
-			return err
-		}
-	}
-	planeSec, ok := s.Section(secPlane)
-	if !ok {
-		return fmt.Errorf("fabric: checkpoint missing %s section", secPlane)
-	}
-
-	// Replay the workload pump to the checkpointed position before touching
-	// anything else: a replay mismatch (wrong generator attached) must not
-	// leave a half-restored core.
-	if err := c.replayWorkload(core); err != nil {
-		return err
-	}
-	// The plane's state is its own (no core field feeds it), so it applies
-	// before the core's: a plane payload that fails to decode leaves the
-	// core untouched.
-	if err := sp.RestorePlaneState(planeSec); err != nil {
-		return err
-	}
-
-	c.now = core.now
-	c.rounds = core.rounds
-	c.skippedRounds = core.skippedRounds
-	c.flowSeq = core.flowSeq
-	c.pending, c.havePending, c.genDone = core.pending, core.havePending, core.genDone
-	c.nextCalls = core.nextCalls
-	c.Ledger = core.ledger
-	c.Lost = core.lost
-	c.requeued = core.requeued
-	c.pendingLosses = core.pendingLosses
-	c.RNG.SetState(core.rng)
-
-	for k, ts := range tags {
-		c.Tags[k] = ts
-	}
-	applyMetrics()
 	for _, payload := range s.Sections(secNode) {
-		if err := c.decodeNode(payload, byID); err != nil {
+		if err := c.decodeNode(payload, live); err != nil {
 			return err
 		}
 	}
-	if err := c.checkFlowBytes(byID); err != nil {
+	if err := c.deriveProgress(live); err != nil {
 		return err
 	}
-	// Cursors are pure functions of (plan, time): advancing the fresh
-	// cursors to the checkpointed positions replays the exact transition
-	// prefix, reproducing dense state, reference counts and the applied
-	// index — mid-cycle flapping state included.
-	if haveFail && aNow != failure.NeverAdvanced {
-		c.actualCur.AdvanceTo(aNow)
-		c.knownCur.AdvanceTo(kNow)
-	}
-
-	// The rebuilt derived state must satisfy the same invariants a live run
-	// maintains: queued bytes a payload added or dropped break the ledger
-	// identity even without a failure plan.
 	if err := c.verifyOccupancy(); err != nil {
 		return err
 	}
-	return c.verifyConservation()
+	planeSec, err := section(s, secPlane)
+	if err != nil {
+		return err
+	}
+	if err := sp.RestorePlaneState(planeSec); err != nil {
+		return err
+	}
+	return c.replayWorkload()
 }
 
-// coreState is the decoded CORE section.
-type coreState struct {
-	now           sim.Time
-	rounds        int64
-	skippedRounds int64
-	flowSeq       int64
-	nextCalls     int64
-	genDone       bool
-	havePending   bool
-	pending       workload.Arrival
-	ledger        flows.Ledger
-	lost          int64
-	requeued      int64
-	pendingLosses int64
-	rng           [4]uint64
+// section returns the payload of a section every checkpoint carries.
+func section(s *snap.Snapshot, tag string) ([]byte, error) {
+	if payload, ok := s.Section(tag); ok {
+		return payload, nil
+	}
+	return nil, fmt.Errorf("fabric: checkpoint missing %s section", tag)
 }
 
-func (c *Core) decodeCore(s *snap.Snapshot) (*coreState, error) {
-	payload, ok := s.Section(secCore)
-	if !ok {
-		return nil, fmt.Errorf("fabric: checkpoint missing %s section", secCore)
+// decodeCore restores the CORE section: the core's identity, which must
+// match, then its round counts, pump, requeued bytes and RNG, held to what
+// a run leaves at a round boundary. Skipped rounds are among the rounds,
+// and the clock (that many whole rounds) fits. A pump that has drawn
+// buffers an arrival (the last draw, which the replay checks) or is
+// exhausted, and the buffered arrival lies after the last round's start,
+// up to which that round injected: a round count edited ahead of it would
+// have the first restored round inject every arrival up to the clock at
+// once.
+func (c *Core) decodeCore(s *snap.Snapshot) error {
+	payload, err := section(s, secCore)
+	if err != nil {
+		return err
 	}
 	d := snap.NewDec(payload)
 	if name := d.Str(); name != c.plane.Name() {
-		return nil, fmt.Errorf("fabric: checkpoint was taken on control plane %q, core runs %q", name, c.plane.Name())
+		return fmt.Errorf("fabric: checkpoint was taken on control plane %q, core runs %q", name, c.plane.Name())
 	}
 	if n, ports := d.Int(), d.Int(); n != c.N || ports != c.S {
-		return nil, fmt.Errorf("fabric: checkpoint topology %dx%d does not match core %dx%d", n, ports, c.N, c.S)
+		return fmt.Errorf("fabric: checkpoint topology %dx%d does not match core %dx%d", n, ports, c.N, c.S)
 	}
 	if rl := sim.Duration(d.I64()); rl != c.roundLen {
-		return nil, fmt.Errorf("fabric: checkpoint round length %v does not match core %v", rl, c.roundLen)
+		return fmt.Errorf("fabric: checkpoint round length %v does not match core %v", rl, c.roundLen)
 	}
-	st := &coreState{}
-	st.now = sim.Time(d.I64())
-	st.rounds = d.I64()
-	st.skippedRounds = d.I64()
-	st.flowSeq = d.I64()
-	st.nextCalls = d.I64()
-	st.genDone = d.Bool()
-	st.havePending = d.Bool()
-	if st.havePending {
-		st.pending = decodeArrival(d)
+	c.rounds = d.I64()
+	c.skippedRounds = d.I64()
+	c.flowSeq = d.I64()
+	c.nextCalls = d.I64()
+	c.genDone = d.Bool()
+	c.havePending = d.Bool()
+	if c.havePending {
+		c.pending = decodeArrival(d)
 	}
-	st.ledger.Injected = d.I64()
-	st.ledger.Delivered = d.I64()
-	st.ledger.Lost = d.I64()
-	st.lost = d.I64()
-	st.requeued = d.I64()
-	st.pendingLosses = d.I64()
-	for i := range st.rng {
-		st.rng[i] = d.U64()
+	c.requeued = d.I64()
+	var rng [4]uint64
+	for i := range rng {
+		rng[i] = d.U64()
 	}
+	c.RNG.SetState(rng)
 	if err := d.Finish(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := st.checkClock(c.roundLen); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// checkClock holds the decoded clock and pump to what a run leaves at a
-// round boundary: now is rounds whole rounds, skipped ones among them; a
-// pump that has drawn buffers an arrival (the last draw, which the replay
-// checks) or is exhausted; and the buffered arrival lies after the last
-// round's start, up to which that round injected. A clock edited ahead of
-// its rounds would have the first restored round inject every arrival up
-// to it at once.
-func (st *coreState) checkClock(roundLen sim.Duration) error {
-	rl := int64(roundLen)
+	rl := int64(c.roundLen)
 	switch {
-	case st.rounds < 0 || st.skippedRounds < 0 || st.skippedRounds > st.rounds:
-		return fmt.Errorf("fabric: checkpoint counts %d rounds, %d of them skipped", st.rounds, st.skippedRounds)
-	case st.rounds > math.MaxInt64/rl || int64(st.now) != st.rounds*rl:
-		return fmt.Errorf("fabric: checkpoint clock %d ns is not %d rounds of %v", int64(st.now), st.rounds, roundLen)
-	case st.nextCalls < 0 || st.havePending && (st.genDone || st.nextCalls == 0) ||
-		!st.genDone && !st.havePending && st.nextCalls != 0:
+	case c.rounds < 0 || c.skippedRounds < 0 || c.skippedRounds > c.rounds:
+		return fmt.Errorf("fabric: checkpoint counts %d rounds, %d of them skipped", c.rounds, c.skippedRounds)
+	case c.rounds > math.MaxInt64/rl:
+		return fmt.Errorf("fabric: checkpoint's %d rounds of %v overflow the clock", c.rounds, c.roundLen)
+	case c.nextCalls < 0 || c.havePending && (c.genDone || c.nextCalls == 0) ||
+		!c.genDone && !c.havePending && c.nextCalls != 0:
 		return fmt.Errorf("fabric: checkpoint pump state (draws %d, buffered %v, exhausted %v) is not one a run leaves",
-			st.nextCalls, st.havePending, st.genDone)
-	case st.havePending && int64(st.pending.Time) <= int64(st.now)-rl:
+			c.nextCalls, c.havePending, c.genDone)
+	case c.requeued < 0:
+		return fmt.Errorf("fabric: checkpoint counts %d requeued bytes", c.requeued)
+	}
+	c.now = sim.Time(c.rounds * rl)
+	if c.havePending && int64(c.pending.Time) <= int64(c.now)-rl {
 		return fmt.Errorf("fabric: checkpoint buffers an arrival at %d ns, before the last round started (%d ns)",
-			int64(st.pending.Time), int64(st.now)-rl)
+			int64(c.pending.Time), int64(c.now)-rl)
 	}
 	return nil
 }
 
-// decodeFail decodes the failure cursor positions and holds them to what
-// a run leaves: unadvanced, or the actual cursor at a round start before
-// now and the known one the detection delay behind (the next round would
-// move a cursor ahead of the clock backwards).
-func (c *Core) decodeFail(payload []byte, now sim.Time) (aNow, kNow sim.Time, err error) {
-	d := snap.NewDec(payload)
-	aNow, kNow = sim.Time(d.I64()), sim.Time(d.I64())
-	rl := int64(c.roundLen)
-	never := aNow == failure.NeverAdvanced && kNow == failure.NeverAdvanced
-	if err = d.Finish(); err == nil && !never && (aNow < 0 || int64(aNow) > int64(now)-rl ||
-		int64(aNow)%rl != 0 || kNow != aNow.Add(-c.failPlan.DetectDelay)) {
-		err = fmt.Errorf("fabric: checkpoint failure cursors at %d and %d ns are not a round start before %d ns and its detection lag",
-			int64(aNow), int64(kNow), int64(now))
+// decodeFail restores the failure cursor positions, present exactly when
+// the core has a plan. It holds them to what a run leaves: unadvanced, or
+// the actual cursor at a round start before now and the known one the
+// detection delay behind (the next round would move a cursor ahead of the
+// clock backwards). Cursors are pure functions of (plan, time): advancing
+// the fresh cursors to the positions replays the exact transition prefix,
+// reproducing dense state, reference counts and the applied index —
+// mid-cycle flapping state included.
+func (c *Core) decodeFail(s *snap.Snapshot) error {
+	payload, ok := s.Section(secFail)
+	if ok != (c.failPlan != nil) {
+		return fmt.Errorf("fabric: checkpoint failure-plan presence (%v) does not match core configuration (%v)",
+			ok, c.failPlan != nil)
 	}
-	return aNow, kNow, err
+	if !ok {
+		return nil
+	}
+	d := snap.NewDec(payload)
+	aNow, kNow := sim.Time(d.I64()), sim.Time(d.I64())
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	if aNow == failure.NeverAdvanced && kNow == failure.NeverAdvanced {
+		return nil
+	}
+	rl := int64(c.roundLen)
+	if aNow < 0 || int64(aNow) > int64(c.now)-rl || int64(aNow)%rl != 0 || kNow != aNow.Add(-c.failPlan.DetectDelay) {
+		return fmt.Errorf("fabric: checkpoint failure cursors at %d and %d ns are not a round start before %d ns and its detection lag",
+			int64(aNow), int64(kNow), int64(c.now))
+	}
+	c.actualCur.AdvanceTo(aNow)
+	c.knownCur.AdvanceTo(kNow)
+	return nil
 }
 
 // replayWorkload pulls the generator forward to the checkpointed pump
-// position and cross-checks the final draw against the serialized pending
-// arrival — catching a restore with the wrong (or wrongly seeded)
-// generator attached — and every earlier draw against the clock.
-func (c *Core) replayWorkload(st *coreState) error {
-	if st.nextCalls == 0 {
+// position and cross-checks the final draw against the buffered arrival —
+// catching a restore with the wrong (or wrongly seeded) generator
+// attached — and every earlier draw against the clock.
+func (c *Core) replayWorkload() error {
+	if c.nextCalls == 0 {
 		return nil
 	}
 	if c.work == nil {
-		return fmt.Errorf("fabric: restore requires the original workload attached via SetWorkload (checkpoint had drawn %d arrivals)", st.nextCalls)
+		return fmt.Errorf("fabric: restore requires the original workload attached via SetWorkload (checkpoint had drawn %d arrivals)", c.nextCalls)
 	}
 	var (
 		last   workload.Arrival
@@ -377,27 +290,27 @@ func (c *Core) replayWorkload(st *coreState) error {
 	)
 	// A round starting at or before now - roundLen injected every draw but
 	// the last, which bounds a corrupt count by the arrivals it covers.
-	injected := st.now.Add(-c.roundLen)
-	for i := int64(0); i < st.nextCalls; i++ {
+	injected := c.now.Add(-c.roundLen)
+	for i := int64(0); i < c.nextCalls; i++ {
 		last, lastOK = c.work.Next()
-		if i == st.nextCalls-1 {
+		if i == c.nextCalls-1 {
 			break
 		}
 		if !lastOK {
-			return fmt.Errorf("fabric: workload exhausted after %d of %d checkpointed draws: wrong generator attached", i+1, st.nextCalls)
+			return fmt.Errorf("fabric: workload exhausted after %d of %d checkpointed draws: wrong generator attached", i+1, c.nextCalls)
 		}
 		if last.Time > injected {
 			return fmt.Errorf("fabric: workload draw %d of %d arrives at %d ns, after the last round started (%d ns): the checkpoint counts more draws than the run made",
-				i+1, st.nextCalls, int64(last.Time), int64(injected))
+				i+1, c.nextCalls, int64(last.Time), int64(injected))
 		}
 	}
 	switch {
-	case st.havePending:
-		if !lastOK || last != st.pending {
+	case c.havePending:
+		if !lastOK || last != c.pending {
 			return fmt.Errorf("fabric: workload replay diverges from checkpoint (got %+v ok=%v, want buffered %+v): wrong generator attached",
-				last, lastOK, st.pending)
+				last, lastOK, c.pending)
 		}
-	case st.genDone:
+	case c.genDone:
 		if lastOK {
 			return fmt.Errorf("fabric: workload replay yields arrivals past the checkpointed end: wrong generator attached")
 		}
@@ -411,15 +324,17 @@ func encodeArrival(e *snap.Enc, a workload.Arrival) {
 	e.Int(a.Dst)
 	e.I64(a.Size)
 	e.Int(a.Tag)
+	e.U32(uint32(a.Count))
 }
 
 func decodeArrival(d *snap.Dec) workload.Arrival {
 	return workload.Arrival{
-		Time: sim.Time(d.I64()),
-		Src:  d.Int(),
-		Dst:  d.Int(),
-		Size: d.I64(),
-		Tag:  d.Int(),
+		Time:  sim.Time(d.I64()),
+		Src:   d.Int(),
+		Dst:   d.Int(),
+		Size:  d.I64(),
+		Tag:   d.Int(),
+		Count: int32(d.U32()),
 	}
 }
 
@@ -442,23 +357,24 @@ func (c *Core) encodeTags() []byte {
 	return e.Bytes()
 }
 
-// decodeTags decodes the tagged-event table; Restore installs it only once
-// every read-only check has passed.
-func decodeTags(payload []byte) (map[int]*TagStat, error) {
+// decodeTags restores the tagged-event table.
+func (c *Core) decodeTags(s *snap.Snapshot) error {
+	payload, err := section(s, secTags)
+	if err != nil {
+		return err
+	}
 	d := snap.NewDec(payload)
 	n := d.Count(40) // key + start + end + flows + done
-	tags := make(map[int]*TagStat, n)
 	for i := 0; i < n; i++ {
 		k := d.Int()
-		ts := &TagStat{
+		c.Tags[k] = &TagStat{
 			Start: sim.Time(d.I64()),
 			End:   sim.Time(d.I64()),
 			Flows: d.Int(),
 			Done:  d.Int(),
 		}
-		tags[k] = ts
 	}
-	return tags, d.Finish()
+	return d.Finish()
 }
 
 // encodeMetrics captures the MERGED per-shard accumulators. Restore
@@ -520,10 +436,14 @@ func (c *Core) encodeMetrics() []byte {
 	return e.Bytes()
 }
 
-// decodeMetrics decodes and validates the merged metrics and returns the
-// step that installs them, which Restore runs only once every read-only
-// check has passed.
-func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
+// decodeMetrics restores the merged metrics into shard 0 (see
+// encodeMetrics) and the ledger's delivered bytes, which are their
+// goodput sum.
+func (c *Core) decodeMetrics(s *snap.Snapshot) error {
+	payload, err := section(s, secMetr)
+	if err != nil {
+		return err
+	}
 	d := snap.NewDec(payload)
 	all := make([]sim.Duration, d.Count(8))
 	for i := range all {
@@ -535,16 +455,16 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 	}
 	perToR := make([]int64, c.N)
 	gn := int(d.U32())
-	for i := 0; i < gn; i++ {
+	for i, prev := 0, -1; i < gn; i++ {
 		dst := int(d.U32())
 		v := d.I64()
 		if d.Err() != nil {
 			break
 		}
-		if dst < 0 || dst >= c.N {
-			return nil, fmt.Errorf("fabric: checkpoint goodput destination %d out of range", dst)
+		if dst <= prev || dst >= c.N || v <= 0 {
+			return fmt.Errorf("fabric: checkpoint goodput entry %d (%d bytes to ToR %d) is not ascending, on the fabric and positive", i, v, dst)
 		}
-		perToR[dst] = v
+		perToR[dst], prev = v, dst
 	}
 	num := make([]int64, d.Count(16)) // one numerator and one denominator per epoch
 	den := make([]int64, len(num))
@@ -553,15 +473,9 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 	}
 	haveRx := d.Bool()
 	if haveRx != (c.RxBuffers != nil) {
-		return nil, fmt.Errorf("fabric: checkpoint receiver-buffer presence (%v) does not match core configuration (%v)",
+		return fmt.Errorf("fabric: checkpoint receiver-buffer presence (%v) does not match core configuration (%v)",
 			haveRx, c.RxBuffers != nil)
 	}
-	type rxState struct {
-		dst           int
-		last          sim.Time
-		backlog, peak int64
-	}
-	var rx []rxState
 	if haveRx {
 		rn := int(d.U32())
 		for i := 0; i < rn; i++ {
@@ -571,65 +485,47 @@ func (c *Core) decodeMetrics(payload []byte) (apply func(), err error) {
 				break
 			}
 			if dst < 0 || dst >= c.N {
-				return nil, fmt.Errorf("fabric: checkpoint receiver buffer %d out of range", dst)
+				return fmt.Errorf("fabric: checkpoint receiver buffer %d out of range", dst)
 			}
-			rx = append(rx, rxState{dst, last, backlog, peak})
+			c.RxBuffers[dst].RestoreState(last, backlog, peak)
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, err
+		return err
 	}
-	return func() {
-		for _, r := range rx {
-			c.RxBuffers[r.dst].RestoreState(r.last, r.backlog, r.peak)
-		}
-		c.Shards[0].FCT.RestoreSamples(all, mice)
-		c.fct = nil
-		c.Shards[0].Goodput.RestorePerToR(perToR)
-		c.MatchRatio.RestoreCounts(num, den)
-	}, nil
+	c.Shards[0].FCT.RestoreSamples(all, mice)
+	c.fct = nil
+	c.Shards[0].Goodput.RestorePerToR(perToR)
+	c.Ledger.Delivered = c.Shards[0].Goodput.TotalBytes()
+	c.MatchRatio.RestoreCounts(num, den)
+	return nil
 }
 
-// Where a node holds a flow's bytes (see eachHeld).
-const (
-	heldSource = iota // a direct or lane queue
-	heldRelay         // a relay queue
-	heldLost          // a loss record awaiting requeue
-)
-
-// eachHeld calls fn for every queued segment and outstanding loss record
-// of every node, with where the node holds its bytes.
-func (c *Core) eachHeld(fn func(f *flows.Flow, where int, n int64)) {
+// liveFlows collects every flow still referenced by the fabric — queued
+// segments of all three classes plus outstanding loss records — in ID
+// order. Completed flows survive only as metric samples and are not
+// serialized.
+func (c *Core) liveFlows() []*flows.Flow {
+	byID := make(map[int64]*flows.Flow)
+	add := func(f *flows.Flow) { byID[f.ID] = f }
 	for i := range c.Nodes {
 		nd := &c.Nodes[i]
 		for _, cls := range [2]*QueueClass{&nd.Direct, &nd.Lanes} {
 			cls.Slab.ForEachPage(func(_, _ int, qs []queue.DestQueue, _ int64) {
 				for j := range qs {
-					qs[j].ForEachSegment(func(_ int, s queue.Segment) { fn(s.Flow, heldSource, s.Bytes) })
+					qs[j].ForEachSegment(func(_ int, s queue.Segment) { add(s.Flow) })
 				}
 			})
 		}
 		nd.Relay.Slab.ForEachPage(func(_, _ int, fs []queue.FIFO, _ int64) {
 			for j := range fs {
-				fs[j].ForEachSegment(func(s queue.Segment) { fn(s.Flow, heldRelay, s.Bytes) })
+				fs[j].ForEachSegment(func(s queue.Segment) { add(s.Flow) })
 			}
 		})
 		for _, l := range nd.Losses {
-			fn(l.F, heldLost, l.N)
+			add(l.F)
 		}
 	}
-}
-
-// liveFlows collects every flow still referenced by the fabric — queued
-// segments of all three classes plus outstanding loss records. Completed
-// flows survive only as metric samples and are not serialized.
-func (c *Core) liveFlows() []*flows.Flow {
-	byID := make(map[int64]*flows.Flow)
-	c.eachHeld(func(f *flows.Flow, _ int, _ int64) {
-		if f != nil {
-			byID[f.ID] = f
-		}
-	})
 	out := make([]*flows.Flow, 0, len(byID))
 	for _, f := range byID {
 		out = append(out, f)
@@ -638,6 +534,8 @@ func (c *Core) liveFlows() []*flows.Flow {
 	return out
 }
 
+// encodeFlows writes each live flow's identity and member count; its
+// cursors follow from where the node records hold its bytes.
 func encodeFlows(live []*flows.Flow) []byte {
 	var e snap.Enc
 	e.U32(uint32(len(live)))
@@ -648,22 +546,39 @@ func encodeFlows(live []*flows.Flow) []byte {
 		e.I64(f.Size)
 		e.I64(int64(f.Arrival))
 		e.Int(f.Tag)
-		e.I64(f.Sent())
-		e.I64(f.Delivered())
+		e.U32(uint32(f.Count))
 	}
 	return e.Bytes()
 }
 
-// decodeFlows decodes the live flow records, rejecting any the fabric of
-// n ToRs could not carry: an ID outside the issued range or repeated, a
-// source or destination off the fabric (a relay push or requeue would
-// index out of range), a nonzero tag with no entry in tags (its
-// completion would update a missing tag), or progress beyond the flow's
-// bytes.
-func decodeFlows(payload []byte, n int, flowSeq int64, groups map[int64]int32, tags map[int]*TagStat) (map[int64]*flows.Flow, error) {
+// Where a node holds a flow's bytes (liveFlow.held's index).
+const (
+	heldSource = iota // a direct or lane queue
+	heldRelay         // a relay queue
+	heldLost          // a loss record awaiting requeue
+)
+
+// liveFlow is a restored flow record and the bytes the node records hold
+// of it, by where they are held.
+type liveFlow struct {
+	f    *flows.Flow
+	held [3]int64
+}
+
+// decodeFlows decodes the live flow records, rejecting any the fabric
+// could not carry: an ID outside the issued range or repeated, a source
+// or destination off the fabric (a relay push or requeue would index out
+// of range), a size below one byte, a negative member count or a total
+// that overflows, or a nonzero tag the tag table does not list (its
+// completion would update a missing tag).
+func (c *Core) decodeFlows(s *snap.Snapshot) (map[int64]*liveFlow, error) {
+	payload, err := section(s, secFlows)
+	if err != nil {
+		return nil, err
+	}
 	d := snap.NewDec(payload)
-	count := d.Count(64) // eight 8-byte fields per flow record
-	byID := make(map[int64]*flows.Flow, count)
+	count := d.Count(52) // six 8-byte fields and a 4-byte member count per record
+	live := make(map[int64]*liveFlow, count)
 	for i := 0; i < count; i++ {
 		f := &flows.Flow{
 			ID:      d.I64(),
@@ -672,93 +587,68 @@ func decodeFlows(payload []byte, n int, flowSeq int64, groups map[int64]int32, t
 			Size:    d.I64(),
 			Arrival: sim.Time(d.I64()),
 			Tag:     d.Int(),
+			Count:   int32(d.U32()),
 		}
-		sent, delivered := d.I64(), d.I64()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if f.ID <= 0 || f.ID > flowSeq {
-			return nil, fmt.Errorf("fabric: checkpoint flow ID %d outside issued range [1, %d]", f.ID, flowSeq)
-		}
-		if _, dup := byID[f.ID]; dup {
+		_, tagged := c.Tags[f.Tag]
+		switch {
+		case f.ID <= 0 || f.ID > c.flowSeq:
+			return nil, fmt.Errorf("fabric: checkpoint flow ID %d outside issued range [1, %d]", f.ID, c.flowSeq)
+		case live[f.ID] != nil:
 			return nil, fmt.Errorf("fabric: checkpoint flow ID %d duplicated", f.ID)
-		}
-		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
-			return nil, fmt.Errorf("fabric: checkpoint flow %d runs %d -> %d, outside the fabric's %d ToRs", f.ID, f.Src, f.Dst, n)
-		}
-		if _, ok := tags[f.Tag]; f.Tag != 0 && !ok {
+		case f.Src < 0 || f.Src >= c.N || f.Dst < 0 || f.Dst >= c.N:
+			return nil, fmt.Errorf("fabric: checkpoint flow %d runs %d -> %d, outside the fabric's %d ToRs", f.ID, f.Src, f.Dst, c.N)
+		case f.Size < 1 || f.Count < 0 || f.Count > 1 && f.Size > math.MaxInt64/int64(f.Count):
+			return nil, fmt.Errorf("fabric: checkpoint flow %d of %d members of %d bytes", f.ID, f.Count, f.Size)
+		case f.Tag != 0 && !tagged:
 			return nil, fmt.Errorf("fabric: checkpoint flow %d carries tag %d, which the tag table does not list", f.ID, f.Tag)
 		}
-		// The member count must be applied before progress restores: the
-		// bounds check is against the group's total bytes, not one member's.
-		if k, ok := groups[f.ID]; ok {
-			f.Count = k
-		}
-		if err := f.RestoreProgress(sent, delivered); err != nil {
-			return nil, err
-		}
-		byID[f.ID] = f
+		live[f.ID] = &liveFlow{f: f}
 	}
-	for id := range groups {
-		if _, ok := byID[id]; !ok {
-			return nil, fmt.Errorf("fabric: checkpoint flow-group count references unknown flow %d", id)
-		}
-	}
-	return byID, d.Finish()
+	return live, d.Finish()
 }
 
-// encodeGroups captures flow-group member counts — the one piece of live
-// flow state encodeFlows predates — plus the buffered pending arrival's
-// count. The section is written only when grouping is actually live (some
-// count above 1), so ungrouped runs produce snapshot streams byte-identical
-// to pre-group builds, and checkpoints from those builds restore here as
-// all-singles.
-func encodeGroups(live []*flows.Flow, pending workload.Arrival, havePending bool) []byte {
-	var pendCount int32
-	if havePending && pending.Count > 1 {
-		pendCount = pending.Count
+// hold books n more bytes of flow id as held where by node idx and
+// returns the flow. A flow's records hold at most its Total; checking
+// before each addition keeps the sum from overflowing.
+func hold(live map[int64]*liveFlow, idx int, id int64, where int, n int64) (*flows.Flow, error) {
+	lf, ok := live[id]
+	if !ok {
+		return nil, fmt.Errorf("fabric: checkpoint node %d references unknown flow %d", idx, id)
 	}
-	var grouped uint32
-	for _, f := range live {
-		if f.Count > 1 {
-			grouped++
-		}
+	if left := lf.f.Total() - lf.held[heldSource] - lf.held[heldRelay] - lf.held[heldLost]; n <= 0 || n > left {
+		return nil, fmt.Errorf("fabric: checkpoint node %d holds %d bytes of flow %d, beyond the %d of its %d the other records leave",
+			idx, n, id, left, lf.f.Total())
 	}
-	if pendCount == 0 && grouped == 0 {
-		return nil
-	}
-	var e snap.Enc
-	e.U32(uint32(pendCount))
-	e.U32(grouped)
-	for _, f := range live {
-		if f.Count > 1 {
-			e.I64(f.ID)
-			e.U32(uint32(f.Count))
-		}
-	}
-	return e.Bytes()
+	lf.held[where] += n
+	return lf.f, nil
 }
 
-func decodeGroups(payload []byte) (map[int64]int32, int32, error) {
-	d := snap.NewDec(payload)
-	pendCount := int32(d.U32())
-	n := d.Count(12) // flow ID + member count
-	counts := make(map[int64]int32, n)
-	for i := 0; i < n; i++ {
-		id := d.I64()
-		k := int32(d.U32())
-		if d.Err() != nil {
-			break
+// deriveProgress derives what the node records imply. Every byte of a live
+// flow is queued, destroyed awaiting requeue, or delivered, and its sent
+// cursor counts the delivered and destroyed ones, and the relayed ones on
+// a FirstHopSender; a flow no record holds would have completed, and
+// completed flows are not checkpointed. The ledger's live losses are the
+// loss records' bytes, and the bytes injected are those delivered, queued
+// and lost.
+func (c *Core) deriveProgress(live map[int64]*liveFlow) error {
+	_, firstHop := c.plane.(FirstHopSender)
+	var queued int64
+	for _, lf := range live {
+		src, relay, lost := lf.held[heldSource], lf.held[heldRelay], lf.held[heldLost]
+		delivered := lf.f.Total() - src - relay - lost
+		sent := delivered + lost
+		if firstHop {
+			sent += relay
 		}
-		if k < 2 {
-			return nil, 0, fmt.Errorf("fabric: checkpoint flow-group count %d for flow %d below 2", k, id)
+		if err := lf.f.RestoreProgress(sent, delivered); err != nil {
+			return err
 		}
-		if _, dup := counts[id]; dup {
-			return nil, 0, fmt.Errorf("fabric: checkpoint flow-group count for flow %d duplicated", id)
-		}
-		counts[id] = k
+		queued += src + relay
+		c.Ledger.Lost += lost
 	}
-	return counts, pendCount, d.Finish()
+	c.Ledger.Injected = c.Ledger.Delivered + queued + c.Ledger.Lost
+	c.Lost = c.Ledger.Lost + c.requeued
+	return nil
 }
 
 // encodeState serializes one node's loss records and queued segments, or
@@ -830,7 +720,7 @@ func encodeDestSlab(e *snap.Enc, slab *queue.DestSlab) {
 	})
 }
 
-func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
+func (c *Core) decodeNode(payload []byte, live map[int64]*liveFlow) error {
 	d := snap.NewDec(payload)
 	idx := d.Int()
 	if err := d.Err(); err != nil {
@@ -854,20 +744,21 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		if d.Err() != nil {
 			break
 		}
-		f, ok := byID[id]
-		if !ok {
-			return fmt.Errorf("fabric: checkpoint node %d loss references unknown flow %d", idx, id)
+		f, err := hold(live, idx, id, heldLost, l.N)
+		if err != nil {
+			return err
 		}
 		l.F = f
 		if err := nd.checkLoss(l); err != nil {
 			return fmt.Errorf("fabric: checkpoint node %d loss of flow %d: %w", idx, id, err)
 		}
 		nd.Losses = append(nd.Losses, l)
+		c.pendingLosses++
 	}
-	if err := c.decodeDestSlabSegs(d, &nd.Direct, byID, idx); err != nil {
+	if err := c.decodeDestSlabSegs(d, &nd.Direct, live, idx); err != nil {
 		return err
 	}
-	if err := c.decodeDestSlabSegs(d, &nd.Lanes, byID, idx); err != nil {
+	if err := c.decodeDestSlabSegs(d, &nd.Lanes, live, idx); err != nil {
 		return err
 	}
 	relays := int(d.U32())
@@ -878,12 +769,12 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 		if d.Err() != nil {
 			break
 		}
-		f, ok := byID[id]
-		if !ok {
-			return fmt.Errorf("fabric: checkpoint node %d relay segment references unknown flow %d", idx, id)
+		f, err := hold(live, idx, id, heldRelay, s.Bytes)
+		if err != nil {
+			return err
 		}
-		if dst < 0 || dst >= c.N || s.Bytes <= 0 {
-			return fmt.Errorf("fabric: checkpoint node %d relay segment invalid (dst=%d bytes=%d)", idx, dst, s.Bytes)
+		if dst < 0 || dst >= c.N {
+			return fmt.Errorf("fabric: checkpoint node %d relay segment destination %d out of range", idx, dst)
 		}
 		if !nd.spec.relay {
 			return fmt.Errorf("fabric: checkpoint node %d carries relay data the core does not configure", idx)
@@ -896,42 +787,16 @@ func (c *Core) decodeNode(payload []byte, byID map[int64]*flows.Flow) error {
 
 // FirstHopSender is implemented by control planes that count a relayed
 // byte as sent when it leaves its source; on other planes it counts as
-// sent at its last hop. Restore checks each flow's sent cursor by it.
+// sent at its last hop. Restore derives each flow's sent cursor by it.
 type FirstHopSender interface {
 	SendsAtFirstHop()
 }
 
-// checkFlowBytes holds every restored flow to a run's byte accounting:
-// each byte is queued, destroyed awaiting requeue, or delivered, and the
-// sent cursor counts the delivered and destroyed ones (and the relayed
-// ones on a FirstHopSender), or the flow overshoots once its queues drain.
-func (c *Core) checkFlowBytes(byID map[int64]*flows.Flow) error {
-	held := make(map[*flows.Flow][3]int64, len(byID))
-	c.eachHeld(func(f *flows.Flow, where int, n int64) {
-		h := held[f]
-		h[where] += n
-		held[f] = h
-	})
-	_, firstHop := c.plane.(FirstHopSender)
-	for _, f := range byID {
-		h := held[f]
-		sent := f.Delivered() + h[heldLost]
-		if firstHop {
-			sent += h[heldRelay]
-		}
-		if f.Total() != h[heldSource]+h[heldRelay]+h[heldLost]+f.Delivered() || f.Sent() != sent {
-			return fmt.Errorf("fabric: checkpoint flow %d of %d bytes has %d queued at sources, %d at relays, %d lost, %d delivered and %d sent",
-				f.ID, f.Total(), h[heldSource], h[heldRelay], h[heldLost], f.Delivered(), f.Sent())
-		}
-	}
-	return nil
-}
-
 // checkLoss validates a decoded loss record against the core: a
-// destination (and, for a lane loss, a lane) inside the fabric, a
-// positive byte run inside the flow, and a requeue class the core
-// configures — requeue would index out of range or strand bytes
-// otherwise.
+// destination (and, for a lane loss, a lane) inside the fabric, a byte
+// run inside the flow, and a requeue class the core configures — requeue
+// would index out of range or strand bytes otherwise. The run is
+// positive and no longer than the flow (see hold).
 func (nd *Node) checkLoss(l Loss) error {
 	n := nd.spec.n
 	var into uint8
@@ -953,13 +818,13 @@ func (nd *Node) checkLoss(l Loss) error {
 		return fmt.Errorf("requeues into %s queues the core does not configure", className[into])
 	case l.Dst < 0 || l.Dst >= n:
 		return fmt.Errorf("destination %d out of range", l.Dst)
-	case l.N <= 0 || l.Off < 0 || l.Off > l.F.Total()-l.N:
+	case l.Off < 0 || l.Off > l.F.Total()-l.N:
 		return fmt.Errorf("bytes [%d, %d) outside the flow's %d", l.Off, l.Off+l.N, l.F.Total())
 	}
 	return nil
 }
 
-func (c *Core) decodeDestSlabSegs(d *snap.Dec, cls *QueueClass, byID map[int64]*flows.Flow, idx int) error {
+func (c *Core) decodeDestSlabSegs(d *snap.Dec, cls *QueueClass, live map[int64]*liveFlow, idx int) error {
 	n := int(d.U32())
 	for i := 0; i < n; i++ {
 		dst := int(d.U32())
@@ -969,9 +834,9 @@ func (c *Core) decodeDestSlabSegs(d *snap.Dec, cls *QueueClass, byID map[int64]*
 		if d.Err() != nil {
 			break
 		}
-		f, ok := byID[id]
-		if !ok {
-			return fmt.Errorf("fabric: checkpoint node %d segment references unknown flow %d", idx, id)
+		f, err := hold(live, idx, id, heldSource, s.Bytes)
+		if err != nil {
+			return err
 		}
 		if dst < 0 || dst >= c.N {
 			return fmt.Errorf("fabric: checkpoint node %d segment destination %d out of range", idx, dst)

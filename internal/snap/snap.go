@@ -32,7 +32,7 @@ const Magic = "NEGOSNAP"
 
 // Version is the current container format version. Restore rejects any
 // other value.
-const Version = 2
+const Version = 3
 
 // endTag closes a stream; trailing bytes after it are an error.
 const endTag = "END."

@@ -48,13 +48,20 @@ type CDF struct {
 	mean float64
 }
 
-// NewCDF builds a distribution from anchor points. Points must have
-// strictly increasing sizes and non-decreasing fractions ending at 1.0.
-// An implicit starting anchor at (minSize, 0) is added using the first
-// point's size scaled down if the first fraction is positive.
+// NewCDF builds a distribution from anchor points. Points must have sizes
+// of at least 1 byte, strictly increasing, and fractions in [0, 1],
+// non-decreasing and ending at 1.0. An implicit starting anchor at
+// (minSize, 0) is added using the first point's size scaled down if the
+// first fraction is positive.
 func NewCDF(name string, pts []CDFPoint) (*CDF, error) {
 	if len(pts) < 1 {
 		return nil, fmt.Errorf("workload: CDF %q needs at least one point", name)
+	}
+	for i, p := range pts {
+		if p.Size < 1 || !(p.Frac >= 0 && p.Frac <= 1) {
+			return nil, fmt.Errorf("workload: CDF %q point %d (%d B, fraction %v) needs a size of at least 1 and a fraction in [0, 1]",
+				name, i, p.Size, p.Frac)
+		}
 	}
 	sorted := make([]CDFPoint, 0, len(pts)+1)
 	if pts[0].Frac > 0 {
@@ -105,9 +112,17 @@ func (c *CDF) computeMean() float64 {
 			continue
 		}
 		s0, s1 := float64(p0.Size), float64(p1.Size)
-		mean += df * (s1 - s0) / math.Log(s1/s0)
+		// The segment's mean, the log mean of s0 and s1, lies between them;
+		// for anchors float64 barely tells apart it rounds outside (or to
+		// 0/0), and s0 is as good an estimate.
+		m := df * (s1 - s0) / math.Log(s1/s0)
+		if !(m >= df*s0 && m <= df*s1) {
+			m = df * s0
+		}
+		mean += m
 	}
-	return mean
+	// Fraction differences rounded apart can sum past 1.
+	return min(mean, float64(c.pts[len(c.pts)-1].Size))
 }
 
 // Sample draws a size by inverse transform with log-linear interpolation.
@@ -127,11 +142,11 @@ func (c *CDF) Sample(r *sim.RNG) int64 {
 	}
 	frac := (u - p0.Frac) / df
 	s := float64(p0.Size) * math.Pow(float64(p1.Size)/float64(p0.Size), frac)
-	n := int64(math.Round(s))
-	if n < 1 {
-		n = 1
+	if s >= float64(p1.Size) {
+		// Rounding, or an anchor float64 rounds up, must not pass p1.
+		return p1.Size
 	}
-	return n
+	return int64(math.Round(s))
 }
 
 // FracBelow returns the fraction of flows strictly smaller than size,

@@ -21,6 +21,48 @@ func TestCDFValidation(t *testing.T) {
 	if _, err := NewCDF("bad", []CDFPoint{{100, 0.5}}); err == nil {
 		t.Error("CDF not ending at 1 accepted")
 	}
+	for _, pts := range [][]CDFPoint{
+		{{-5, 0}, {10, 1}},
+		{{10, 0.2}, {100, math.NaN()}, {1000, 1}},
+		{{10, -0.5}, {100, 1}},
+	} {
+		if _, err := NewCDF("bad", pts); err == nil {
+			t.Errorf("CDF %v with a size below 1 or a fraction outside [0, 1] accepted", pts)
+		}
+	}
+}
+
+// FuzzNewCDF builds a CDF from one to three fuzzed anchor points: NewCDF
+// must never panic, and a CDF it accepts must have a mean and samples in
+// [1, last size]. The seed corpus runs under plain go test: valid anchors,
+// a size below 1, a NaN and a negative fraction, and anchors that round to
+// the same float64 (their log mean is 0/0). Fuzz with:
+//
+//	go test -run '^$' -fuzz '^FuzzNewCDF$' -fuzztime 10s ./internal/workload
+func FuzzNewCDF(f *testing.F) {
+	f.Add(uint8(1), int64(100), 0.5, int64(1000), 1.0, int64(0), 0.0)
+	f.Add(uint8(0), int64(1000), 1.0, int64(0), 0.0, int64(0), 0.0)
+	f.Add(uint8(1), int64(-5), 0.0, int64(10), 1.0, int64(0), 0.0)
+	f.Add(uint8(2), int64(10), 0.2, int64(100), math.NaN(), int64(1000), 1.0)
+	f.Add(uint8(1), int64(10), -0.5, int64(100), 1.0, int64(0), 0.0)
+	f.Add(uint8(1), int64(1<<62), 0.0, int64(1<<62+1), 1.0, int64(0), 0.0)
+	f.Fuzz(func(t *testing.T, n uint8, s0 int64, f0 float64, s1 int64, f1 float64, s2 int64, f2 float64) {
+		pts := []CDFPoint{{s0, f0}, {s1, f1}, {s2, f2}}[:1+int(n)%3]
+		c, err := NewCDF("fuzz", pts)
+		if err != nil {
+			return
+		}
+		last := pts[len(pts)-1].Size
+		if m := c.Mean(); !(m >= 1 && m <= float64(last)) {
+			t.Fatalf("CDF %v: mean %v outside [1, %d]", pts, m, last)
+		}
+		rng := sim.NewRNG(1)
+		for i := 0; i < 64; i++ {
+			if s := c.Sample(rng); s < 1 || s > last {
+				t.Fatalf("CDF %v: sample %d outside [1, %d]", pts, s, last)
+			}
+		}
+	})
 }
 
 func TestCDFSampleStats(t *testing.T) {

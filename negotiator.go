@@ -706,7 +706,9 @@ type Fabric interface {
 	// Spec. SetWorkload (with the identically constructed generator) must
 	// be called first; the run then continues byte-identically to the
 	// uninterrupted one, at any worker count. A corrupt or mismatched
-	// checkpoint returns an error leaving the fabric untouched.
+	// checkpoint returns an error and leaves the fabric as it was; only a
+	// checkpoint that fails in the workload replay, which comes last, has
+	// drawn the attached generator, which must then be attached afresh.
 	Restore(r io.Reader) error
 }
 
@@ -715,14 +717,37 @@ type Workload = workload.Generator
 
 // coreFabric is the one Fabric implementation. Every control plane runs
 // over, and reports through, the embedded fabric core: it supplies
-// SetWorkload, Run, RunEpochs, Drain, Snapshot and Restore, and the
-// methods below only translate its Results into the paper's units.
+// SetWorkload, Run, RunEpochs, Drain and Snapshot, and the methods below
+// restore a checkpoint into a fresh core and translate its Results into
+// the paper's units.
 type coreFabric struct {
 	*fabric.Core
 	spec Spec
 }
 
 func (f *coreFabric) Spec() Spec { return f.spec }
+
+// Restore restores the checkpoint into a fresh build of the spec, with this
+// fabric's workload attached, and adopts that build only once the whole
+// checkpoint has restored: a failed restore leaves this fabric as it was.
+// The build costs what Spec.Build costs, once more.
+func (f *coreFabric) Restore(r io.Reader) error {
+	// Every clock advance and injection happens in a round.
+	if f.Rounds() != 0 {
+		return fmt.Errorf("negotiator: restore target must be a freshly built fabric (it has run %d rounds)", f.Rounds())
+	}
+	fresh, err := f.spec.Build()
+	if err != nil {
+		return err
+	}
+	core := fresh.(*coreFabric).Core
+	core.SetWorkload(f.Workload())
+	if err := core.Restore(r); err != nil {
+		return err
+	}
+	f.Core = core
+	return nil
+}
 
 func (f *coreFabric) Summary() Summary {
 	r := f.Results()

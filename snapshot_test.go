@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,6 +204,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		// Version 1 stored cumulative-injected tables and spray pointers in
 		// every node record and the match ratio in the plane state.
 		{"version 1", func(b []byte) []byte { b[8] = 1; return b }, "version"},
+		// Version 2 stored the clock, the ledger and each flow's cursors
+		// besides the facts they follow from, and group counts in GRPS.
+		{"version 2", func(b []byte) []byte { b[8] = 2; return b }, "version"},
 		{"empty", func(b []byte) []byte { return nil }, ""},
 	}
 	for _, c := range corruptions {
@@ -299,9 +303,9 @@ func joinSections(tb testing.TB, secs []snap.Section) []byte {
 // TestRestoreRejectsCorruption, by restoring the intact checkpoint into the
 // same fabric and finishing the run byte-identically. The TAGS count is the
 // one a fuzzer found (a 4-byte payload claiming 402,653,184 tags); the other
-// counts ask for 128-256 MB, well past the 64 MB bound. A failure past the
-// workload replay (the plane sections) has drawn the attached generator, so
-// every case attaches a fresh one before the intact restore.
+// counts ask for 128-256 MB, well past the 64 MB bound. Every case attaches
+// a fresh generator before the intact restore, as a caller must after a
+// restore that failed in the workload replay.
 func TestRestoreRejectsOversizedCounts(t *testing.T) {
 	poisson := func(spec negotiator.Spec) func() negotiator.Workload {
 		return func() negotiator.Workload {
@@ -335,7 +339,6 @@ func TestRestoreRejectsOversizedCounts(t *testing.T) {
 		{"fct-samples", small, poisson(small), 60, 120, "METR", put(first, 1<<24)},
 		{"mice-samples", small, poisson(small), 60, 120, "METR", put(mice, 1<<24)},
 		{"flows", small, poisson(small), 60, 120, "FLOW", put(first, 1<<22)},
-		{"flow-groups", small, groupedSlice, 10, 150, "GRPS", put(func([]byte) int { return 4 }, 1<<22)},
 		{"negotiator-match-ratio", small, poisson(small), 60, 120, "METR", put(matchRatio, 1<<23)},
 		{"hybrid-match-ratio", hybrid, poisson(hybrid), 60, 120, "METR", put(matchRatio, 1<<23)},
 	}
@@ -393,9 +396,9 @@ func TestRestoreRejectsOversizedCounts(t *testing.T) {
 // TestRestoreRejectsBadLossRecords: a NODE payload edited behind a valid
 // CRC must fail Restore with an error, never a panic — a loss record whose
 // destination or lane lies off the fabric (requeue would index out of
-// range), or whose byte count the ledger does not hold, and (with no
-// failure plan at all) queued bytes the ledger does not hold (the flow
-// would over-deliver).
+// range), or whose byte count runs past its flow's bytes, and (with no
+// failure plan at all) a queued segment holding more bytes than its flow
+// has (the flow would over-deliver).
 func TestRestoreRejectsBadLossRecords(t *testing.T) {
 	failing := negotiator.SmallSpec()
 	failing.Failures = &negotiator.FailurePlan{
@@ -443,7 +446,7 @@ func TestRestoreRejectsBadLossRecords(t *testing.T) {
 				return false
 			}
 			b := at + 4 + 4 + 1 + 8
-			binary.LittleEndian.PutUint64(p[b:], binary.LittleEndian.Uint64(p[b:])+1000)
+			binary.LittleEndian.PutUint64(p[b:], binary.LittleEndian.Uint64(p[b:])+1<<40)
 			return true
 		}},
 	}
@@ -501,10 +504,10 @@ func TestRestoreRejectsBadFlowRecords(t *testing.T) {
 	hybrid := negotiator.SmallSpec()
 	hybrid.ControlPlane = negotiator.HybridPlane
 	hybrid.Topology = negotiator.ThinClos
-	// FLOW payload layout: the record count (4 bytes), then 64-byte
-	// records of eight 8-byte fields: ID, src, dst, size, arrival, tag,
-	// sent, delivered.
-	const tagField, dstField = 40, 16
+	// FLOW payload layout: the record count (4 bytes), then 52-byte
+	// records: ID, src, dst, size, arrival and tag (8 bytes each), then
+	// the member count (4 bytes).
+	const record, tagField, dstField = 52, 40, 16
 	cases := []struct {
 		name  string
 		spec  negotiator.Spec
@@ -546,7 +549,7 @@ func TestRestoreRejectsBadFlowRecords(t *testing.T) {
 			}
 			for r := 0; r < live; r++ {
 				bad := reframe(t, good, "FLOW", func(p []byte) {
-					binary.LittleEndian.PutUint64(p[4+64*r+c.field:], c.value)
+					binary.LittleEndian.PutUint64(p[4+record*r+c.field:], c.value)
 				})
 				fab2 := build()
 				err := func() (err error) {
@@ -580,14 +583,16 @@ func TestRestoreRejectsBadFlowRecords(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadClock: a CORE section whose clock disagrees with its
-// round count, or whose pump holds an arrival that the last round would
-// already have injected or that no replayed draw vouches for, must fail
-// Restore with an error and leave the fabric untouched. Before the check, a hybrid checkpoint with its clock edited
-// to 352 s restored without error, and its first round would have injected
-// every arrival up to 352 s at once, so a rejected edit is never run
-// forward. The intact checkpoint then restores into the same fabric and
-// finishes byte-identically.
+// TestRestoreRejectsBadClock: a CORE section whose round count or pump
+// state a run cannot leave — skipped rounds beyond the rounds, a buffered
+// arrival that the last round would already have injected or that no
+// replayed draw vouches for — must fail Restore with an error and leave
+// the fabric untouched. The clock is the round count in round lengths, so
+// a round count edited a billion rounds ahead leaves the buffered arrival
+// long before the last round: restored, its first round would have
+// injected every arrival up to the clock at once, so a rejected edit is
+// never run forward. The intact checkpoint then restores into the same
+// fabric and finishes byte-identically.
 func TestRestoreRejectsBadClock(t *testing.T) {
 	oblivious := negotiator.SmallSpec()
 	oblivious.ControlPlane = negotiator.ObliviousPlane
@@ -595,24 +600,23 @@ func TestRestoreRejectsBadClock(t *testing.T) {
 	hybrid.ControlPlane = negotiator.HybridPlane
 	hybrid.Topology = negotiator.ThinClos
 	// CORE payload layout: the plane name (4-byte length, then the bytes),
-	// ToRs, ports and round length (8 bytes each), then 8-byte now, rounds,
+	// ToRs, ports and round length (8 bytes each), then 8-byte rounds,
 	// skipped rounds, flow sequence and draw count, the exhausted and
 	// buffered flags (1 byte each), and the buffered arrival's time first.
-	const now, rounds, skipped, draws, buffered, pendingTime = 0, 8, 16, 32, 41, 42
+	const rounds, skipped, draws, buffered, pendingTime = 0, 8, 24, 33, 34
 	u64 := func(p []byte, at int) int64 { return int64(binary.LittleEndian.Uint64(p[at:])) }
 	put := func(p []byte, at int, v int64) { binary.LittleEndian.PutUint64(p[at:], uint64(v)) }
 	cases := []struct {
 		name string
-		edit func(p []byte, clock int) // clock is now's offset
+		edit func(p []byte, c int) // c is the round count's offset
 	}{
-		{"now-352s", func(p []byte, c int) { put(p, c+now, 352*int64(negotiator.Second)) }},
 		{"rounds-plus-1e9", func(p []byte, c int) { put(p, c+rounds, u64(p, c+rounds)+1e9) }},
 		{"skipped-beyond-rounds", func(p []byte, c int) { put(p, c+skipped, u64(p, c+rounds)+1) }},
 		{"pending-before-last-round", func(p []byte, c int) {
 			if p[c+buffered] != 1 {
 				t.Fatal("checkpoint buffers no arrival")
 			}
-			put(p, c+pendingTime, u64(p, c+now)-u64(p, c-8))
+			put(p, c+pendingTime, (u64(p, c+rounds)-1)*u64(p, c-8))
 		}},
 		// With no draws to replay, nothing compares the buffered arrival
 		// with the generator's: the restored pump would inject a flow the
@@ -682,8 +686,8 @@ func TestRestoreRejectsBadClock(t *testing.T) {
 // zero: such a checkpoint used to restore without error and panic in the
 // next epoch's planRelay. A run keeps each rotation in [0, n), so n itself
 // is refused too. Each case edits every ToR's rotation; the intact
-// checkpoint then restores into the same fabric (with the generator the
-// failed restore drew attached afresh) and finishes byte-identically.
+// checkpoint then restores into the same fabric (with the generator
+// attached afresh) and finishes byte-identically.
 func TestRestoreRejectsBadRelayRotation(t *testing.T) {
 	spec := negotiator.SmallSpec()
 	spec.Topology = negotiator.ThinClos
@@ -754,6 +758,97 @@ func TestRestoreRejectsBadRelayRotation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreRejectsTrailingBytes: a section carrying one byte past its
+// layout must fail Restore, and the failed restore must leave the fabric
+// as it was: with the generator attached afresh, the intact checkpoint
+// restores into the same fabric and its next 60 epochs equal the
+// uninterrupted run's. Each case appends the byte to the last section of
+// one tag, on every plane, the selective relay and each stateful matcher.
+// A restore that applies sections before it has found the byte must not
+// apply them to the fabric it was called on: the retry would then meet
+// node records or matcher rings already restored once, and refuse the
+// intact checkpoint or continue from a state the run never had.
+func TestRestoreRejectsTrailingBytes(t *testing.T) {
+	relay := negotiator.SmallSpec()
+	relay.Topology = negotiator.ThinClos
+	relay.SelectiveRelay = true
+	hybrid := negotiator.SmallSpec()
+	hybrid.ControlPlane = negotiator.HybridPlane
+	oblivious := negotiator.SmallSpec()
+	oblivious.ControlPlane = negotiator.ObliviousPlane
+	type named struct {
+		name string
+		spec negotiator.Spec
+	}
+	cases := []named{
+		{"matching", negotiator.SmallSpec()},
+		{"relay", relay},
+		{"hybrid", hybrid},
+		{"oblivious", oblivious},
+	}
+	for _, sched := range []negotiator.Scheduler{negotiator.Stateful, negotiator.Iterative1,
+		negotiator.Iterative3, negotiator.PIMStyle, negotiator.ISLIPStyle} {
+		spec := negotiator.SmallSpec()
+		spec.Scheduler = sched
+		cases = append(cases, named{fmt.Sprint(sched), spec})
+	}
+	const snapAt, epochs = 60, 120
+	for _, c := range cases {
+		spec := c.spec
+		spec.Workers = 1
+		build := func() negotiator.Fabric {
+			fab, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6))
+			return fab
+		}
+		want := fingerprint(t, spec)
+		fab := build()
+		fab.RunEpochs(snapAt)
+		var buf bytes.Buffer
+		if err := fab.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		good := buf.Bytes()
+		secs := splitSections(good)
+		last := map[string]int{}
+		var tags []string
+		for i, sec := range secs {
+			if _, seen := last[sec.Tag]; !seen {
+				tags = append(tags, sec.Tag)
+			}
+			last[sec.Tag] = i
+		}
+		for _, tag := range tags {
+			t.Run(c.name+"/"+tag, func(t *testing.T) {
+				bad := slices.Clone(secs)
+				k := last[tag]
+				bad[k].Payload = append(bytes.Clone(bad[k].Payload), 0)
+				fab := build()
+				if err := fab.Restore(bytes.NewReader(joinSections(t, bad))); err == nil {
+					t.Fatal("checkpoint with a trailing byte restored without error")
+				}
+				fab.SetWorkload(negotiator.PoissonWorkload(spec, negotiator.Hadoop, 0.7, spec.Seed+6))
+				if err := fab.Restore(bytes.NewReader(good)); err != nil {
+					t.Fatalf("intact checkpoint rejected after failed restore: %v", err)
+				}
+				fab.RunEpochs(epochs - snapAt)
+				if got := render(fab); got != want {
+					t.Errorf("run after recovered restore diverges\n got: %.400s\nwant: %.400s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// render is the comparable string of a run's Summary and mice CDF that
+// fingerprint records.
+func render(fab negotiator.Fabric) string {
+	return fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
 }
 
 // TestRestoreRejectsMismatch: a structurally valid checkpoint applied to
@@ -888,11 +983,11 @@ func groupedSnapshotRun(t *testing.T, spec negotiator.Spec, snapWorkers, restore
 // pump, checkpointing at epoch 10 and restoring — at the same worker
 // count and across 16 -> 1 — must continue byte-identically to the
 // uninterrupted run: member FCT boundaries, the group counts and the
-// pending group's count all survive the GRPS section. identity-bytes: a
-// run whose workload passed through the identity GroupWorkload(w, 1)
-// yields a checkpoint stream byte-identical to the plain run's — no GRPS
-// section is written when no group has formed, so pre-group checkpoints
-// and k=1 checkpoints stay interchangeable.
+// pending group's count all survive in the FLOW records and the buffered
+// arrival. identity-bytes: a run whose workload passed through the
+// identity GroupWorkload(w, 1) yields a checkpoint stream byte-identical
+// to the plain run's — the identity adapter leaves every member count as
+// it was, so k=1 checkpoints and plain ones stay interchangeable.
 func TestSnapshotGroupedFlows(t *testing.T) {
 	t.Run("round-trip", func(t *testing.T) {
 		spec := negotiator.SmallSpec()
